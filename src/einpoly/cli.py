@@ -223,9 +223,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("polytope", help="weight / minimal polytope of an input")
     p.add_argument("input")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--min", action="store_true")
-    group.add_argument("--max", action="store_true")
+    p.add_argument("--min", action="store_true")
     out = p.add_mutually_exclusive_group()
     out.add_argument("--vertices", action="store_true")
     out.add_argument("--facets", action="store_true")

@@ -4,19 +4,33 @@ A proper non-vertex face is *marked* when it fails both shape tests below;
 marked faces are the candidate carriers of solutions at infinity.  The tests
 are the simplified forms valid when every vertex is of the shape
 e_i + e_j - e_k; on other polytopes the census reports them inapplicable.
+
+Both tests are read off the face lattice of P as integer bitmasks (bit k of
+a vertex mask is vertex k, of a facet mask facet k), with no hull or rank
+computation per face:
+
+* e_i lies on a face F iff e_i is in P and every facet containing F is
+  tight at e_i, i.e. F's facet mask is a subset of e_i's tight mask.  Exact
+  because a face of a polytope is P cut by the facets that contain it.
+* a vertex a is an apex of F iff V(F) minus a is the vertex set of a
+  (dim F - 1)-face G: one dict lookup.  Exact because a outside aff(others)
+  makes F a pyramid whose base conv(others) is a facet of F, hence a face
+  of P; conversely such a G has an affine hull of dimension dim F - 1 that
+  misses a.  Any face with that vertex set has that dimension, so the
+  lookup is by vertex mask alone.
+* a basis point e on F lies in conv(others) iff e lies on that base face G,
+  which is the first criterion again with G's facet mask.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .curvature import LaurentPoly, restrict_to_face
 from .exact import UniPoly, det, resultant
-from .polytope import Face, LatticePolytope, hull, is_cross_polytope
+from .polytope import Face, LatticePolytope, apexes, basis_points_on, is_cross_polytope
 from .exact import integer_kernel_basis, solve_unique
 
 SINGULAR = "singular"
@@ -24,38 +38,14 @@ NONSINGULAR = "nonsingular"
 NEEDS_MORE_DATA = "needs_more_data"
 
 
-def _basis_points_on(polytope: LatticePolytope, face: Face) -> list:
-    d = polytope.ambient_dim
-    out = []
-    for i in range(1, d + 1):
-        e = tuple(1 if j == i else 0 for j in range(1, d + 1))
-        if face.contains_point(e):
-            out.append((i, e))
-    return out
-
-
 def test1_pyramid(polytope: LatticePolytope, face: Face) -> bool:
     """Some apex a of the face sees every basis point e_i on the face either
-    at a itself or inside the hull of the remaining vertices."""
-    verts = face.vertices()
-    if len(verts) < 2:
-        return False
-    epts = _basis_points_on(polytope, face)
-    for a in sorted(verts):
-        others = [v for v in verts if v != a]
-        if len(others) >= 2:
-            base = others[0]
-            diffs = [[v[i] - base[i] for i in range(len(base))] for v in others[1:]]
-            from .exact import rank as _rank
-
-            base_rank = _rank(diffs) if diffs else 0
-            with_a = diffs + [[a[i] - base[i] for i in range(len(base))]]
-            if _rank(with_a) == base_rank:
-                continue  # a is not an apex
-        if not epts:
-            return True
-        base_hull = hull(others)
-        if all(e == a or base_hull.contains(e) for _i, e in epts):
+    at a itself or on the base face conv(other vertices).  The masks come
+    from face.polytope, which is `polytope` in every census."""
+    on_face = basis_points_on(face)
+    for a, base in apexes(face):
+        va = face.polytope.vertices[a]
+        if all(e == va or tight & base == base for _i, e, tight in on_face):
             return True
     return False
 
@@ -72,10 +62,7 @@ def test2_octahedron(polytope: LatticePolytope, face: Face) -> bool:
     if sum(ic) != 1 or any(c not in (0, 1) for c in ic):
         return False
     i0 = ic.index(1) + 1
-    for i, _e in _basis_points_on(polytope, face):
-        if i != i0:
-            return False
-    return True
+    return all(i == i0 for i, _e, _tight in basis_points_on(face))
 
 
 def vertices_have_weight_shape(polytope: LatticePolytope) -> bool:
@@ -131,42 +118,22 @@ class MarkedFaceCensus:
         return sum(1 for e in self.entries if e.test2)
 
 
-def _census_workers() -> int:
-    raw = os.environ.get("HS_THREADS")
-    cores = os.cpu_count() or 1
-    if raw is None:
-        return cores
-    try:
-        n = int(raw)
-    except ValueError:
-        return cores
-    return max(1, min(n, cores))
-
-
 def marked_census(polytope: LatticePolytope) -> MarkedFaceCensus:
-    """Shape tests over every proper non-vertex face, merged deterministically
-    by (dimension, vertex set)."""
+    """Shape tests over every proper non-vertex face, in the face lattice's
+    order: by (dimension, vertex set)."""
     applicable = vertices_have_weight_shape(polytope)
-    faces = []
-    for dim_, fs in sorted(polytope.all_proper_faces().items()):
+    entries = []
+    for dim_, faces in sorted(polytope.all_proper_faces().items()):
         if dim_ == 0:
             continue
-        faces.extend(fs)
-
-    def examine(face: Face) -> CensusEntry:
-        if not applicable:
-            return CensusEntry(face, face.dim, None, None, None, face.normal_signature(), False)
-        t1 = test1_pyramid(polytope, face)
-        t2 = test2_octahedron(polytope, face)
-        return CensusEntry(face, face.dim, t1, t2, not (t1 or t2), face.normal_signature(), True)
-
-    workers = _census_workers()
-    if workers > 1 and len(faces) > 32:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(examine, faces))
-    else:
-        entries = [examine(f) for f in faces]
-    entries.sort(key=lambda e: (e.dim, e.face.vertex_indices))
+        for face in faces:
+            sig = face.normal_signature()
+            if applicable:
+                t1 = test1_pyramid(polytope, face)
+                t2 = test2_octahedron(polytope, face)
+                entries.append(CensusEntry(face, dim_, t1, t2, not (t1 or t2), sig, True))
+            else:
+                entries.append(CensusEntry(face, dim_, None, None, None, sig, False))
     return MarkedFaceCensus(polytope, entries, applicable)
 
 
@@ -248,10 +215,6 @@ def _shift_nonneg(poly: dict) -> dict:
     return {(i - mi, j - mj): c for (i, j), c in poly.items()}
 
 
-def _strip_monomial(poly: dict) -> dict:
-    return _shift_nonneg(poly)
-
-
 def _to_bivar(poly: dict):
     """dict -> y-coefficient list of UniPoly in x."""
     degy = max(e[1] for e in poly)
@@ -288,9 +251,9 @@ def curve_singular(s: LaurentPoly, face: Face) -> str:
     poly = _face_chart_poly(s, face)
     if poly is None or len(poly) <= 1:
         return NEEDS_MORE_DATA
-    poly = _strip_monomial(poly)
-    g1 = _strip_monomial(_euler_bivar(poly, 0)) if _euler_bivar(poly, 0) else {}
-    g2 = _strip_monomial(_euler_bivar(poly, 1)) if _euler_bivar(poly, 1) else {}
+    poly = _shift_nonneg(poly)
+    g1 = _shift_nonneg(_euler_bivar(poly, 0)) if _euler_bivar(poly, 0) else {}
+    g2 = _shift_nonneg(_euler_bivar(poly, 1)) if _euler_bivar(poly, 1) else {}
     if not g1 or not g2:
         # the curve is essentially univariate; it is singular only if the
         # univariate part has a repeated torus root

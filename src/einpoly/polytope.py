@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Tuple
 
 from .exact import (
     DimensionError,
-    Fraction as Rat,
+    det,
     integer_kernel_basis,
     primitive,
     rank,
@@ -38,6 +38,13 @@ def _as_point(p) -> LatticePoint:
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def _mask(indices) -> int:
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +206,8 @@ class LatticePolytope:
         self.dim: int = dim
         self._faces_by_dim = None
         self._chart = None
+        self._masks = None
+        self._basis_masks = None
 
     # -- construction ------------------------------------------------------
 
@@ -333,6 +342,31 @@ class LatticePolytope:
         self._faces_by_dim = by_dim
         return by_dim
 
+    def _face_masks(self) -> dict:
+        """Vertex mask -> facet mask of every proper face."""
+        if self._masks is None:
+            self._masks = {
+                _mask(f.vertex_indices): _mask(f.facet_indices)
+                for faces in self._face_lattice().values()
+                for f in faces
+            }
+        return self._masks
+
+    def _basis_tight_masks(self) -> list:
+        """(i, e_i, mask of the facets tight at e_i) for each basis point
+        e_i (1-based) that lies in the polytope."""
+        if self._basis_masks is None:
+            d = self.ambient_dim
+            out = []
+            for i in range(1, d + 1):
+                e = tuple(1 if j == i else 0 for j in range(1, d + 1))
+                if self.contains(e):
+                    tight = _mask(fi for fi, (normal, offset) in enumerate(self.facets)
+                                  if _dot(normal, e) == offset)
+                    out.append((i, e, tight))
+            self._basis_masks = out
+        return self._basis_masks
+
     # -- volume ---------------------------------------------------------------
 
     def normalized_volume(self) -> int:
@@ -349,7 +383,7 @@ class LatticePolytope:
         for simplex in self._pulling_triangulation():
             base = chart[simplex[0]]
             mat = [[chart[i][k] - base[k] for k in range(d - 1)] for i in simplex[1:]]
-            total += abs(_int_det(mat))
+            total += abs(int(det(mat)))
         return total
 
     def _pulling_triangulation(self) -> list:
@@ -413,12 +447,6 @@ class LatticePolytope:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2)
-
-
-def _int_det(mat: list) -> int:
-    from .exact import det as _det
-
-    return int(_det(mat))
 
 
 def polytope_from_json(obj) -> "LatticePolytope":
@@ -502,10 +530,6 @@ def hull(points: Iterable) -> LatticePolytope:
     return LatticePolytope(vertices, facets, affine, n, r)
 
 
-def _transpose(mat):
-    return [list(row) for row in zip(*mat)]
-
-
 # ---------------------------------------------------------------------------
 # standard constructions
 # ---------------------------------------------------------------------------
@@ -535,20 +559,32 @@ def permutohedron(d: int) -> LatticePolytope:
 # shape tests used by the face census
 # ---------------------------------------------------------------------------
 
+def apexes(face: Face):
+    """Yield (a, base facet mask) for each apex a of the face in
+    lexicographic order (vertices are stored sorted).  a is an apex iff the
+    other vertices are the vertex set of a face G = conv(others), whose
+    facet mask is yielded.  G then has dimension dim F - 1: it is a proper
+    face of F, and aff(G) together with a spans aff(F)."""
+    table = face.polytope._face_masks()
+    vmask = _mask(face.vertex_indices)
+    for a in face.vertex_indices:
+        base = table.get(vmask & ~(1 << a))
+        if base is not None:
+            yield a, base
+
+
+def basis_points_on(face: Face) -> list:
+    """(i, e_i, tight facet mask) for each basis point e_i on the face: e_i
+    lies in P and is tight on every facet containing the face."""
+    fmask = _mask(face.facet_indices)
+    return [b for b in face.polytope._basis_tight_masks() if b[2] & fmask == fmask]
+
+
 def is_pyramid(face: Face) -> Optional[LatticePoint]:
-    """Lexicographically least vertex a with a not in aff(other vertices);
-    None when the face is not a pyramid."""
-    verts = face.vertices()
-    if len(verts) < 2:
-        return None
-    for a in sorted(verts):
-        others = [v for v in verts if v != a]
-        base = others[0]
-        diffs = [[v[i] - base[i] for i in range(len(base))] for v in others[1:]]
-        base_rank = rank(diffs) if diffs else 0
-        with_a = diffs + [[a[i] - base[i] for i in range(len(base))]]
-        if rank(with_a) > base_rank:
-            return a
+    """Lexicographically least apex of the face; None when the face is not
+    a pyramid."""
+    for a, _base in apexes(face):
+        return face.polytope.vertices[a]
     return None
 
 

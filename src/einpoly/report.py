@@ -24,7 +24,7 @@ from .solver import bound_report, real_positive
 REPORT_SCHEMA = "report/v1"
 
 
-def analyze(data: HomSpaceData, theta=Fraction(0), solve: bool = True) -> dict:
+def analyze(data: HomSpaceData, theta=Fraction(0), solve: bool = True) -> tuple[dict, int]:
     """Full pipeline: weight polytope, flats, minimal polytope, volume and
     bounds, marked-face census, 2-face singularity verdicts, and (for
     d <= 3) the certified solver."""

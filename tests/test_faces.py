@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from einpoly.curvature import LaurentPoly, scalar_curvature
+from einpoly.exact import rank
 from einpoly.faces import (
     NEEDS_MORE_DATA,
     NONSINGULAR,
@@ -22,7 +23,7 @@ from einpoly.faces import test1_pyramid as pyramid_test
 from einpoly.faces import test2_octahedron as octahedron_test
 from einpoly.homspace import kaehler_b2_polytope, load_catalog, weight_polytope
 from einpoly.infinity import delta_min, flat_complex
-from einpoly.polytope import hull, permutohedron
+from einpoly.polytope import hull, is_cross_polytope, is_pyramid, permutohedron
 
 
 def face_by_signature(P, sig):
@@ -144,6 +145,127 @@ def test_census_respects_thread_cap(monkeypatch, e8_d6):
     monkeypatch.setenv("HS_THREADS", "1")
     P = minimal_polytope(e8_d6)
     assert marked_census(P).marked_total() == 40
+
+
+# ---------------------------------------------------------------------------
+# reference equivalence: the mask census against the geometric definitions
+# ---------------------------------------------------------------------------
+
+
+def reference_basis_points_on(P, face):
+    d = P.ambient_dim
+    units = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
+    return [(i + 1, e) for i, e in enumerate(units) if face.contains_point(e)]
+
+
+def affine_rank(points):
+    base = points[0]
+    return rank([[x - y for x, y in zip(p, base)] for p in points[1:]]) if len(points) > 1 else 0
+
+
+def reference_apexes(face):
+    """Vertices a, lexicographically, with a outside aff(other vertices)."""
+    verts = sorted(face.vertices())
+    if len(verts) < 2:
+        return []
+    dim_ = affine_rank(verts)
+    return [a for a in verts if affine_rank([v for v in verts if v != a]) < dim_]
+
+
+def reference_test1(P, face, apexes):
+    epts = reference_basis_points_on(P, face)
+    if not epts:
+        return bool(apexes)
+    for a in apexes:
+        base_hull = hull([v for v in face.vertices() if v != a])
+        if all(e == a or base_hull.contains(e) for _i, e in epts):
+            return True
+    return False
+
+
+def reference_test2(P, face):
+    center = is_cross_polytope(face)
+    if center is None or any(c.denominator != 1 for c in center):
+        return False
+    ic = [int(c) for c in center]
+    if sum(ic) != 1 or any(c not in (0, 1) for c in ic):
+        return False
+    i0 = ic.index(1) + 1
+    return all(i == i0 for i, _e in reference_basis_points_on(P, face))
+
+
+def reference_census(P):
+    applicable = vertices_have_weight_shape(P)
+    rows = []
+    for dim_, faces in sorted(P.all_proper_faces().items()):
+        for face in faces:
+            apexes = reference_apexes(face)
+            assert is_pyramid(face) == (apexes[0] if apexes else None)
+            if dim_ == 0:
+                continue
+            if not applicable:
+                rows.append((dim_, face.vertex_indices, None, None, None))
+                continue
+            t1 = reference_test1(P, face, apexes)
+            t2 = reference_test2(P, face)
+            rows.append((dim_, face.vertex_indices, t1, t2, not (t1 or t2)))
+    return rows
+
+
+REFERENCE_CATALOG = (
+    "su3_t2", "sphere_s3", "wang_ziller_killing", "wang_ziller_q",
+    "e8_t1_a3_a4", "e8_t1_a4_a2_a1", "jordan_2", "jordan_3",
+    "jordan_product_2_2", "jordan_product_2_3", "jordan_product_3_3",
+    "product_of_irreducibles_4",
+)
+
+
+def reference_polytope(key):
+    if key.startswith("kaehler_"):
+        return kaehler_b2_polytope(int(key.split("_")[1]))
+    return minimal_polytope(load_catalog(key))
+
+
+def permuted(P, seed):
+    rng = random.Random(seed)
+    identity = list(range(P.ambient_dim))
+    perm = identity[:]
+    while perm == identity:
+        rng.shuffle(perm)
+    return hull([tuple(v[p] for p in perm) for v in P.vertices])
+
+
+REFERENCE_KEYS = list(REFERENCE_CATALOG) + [f"kaehler_{d}" for d in range(2, 7)]
+
+
+@pytest.mark.parametrize("permute", [False, True], ids=["as_built", "permuted"])
+@pytest.mark.parametrize("key", REFERENCE_KEYS)
+def test_census_matches_geometric_reference(key, permute):
+    P = reference_polytope(key)
+    if permute:
+        P = permuted(P, seed=key)
+    census = marked_census(P)
+    rows = [(e.dim, e.face.vertex_indices, e.test1, e.test2, e.marked) for e in census.entries]
+    assert rows == reference_census(P)
+
+
+# Self-computed regression values: this implementation's results, not figures
+# quoted from the paper.  The d = 8 volume (7526) is left to the benchmark.
+
+
+def test_kaehler_d7_regression_values():
+    P = kaehler_b2_polytope(7)
+    census = marked_census(P)
+    assert len(P.facets) == 100
+    assert P.normalized_volume() == 1598
+    assert census.marked_total() == 145
+    assert census.marked_by_dim() == {2: 34, 3: 21, 4: 62, 5: 28}
+
+
+def test_kaehler_d8_regression_values():
+    P = kaehler_b2_polytope(8)
+    assert len(P.facets) == 280
+    assert marked_census(P).marked_total() == 440
 
 
 # ---------------------------------------------------------------------------
