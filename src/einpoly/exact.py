@@ -627,6 +627,23 @@ def _bareiss_det_poly(mat: list) -> UniPoly:
     return result if sign == 1 else -result
 
 
+def bivar_cols(poly: dict, axis: int) -> list:
+    """Coefficient list of a bivariate polynomial {(i, j): c} in the variable
+    `axis`, entries UniPoly in the other one: the input form of
+    `resultant`."""
+    other = 1 - axis
+    deg_main = max(e[axis] for e in poly)
+    deg_other = max(e[other] for e in poly)
+    cols = []
+    for j in range(deg_main + 1):
+        coeffs = [Fraction(0)] * (deg_other + 1)
+        for e, c in poly.items():
+            if e[axis] == j:
+                coeffs[e[other]] = c
+        cols.append(UniPoly(coeffs))
+    return cols
+
+
 def resultant(p: Sequence[UniPoly], q: Sequence[UniPoly]) -> UniPoly:
     """Resultant in y of two polynomials given as y-coefficient lists over
     Q[x]; returns a polynomial in x.

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .curvature import LaurentPoly, restrict_to_face
-from .exact import UniPoly, det, resultant
+from .exact import UniPoly, bivar_cols, det, resultant
 from .polytope import Face, LatticePolytope, apexes, basis_points_on, is_cross_polytope
 from .exact import integer_kernel_basis, solve_unique
 
@@ -215,20 +215,6 @@ def _shift_nonneg(poly: dict) -> dict:
     return {(i - mi, j - mj): c for (i, j), c in poly.items()}
 
 
-def _to_bivar(poly: dict):
-    """dict -> y-coefficient list of UniPoly in x."""
-    degy = max(e[1] for e in poly)
-    degx = max(e[0] for e in poly)
-    cols = []
-    for j in range(degy + 1):
-        coeffs = [Fraction(0)] * (degx + 1)
-        for (i, jj), c in poly.items():
-            if jj == j:
-                coeffs[i] = c
-        cols.append(UniPoly(coeffs))
-    return cols
-
-
 def _euler_bivar(poly: dict, axis: int) -> dict:
     out = {}
     for (i, j), c in poly.items():
@@ -259,8 +245,8 @@ def curve_singular(s: LaurentPoly, face: Face) -> str:
         # univariate part has a repeated torus root
         return _univariate_singular(poly)
     try:
-        r1 = resultant(_to_bivar(poly), _to_bivar(g1))
-        r2 = resultant(_to_bivar(poly), _to_bivar(g2))
+        r1 = resultant(bivar_cols(poly, 1), bivar_cols(g1, 1))
+        r2 = resultant(bivar_cols(poly, 1), bivar_cols(g2, 1))
         _, r1t = r1.strip_x_power()
         _, r2t = r2.strip_x_power()
         if not r1t.is_zero() and not r2t.is_zero():

@@ -153,35 +153,13 @@ def delta_min(polytope: LatticePolytope, T: FlatComplex) -> LatticePolytope:
     return hull(gens)
 
 
-def _face_inside_t(face: Face, T: FlatComplex) -> bool:
-    """A face lies in |T| iff all its vertices sit in one flat simplex."""
-    verts = face.vertices()
-    for flat in T.maximal_flats:
-        fs = set(flat)
-        ok = True
-        for v in verts:
-            xs = [Fraction(c) for c in v]
-            if any(c < 0 for c in xs) or sum(xs) != 1:
-                ok = False
-                break
-            support = {i + 1 for i, c in enumerate(xs) if c != 0}
-            if not support <= fs:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
 def is_admissible(polytope: LatticePolytope, T: FlatComplex) -> bool:
-    """No proper face of the polytope lies entirely inside |T|."""
-    if T.is_empty():
-        return True
-    for faces in polytope.all_proper_faces().values():
-        for face in faces:
-            if _face_inside_t(face, T):
-                return False
-    return True
+    """No proper face of the polytope lies entirely inside |T|.
+
+    Read off the vertices: a face inside |T| has its vertices there, and
+    once dim >= 1 every vertex is itself a proper face.  A 0-dimensional
+    polytope has no proper faces at all."""
+    return polytope.dim == 0 or not any(T.contains_point(v) for v in polytope.vertices)
 
 
 def _simplex_slice_dim(flat, face: Face) -> int:

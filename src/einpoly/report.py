@@ -19,7 +19,7 @@ from .faces import (
 )
 from .homspace import HomSpaceData, weight_polytope
 from .infinity import B2NotApplicableError, b2_exponent, delta_min, flat_complex, is_admissible
-from .solver import bound_report, real_positive
+from .solver import _build_bound_report, real_positive
 
 REPORT_SCHEMA = "report/v1"
 
@@ -46,7 +46,9 @@ def analyze(data: HomSpaceData, theta=Fraction(0), solve: bool = True) -> tuple[
         b2 = b2_exponent(dmin)
     except B2NotApplicableError as exc:
         b2 = f"not applicable: {exc}"
-    bounds = bound_report(data, solve=solve and data.d in (2, 3))
+    sol = real_positive(data) if solve and data.d in (2, 3) else None
+    epsilon = sol.distinct_complex if sol is not None else None
+    bounds = _build_bound_report(data, nu, T, epsilon)
     census = marked_census(dmin)
     singularity = []
     if census.applicable and dmin.contains_polytope(nw):
@@ -81,16 +83,14 @@ def analyze(data: HomSpaceData, theta=Fraction(0), solve: bool = True) -> tuple[
                         "singularity analysis skipped")
     solver_obj = None
     solver_exit = 0
-    if solve:
-        if data.d in (2, 3):
-            sol = real_positive(data)
-            solver_obj = sol.to_json_obj()
-            warnings.extend(sol.warnings)
-        else:
-            solver_exit = 3
-            warnings.append(
-                f"solver skipped: unsupported dimension d = {data.d} (supported: 2, 3)"
-            )
+    if sol is not None:
+        solver_obj = sol.to_json_obj()
+        warnings.extend(sol.warnings)
+    elif solve:
+        solver_exit = 3
+        warnings.append(
+            f"solver skipped: unsupported dimension d = {data.d} (supported: 2, 3)"
+        )
     report = {
         "schema": REPORT_SCHEMA,
         "version": __version__,

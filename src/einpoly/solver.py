@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .curvature import LaurentPoly, einstein_system
 from .exact import (
     UniPoly,
+    bivar_cols,
     format_rat,
     isolate_real_roots,
     refine_root_interval,
@@ -26,7 +27,7 @@ from .exact import (
     sturm_count,
 )
 from .homspace import HomSpaceData, weight_polytope
-from .infinity import delta_min, flat_complex
+from .infinity import FlatComplex, delta_min, flat_complex
 
 
 class UnsupportedDimensionError(ValueError):
@@ -249,21 +250,6 @@ def _torus_sf_degree_total(G: list, h: UniPoly) -> int:
 # bivariate helpers
 # ---------------------------------------------------------------------------
 
-def _bivar_cols(poly: dict, axis: int) -> list:
-    """Coefficient list in the chosen variable, entries UniPoly in the other."""
-    other = 1 - axis
-    deg_main = max(e[axis] for e in poly)
-    deg_other = max(e[other] for e in poly)
-    cols = []
-    for j in range(deg_main + 1):
-        coeffs = [Fraction(0)] * (deg_other + 1)
-        for e, c in poly.items():
-            if e[axis] == j:
-                coeffs[e[other]] = c
-        cols.append(UniPoly(coeffs))
-    return cols
-
-
 def _torus_part(p: UniPoly) -> UniPoly:
     _, q = p.strip_x_power()
     return q
@@ -278,27 +264,27 @@ def _count_fibers(cols1: list, cols2: list, h: UniPoly) -> int:
     return total
 
 
+def _eliminant(g1: dict, g2: dict, axis: int) -> Tuple[UniPoly, int]:
+    """Torus part of the resultant of g1, g2 that eliminates the variable
+    `axis` (squarefree when of positive degree), and the number of
+    distinct torus solutions counted over its roots."""
+    cols1 = bivar_cols(g1, axis)
+    cols2 = bivar_cols(g2, axis)
+    r = resultant(cols1, cols2)
+    if r.is_zero():
+        raise DegenerateSystemError("resultant vanished; common factor present")
+    h = _torus_part(r)
+    if h.degree <= 0:
+        return h, 0
+    h = h.squarefree()
+    return h, _count_fibers(cols1, cols2, h.monic())
+
+
 def _count_bivariate(g1: dict, g2: dict) -> Tuple[int, bool]:
     """(distinct torus solutions, genericity flag); the count is verified by
     eliminating in both variable orders."""
-    cols1x = _bivar_cols(g1, 1)
-    cols2x = _bivar_cols(g2, 1)
-    r1 = resultant(cols1x, cols2x)
-    if r1.is_zero():
-        raise DegenerateSystemError("resultant vanished; common factor present")
-    hx = _torus_part(r1)
-    count_x = 0
-    if hx.degree > 0:
-        count_x = _count_fibers(cols1x, cols2x, hx.squarefree().monic())
-    cols1y = _bivar_cols(g1, 0)
-    cols2y = _bivar_cols(g2, 0)
-    r2 = resultant(cols1y, cols2y)
-    if r2.is_zero():
-        raise DegenerateSystemError("resultant vanished; common factor present")
-    hy = _torus_part(r2)
-    count_y = 0
-    if hy.degree > 0:
-        count_y = _count_fibers(cols1y, cols2y, hy.squarefree().monic())
+    _, count_x = _eliminant(g1, g2, 1)
+    _, count_y = _eliminant(g1, g2, 0)
     return count_x, count_x == count_y
 
 
@@ -449,32 +435,48 @@ class SolutionSet:
         }
 
 
-def _system_dicts(data: HomSpaceData) -> Tuple[list, list]:
-    system = einstein_system(data)
-    return dehomogenize(system)
-
-
 def count_complex(data: HomSpaceData) -> SolutionSet:
     """Distinct complex solutions of the Einstein system modulo scaling,
     torus solutions only (roots with a zero coordinate are excluded)."""
+    return _solve(data, certify=False)
+
+
+def real_positive(data: HomSpaceData, max_rounds: int = 40) -> SolutionSet:
+    """count_complex enriched with certified real and positive counts and
+    refined solution boxes with residual certificates."""
+    return _solve(data, certify=True, max_rounds=max_rounds)
+
+
+def _solve(data: HomSpaceData, certify: bool, max_rounds: int = 40) -> SolutionSet:
+    """One pass for both entry points: the system is built and
+    dehomogenized once, and the eliminants that give the complex count
+    are the ones the real/positive certification isolates."""
     if data.d not in (2, 3):
         raise UnsupportedDimensionError(
             f"complex counting is implemented for d in {{2, 3}}, got d = {data.d}"
         )
-    polys, _removed = _system_dicts(data)
+    system = einstein_system(data)
+    polys, _removed = dehomogenize(system)
     if data.d == 2:
-        p = _to_unipoly_1d(polys[0])
-        ptor = _torus_part(p)
-        if ptor.degree <= 0:
-            return SolutionSet(2, 0)
-        sf = ptor.squarefree()
-        excess = ptor.degree - sf.degree
-        return SolutionSet(2, sf.degree, multiplicity_excess=excess)
+        p = _torus_part(_to_unipoly_1d(polys[0]))
+        if p.degree <= 0:
+            out = SolutionSet(2, 0)
+            if certify:
+                out.real_count = out.positive_count = 0
+            return out
+        sf = p.squarefree()
+        out = SolutionSet(2, sf.degree, multiplicity_excess=p.degree - sf.degree)
+        if certify:
+            _certify_d2(out, sf, system)
+        return out
     g1, g2 = polys
-    count, generic = _count_bivariate(g1, g2)
-    out = SolutionSet(3, count, genericity=generic)
-    if not generic:
+    q1, count = _eliminant(g1, g2, 1)
+    q2, count_y = _eliminant(g1, g2, 0)
+    out = SolutionSet(3, count, genericity=count == count_y)
+    if not out.genericity:
         out.warnings.append("eliminations in the two variable orders disagree")
+    if certify:
+        _certify_d3(out, g1, g2, q1, q2, system, max_rounds)
     return out
 
 
@@ -484,17 +486,6 @@ def _to_unipoly_1d(poly: dict) -> UniPoly:
     for e, c in poly.items():
         coeffs[e[0]] = c
     return UniPoly(coeffs)
-
-
-def real_positive(data: HomSpaceData, max_rounds: int = 40) -> SolutionSet:
-    """count_complex enriched with certified real and positive counts and
-    refined solution boxes with residual certificates."""
-    base = count_complex(data)
-    polys, _removed = _system_dicts(data)
-    system = einstein_system(data)
-    if data.d == 2:
-        return _real_positive_d2(data, base, polys[0], system)
-    return _real_positive_d3(data, base, polys, system, max_rounds)
 
 
 def _residual_entry(system, point_or_box, exact: bool) -> dict:
@@ -528,12 +519,12 @@ def _residual_entry(system, point_or_box, exact: bool) -> dict:
     }
 
 
-def _real_positive_d2(data, base, poly, system) -> SolutionSet:
-    p = _torus_part(_to_unipoly_1d(poly))
-    sf = p.squarefree() if p.degree > 0 else p
-    base.real_count = sturm_count(sf) if sf.degree > 0 else 0
-    base.positive_count = sturm_count(sf, Fraction(0), None) if sf.degree > 0 else 0
-    for lo, hi in isolate_real_roots(sf) if sf.degree > 0 else []:
+def _certify_d2(base: SolutionSet, sf: UniPoly, system) -> None:
+    """Real and positive counts and solutions of the squarefree univariate
+    eliminant sf (degree >= 1)."""
+    base.real_count = sturm_count(sf)
+    base.positive_count = sturm_count(sf, Fraction(0), None)
+    for lo, hi in isolate_real_roots(sf):
         root = _rational_root_in(sf, lo, hi)
         if root is not None:
             base.solutions.append(_residual_entry(system, [root], exact=True))
@@ -542,7 +533,6 @@ def _real_positive_d2(data, base, poly, system) -> SolutionSet:
             base.solutions.append(
                 _residual_entry(system, [_iv(lo2, hi2)], exact=False)
             )
-    return base
 
 
 def _rational_root_in(p: UniPoly, lo: Fraction, hi: Fraction):
@@ -574,18 +564,14 @@ def _rational_root_in(p: UniPoly, lo: Fraction, hi: Fraction):
     return None
 
 
-def _real_positive_d3(data, base, polys, system, max_rounds) -> SolutionSet:
-    g1, g2 = polys
-    r1 = resultant(_bivar_cols(g1, 1), _bivar_cols(g2, 1))
-    r2 = resultant(_bivar_cols(g1, 0), _bivar_cols(g2, 0))
-    q1 = _torus_part(r1)
-    q2 = _torus_part(r2)
-    q1 = q1.squarefree() if q1.degree > 0 else q1
-    q2 = q2.squarefree() if q2.degree > 0 else q2
+def _certify_d3(base: SolutionSet, g1: dict, g2: dict, q1: UniPoly, q2: UniPoly,
+                system, max_rounds: int) -> None:
+    """Real and positive counts by Krawczyk tests on the boxes that pair a
+    real root of the x-eliminant q1 with one of the y-eliminant q2."""
     if q1.degree <= 0 or q2.degree <= 0:
         base.real_count = 0
         base.positive_count = 0
-        return base
+        return
     iso1 = isolate_real_roots(q1)
     iso2 = isolate_real_roots(q2)
     real = 0
@@ -633,7 +619,6 @@ def _real_positive_d3(data, base, polys, system, max_rounds) -> SolutionSet:
                 )
     base.real_count = real
     base.positive_count = positive
-    return base
 
 
 # ---------------------------------------------------------------------------
@@ -671,13 +656,20 @@ def bound_report(data: HomSpaceData, solve: bool = True) -> BoundReport:
     available, and the missing-solution note when nu exceeds epsilon."""
     P = weight_polytope(data)
     T = flat_complex(data)
-    Pmin = delta_min(P, T)
-    nu = Pmin.normalized_volume()
-    dl = delannoy(data.d - 1)
-    six = 6 ** (data.d - 1)
+    nu = delta_min(P, T).normalized_volume()
     eps_c = None
     if solve and data.d in (2, 3):
         eps_c = count_complex(data).distinct_complex
+    return _build_bound_report(data, nu, T, eps_c)
+
+
+def _build_bound_report(
+    data: HomSpaceData, nu: int, T: FlatComplex, eps_c: Optional[int]
+) -> BoundReport:
+    """The bound report from values an analysis already holds: nu of the
+    minimal polytope, the flat complex T and the solver's distinct count."""
+    dl = delannoy(data.d - 1)
+    six = 6 ** (data.d - 1)
     eps_a = None
     if data.expected and "epsilon" in data.expected:
         eps_a = data.expected["epsilon"]

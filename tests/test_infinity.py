@@ -1,16 +1,22 @@
 """Flat complexes, minimal compactifications, admissibility, b2 exponents."""
 
+import json
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einpoly.homspace import (
+    DegenerateSpectrumError,
     HomSpaceData,
+    catalog_names,
     jordan_product,
     jordan_space,
     kaehler_b2_polytope,
     load_catalog,
+    parse,
     weight_polytope,
 )
 from einpoly.infinity import (
@@ -205,6 +211,109 @@ def test_jordan_3_is_admissible_despite_flats():
     T = flat_complex(data)
     assert not T.is_empty()
     assert is_admissible(P, T)
+
+
+def _face_inside_t(face, T):
+    """Reference definition: a face lies in |T| iff all its vertices sit in
+    one flat simplex."""
+    for flat in T.maximal_flats:
+        if all(
+            all(c >= 0 for c in v)
+            and sum(v) == 1
+            and {i + 1 for i, c in enumerate(v) if c != 0} <= set(flat)
+            for v in face.vertices()
+        ):
+            return True
+    return False
+
+
+def reference_admissible(P, T):
+    """Admissibility by its definition: no proper face of P lies in |T|,
+    checked over the whole face lattice."""
+    return not any(
+        _face_inside_t(face, T)
+        for faces in P.all_proper_faces().values()
+        for face in faces
+    )
+
+
+# jordan_5 and jordan_7: the hull does not finish; the placeholder names a family.
+ADMISSIBILITY_CATALOG = [
+    name for name in catalog_names()
+    if name not in ("jordan_5", "jordan_7", "product_of_irreducibles_<d>")
+] + ["product_of_irreducibles_4"]
+
+
+@pytest.mark.parametrize("name", ADMISSIBILITY_CATALOG)
+def test_admissibility_matches_face_lattice_definition_on_catalog(name):
+    data = load_catalog(name)
+    P = weight_polytope(data)
+    T = flat_complex(data)
+    for Q in (P, delta_min(P, T)):
+        assert is_admissible(Q, T) == reference_admissible(Q, T)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_admissibility_matches_face_lattice_definition_on_kaehler(d):
+    P = kaehler_b2_polytope(d)
+    complexes = [
+        FlatComplex(d, [range(1, d + 1)]),
+        FlatComplex(d, combinations(range(1, d + 1), 2)),
+        FlatComplex(d, [(i,) for i in range(1, d + 1)]),
+    ]
+    for T in complexes:
+        assert is_admissible(P, T) == reference_admissible(P, T)
+
+
+def test_point_polytope_inside_t_is_admissible():
+    P = hull([(1, 0, 0)])
+    T = FlatComplex(3, [(1,)])
+    assert P.dim == 0 and T.contains_point(P.vertices[0])
+    assert is_admissible(P, T) and reference_admissible(P, T)
+
+
+@st.composite
+def spectral_documents(draw):
+    d = draw(st.integers(2, 4))
+    keys = [k for k in combinations_with_replacement(range(1, d + 1), 3) if len(set(k)) > 1]
+    pairs = list(combinations_with_replacement(range(1, d + 1), 2))
+    modules = st.lists(st.integers(1, d), unique=True)
+    doc = {
+        "schema": "homspace/v1",
+        "name": "drawn",
+        "d": d,
+        "dims": draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)),
+        "b": [str(v) for v in draw(st.lists(st.integers(0, 3), min_size=d, max_size=d))],
+        "triples": [
+            {"ijk": list(k), "value": str(v)}
+            for k, v in zip(
+                draw(st.lists(st.sampled_from(keys), unique=True, max_size=3)),
+                draw(st.lists(st.integers(1, 5), min_size=3, max_size=3)),
+            )
+        ],
+        "bracket_meets_h": [list(p) for p in draw(st.lists(st.sampled_from(pairs), unique=True))],
+        "h_nontrivial": sorted(draw(modules)),
+        "central": sorted(draw(modules)),
+        "complement": "other",
+    }
+    return parse(json.dumps(doc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spectral_documents())
+def test_admissibility_matches_face_lattice_definition_on_drawn_data(data):
+    try:
+        P = weight_polytope(data)
+    except DegenerateSpectrumError:
+        return
+    T = flat_complex(data)
+    polytopes = [P]
+    try:
+        polytopes.append(delta_min(P, T))
+    except ValueError:  # every generator lies in |T|
+        pass
+    for Q in polytopes:
+        assert is_admissible(Q, T) == reference_admissible(Q, T)
 
 
 def test_t_dimension_report_flags_the_bad_vertex(wang_ziller_q):
