@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .exact import format_rat, parse_rat
 from .homspace import HomSpaceData, active_arrangements
@@ -201,10 +201,13 @@ def grad_component(p: LaurentPoly, i: int) -> LaurentPoly:
     return p.euler(i)
 
 
-def einstein_system(data: HomSpaceData) -> list:
+def einstein_system(data: HomSpaceData, s: Optional[LaurentPoly] = None) -> list:
     """The d-1 homogeneous equations
-    f_i = (x_i/m_i) ds/dx_i - (x_{i+1}/m_{i+1}) ds/dx_{i+1}."""
-    s = scalar_curvature(data)
+    f_i = (x_i/m_i) ds/dx_i - (x_{i+1}/m_{i+1}) ds/dx_{i+1}.
+
+    `s` is `scalar_curvature(data)` when the caller already holds it."""
+    if s is None:
+        s = scalar_curvature(data)
     comps = [s.euler(i).scale(Fraction(1, data.dims[i])) for i in range(data.d)]
     return [comps[i] - comps[i + 1] for i in range(data.d - 1)]
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Rat = Fraction
@@ -50,52 +50,77 @@ def format_rat(q: Fraction) -> str:
 # rational linear algebra
 # ---------------------------------------------------------------------------
 
+def _integer_rows(rows: Sequence[Sequence]) -> tuple:
+    """Integer copy of a rational matrix, and the product of the row
+    scalings: each row with a non-integer entry is multiplied by the lcm of
+    its denominators, so the rank is unchanged and the determinant is
+    multiplied by the returned scale."""
+    out = []
+    scale = 1
+    for r in rows:
+        if all(isinstance(x, int) for x in r):
+            out.append(list(r))
+            continue
+        fr = [Fraction(x) for x in r]
+        den = lcm(*(x.denominator for x in fr))
+        out.append([x.numerator * (den // x.denominator) for x in fr])
+        scale *= den
+    return out, scale
+
+
+def _bareiss(a: list) -> tuple:
+    """Fraction-free (Bareiss) row echelon reduction of an integer matrix,
+    in place.  Returns (rank, sign of the row permutation, last pivot).
+
+    After the step with pivot p, every entry below and right of it is a
+    minor of the input (Sylvester's identity), so the division by the
+    previous pivot is exact.  For a nonsingular square matrix the last
+    pivot is sign * det.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rnk = 0
+    sign = 1
+    prev = 1
+    for col in range(n):
+        if rnk == m:
+            break
+        piv = next((r for r in range(rnk, m) if a[r][col]), None)
+        if piv is None:
+            continue
+        if piv != rnk:
+            a[rnk], a[piv] = a[piv], a[rnk]
+            sign = -sign
+        top = a[rnk][col + 1:]
+        p = a[rnk][col]
+        for r in range(rnk + 1, m):
+            row = a[r]
+            f = row[col]
+            row[col + 1:] = [(p * x - f * y) // prev for x, y in zip(row[col + 1:], top)]
+            row[col] = 0
+        prev = p
+        rnk += 1
+    return rnk, sign, prev
+
+
 def det(rows: Sequence[Sequence]) -> Fraction:
-    """Exact determinant by Gaussian elimination with rational pivots."""
+    """Exact determinant by fraction-free elimination; 1 for the 0x0
+    matrix."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionError("determinant requires a square matrix")
-    a = [[Fraction(x) for x in r] for r in rows]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        pivot = a[col][col]
-        result *= pivot
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] / pivot
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return sign * result
+    a, scale = _integer_rows(rows)
+    rnk, sign, last = _bareiss(a)
+    if rnk < n:
+        return Fraction(0)
+    return Fraction(sign * last, scale)
 
 
 def rank(rows: Sequence[Sequence]) -> int:
     """Rank over the rationals."""
     if not rows:
         return 0
-    a = [[Fraction(x) for x in r] for r in rows]
-    m, n = len(a), len(a[0])
-    rnk = 0
-    col = 0
-    while rnk < m and col < n:
-        piv = next((r for r in range(rnk, m) if a[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        a[rnk], a[piv] = a[piv], a[rnk]
-        pivot = a[rnk][col]
-        for r in range(rnk + 1, m):
-            if a[r][col] != 0:
-                factor = a[r][col] / pivot
-                a[r] = [x - factor * y for x, y in zip(a[r], a[rnk])]
-        rnk += 1
-        col += 1
-    return rnk
+    return _bareiss(_integer_rows(rows)[0])[0]
 
 
 def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list]:

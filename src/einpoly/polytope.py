@@ -4,6 +4,21 @@ V- and H-representations are kept simultaneously: a polytope stores its
 irredundant vertex set, the equations of its affine hull, and one primitive
 inward facet normal per facet.  Hulls are computed by the double description
 method on the cone of valid inequalities, entirely in integer arithmetic.
+
+The double description keeps, for every ray, the bitmask of the processed
+constraints it is tight on, and updates it as each constraint is added: a
+ray on the new hyperplane gains its bit, and a new ray, the positive
+combination of a ray on each side, gets the common mask of its parents plus
+the new bit.  That mask is exact, because both parents are >= 0 on every
+processed constraint, so their combination is 0 on one exactly when both
+are.  Two rays of the pointed cone are adjacent iff no third ray is tight
+wherever both are (Fukuda & Prodon 1996, *Double description method
+revisited*, Prop. 7); adjacent rays share m - 2 independent tight
+constraints, so a pair with fewer common bits is skipped before that scan.
+
+Faces are vertex bitmasks.  The facets of a face F are the inclusion-maximal
+proper cuts F & H over the facets H of the polytope, which gives the face
+lattice and the pulling triangulation without any rank computation.
 """
 
 from __future__ import annotations
@@ -47,6 +62,16 @@ def _mask(indices) -> int:
     return mask
 
 
+def _bits(mask: int) -> list:
+    """Indices of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 # ---------------------------------------------------------------------------
 # double description: extreme rays of {y : C y >= 0}
 # ---------------------------------------------------------------------------
@@ -82,51 +107,46 @@ def _extreme_rays(constraints: list) -> list:
     """All extreme rays of the pointed cone {y : C y >= 0} (integer rows)."""
     m = len(constraints[0])
     rays, init_idx = _initial_rays(constraints, m)
-    processed = list(init_idx)
-
-    def tight_mask(ray):
-        mask = 0
-        for pos, ci in enumerate(processed):
-            if _dot(constraints[ci], ray) == 0:
-                mask |= 1 << pos
-        return mask
-
-    for ci in range(len(constraints)):
-        if ci in processed:
+    # bit ci of masks[k] is set iff rays[k] is tight on processed constraint ci
+    init_mask = _mask(init_idx)
+    masks = [init_mask & ~(1 << ci) for ci in init_idx]
+    init = set(init_idx)
+    for ci, c in enumerate(constraints):
+        if ci in init:
             continue
-        c = constraints[ci]
+        bit = 1 << ci
         vals = [_dot(c, r) for r in rays]
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        zer = [i for i, v in enumerate(vals) if v == 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
         if not neg:
-            processed.append(ci)
+            masks = [mk | bit if v == 0 else mk for mk, v in zip(masks, vals)]
             continue
-        masks = [tight_mask(r) for r in rays]
-        new_rays = [rays[i] for i in pos + zer]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        new_rays = [rays[i] for i in pos]
+        new_masks = [masks[i] for i in pos]
+        for i, v in enumerate(vals):
+            if v == 0:
+                new_rays.append(rays[i])
+                new_masks.append(masks[i] | bit)
         for ip in pos:
             for ineg in neg:
                 common = masks[ip] & masks[ineg]
-                adjacent = True
-                for k in range(len(rays)):
-                    if k in (ip, ineg):
-                        continue
-                    if masks[k] & common == common:
-                        adjacent = False
-                        break
-                if not adjacent:
+                # adjacent rays share m - 2 independent tight constraints
+                if common.bit_count() < m - 2:
+                    continue
+                # adjacent iff no third ray is tight wherever both are
+                if any(mk & common == common
+                       for k, mk in enumerate(masks) if k != ip and k != ineg):
                     continue
                 vp, vn = vals[ip], vals[ineg]
                 combo = [vp * b - vn * a for a, b in zip(rays[ip], rays[ineg])]
                 new_rays.append(primitive(combo))
-        processed.append(ci)
+                new_masks.append(common | bit)
         # dedupe (combinations can coincide in degenerate positions)
         seen = {}
-        rays = []
-        for r in new_rays:
-            if r not in seen:
-                seen[r] = True
-                rays.append(r)
+        for r, mk in zip(new_rays, new_masks):
+            seen.setdefault(r, mk)
+        rays = list(seen)
+        masks = list(seen.values())
     return rays
 
 
@@ -205,7 +225,7 @@ class LatticePolytope:
         self.ambient_dim: int = ambient_dim
         self.dim: int = dim
         self._faces_by_dim = None
-        self._chart = None
+        self._incidence = None
         self._masks = None
         self._basis_masks = None
 
@@ -257,28 +277,6 @@ class LatticePolytope:
 
     # -- faces ---------------------------------------------------------------
 
-    def _vertex_chart(self):
-        """Chart coordinates of the vertices inside the affine hull."""
-        if self._chart is not None:
-            return self._chart
-        p0 = self.vertices[0]
-        diffs = [[v[i] - p0[i] for i in range(self.ambient_dim)] for v in self.vertices]
-        if self.dim == 0:
-            self._chart = (p0, [], [[] for _ in self.vertices])
-            return self._chart
-        ortho = integer_kernel_basis(diffs)
-        if ortho:
-            basis = integer_kernel_basis(ortho)
-        else:
-            basis = [[1 if i == j else 0 for j in range(self.ambient_dim)] for i in range(self.ambient_dim)]
-        cols = [[Fraction(basis[j][i]) for j in range(len(basis))] for i in range(self.ambient_dim)]
-        coords = []
-        for dvec in diffs:
-            u = solve_unique(cols, [Fraction(x) for x in dvec])
-            coords.append([int(c) for c in u])
-        self._chart = (p0, basis, coords)
-        return self._chart
-
     def faces(self, k: int) -> list:
         """All k-dimensional faces."""
         if k < 0 or k > self.dim:
@@ -295,50 +293,54 @@ class LatticePolytope:
     def whole_face(self) -> Face:
         return Face(self, range(len(self.vertices)), self.dim, ())
 
+    def _incidences(self) -> tuple:
+        """(vertex mask of each facet, facet mask of each vertex)."""
+        if self._incidence is None:
+            by_facet = [
+                _mask(i for i, v in enumerate(self.vertices) if _dot(normal, v) == offset)
+                for normal, offset in self.facets
+            ]
+            by_vertex = [0] * len(self.vertices)
+            for fi, inc in enumerate(by_facet):
+                for i in _bits(inc):
+                    by_vertex[i] |= 1 << fi
+            self._incidence = (by_facet, by_vertex)
+        return self._incidence
+
+    def _face_facets(self, vmask: int) -> list:
+        """Vertex masks of the facets of the face with vertex mask `vmask`
+        (of dimension >= 1), largest first.  Every proper face of a face F
+        is F & H for some facet H of P, so the facets of F are the
+        inclusion-maximal proper cuts F & H."""
+        cuts = {vmask & inc for inc in self._incidences()[0]}
+        cuts.discard(vmask)
+        maximal = []
+        # a cut inside a non-maximal one is inside a larger maximal one,
+        # which comes earlier in this order
+        for c in sorted(cuts, key=int.bit_count, reverse=True):
+            if not any(c & o == c for o in maximal):
+                maximal.append(c)
+        return maximal
+
     def _face_lattice(self) -> dict:
         if self._faces_by_dim is not None:
             return self._faces_by_dim
-        nv = len(self.vertices)
-        incidences = []
-        for normal, offset in self.facets:
-            mask = 0
-            for i, v in enumerate(self.vertices):
-                if _dot(normal, v) == offset:
-                    mask |= 1 << i
-            incidences.append(mask)
-        _, _, coords = self._vertex_chart()
-
-        def mask_dim(mask):
-            pts = [coords[i] for i in range(nv) if mask >> i & 1]
-            if not pts:
-                return -1
-            base = pts[0]
-            diffs = [[p[i] - base[i] for i in range(len(base))] for p in pts[1:]]
-            return rank(diffs) if diffs else 0
-
-        seen = {}
-        frontier = {}
-        for mask in incidences:
-            if mask and mask not in frontier:
-                frontier[mask] = None
-        while frontier:
-            nxt = {}
-            for mask in frontier:
-                if mask in seen:
-                    continue
-                seen[mask] = mask_dim(mask)
-                for inc in incidences:
-                    sub = mask & inc
-                    if sub and sub != mask and sub not in seen:
-                        nxt[sub] = None
-            frontier = nxt
-        by_dim = {d: [] for d in range(self.dim)}
-        for mask, dim_ in sorted(seen.items(), key=lambda kv: (kv[1], kv[0])):
-            verts = [i for i in range(nv) if mask >> i & 1]
-            fids = [fi for fi, inc in enumerate(incidences) if mask & inc == mask]
-            by_dim.setdefault(dim_, []).append(Face(self, verts, dim_, fids))
-        for d in by_dim:
-            by_dim[d].sort(key=lambda f: f.vertex_indices)
+        incidences, vertex_facets = self._incidences()
+        # levels[j] holds the faces of dimension dim - 1 - j; the faces one
+        # dimension lower are their facets
+        levels = [dict.fromkeys(incidences)]
+        while len(levels) < self.dim:
+            levels.append({sub: None for mask in levels[-1] for sub in self._face_facets(mask)})
+        by_dim = {}
+        for dim_ in range(self.dim):
+            faces = []
+            for mask in levels[self.dim - 1 - dim_]:
+                verts = _bits(mask)
+                fmask = vertex_facets[verts[0]]
+                for i in verts[1:]:
+                    fmask &= vertex_facets[i]
+                faces.append(Face(self, verts, dim_, _bits(fmask)))
+            by_dim[dim_] = sorted(faces, key=lambda f: f.vertex_indices)
         self._faces_by_dim = by_dim
         return by_dim
 
@@ -387,41 +389,30 @@ class LatticePolytope:
         return total
 
     def _pulling_triangulation(self) -> list:
-        """Triangulation into simplices given by vertex-index tuples."""
+        """Triangulation into simplices given by vertex-index tuples: each
+        face is the cone from its first vertex over the triangulations of
+        its facets that miss that vertex."""
         if self.dim == 0:
             return [tuple([0])]
-        lattice = self._face_lattice()
-        children = {}
-        all_faces = [f for faces in lattice.values() for f in faces]
-        all_faces.append(self.whole_face())
-
-        def face_key(f):
-            return f.vertex_indices
-
-        by_key = {face_key(f): f for f in all_faces}
         memo = {}
 
-        def triangulate(f: Face):
-            key = face_key(f)
-            if key in memo:
-                return memo[key]
-            if f.dim == 0:
-                memo[key] = [key]
-                return memo[key]
-            pull = f.vertex_indices[0]
-            vset = set(f.vertex_indices)
+        def triangulate(vmask: int, dim_: int) -> list:
+            if vmask in memo:
+                return memo[vmask]
+            if dim_ == 0:
+                memo[vmask] = [tuple(_bits(vmask))]
+                return memo[vmask]
+            pull_bit = vmask & -vmask
+            pull = pull_bit.bit_length() - 1
+            children = [c for c in self._face_facets(vmask) if not c & pull_bit]
             simplices = []
-            for child in lattice.get(f.dim - 1, []):
-                if pull in child.vertex_indices:
-                    continue
-                if not set(child.vertex_indices) <= vset:
-                    continue
-                for s in triangulate(child):
+            for child in sorted(children, key=_bits):
+                for s in triangulate(child, dim_ - 1):
                     simplices.append((pull,) + s)
-            memo[key] = simplices
+            memo[vmask] = simplices
             return simplices
 
-        return triangulate(self.whole_face())
+        return triangulate((1 << len(self.vertices)) - 1, self.dim)
 
     # -- lattice points ---------------------------------------------------------
 

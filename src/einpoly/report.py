@@ -46,7 +46,7 @@ def analyze(data: HomSpaceData, theta=Fraction(0), solve: bool = True) -> tuple[
         b2 = b2_exponent(dmin)
     except B2NotApplicableError as exc:
         b2 = f"not applicable: {exc}"
-    sol = real_positive(data) if solve and data.d in (2, 3) else None
+    sol = real_positive(data, s=s) if solve and data.d in (2, 3) else None
     epsilon = sol.distinct_complex if sol is not None else None
     bounds = _build_bound_report(data, nu, T, epsilon)
     census = marked_census(dmin)

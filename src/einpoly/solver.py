@@ -441,13 +441,16 @@ def count_complex(data: HomSpaceData) -> SolutionSet:
     return _solve(data, certify=False)
 
 
-def real_positive(data: HomSpaceData, max_rounds: int = 40) -> SolutionSet:
+def real_positive(data: HomSpaceData, max_rounds: int = 40,
+                  s: Optional[LaurentPoly] = None) -> SolutionSet:
     """count_complex enriched with certified real and positive counts and
-    refined solution boxes with residual certificates."""
-    return _solve(data, certify=True, max_rounds=max_rounds)
+    refined solution boxes with residual certificates.  `s` is
+    `scalar_curvature(data)` when the caller already holds it."""
+    return _solve(data, certify=True, max_rounds=max_rounds, s=s)
 
 
-def _solve(data: HomSpaceData, certify: bool, max_rounds: int = 40) -> SolutionSet:
+def _solve(data: HomSpaceData, certify: bool, max_rounds: int = 40,
+           s: Optional[LaurentPoly] = None) -> SolutionSet:
     """One pass for both entry points: the system is built and
     dehomogenized once, and the eliminants that give the complex count
     are the ones the real/positive certification isolates."""
@@ -455,7 +458,7 @@ def _solve(data: HomSpaceData, certify: bool, max_rounds: int = 40) -> SolutionS
         raise UnsupportedDimensionError(
             f"complex counting is implemented for d in {{2, 3}}, got d = {data.d}"
         )
-    system = einstein_system(data)
+    system = einstein_system(data, s)
     polys, _removed = dehomogenize(system)
     if data.d == 2:
         p = _torus_part(_to_unipoly_1d(polys[0]))

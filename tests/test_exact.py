@@ -17,6 +17,7 @@ from einpoly.exact import (
     lattice_index,
     parse_rat,
     primitive,
+    rank,
     resultant,
     smith_diagonal,
     solve_integer,
@@ -78,6 +79,95 @@ def test_det_multilinear_and_alternating(rows, extra, scale):
     # linear in the first row
     shifted = [[a + scale * b for a, b in zip(rows[0], extra)]] + rows[1:]
     assert det(shifted) == base + scale * det([extra] + rows[1:])
+
+
+def gauss_det(rows):
+    """Reference: Gaussian elimination over Fraction with rational pivots."""
+    n = len(rows)
+    a = [[F(x) for x in r] for r in rows]
+    sign = 1
+    result = F(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return F(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            sign = -sign
+        pivot = a[col][col]
+        result *= pivot
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                factor = a[r][col] / pivot
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return sign * result
+
+
+def gauss_rank(rows):
+    """Reference: rank by Gaussian elimination over Fraction."""
+    if not rows:
+        return 0
+    a = [[F(x) for x in r] for r in rows]
+    m, n = len(a), len(a[0])
+    rnk = 0
+    col = 0
+    while rnk < m and col < n:
+        piv = next((r for r in range(rnk, m) if a[r][col] != 0), None)
+        if piv is None:
+            col += 1
+            continue
+        a[rnk], a[piv] = a[piv], a[rnk]
+        pivot = a[rnk][col]
+        for r in range(rnk + 1, m):
+            if a[r][col] != 0:
+                factor = a[r][col] / pivot
+                a[r] = [x - factor * y for x, y in zip(a[r], a[rnk])]
+        rnk += 1
+        col += 1
+    return rnk
+
+
+entries = st.one_of(
+    small_ints,
+    st.fractions(min_value=-6, max_value=6, max_denominator=7),
+)
+
+
+@st.composite
+def matrices(draw, square):
+    """Integer and Fraction entries, with rows that may be zero or a
+    combination of the other rows."""
+    m = draw(st.integers(min_value=0, max_value=5))
+    n = m if square else draw(st.integers(min_value=0, max_value=5))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    if m >= 2 and draw(st.booleans()):
+        k = draw(st.integers(min_value=0, max_value=m - 1))
+        coeffs = draw(st.lists(entries, min_size=m, max_size=m))
+        rows[k] = [sum((c * row[j] for i, (c, row) in enumerate(zip(coeffs, rows)) if i != k), F(0))
+                   for j in range(n)]
+    if m >= 1 and draw(st.booleans()):
+        rows[draw(st.integers(min_value=0, max_value=m - 1))] = [0] * n
+    return rows
+
+
+@given(matrices(square=False))
+@settings(max_examples=150, deadline=None)
+def test_rank_matches_fraction_elimination(rows):
+    assert rank(rows) == gauss_rank(rows)
+
+
+@given(matrices(square=True))
+@settings(max_examples=150, deadline=None)
+def test_det_matches_fraction_elimination(rows):
+    got = det(rows)
+    assert isinstance(got, F)
+    assert got == gauss_det(rows)
+
+
+def test_empty_matrices():
+    assert det([]) == 1 and isinstance(det([]), F)
+    assert rank([]) == 0
+    assert rank([[], []]) == 0
 
 
 # ---------------------------------------------------------------------------

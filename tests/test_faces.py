@@ -250,7 +250,7 @@ def test_census_matches_geometric_reference(key, permute):
 
 
 # Self-computed regression values: this implementation's results, not figures
-# quoted from the paper.  The d = 8 volume (7526) is left to the benchmark.
+# quoted from the paper.
 
 
 def test_kaehler_d7_regression_values():
@@ -264,7 +264,10 @@ def test_kaehler_d7_regression_values():
 
 def test_kaehler_d8_regression_values():
     P = kaehler_b2_polytope(8)
+    assert len(P.vertices) == 40
     assert len(P.facets) == 280
+    assert sum(len(faces) for faces in P.all_proper_faces().values()) == 12446
+    assert P.normalized_volume() == 7526
     assert marked_census(P).marked_total() == 440
 
 

@@ -6,7 +6,10 @@ from itertools import combinations
 
 import pytest
 
-from einpoly.exact import DimensionError, rank
+from einpoly import polytope
+from einpoly.exact import DimensionError, primitive, rank
+from einpoly.homspace import kaehler_b2_polytope, load_catalog, weight_polytope
+from einpoly.infinity import delta_min, flat_complex
 from einpoly.polytope import (
     EmptyHullError,
     hull,
@@ -379,3 +382,141 @@ def test_json_roundtrip():
     P = permutohedron(3)
     Q = polytope_from_json(P.to_json())
     assert Q == P and Q.facets == P.facets
+
+
+# ---------------------------------------------------------------------------
+# bitmask kernels against the direct implementations they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_extreme_rays(constraints):
+    """Double description with every tight mask recomputed from scratch
+    and no popcount pre-filter."""
+    m = len(constraints[0])
+    rays, processed = polytope._initial_rays(constraints, m)
+    processed = list(processed)
+
+    def tight_mask(ray):
+        return sum(1 << pos for pos, ci in enumerate(processed)
+                   if dot(constraints[ci], ray) == 0)
+
+    for ci, c in enumerate(constraints):
+        if ci in processed:
+            continue
+        vals = [dot(c, r) for r in rays]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        if not neg:
+            processed.append(ci)
+            continue
+        masks = [tight_mask(r) for r in rays]
+        new_rays = [rays[i] for i in pos] + [rays[i] for i, v in enumerate(vals) if v == 0]
+        for ip in pos:
+            for ineg in neg:
+                common = masks[ip] & masks[ineg]
+                if any(masks[k] & common == common
+                       for k in range(len(rays)) if k not in (ip, ineg)):
+                    continue
+                combo = [vals[ip] * b - vals[ineg] * a for a, b in zip(rays[ip], rays[ineg])]
+                new_rays.append(primitive(combo))
+        processed.append(ci)
+        rays = list(dict.fromkeys(new_rays))
+    return rays
+
+
+def reference_face_lattice(P):
+    """Faces as (dim, vertex indices, facet indices): every nonempty
+    intersection of facet vertex sets, its dimension by affine rank and its
+    facets by a scan of all incidences."""
+    incidences = [
+        frozenset(i for i, v in enumerate(P.vertices) if dot(normal, v) == offset)
+        for normal, offset in P.facets
+    ]
+    faces = set()
+    frontier = set(incidences)
+    while frontier:
+        faces |= frontier
+        frontier = {f & inc for f in frontier for inc in incidences} - faces - {frozenset()}
+    out = []
+    for f in faces:
+        pts = [P.vertices[i] for i in sorted(f)]
+        diffs = [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
+        fids = tuple(fi for fi, inc in enumerate(incidences) if f <= inc)
+        out.append((rank(diffs) if diffs else 0, tuple(sorted(f)), fids))
+    return sorted(out)
+
+
+def reference_triangulation(P):
+    """Pulling triangulation whose children are found by scanning every
+    face one dimension lower."""
+    lattice = P.all_proper_faces()
+    memo = {}
+
+    def triangulate(f):
+        key = f.vertex_indices
+        if key not in memo:
+            if f.dim == 0:
+                memo[key] = [key]
+            else:
+                pull = key[0]
+                memo[key] = [
+                    (pull,) + s
+                    for child in lattice[f.dim - 1]
+                    if pull not in child.vertex_indices
+                    and set(child.vertex_indices) <= set(key)
+                    for s in triangulate(child)
+                ]
+        return memo[key]
+
+    return triangulate(P.whole_face())
+
+
+KERNEL_CATALOG = (
+    "su3_t2", "sphere_s3", "wang_ziller_killing", "wang_ziller_q",
+    "e8_t1_a3_a4", "e8_t1_a4_a2_a1", "jordan_2", "jordan_3",
+    "jordan_product_2_2", "jordan_product_2_3", "jordan_product_3_3",
+    "product_of_irreducibles_4",
+)
+
+
+def kernel_polytopes(key):
+    """Delta and Delta_min of a catalog space, or a Kaehler polytope."""
+    if key.startswith("kaehler_"):
+        return [kaehler_b2_polytope(int(key.split("_")[1]))]
+    data = load_catalog(key)
+    delta = weight_polytope(data)
+    return [delta, delta_min(delta, flat_complex(data))]
+
+
+def permuted_hull(P, seed):
+    rng = random.Random(seed)
+    identity = list(range(P.ambient_dim))
+    perm = identity[:]
+    while perm == identity:
+        rng.shuffle(perm)
+    return hull([tuple(v[p] for p in perm) for v in P.vertices])
+
+
+@pytest.mark.parametrize("permute", [False, True], ids=["as_built", "permuted"])
+@pytest.mark.parametrize("key", list(KERNEL_CATALOG) + [f"kaehler_{d}" for d in range(2, 7)])
+def test_kernels_match_reference_implementations(monkeypatch, key, permute):
+    runs = []
+    extreme_rays = polytope._extreme_rays
+
+    def recorded(constraints):
+        rays = extreme_rays(constraints)
+        runs.append((constraints, rays))
+        return rays
+
+    monkeypatch.setattr(polytope, "_extreme_rays", recorded)
+    polys = kernel_polytopes(key)
+    if permute:
+        polys = [permuted_hull(P, seed=key) for P in polys]
+    assert runs
+    for constraints, rays in runs:
+        assert sorted(rays) == sorted(reference_extreme_rays(constraints))
+    for P in polys:
+        faces = [(f.dim, f.vertex_indices, f.facet_indices)
+                 for fs in P.all_proper_faces().values() for f in fs]
+        assert sorted(faces) == reference_face_lattice(P)
+        assert sorted(P._pulling_triangulation()) == sorted(reference_triangulation(P))

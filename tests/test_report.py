@@ -100,11 +100,13 @@ def _count_calls(monkeypatch, func, calls):
 def test_analyze_computes_each_stage_once(monkeypatch, wang_ziller_q):
     """wang_ziller_q has d = 3 and a non-empty flat complex, so every stage
     runs: the hulls of delta, delta_min and the Newton polytope, one
-    Einstein system, the two eliminant resultants of the solver, one
-    volume, and the face lattice of delta_min only."""
+    scalar curvature polynomial, one Einstein system, the two eliminant
+    resultants of the solver, one volume, and the face lattice of
+    delta_min only."""
     assert wang_ziller_q.d == 3
-    hulls, systems, resultants, volumes, lattices = [], [], [], [], []
+    hulls, scalars, systems, resultants, volumes, lattices = [], [], [], [], [], []
     _count_calls(monkeypatch, polytope.hull, hulls)
+    _count_calls(monkeypatch, curvature.scalar_curvature, scalars)
     _count_calls(monkeypatch, curvature.einstein_system, systems)
     _count_calls(monkeypatch, exact.resultant, resultants)
     volume = LatticePolytope.normalized_volume
@@ -126,6 +128,7 @@ def test_analyze_computes_each_stage_once(monkeypatch, wang_ziller_q):
 
     assert code == 0 and report["T"]["maximal_flats"]
     assert len(hulls) == 3
+    assert len(scalars) == 1
     assert len(systems) == 1
     assert len(resultants) == 2
     assert len(volumes) == 1
