@@ -3,14 +3,24 @@ polynomial algebra.
 
 Everything here is exact: rationals are `fractions.Fraction`, matrices are
 nested sequences, no floating point anywhere.
+
+Linear algebra uses two eliminations, one per job:
+
+* over Q, fraction-free Bareiss row reduction (`_bareiss`) gives `rank`,
+  `det` and `solve_unique`;
+* over Z, the column Hermite form A U = H (`_column_hnf`) gives the
+  saturated kernel, the lattice chart of an affine hull with its lift of
+  chart vectors (`LatticeChart`), and `lattice_index`.  The chart factors
+  its basis once; the basis is saturated, so the Hermite block it solves
+  against is unit lower triangular and back-substitution stays integral.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Optional, Sequence
+from math import gcd, lcm, prod
+from typing import Iterable, Optional, Sequence
 
 Rat = Fraction
 
@@ -47,7 +57,8 @@ def format_rat(q: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# rational linear algebra
+# rational linear algebra: one elimination, fraction-free Bareiss
+# (rank, det, solve_unique)
 # ---------------------------------------------------------------------------
 
 def _integer_rows(rows: Sequence[Sequence]) -> tuple:
@@ -126,46 +137,37 @@ def rank(rows: Sequence[Sequence]) -> int:
 def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list]:
     """Solve A x = b when A has full column rank; None if inconsistent.
 
-    A may be rectangular (more rows than columns).
+    A may be rectangular (more rows than columns).  The augmented matrix
+    [A | b] is scaled to integers row by row, which keeps the solution set,
+    and reduced by Bareiss.  With full column rank the echelon form has its
+    pivots on the diagonal of the first n columns, the system is
+    inconsistent iff the augmented column adds a pivot, and x follows by
+    back-substitution.
     """
-    a = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
-    m = len(a)
+    a = _integer_rows([list(r) + [b] for r, b in zip(rows, rhs)])[0]
     n = len(a[0]) - 1
-    pivots = []
-    rnk = 0
-    for col in range(n):
-        piv = next((r for r in range(rnk, m) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[rnk], a[piv] = a[piv], a[rnk]
-        pivot = a[rnk][col]
-        a[rnk] = [x / pivot for x in a[rnk]]
-        for r in range(m):
-            if r != rnk and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[rnk])]
-        pivots.append(col)
-        rnk += 1
-    if rnk < n:
+    rnk = _bareiss(a)[0]
+    if len(a) < n or any(a[i][i] == 0 for i in range(n)):
         raise DimensionError("matrix does not have full column rank")
-    for r in range(rnk, m):
-        if a[r][n] != 0:
-            return None
+    if rnk > n:
+        return None
     x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = a[i][n]
+    for i in reversed(range(n)):
+        row = a[i]
+        x[i] = Fraction(row[n] - sum(row[j] * x[j] for j in range(i + 1, n)), row[i])
     return x
 
 
 # ---------------------------------------------------------------------------
-# integer lattice routines (Hermite / Smith normal forms, naive pivoting)
+# integer lattice routines: one elimination, column Hermite form
+# (kernel, lattice chart and lift, lattice index)
 # ---------------------------------------------------------------------------
 
 def _column_hnf(a: list) -> tuple:
     """Column-style Hermite reduction.
 
     Returns (H, U) with A @ U = H, U unimodular, and H in column echelon
-    form (zero columns pushed right).
+    form (zero columns pushed right, positive leading entries).
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -233,109 +235,63 @@ def integer_kernel_basis(rows: Sequence[Sequence[int]]) -> list:
     return basis
 
 
-def solve_integer(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Optional[list]:
-    """One integer solution x of A x = b, or None when none exists."""
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0])
-    if len(rhs) != m:
-        raise DimensionError("right-hand side length mismatch")
-    h, u = _column_hnf(a)
-    # H is in column echelon form: solve H y = b column by column along the
-    # staircase of leading rows, then verify.
-    b = [Fraction(v) for v in rhs]
-    sol = [Fraction(0)] * n
-    prev_lead = -1
-    for j in range(n):
-        lead = next((r for r in range(m) if h[r][j] != 0), None)
-        if lead is None:
-            break
-        assert lead > prev_lead
-        prev_lead = lead
-        acc = b[lead]
-        for jj in range(j):
-            acc -= h[lead][jj] * sol[jj]
-        sol[j] = Fraction(acc, h[lead][j])
-    for r_i in range(m):
-        acc = Fraction(0)
-        for j in range(n):
-            acc += h[r_i][j] * sol[j]
-        if acc != b[r_i]:
-            return None
-    if any(s.denominator != 1 for s in sol):
-        return None
-    return [sum(u[i][j] * int(sol[j]) for j in range(n)) for i in range(n)]
+class LatticeChart:
+    """Integer coordinates on the lattice points of the affine hull of a
+    point set P, with origin p0 = the first point.
 
-
-def smith_diagonal(rows: Sequence[Sequence[int]]) -> list:
-    """Diagonal entries of the Smith normal form (nonnegative, possibly 0).
-
-    Naive pivoting; fine for the small matrices used here.
+    `equations` is a saturated basis of the integer vectors orthogonal to
+    aff(P) - p0, and `basis` a saturated basis B (r rows, r = dim aff(P)) of
+    the lattice (aff(P) - p0) & Z^n.  B is factored once, B U = H.  B has
+    full row rank, so the leading entry of column j of H sits in row j, and
+    because B is saturated (B Z^n = Z^r) the leading r x r block of H is
+    lower triangular with unit diagonal.  Both maps below are therefore
+    integer back-substitutions without division.
     """
-    a = [list(map(int, r)) for r in rows]
-    if not a:
-        return []
-    m, n = len(a), len(a[0])
-    diag = []
-    top = 0
-    while top < m and top < n:
-        # locate smallest nonzero entry in the remaining block
-        best = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        a[top], a[bi] = a[bi], a[top]
-        for row in a:
-            row[top], row[bj] = row[bj], row[top]
-        # clear row and column by euclidean steps
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(top + 1, m):
-                if a[i][top] != 0:
-                    q = a[i][top] // a[top][top]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[top])]
-                    if a[i][top] != 0:
-                        a[top], a[i] = a[i], a[top]
-                        dirty = True
-            for j in range(top + 1, n):
-                if a[top][j] != 0:
-                    q = a[top][j] // a[top][top]
-                    for row in a:
-                        row[j] -= q * row[top]
-                    if a[top][j] != 0:
-                        for row in a:
-                            row[top], row[j] = row[j], row[top]
-                        dirty = True
-        diag.append(abs(a[top][top]))
-        top += 1
-    while len(diag) < min(m, n):
-        diag.append(0)
-    # enforce the divisibility chain d1 | d2 | ... (diag(a,b) ~ diag(gcd,lcm))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            x, y = diag[i], diag[i + 1]
-            if x and y and y % x != 0:
-                g = gcd(x, y)
-                diag[i], diag[i + 1] = g, x * y // g
-                changed = True
-            elif x == 0 and y != 0:
-                diag[i], diag[i + 1] = y, 0
-                changed = True
-    return diag
+
+    __slots__ = ("origin", "equations", "basis", "_h", "_u")
+
+    def __init__(self, points: Iterable[Sequence[int]]):
+        pts = list(points)
+        self.origin = p0 = pts[0]
+        n = len(p0)
+        self.equations = integer_kernel_basis([[x - y for x, y in zip(p, p0)] for p in pts])
+        if self.equations:
+            self.basis = integer_kernel_basis(self.equations)
+        else:
+            self.basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        self._h, self._u = _column_hnf(self.basis)
+
+    def coords(self, p: Sequence[int]) -> tuple:
+        """The integer c with p - p0 = c B, for a lattice point p of aff(P):
+        U^T (p - p0) = H^T c, solved from the last coordinate up."""
+        h, u = self._h, self._u
+        r = len(self.basis)
+        v = [x - y for x, y in zip(p, self.origin)]
+        w = [sum(row[j] * x for row, x in zip(u, v)) for j in range(r)]
+        c = [0] * r
+        for j in reversed(range(r)):
+            c[j] = w[j] - sum(h[i][j] * c[i] for i in range(j + 1, r))
+        return tuple(c)
+
+    def lift(self, a: Sequence[int]) -> list:
+        """An integer x with B x = a: x = U y, where H y = a is solved from
+        the first coordinate down and y is 0 past the leading block."""
+        h, u = self._h, self._u
+        r = len(self.basis)
+        y = []
+        for j in range(r):
+            y.append(a[j] - sum(h[j][k] * y[k] for k in range(j)))
+        return [sum(row[j] * y[j] for j in range(r)) for row in u]
 
 
 def lattice_index(generators: Sequence[Sequence[int]]) -> Optional[int]:
     """Index in Z^d of the subgroup generated by the given integer vectors.
 
-    Returns None when the generators do not span a finite-index subgroup
-    (rank deficient), i.e. the index is infinite.
+    With the generators as columns, the column Hermite form generates the
+    same subgroup; it has finite index iff there are d pivots, which then
+    sit on the diagonal of a lower triangular leading block whose
+    determinant, the product of the pivots, is the index.  Returns None
+    when the generators are rank deficient (infinite index).
     """
     gens = [list(map(int, g)) for g in generators]
     if not gens:
@@ -343,14 +299,11 @@ def lattice_index(generators: Sequence[Sequence[int]]) -> Optional[int]:
     d = len(gens[0])
     if any(len(g) != d for g in gens):
         raise DimensionError("generators of mixed length")
-    diag = smith_diagonal(gens)
-    nonzero = [x for x in diag if x != 0]
-    if len(nonzero) < d:
+    if len(gens) < d:
         return None
-    idx = 1
-    for x in nonzero:
-        idx *= x
-    return idx
+    h, _u = _column_hnf([list(col) for col in zip(*gens)])
+    pivots = [h[i][i] for i in range(d)]
+    return None if 0 in pivots else prod(pivots)
 
 
 def vec_gcd(vec: Sequence[int]) -> int:

@@ -29,9 +29,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .curvature import LaurentPoly, restrict_to_face
-from .exact import UniPoly, bivar_cols, det, resultant
+from .exact import LatticeChart, UniPoly, bivar_cols, det, resultant
 from .polytope import Face, LatticePolytope, apexes, basis_points_on, is_cross_polytope
-from .exact import integer_kernel_basis, solve_unique
 
 SINGULAR = "singular"
 NONSINGULAR = "nonsingular"
@@ -175,38 +174,18 @@ def parallelogram_singular(s: LaurentPoly, face: Face) -> str:
 
 
 def _face_chart_poly(s: LaurentPoly, face: Face):
-    """Rewrite the face restriction in two lattice coordinates of the face;
-    returns a dict (i, j) -> coeff of true exponents, or None when the
-    restriction is empty."""
+    """Rewrite the face restriction in two lattice coordinates of the face
+    (padded with 0 when its support spans fewer directions); returns a dict
+    (i, j) -> coeff of true exponents, or None when the restriction is
+    empty."""
     restricted = restrict_to_face(s, face)
     if restricted.is_zero():
         return None
-    pts = list(restricted.terms)
-    base = pts[0]
-    n = len(base)
-    diffs = [[p[i] - base[i] for i in range(n)] for p in pts[1:]]
-    ortho = integer_kernel_basis(diffs) if diffs else None
-    if ortho is None:
-        return {(0, 0): restricted.terms[base]}
-    basis = integer_kernel_basis(ortho) if ortho else [
-        [1 if i == j else 0 for j in range(n)] for i in range(n)
-    ]
-    if len(basis) > 2:
+    chart = LatticeChart(restricted.terms)
+    if len(chart.basis) > 2:
         raise ValueError("face restriction spans more than two directions")
-    while len(basis) < 2:
-        basis.append([0] * n)
-    cols = [[Fraction(basis[j][i]) for j in range(len(basis))] for i in range(n)]
-    out = {}
-    for p, coef in restricted.terms.items():
-        dvec = [Fraction(p[i] - base[i]) for i in range(n)]
-        try:
-            u = solve_unique(cols, dvec)
-        except Exception:
-            u = None
-        if u is None:
-            raise ValueError("face point outside the face lattice")
-        out[(int(u[0]), int(u[1]))] = coef
-    return out
+    pad = (0,) * (2 - len(chart.basis))
+    return {chart.coords(p) + pad: coef for p, coef in restricted.terms.items()}
 
 
 def _shift_nonneg(poly: dict) -> dict:

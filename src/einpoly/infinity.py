@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import lattice_index, rank, solve_unique
+from .exact import DimensionError, lattice_index, rank, solve_unique
 from .homspace import HomSpaceData
 from .polytope import Face, LatticePolytope, hull
 
@@ -193,11 +193,10 @@ def _simplex_slice_dim(flat, face: Face) -> int:
     verts = []
     for basis in combinations(range(k), r):
         sub = [[row[c] for c in basis] for row in rows]
-        if rank(sub) < r:
-            continue
         try:
             sol = solve_unique(sub, rhs)
-        except Exception:
+        except DimensionError:
+            # these r columns are dependent: no basic solution
             continue
         if sol is None or any(v < 0 for v in sol):
             continue

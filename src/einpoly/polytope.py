@@ -16,6 +16,15 @@ wherever both are (Fukuda & Prodon 1996, *Double description method
 revisited*, Prop. 7); adjacent rays share m - 2 independent tight
 constraints, so a pair with fewer common bits is skipped before that scan.
 
+The hull works in one integer chart of the affine hull of the input
+(`exact.LatticeChart`, factored once per point set): the double description
+runs on chart coordinates, and each facet normal is lifted back to Z^n
+through the same factorization.  Vertices use the same bitmask idiom: an
+input point p is a vertex iff no other input point's tight-facet mask
+contains p's.  Exact, because the smallest face containing p is P cut by
+the facets tight at p, and that face is the hull of the input points on
+it, so it is {p} exactly when no other input point lies on all of them.
+
 Faces are vertex bitmasks.  The facets of a face F are the inclusion-maximal
 proper cuts F & H over the facets H of the polytope, which gives the face
 lattice and the pulling triangulation without any rank computation.
@@ -26,17 +35,15 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import product as iter_product
-from math import gcd
 from typing import Iterable, Optional, Tuple
 
 from .exact import (
     DimensionError,
+    LatticeChart,
     det,
     integer_kernel_basis,
     primitive,
     rank,
-    solve_integer,
-    solve_unique,
     vec_gcd,
 )
 
@@ -460,41 +467,21 @@ def hull(points: Iterable) -> LatticePolytope:
     if any(len(p) != n for p in pts):
         raise DimensionError("points of mixed length")
     p0 = pts[0]
-    diffs = [[p[i] - p0[i] for i in range(n)] for p in pts]
-    ortho = integer_kernel_basis(diffs) if any(any(d) for d in diffs) else None
-    if ortho is None:
-        # single point (possibly repeated)
-        eqs = tuple(
-            (tuple(1 if j == i else 0 for j in range(n)), p0[i]) for i in range(n)
-        )
-        return LatticePolytope((p0,), (), eqs, n, 0)
-    if ortho:
-        basis = integer_kernel_basis(ortho)
-    else:
-        basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    r = len(basis)
-    affine = tuple((tuple(row), _dot(row, p0)) for row in ortho)
-    # chart coordinates
-    cols = [[Fraction(basis[j][i]) for j in range(r)] for i in range(n)]
-    chart_pts = []
-    for dvec in diffs:
-        u = solve_unique(cols, [Fraction(x) for x in dvec])
-        assert all(c.denominator == 1 for c in u), "chart basis not saturated"
-        chart_pts.append(tuple(int(c) for c in u))
+    chart = LatticeChart(pts)
+    r = len(chart.basis)
+    affine = tuple((tuple(row), _dot(row, p0)) for row in chart.equations)
     if r == 0:
         return LatticePolytope((p0,), (), affine, n, 0)
     # cone of valid inequalities on (a, c): <a, u> + c >= 0
-    constraints = [list(u) + [1] for u in chart_pts]
+    constraints = [list(chart.coords(p)) + [1] for p in pts]
     rays = _extreme_rays(constraints)
     sum_one = all(sum(p) == 1 for p in pts)
     facets = []
     for ray in rays:
-        a_chart, c = list(ray[:-1]), ray[-1]
+        a_chart, c = ray[:-1], ray[-1]
         if not any(a_chart):
             continue
-        # lift: rows of `basis` form B^T, so solve B^T a = a_chart
-        a_amb = solve_integer([list(bv) for bv in basis], a_chart)
-        assert a_amb is not None, "facet normal lift failed"
+        a_amb = chart.lift(a_chart)
         offset = _dot(a_amb, p0) - c
         if sum_one:
             # canonical representative: subtract offset * (1,...,1)
@@ -506,18 +493,14 @@ def hull(points: Iterable) -> LatticePolytope:
             offset = min(_dot(a_amb, p) for p in pts)
         facets.append((tuple(a_amb), offset))
     facets = tuple(sorted(set(facets)))
-    # keep extreme points only: a point is a vertex iff its tight facet
-    # normals span the chart
-    vertices = []
-    for p, u in zip(pts, chart_pts):
-        tight = [f for f, (normal, offset) in enumerate(facets) if _dot(facets[f][0], p) == facets[f][1]]
-        chart_normals = []
-        for f in tight:
-            normal = facets[f][0]
-            chart_normals.append([_dot(normal, b) for b in basis])
-        if rank(chart_normals) == r:
-            vertices.append(p)
-    vertices = tuple(sorted(vertices))
+    # keep extreme points only: p is a vertex iff no other point lies on
+    # every facet tight at p
+    tight = [_mask(f for f, (normal, offset) in enumerate(facets) if _dot(normal, p) == offset)
+             for p in pts]
+    vertices = tuple(
+        p for i, (p, mk) in enumerate(zip(pts, tight))
+        if not any(o & mk == mk for j, o in enumerate(tight) if j != i)
+    )
     return LatticePolytope(vertices, facets, affine, n, r)
 
 

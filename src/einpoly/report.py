@@ -14,6 +14,7 @@ from .curvature import newton_polytope, scalar_curvature
 from .exact import format_rat
 from .faces import (
     NEEDS_MORE_DATA,
+    _parallelogram_diagonals,
     marked_census,
     parallelogram_singular,
 )
@@ -63,7 +64,7 @@ def analyze(data: HomSpaceData, theta=Fraction(0), solve: bool = True) -> tuple[
                 )
                 continue
             verts = entry.face.vertices()
-            if len(verts) == 4 and _is_parallelogram(verts):
+            if len(verts) == 4 and _parallelogram_diagonals(verts) is not None:
                 verdict = parallelogram_singular(s, entry.face)
             else:
                 verdict = NEEDS_MORE_DATA
@@ -115,12 +116,6 @@ def analyze(data: HomSpaceData, theta=Fraction(0), solve: bool = True) -> tuple[
         "warnings": warnings,
     }
     return report, solver_exit
-
-
-def _is_parallelogram(verts) -> bool:
-    from .faces import _parallelogram_diagonals
-
-    return len(verts) == 4 and _parallelogram_diagonals(list(verts)) is not None
 
 
 def _census_obj(census) -> dict:

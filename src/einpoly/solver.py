@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .curvature import LaurentPoly, einstein_system
@@ -540,9 +541,7 @@ def _certify_d2(base: SolutionSet, sf: UniPoly, system) -> None:
 
 def _rational_root_in(p: UniPoly, lo: Fraction, hi: Fraction):
     """A rational root of p inside (lo, hi], when cheap to find."""
-    scale = 1
-    for c in p.coeffs:
-        scale = scale * c.denominator // __import__("math").gcd(scale, c.denominator)
+    scale = lcm(*(c.denominator for c in p.coeffs))
     ints = [int(c * scale) for c in p.coeffs]
     a0 = next((c for c in ints if c != 0), 0)
     an = ints[-1]

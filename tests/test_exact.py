@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction as F
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from einpoly.exact import (
     DegenerateEliminationError,
     DimensionError,
+    LatticeChart,
     UniPoly,
     det,
     integer_kernel_basis,
@@ -19,8 +22,7 @@ from einpoly.exact import (
     primitive,
     rank,
     resultant,
-    smith_diagonal,
-    solve_integer,
+    solve_unique,
     sturm_count,
 )
 
@@ -171,7 +173,7 @@ def test_empty_matrices():
 
 
 # ---------------------------------------------------------------------------
-# lattice index / Smith form
+# lattice index and the lattice chart
 # ---------------------------------------------------------------------------
 
 
@@ -203,8 +205,20 @@ def test_lattice_index_unimodular_invariance():
         assert lattice_index(g2) == idx
 
 
-def test_smith_diagonal_example():
-    assert smith_diagonal([[2, 0], [0, 3]]) == [1, 6]
+def maximal_minor_gcd(gens, d):
+    """Reference index: the gcd of the d x d minors of the generator
+    matrix, or None when they all vanish."""
+    g = 0
+    for rows in combinations(gens, d):
+        g = gcd(g, int(cofactor_det([list(r) for r in rows])))
+    return g or None
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda d: st.lists(st.lists(small_ints, min_size=d, max_size=d), min_size=1, max_size=6)))
+@settings(max_examples=200, deadline=None)
+def test_lattice_index_matches_maximal_minor_gcd(gens):
+    assert lattice_index(gens) == maximal_minor_gcd(gens, len(gens[0]))
 
 
 def test_integer_kernel_is_saturated():
@@ -215,15 +229,119 @@ def test_integer_kernel_is_saturated():
         assert abs(primitive(v) != v) == 0 or primitive(v) == tuple(v)
 
 
-def test_solve_integer_roundtrip():
+def random_affine_points(rng, n):
+    """Integer points spanning a random affine lattice of dimension < n
+    through a random origin (its generators need not be saturated)."""
+    k = rng.randint(0, n - 1)
+    p0 = [rng.randint(-4, 4) for _ in range(n)]
+    gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+    return [tuple(p0[j] + sum(rng.randint(-2, 2) * g[j] for g in gens) for j in range(n))
+            for _ in range(rng.randint(1, 6))]
+
+
+def test_chart_lift_roundtrip():
     rng = random.Random(9)
-    for _ in range(20):
-        a = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
-        x = [rng.randint(-5, 5) for _ in range(3)]
-        b = [sum(r[i] * x[i] for i in range(3)) for r in a]
-        sol = solve_integer(a, b)
-        assert sol is not None
-        assert [sum(r[i] * sol[i] for i in range(3)) for r in a] == b
+    for _ in range(40):
+        chart = LatticeChart(random_affine_points(rng, rng.randint(1, 5)))
+        n = len(chart.origin)
+        x = [rng.randint(-5, 5) for _ in range(n)]
+        a = [sum(b[i] * x[i] for i in range(n)) for b in chart.basis]
+        lifted = chart.lift(a)
+        assert all(isinstance(v, int) for v in lifted)
+        assert [sum(b[i] * lifted[i] for i in range(n)) for b in chart.basis] == a
+
+
+def test_chart_coords_roundtrip():
+    rng = random.Random(10)
+    for _ in range(40):
+        pts = random_affine_points(rng, rng.randint(1, 5))
+        chart = LatticeChart(pts)
+        r = len(chart.basis)
+        assert r == rank([[x - y for x, y in zip(p, pts[0])] for p in pts])
+        for e in chart.equations:
+            assert len({sum(x * y for x, y in zip(e, p)) for p in pts}) == 1
+        for p in pts:
+            c = chart.coords(p)
+            assert len(c) == r and all(isinstance(v, int) for v in c)
+            back = [o + sum(ci * b[j] for ci, b in zip(c, chart.basis))
+                    for j, o in enumerate(chart.origin)]
+            assert tuple(back) == p
+
+
+# ---------------------------------------------------------------------------
+# solve_unique against the Gauss-Jordan elimination it replaced
+# ---------------------------------------------------------------------------
+
+
+def gauss_jordan_solve(rows, rhs):
+    """Reference: reduced row echelon form over Fraction; raises
+    DimensionError without full column rank, None when inconsistent."""
+    a = [[F(x) for x in r] + [F(b)] for r, b in zip(rows, rhs)]
+    m, n = len(a), len(a[0]) - 1
+    pivots = []
+    for col in range(n):
+        piv = next((r for r in range(len(pivots), m) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        k = len(pivots)
+        a[k], a[piv] = a[piv], a[k]
+        a[k] = [x / a[k][col] for x in a[k]]
+        for r in range(m):
+            if r != k and a[r][col] != 0:
+                a[r] = [x - a[r][col] * y for x, y in zip(a[r], a[k])]
+        pivots.append(col)
+    if len(pivots) < n:
+        raise DimensionError("matrix does not have full column rank")
+    if any(a[r][n] != 0 for r in range(n, m)):
+        return None
+    return [a[i][n] for i in range(n)]
+
+
+def outcome(solve, rows, rhs):
+    try:
+        return solve(rows, rhs)
+    except DimensionError:
+        return DimensionError
+
+
+@st.composite
+def linear_systems(draw):
+    """Systems A x = b with at least as many rows as columns, some with a
+    column made dependent, some with b in the column span of A."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=n, max_value=n + 2))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    if n >= 2 and draw(st.booleans()):
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        c = draw(entries)
+        for row in rows:
+            row[k] = c * row[(k + 1) % n]
+    if draw(st.booleans()):
+        x = draw(st.lists(entries, min_size=n, max_size=n))
+        rhs = [sum((F(a) * b for a, b in zip(row, x)), F(0)) for row in rows]
+    else:
+        rhs = draw(st.lists(entries, min_size=m, max_size=m))
+    return rows, rhs
+
+
+@given(linear_systems())
+@settings(max_examples=150, deadline=None)
+def test_solve_unique_matches_gauss_jordan(system):
+    rows, rhs = system
+    got = outcome(solve_unique, rows, rhs)
+    assert got == outcome(gauss_jordan_solve, rows, rhs)
+    if isinstance(got, list):
+        assert all(isinstance(v, F) for v in got)
+
+
+def test_solve_unique_special_cases():
+    assert solve_unique([[2, 1], [1, 1]], [3, 2]) == [1, 1]
+    assert solve_unique([[F(1, 2)], [F(1, 3)]], [1, F(2, 3)]) == [2]
+    assert solve_unique([[1], [1]], [1, 2]) is None
+    with pytest.raises(DimensionError):
+        solve_unique([[1, 2], [2, 4]], [1, 2])
+    with pytest.raises(DimensionError):
+        solve_unique([[1, 0, 0], [0, 1, 0]], [1, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,13 @@ from einpoly.faces import test1_pyramid as pyramid_test
 from einpoly.faces import test2_octahedron as octahedron_test
 from einpoly.homspace import kaehler_b2_polytope, load_catalog, weight_polytope
 from einpoly.infinity import delta_min, flat_complex
-from einpoly.polytope import hull, is_cross_polytope, is_pyramid, permutohedron
+from einpoly.polytope import (
+    hull,
+    is_cross_polytope,
+    is_pyramid,
+    permutohedron,
+    standard_simplex,
+)
 
 
 def face_by_signature(P, sig):
@@ -317,6 +323,19 @@ def test_product_form_is_singular():
     face = hull(p.support()).whole_face()
     assert parallelogram_singular(p, face) == SINGULAR
     assert curve_singular(p, face) == SINGULAR
+
+
+def test_collinear_support_reaches_the_univariate_test():
+    # the restriction to the 2-face spans one direction: (t - 1)^2 and 1 + t^2
+    face = hull([(2, 0, -1), (0, 2, -1), (0, 0, 1)]).whole_face()
+    square = LaurentPoly(3, {(2, 0, -1): F(1), (1, 1, -1): F(-2), (0, 2, -1): F(1)})
+    assert curve_singular(square, face) == SINGULAR
+    two_terms = LaurentPoly(3, {(2, 0, -1): F(1), (0, 2, -1): F(1)})
+    assert curve_singular(two_terms, face) == NONSINGULAR
+    # an edge of a 2-face of the simplex
+    face = standard_simplex(4).faces(2)[0]
+    a, b = face.vertices()[:2]
+    assert curve_singular(LaurentPoly(4, {a: F(1), b: F(-1)}), face) == NONSINGULAR
 
 
 def test_methods_agree_on_random_parallelograms():

@@ -5,9 +5,19 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einpoly import polytope
-from einpoly.exact import DimensionError, primitive, rank
+from einpoly.exact import (
+    DimensionError,
+    _column_hnf,
+    integer_kernel_basis,
+    primitive,
+    rank,
+    solve_unique,
+    vec_gcd,
+)
 from einpoly.homspace import kaehler_b2_polytope, load_catalog, weight_polytope
 from einpoly.infinity import delta_min, flat_complex
 from einpoly.polytope import (
@@ -520,3 +530,110 @@ def test_kernels_match_reference_implementations(monkeypatch, key, permute):
                  for fs in P.all_proper_faces().values() for f in fs]
         assert sorted(faces) == reference_face_lattice(P)
         assert sorted(P._pulling_triangulation()) == sorted(reference_triangulation(P))
+
+
+# ---------------------------------------------------------------------------
+# the shared lattice chart and vertex masks against the hull they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_solve_integer(rows, rhs):
+    """One integer solution of A x = b from a fresh column Hermite form,
+    solved along its staircase of leading rows; None when none exists."""
+    h, u = _column_hnf([list(r) for r in rows])
+    m, n = len(rows), len(rows[0])
+    b = [F(v) for v in rhs]
+    sol = [F(0)] * n
+    for j in range(n):
+        lead = next((r for r in range(m) if h[r][j] != 0), None)
+        if lead is None:
+            break
+        sol[j] = (b[lead] - sum(h[lead][jj] * sol[jj] for jj in range(j))) / h[lead][j]
+    if any(sum(h[i][j] * sol[j] for j in range(n)) != b[i] for i in range(m)):
+        return None
+    if any(s.denominator != 1 for s in sol):
+        return None
+    return [sum(u[i][j] * int(sol[j]) for j in range(n)) for i in range(n)]
+
+
+def reference_hull(points):
+    """(vertices, facets, affine hull, dim) with a rational solve per point
+    for its chart coordinates, a fresh integer solve per facet for its
+    normal, and a rank test over tight chart normals per vertex."""
+    pts = sorted({tuple(p) for p in points})
+    n = len(pts[0])
+    p0 = pts[0]
+    diffs = [[p[i] - p0[i] for i in range(n)] for p in pts]
+    if not any(any(d) for d in diffs):
+        return (p0,), (), tuple((tuple(int(j == i) for j in range(n)), p0[i]) for i in range(n)), 0
+    ortho = integer_kernel_basis(diffs)
+    basis = integer_kernel_basis(ortho) if ortho else [
+        [int(i == j) for j in range(n)] for i in range(n)]
+    r = len(basis)
+    affine = tuple((tuple(row), dot(row, p0)) for row in ortho)
+    cols = [[basis[j][i] for j in range(r)] for i in range(n)]
+    chart_pts = [tuple(int(c) for c in solve_unique(cols, d)) for d in diffs]
+    rays = polytope._extreme_rays([list(u) + [1] for u in chart_pts])
+    sum_one = all(sum(p) == 1 for p in pts)
+    facets = set()
+    for ray in rays:
+        a_chart, c = list(ray[:-1]), ray[-1]
+        if not any(a_chart):
+            continue
+        a_amb = reference_solve_integer(basis, a_chart)
+        offset = dot(a_amb, p0) - c
+        if sum_one:
+            a_amb = [x - offset for x in a_amb]
+            offset = 0
+        g = vec_gcd(a_amb)
+        if g > 1:
+            a_amb = [x // g for x in a_amb]
+            offset = min(dot(a_amb, p) for p in pts)
+        facets.add((tuple(a_amb), offset))
+    facets = tuple(sorted(facets))
+    vertices = tuple(
+        p for p in pts
+        if rank([[dot(normal, b) for b in basis]
+                 for normal, offset in facets if dot(normal, p) == offset]) == r
+    )
+    return vertices, facets, affine, r
+
+
+@st.composite
+def point_sets(draw):
+    """Point sets that are full-dimensional, on the coordinate-sum-1
+    hyperplane, or in a lower-dimensional (possibly non-saturated) affine
+    lattice, with repeated points."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    coord = st.integers(min_value=-3, max_value=3)
+    kind = draw(st.sampled_from(["generic", "sum_one", "lower_dim"]))
+    m = draw(st.integers(min_value=1, max_value=9))
+    if kind == "generic":
+        pts = draw(st.lists(st.tuples(*[coord] * n), min_size=m, max_size=m))
+    elif kind == "sum_one":
+        heads = draw(st.lists(st.lists(coord, min_size=n - 1, max_size=n - 1),
+                              min_size=m, max_size=m))
+        pts = [tuple(h + [1 - sum(h)]) for h in heads]
+    else:
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        p0 = draw(st.lists(coord, min_size=n, max_size=n))
+        gens = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=k, max_size=k))
+        coeffs = draw(st.lists(st.lists(coord, min_size=k, max_size=k), min_size=m, max_size=m))
+        pts = [tuple(p0[j] + sum(c * g[j] for c, g in zip(cs, gens)) for j in range(n))
+               for cs in coeffs]
+    repeats = draw(st.lists(st.sampled_from(pts), max_size=3))
+    return pts + repeats
+
+
+@given(point_sets())
+@settings(max_examples=200, deadline=None)
+def test_hull_matches_reference_hull(pts):
+    P = hull(pts)
+    assert (P.vertices, P.facets, P.affine_hull, P.dim) == reference_hull(pts)
+
+
+@pytest.mark.parametrize("key", list(KERNEL_CATALOG) + [f"kaehler_{d}" for d in range(2, 7)])
+def test_hull_matches_reference_hull_on_catalog(key):
+    for P in kernel_polytopes(key):
+        Q = hull(P.vertices)
+        assert (Q.vertices, Q.facets, Q.affine_hull, Q.dim) == reference_hull(P.vertices)
