@@ -13,6 +13,12 @@ Linear algebra uses two eliminations, one per job:
   chart vectors (`LatticeChart`), and `lattice_index`.  The chart factors
   its basis once; the basis is saturated, so the Hermite block it solves
   against is unit lower triangular and back-substitution stays integral.
+
+Real roots of a univariate polynomial are isolated by Sturm chains and
+refined by bisection on the sign of the polynomial alone.  Both evaluate
+signs in integers (`sign_at`): a homogeneous Horner sum over the integer
+coefficients at a point n/d, with interval endpoints kept as integers over
+a common denominator.
 """
 
 from __future__ import annotations
@@ -56,6 +62,14 @@ def format_rat(q: Fraction) -> str:
     return str(q)
 
 
+def common_denominator(values: Iterable) -> tuple:
+    """Ints and Fractions over their least common denominator D > 0:
+    (the integer numerators, D)."""
+    values = list(values)
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 # ---------------------------------------------------------------------------
 # rational linear algebra: one elimination, fraction-free Bareiss
 # (rank, det, solve_unique)
@@ -72,9 +86,8 @@ def _integer_rows(rows: Sequence[Sequence]) -> tuple:
         if all(isinstance(x, int) for x in r):
             out.append(list(r))
             continue
-        fr = [Fraction(x) for x in r]
-        den = lcm(*(x.denominator for x in fr))
-        out.append([x.numerator * (den // x.denominator) for x in fr])
+        nums, den = common_denominator(r)
+        out.append(nums)
         scale *= den
     return out, scale
 
@@ -483,31 +496,52 @@ class UniPoly:
         return Fraction(1) + m / lead
 
 
-def _sign_at(p: UniPoly, x, plus_inf: bool = False, minus_inf: bool = False) -> int:
-    if p.is_zero():
+def sign_at(c: Sequence[int], n: int, d: int) -> int:
+    """Sign of p(n/d), d > 0, for p with integer coefficients c (ascending):
+    the sign of d^k p(n/d) = sum c_i n^i d^(k-i), summed by Horner in n."""
+    if not c:
         return 0
-    if plus_inf:
-        return 1 if p.coeffs[-1] > 0 else -1
-    if minus_inf:
-        s = 1 if p.coeffs[-1] > 0 else -1
-        return s if p.degree % 2 == 0 else -s
-    v = p(x)
-    return (v > 0) - (v < 0)
+    acc = c[-1]
+    pw = 1
+    for ci in reversed(c[:-1]):
+        pw *= d
+        acc = acc * n + ci * pw
+    return (acc > 0) - (acc < 0)
 
 
-def sturm_chain(p: UniPoly) -> list:
+def _sturm_chain(p: UniPoly) -> list:
+    """The Sturm chain of p, each member as integer coefficients of a
+    positive multiple (same signs everywhere)."""
     chain = [p, p.derivative()]
     while chain[-1].degree > 0:
         _, r = chain[-2].divmod(chain[-1])
         if r.is_zero():
             break
         chain.append(-r)
-    return [q for q in chain if not q.is_zero()]
+    return [common_denominator(q.coeffs)[0] for q in chain if not q.is_zero()]
 
 
-def _variations(chain, x, plus_inf=False, minus_inf=False) -> int:
-    signs = [s for s in (_sign_at(q, x, plus_inf, minus_inf) for q in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+def _variations(chain: list, x: Optional[tuple], side: int = 1) -> int:
+    """Sign variations of the chain at x = (n, d), d > 0, or, when x is
+    None, at +oo (side 1) or -oo (side -1); zeros are skipped."""
+    if x is None:
+        signs = ((1 if c[-1] > 0 else -1) * side ** (len(c) - 1) for c in chain)
+    else:
+        signs = (sign_at(c, *x) for c in chain)
+    count = 0
+    prev = 0
+    for s in signs:
+        if s:
+            count += prev == -s
+            prev = s
+    return count
+
+
+def _point(x) -> Optional[tuple]:
+    if x is None:
+        return None
+    x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 def sturm_count(p: UniPoly, a=None, b=None) -> int:
@@ -520,58 +554,65 @@ def sturm_count(p: UniPoly, a=None, b=None) -> int:
     sf = p.squarefree()
     if sf.degree < 1:
         return 0
-    chain = sturm_chain(sf)
-    va = _variations(chain, a, minus_inf=a is None)
-    vb = _variations(chain, b, plus_inf=b is None)
-    return va - vb
+    chain = _sturm_chain(sf)
+    return _variations(chain, _point(a), -1) - _variations(chain, _point(b), 1)
 
 
 def isolate_real_roots(p: UniPoly) -> list:
-    """Disjoint isolating intervals (a, b] with exactly one real root each."""
+    """Disjoint isolating intervals (a, b] with exactly one real root each,
+    in increasing order: bisection of (-B, B], B the Cauchy bound, counted
+    by one Sturm chain.  An interval is kept as integer endpoints over a
+    common denominator."""
     sf = p.squarefree()
-    total = sturm_count(sf)
+    if sf.degree < 1:
+        return []
+    chain = _sturm_chain(sf)
+    total = _variations(chain, None, -1) - _variations(chain, None, 1)
     if total == 0:
         return []
     bound = sf.cauchy_root_bound()
-    chain = sturm_chain(sf)
-
-    def var(x):
-        return _variations(chain, x)
-
     out = []
 
-    def split(lo, hi, count):
+    def split(lo, hi, den, count, vlo):
         if count == 0:
             return
         if count == 1:
-            out.append((lo, hi))
+            out.append((Fraction(lo, den), Fraction(hi, den)))
             return
-        mid = (lo + hi) / 2
-        left = var(lo) - var(mid)
-        split(lo, mid, left)
-        split(mid, hi, count - left)
+        mid = lo + hi
+        vmid = _variations(chain, (mid, 2 * den))
+        left = vlo - vmid
+        split(2 * lo, mid, 2 * den, left, vlo)
+        split(mid, 2 * hi, 2 * den, count - left, vmid)
 
-    split(-bound, bound, total)
-    out.sort()
+    b, den = bound.numerator, bound.denominator
+    split(-b, b, den, total, _variations(chain, (-b, den)))
     return out
 
 
 def refine_root_interval(p: UniPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
-    """Bisect an isolating interval (lo, hi] of squarefree p down to width."""
-    chain = sturm_chain(p)
+    """Bisect an isolating interval (lo, hi] of squarefree p down to width.
 
-    def var(x):
-        return _variations(chain, x)
-
-    vlo = var(lo)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if vlo - var(mid) == 1:
-            hi = mid
+    The sign of p alone decides each step, with no Sturm chain: the one
+    root r in (lo, hi] is simple, so p changes sign at r and nowhere else
+    in the interval.  Hence r <= m, the midpoint, iff p(m) = 0 or p(m) has
+    the sign of p(hi).  That covers r = hi too: then p(hi) = 0 and p(m) is
+    not, so the step goes right.  The endpoints are integers over a common
+    denominator that doubles with each step.
+    """
+    c, _ = common_denominator(p.coeffs)
+    (a, b), den = common_denominator((lo, hi))
+    wn, wd = width.numerator, width.denominator
+    s_hi = sign_at(c, b, den)
+    while (b - a) * wd > wn * den:
+        mid = a + b
+        a, b, den = 2 * a, 2 * b, 2 * den
+        s = sign_at(c, mid, den)
+        if s == 0 or s == s_hi:
+            b, s_hi = mid, s
         else:
-            lo = mid
-            vlo = var(lo)
-    return lo, hi
+            a = mid
+    return Fraction(a, den), Fraction(b, den)
 
 
 # ---------------------------------------------------------------------------

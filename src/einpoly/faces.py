@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .curvature import LaurentPoly, restrict_to_face
-from .exact import LatticeChart, UniPoly, bivar_cols, det, resultant
+from .exact import DegenerateEliminationError, LatticeChart, UniPoly, bivar_cols, det, resultant
 from .polytope import Face, LatticePolytope, apexes, basis_points_on, is_cross_polytope
 
 SINGULAR = "singular"
@@ -233,7 +233,7 @@ def curve_singular(s: LaurentPoly, face: Face) -> str:
             _, ht = h.strip_x_power()
             if ht.degree <= 0:
                 return NONSINGULAR
-    except Exception:
+    except DegenerateEliminationError:
         pass
     return _groebner_torus_singular(poly, g1, g2)
 

@@ -564,28 +564,31 @@ def is_pyramid(face: Face) -> Optional[LatticePoint]:
 
 def is_cross_polytope(face: Face) -> Optional[tuple]:
     """Center of the face when it is a k-dimensional cross polytope
-    (2k vertices pairing to a common midpoint, independent differences)."""
+    (2k vertices pairing to a common midpoint, independent differences).
+
+    With S the sum of the vertices the center is S / 2k and the partner of
+    v is S/k - v, which must be a lattice point: all in integers, with the
+    center built as Fractions only for the result."""
     verts = face.vertices()
     k = face.dim
     if k < 1 or len(verts) != 2 * k:
         return None
-    n = len(verts[0])
-    center = tuple(Fraction(sum(v[i] for v in verts), len(verts)) for i in range(n))
+    total = [sum(col) for col in zip(*verts)]
+    if any(x % k for x in total):
+        return None
+    mid = [x // k for x in total]
     vset = set(verts)
-    reps = []
+    diffs = []
     used = set()
     for v in verts:
         if v in used:
             continue
-        partner = tuple(2 * center[i] - v[i] for i in range(n))
-        if any(c.denominator != 1 for c in partner if isinstance(c, Fraction)):
-            return None
-        partner = tuple(int(c) for c in partner)
+        partner = tuple(m - x for m, x in zip(mid, v))
         if partner not in vset or partner == v:
             return None
         used.add(v)
         used.add(partner)
-        reps.append([Fraction(v[i]) - center[i] for i in range(n)])
-    if rank(reps) != k:
+        diffs.append([x - y for x, y in zip(v, partner)])
+    if rank(diffs) != k:
         return None
-    return center
+    return tuple(Fraction(x, 2 * k) for x in total)

@@ -8,23 +8,33 @@ dynamic splitting of the (squarefree) modulus, so the distinct-solution
 count is exact without any root approximation.  Real and positive counts
 are certified by Sturm isolation plus an interval Newton (Krawczyk)
 operator over exact rational intervals.
+
+The certification runs in integer arithmetic: root refinement bisects by
+the sign of the eliminant alone, and the interval and point evaluations of
+the Krawczyk test work on integer numerators over a common denominator per
+box coordinate.  Only the results become Fractions, and they are the same
+rationals the Fraction interval arithmetic gives, so the output is
+unchanged.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, isqrt, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .curvature import LaurentPoly, einstein_system
 from .exact import (
     UniPoly,
     bivar_cols,
+    common_denominator,
     format_rat,
     isolate_real_roots,
     refine_root_interval,
     resultant,
+    sign_at,
     sturm_count,
 )
 from .homspace import HomSpaceData, weight_polytope
@@ -296,16 +306,29 @@ def _count_bivariate(g1: dict, g2: dict) -> Tuple[int, bool]:
 Interval = Tuple[Fraction, Fraction]
 
 
-def _iv(lo, hi) -> Interval:
-    return (Fraction(lo), Fraction(hi))
+class _ScaledPoly:
+    """A polynomial dict {exponent tuple: Fraction} as integer coefficients
+    over one denominator: poly = sum(c * x^e for e, c in terms) / den.
+    `degs` holds the largest exponent of each variable (none for the zero
+    polynomial {})."""
+
+    __slots__ = ("terms", "den", "degs")
+
+    def __init__(self, poly: dict):
+        nums, self.den = common_denominator(poly.values())
+        self.terms = list(zip(poly, nums))
+        n = len(next(iter(poly), ()))
+        self.degs = [max(e[i] for e in poly) for i in range(n)]
 
 
-def _iv_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _iv_sub(a, b):
-    return (a[0] - b[1], a[1] - b[0])
+def _integer_box(box: Sequence[Interval]) -> list:
+    """Each coordinate interval [lo, hi] as integers (a, b, D) with
+    lo = a/D and hi = b/D, D > 0."""
+    out = []
+    for interval in box:
+        (a, b), den = common_denominator(interval)
+        out.append((a, b, den))
+    return out
 
 
 def _iv_mul(a, b):
@@ -313,27 +336,46 @@ def _iv_mul(a, b):
     return (min(vals), max(vals))
 
 
-def _iv_pow(a, n):
-    out = _iv(1, 1)
-    for _ in range(n):
-        out = _iv_mul(out, a)
-    return out
-
-
-def _iv_scale(a, c):
-    c = Fraction(c)
-    return (a[0] * c, a[1] * c) if c >= 0 else (a[1] * c, a[0] * c)
-
-
-def _eval_dict_interval(poly: dict, box: Sequence[Interval]) -> Interval:
-    acc = _iv(0, 0)
-    for e, c in poly.items():
-        term = _iv(1, 1)
-        for xi, ei in zip(box, e):
+def _interval_numerators(poly: _ScaledPoly, ibox: list) -> tuple:
+    """(lo, hi, den): the interval extension of poly on an integer box is
+    [lo/den, hi/den].  It is the extension term by term, x^e by repeated
+    interval multiplication, computed on numerators: a term's interval has
+    denominator prod D_i^e_i and is lifted to prod D_i^degs_i by a positive
+    factor, which keeps every min and max."""
+    powers = []
+    dens = []
+    for (a, b, d), k in zip(ibox, poly.degs):
+        pw = [(1, 1)]
+        dp = [1]
+        for _ in range(k):
+            pw.append(_iv_mul(pw[-1], (a, b)))
+            dp.append(dp[-1] * d)
+        powers.append(pw)
+        dens.append(dp)
+    lo = hi = 0
+    for e, c in poly.terms:
+        t = (1, 1)
+        lift = c
+        for pw, dp, ei, k in zip(powers, dens, e, poly.degs):
             if ei:
-                term = _iv_mul(term, _iv_pow(xi, ei))
-        acc = _iv_add(acc, _iv_scale(term, c))
-    return acc
+                t = _iv_mul(t, pw[ei])
+            lift *= dp[k - ei]
+        if lift >= 0:
+            lo += t[0] * lift
+            hi += t[1] * lift
+        else:
+            lo += t[1] * lift
+            hi += t[0] * lift
+    den = poly.den
+    for dp in dens:
+        den *= dp[-1]
+    return lo, hi, den
+
+
+def _eval_dict_interval(poly: _ScaledPoly, box: Sequence[Interval]) -> Interval:
+    """The interval extension of poly on a box of Fraction intervals."""
+    lo, hi, den = _interval_numerators(poly, _integer_box(box))
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def _dict_partial(poly: dict, axis: int) -> dict:
@@ -347,58 +389,111 @@ def _dict_partial(poly: dict, axis: int) -> dict:
     return out
 
 
-def _eval_dict_exact(poly: dict, x: Sequence[Fraction]) -> Fraction:
-    acc = Fraction(0)
-    for e, c in poly.items():
-        term = c
-        for xi, ei in zip(x, e):
-            term *= xi**ei
-        acc += term
-    return acc
+def _exact_numerators(poly: _ScaledPoly, x: Sequence[tuple]) -> tuple:
+    """(num, den): poly at the rational point x_i = p_i / q_i, given as
+    pairs (p_i, q_i) with q_i > 0, is num/den, summed as integers over the
+    common denominator den = poly.den * prod q_i^degs_i."""
+    nums = []
+    dens = []
+    for (p, q), k in zip(x, poly.degs):
+        pn, pd = [1], [1]
+        for _ in range(k):
+            pn.append(pn[-1] * p)
+            pd.append(pd[-1] * q)
+        nums.append(pn)
+        dens.append(pd)
+    acc = 0
+    for e, c in poly.terms:
+        for pn, pd, ei, k in zip(nums, dens, e, poly.degs):
+            c *= pn[ei] * pd[k - ei]
+        acc += c
+    den = poly.den
+    for pd in dens:
+        den *= pd[-1]
+    return acc, den
 
 
-def _krawczyk_2x2(g1: dict, g2: dict, box: Sequence[Interval]):
-    """Returns 'unique', 'empty' or 'unknown' for the box."""
-    f1 = _eval_dict_interval(g1, box)
-    f2 = _eval_dict_interval(g2, box)
-    if f1[0] > 0 or f1[1] < 0 or f2[0] > 0 or f2[1] < 0:
-        return "empty"
-    m = [Fraction(b[0] + b[1], 2) for b in box]
-    j11 = _dict_partial(g1, 0)
-    j12 = _dict_partial(g1, 1)
-    j21 = _dict_partial(g2, 0)
-    j22 = _dict_partial(g2, 1)
-    a = _eval_dict_exact(j11, m)
-    b = _eval_dict_exact(j12, m)
-    c = _eval_dict_exact(j21, m)
-    d = _eval_dict_exact(j22, m)
-    det = a * d - b * c
+def _eval_dict_exact(poly: _ScaledPoly, x: Sequence[Fraction]) -> Fraction:
+    """poly at a point of Fractions."""
+    return Fraction(*_exact_numerators(poly, [(v.numerator, v.denominator) for v in x]))
+
+
+def _krawczyk_system(g1: dict, g2: dict) -> tuple:
+    """g1, g2 and their partials d1 g1, d2 g1, d1 g2, d2 g2, scaled once
+    for all boxes of a system."""
+    polys = (g1, g2, _dict_partial(g1, 0), _dict_partial(g1, 1),
+             _dict_partial(g2, 0), _dict_partial(g2, 1))
+    return tuple(_ScaledPoly(p) for p in polys)
+
+
+def _common(pairs) -> tuple:
+    """Rationals given as (num, den) pairs, den > 0, over their least common
+    denominator: (numerators, lcm)."""
+    den = lcm(*(d for _n, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
+
+
+def _krawczyk_image(system: tuple, ibox: list) -> Optional[list]:
+    """The Krawczyk image K = m - Y f(m) + (I - Y J(box)) (box - m) of an
+    integer box (`_integer_box`), with m the midpoint and Y the inverse
+    Jacobian at m; None when J(m) is singular.  `system` is
+    `_krawczyk_system(g1, g2)`.
+
+    Coordinate i of the box is [a_i, b_i] / D_i, so box - m is
+    [-w_i, w_i] / (2 D_i), w_i = b_i - a_i, and the interval product of an
+    entry [lo, hi] of I - Y J(box) with it is [-1, 1] max(|lo|, |hi|) w_i /
+    (2 D_i).  K_i is then c_i + [-r_i, r_i], c_i = m_i - (Y f(m))_i.  Every
+    quantity is an integer numerator over a positive common denominator;
+    only c_i and r_i become Fractions.
+    """
+    g1, g2, j11, j12, j21, j22 = system
+    m = [(a + b, 2 * d) for a, b, d in ibox]
+    # J(m) = [[p, q], [r, t]] / e and Y = [[t, -q], [-r, p]] e / det = y / delta
+    (p, q, r, t), e = _common([_exact_numerators(j, m) for j in (j11, j12, j21, j22)])
+    det = p * t - q * r
     if det == 0:
-        return "unknown"
-    y = [[d / det, -b / det], [-c / det, a / det]]
-    fm = [_eval_dict_exact(g1, m), _eval_dict_exact(g2, m)]
-    jac = [
-        [_eval_dict_interval(j11, box), _eval_dict_interval(j12, box)],
-        [_eval_dict_interval(j21, box), _eval_dict_interval(j22, box)],
-    ]
-    # I - Y * J(box)
-    res = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            acc = _iv(1 if i == j else 0, 1 if i == j else 0)
-            for k in range(2):
-                acc = _iv_sub(acc, _iv_scale(jac[k][j], y[i][k]))
-            row.append(acc)
-        res.append(row)
-    dx = [_iv_sub(boxi, _iv(mi, mi)) for boxi, mi in zip(box, m)]
+        return None
+    sgn = e if det > 0 else -e
+    y = [[sgn * t, -sgn * q], [-sgn * r, sgn * p]]
+    delta = abs(det)
+    (f1, f2), phi = _common([_exact_numerators(g1, m), _exact_numerators(g2, m)])
+    # J(box) entry (k, j) is [lo, hi] / gden
+    ends = []
+    for j in (j11, j12, j21, j22):
+        lo, hi, den = _interval_numerators(j, ibox)
+        ends += [(lo, den), (hi, den)]
+    jac, gden = _common(ends)
+    jac = [[jac[0:2], jac[2:4]], [jac[4:6], jac[6:8]]]
+    qden = delta * gden
+    (a0, b0, d0), (a1, b1, d1) = ibox
     k_img = []
     for i in range(2):
-        acc = _iv(m[i] - (y[i][0] * fm[0] + y[i][1] * fm[1]),
-                  m[i] - (y[i][0] * fm[0] + y[i][1] * fm[1]))
+        # |(I - Y J(box))_ij| over qden, times w_j / (2 D_j), summed over j
+        mags = []
         for j in range(2):
-            acc = _iv_add(acc, _iv_mul(res[i][j], dx[j]))
-        k_img.append(acc)
+            lo = hi = qden if i == j else 0
+            for k in range(2):
+                ends = (y[i][k] * jac[k][j][0], y[i][k] * jac[k][j][1])
+                lo -= max(ends)
+                hi -= min(ends)
+            mags.append(max(abs(lo), abs(hi)))
+        rad = Fraction(mags[0] * (b0 - a0) * d1 + mags[1] * (b1 - a1) * d0, 2 * d0 * d1 * qden)
+        center = Fraction(*m[i]) - Fraction(y[i][0] * f1 + y[i][1] * f2, delta * phi)
+        k_img.append((center - rad, center + rad))
+    return k_img
+
+
+def _krawczyk_2x2(system: tuple, box: Sequence[Interval]):
+    """Returns 'unique', 'empty' or 'unknown' for the box; `system` is
+    `_krawczyk_system(g1, g2)`."""
+    ibox = _integer_box(box)
+    for g in system[:2]:
+        lo, hi, _den = _interval_numerators(g, ibox)
+        if lo > 0 or hi < 0:
+            return "empty"
+    k_img = _krawczyk_image(system, ibox)
+    if k_img is None:
+        return "unknown"
     inside = all(box[i][0] < k_img[i][0] and k_img[i][1] < box[i][1] for i in range(2))
     if inside:
         return "unique"
@@ -507,11 +602,9 @@ def _residual_entry(system, point_or_box, exact: bool) -> dict:
             poly[key] = poly.get(key, Fraction(0)) + c
         mins = [min(e[i] for e in poly) for i in range(len(box))]
         cleared = {tuple(e[i] - mins[i] for i in range(len(box))): c for e, c in poly.items()}
-        iv = _eval_dict_interval(cleared, box)
-        denom = _iv(1, 1)
-        for b, m in zip(box, mins):
-            if m < 0:
-                denom = _iv_mul(denom, _iv_pow(b, -m))
+        iv = _eval_dict_interval(_ScaledPoly(cleared), box)
+        monomial = {tuple(max(0, -m) for m in mins): Fraction(1)}
+        denom = _eval_dict_interval(_ScaledPoly(monomial), box)
         # |f| <= |cleared| / min|denom| on a positive box
         scale = min(abs(denom[0]), abs(denom[1]))
         bound = max(abs(iv[0]), abs(iv[1])) / scale if scale else max(abs(iv[0]), abs(iv[1]))
@@ -535,35 +628,40 @@ def _certify_d2(base: SolutionSet, sf: UniPoly, system) -> None:
         else:
             lo2, hi2 = refine_root_interval(sf, lo, hi, Fraction(1, 2**20))
             base.solutions.append(
-                _residual_entry(system, [_iv(lo2, hi2)], exact=False)
+                _residual_entry(system, [(lo2, hi2)], exact=False)
             )
 
 
 def _rational_root_in(p: UniPoly, lo: Fraction, hi: Fraction):
-    """A rational root of p inside (lo, hi], when cheap to find."""
-    scale = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * scale) for c in p.coeffs]
+    """A rational root of p inside (lo, hi], when cheap to find.
+
+    By the rational root theorem a root num/den in lowest terms has den
+    dividing the leading and num the lowest nonzero integer coefficient;
+    when both are at most 10**7, the candidates inside (lo, hi] are taken,
+    for each den, from the sorted signed divisors of the latter between
+    lo * den (exclusive) and hi * den.
+    """
+    ints, _ = common_denominator(p.coeffs)
     a0 = next((c for c in ints if c != 0), 0)
     an = ints[-1]
     if a0 == 0 or an == 0 or abs(a0) > 10**7 or abs(an) > 10**7:
         return None
-    def divisors(n):
-        n = abs(n)
-        out = set()
-        i = 1
-        while i * i <= n:
-            if n % i == 0:
-                out.add(i)
-                out.add(n // i)
-            i += 1
-        return out
-    for num in divisors(a0):
-        for den in divisors(an):
-            for sign in (1, -1):
-                cand = Fraction(sign * num, den)
-                if lo < cand <= hi and p(cand) == 0:
-                    return cand
+    nums = _divisors(a0)
+    nums = [-n for n in reversed(nums)] + nums
+    for den in _divisors(an):
+        start = bisect_right(nums, lo.numerator * den // lo.denominator)
+        stop = bisect_right(nums, hi.numerator * den // hi.denominator)
+        for num in nums[start:stop]:
+            if gcd(num, den) == 1 and sign_at(ints, num, den) == 0:
+                return Fraction(num, den)
     return None
+
+
+def _divisors(n: int) -> list:
+    """The positive divisors of n != 0, ascending."""
+    n = abs(n)
+    small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
+    return small + [n // i for i in reversed(small) if i * i != n]
 
 
 def _certify_d3(base: SolutionSet, g1: dict, g2: dict, q1: UniPoly, q2: UniPoly,
@@ -576,6 +674,8 @@ def _certify_d3(base: SolutionSet, g1: dict, g2: dict, q1: UniPoly, q2: UniPoly,
         return
     iso1 = isolate_real_roots(q1)
     iso2 = isolate_real_roots(q2)
+    krawczyk = _krawczyk_system(g1, g2)
+    s1, s2 = krawczyk[:2]
     real = 0
     positive = 0
     for i1 in iso1:
@@ -583,18 +683,16 @@ def _certify_d3(base: SolutionSet, g1: dict, g2: dict, q1: UniPoly, q2: UniPoly,
             b1, b2 = i1, i2
             status = "unknown"
             for _ in range(max_rounds):
-                box = (_iv(*b1), _iv(*b2))
-                status = _krawczyk_2x2(g1, g2, box)
+                status = _krawczyk_2x2(krawczyk, (b1, b2))
                 if status in ("unique", "empty"):
                     break
                 b1 = refine_root_interval(q1, b1[0], b1[1], (b1[1] - b1[0]) / 4)
                 b2 = refine_root_interval(q2, b2[0], b2[1], (b2[1] - b2[0]) / 4)
             if status == "unique":
                 real += 1
-                box = (_iv(*b1), _iv(*b2))
-                if box[0][0] > 0 and box[1][0] > 0:
+                if b1[0] > 0 and b2[0] > 0:
                     positive += 1
-                elif box[0][1] > 0 and box[1][1] > 0 and (box[0][0] <= 0 or box[1][0] <= 0):
+                elif b1[1] > 0 and b2[1] > 0 and (b1[0] <= 0 or b2[0] <= 0):
                     base.warnings.append("sign-ambiguous box; refining")
                     b1 = refine_root_interval(q1, b1[0], b1[1], Fraction(1, 2**30))
                     b2 = refine_root_interval(q2, b2[0], b2[1], Fraction(1, 2**30))
@@ -605,15 +703,15 @@ def _certify_d3(base: SolutionSet, g1: dict, g2: dict, q1: UniPoly, q2: UniPoly,
                 if (
                     rr1 is not None
                     and rr2 is not None
-                    and _eval_dict_exact(g1, [rr1, rr2]) == 0
-                    and _eval_dict_exact(g2, [rr1, rr2]) == 0
+                    and _eval_dict_exact(s1, [rr1, rr2]) == 0
+                    and _eval_dict_exact(s2, [rr1, rr2]) == 0
                 ):
                     base.solutions.append(_residual_entry(system, [rr1, rr2], exact=True))
                 else:
                     b1w = refine_root_interval(q1, b1[0], b1[1], Fraction(1, 2**20))
                     b2w = refine_root_interval(q2, b2[0], b2[1], Fraction(1, 2**20))
                     base.solutions.append(
-                        _residual_entry(system, (_iv(*b1w), _iv(*b2w)), exact=False)
+                        _residual_entry(system, (b1w, b2w), exact=False)
                     )
             elif status == "unknown":
                 base.warnings.append(

@@ -21,6 +21,7 @@ from einpoly.exact import (
     parse_rat,
     primitive,
     rank,
+    refine_root_interval,
     resultant,
     solve_unique,
     sturm_count,
@@ -508,3 +509,98 @@ def test_parse_rat_rejects_decimals():
     assert parse_rat("4/3") == F(4, 3)
     with pytest.raises(ValueError):
         parse_rat("1.5")
+
+
+# ---------------------------------------------------------------------------
+# root refinement against a Sturm-bisection reference
+# ---------------------------------------------------------------------------
+
+
+def sturm_refine_reference(p, lo, hi, width):
+    """Bisection of an isolating interval (lo, hi] by Sturm counts, in
+    Fraction arithmetic: the root lies in (lo, mid] iff V(lo) - V(mid) = 1."""
+    chain = [p, p.derivative()]
+    while chain[-1].degree > 0:
+        _, r = chain[-2].divmod(chain[-1])
+        if r.is_zero():
+            break
+        chain.append(-r)
+
+    def var(x):
+        signs = [s for s in ((q(x) > 0) - (q(x) < 0) for q in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    vlo = var(lo)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if vlo - var(mid) == 1:
+            hi = mid
+        else:
+            lo = mid
+            vlo = var(lo)
+    return lo, hi
+
+
+small_rats = st.fractions(min_value=-5, max_value=5, max_denominator=8)
+
+
+@st.composite
+def planted_polynomials(draw):
+    """(squarefree p, its planted rational roots): distinct rational roots,
+    irrational pairs x^2 - n (n not a square) and complex pairs x^2 + c."""
+    roots = draw(st.lists(small_rats, min_size=0, max_size=4, unique=True))
+    surds = draw(st.lists(st.sampled_from([2, 3, 5, 6, 7, 10]), max_size=2, unique=True))
+    complex_pairs = draw(st.lists(st.integers(min_value=1, max_value=9), max_size=1))
+    p = UniPoly.from_roots(roots)
+    for n in surds:
+        p = p * UniPoly([-n, 0, 1])
+    for c in complex_pairs:
+        p = p * UniPoly([c, 0, 1])
+    if p.degree < 1:
+        p = UniPoly([-3, 0, 1])
+    return p, roots
+
+
+@given(planted_polynomials(), st.integers(min_value=0, max_value=40))
+@settings(max_examples=60, deadline=None)
+def test_refine_matches_sturm_bisection(planted, bits):
+    p, roots = planted
+    width = F(1, 2**bits)
+    intervals = isolate_real_roots(p)
+    assert len(intervals) == sturm_count(p)
+    for lo, hi in intervals:
+        lo2, hi2 = refine_root_interval(p, lo, hi, width)
+        assert (lo2, hi2) == sturm_refine_reference(p, lo, hi, width)
+        assert hi2 - lo2 <= width
+        assert lo <= lo2 < hi2 <= hi
+        assert sturm_count(p, lo2, hi2) == 1
+    for r in roots:
+        assert sum(lo < r <= hi for lo, hi in intervals) == 1
+
+
+@given(planted_polynomials(), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=30))
+@settings(max_examples=40, deadline=None)
+def test_refine_with_a_root_at_an_endpoint_or_midpoint(planted, shift, bits):
+    # (r - 2^-shift, r] has the root at hi, (r - 2^-shift, r + 2^-shift] at
+    # the first midpoint; both isolate r once shift is large enough
+    p, roots = planted
+    width = F(1, 2**bits)
+    for r in roots:
+        for lo, hi in ((r - F(1, 2**shift), r), (r - F(1, 2**shift), r + F(1, 2**shift))):
+            if sturm_count(p, lo, hi) != 1:
+                continue
+            lo2, hi2 = refine_root_interval(p, lo, hi, width)
+            assert (lo2, hi2) == sturm_refine_reference(p, lo, hi, width)
+            assert lo2 < r <= hi2
+
+
+def test_isolation_matches_sturm_counts_per_interval():
+    rng = random.Random(29)
+    for _ in range(20):
+        roots = {F(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(rng.randint(1, 6))}
+        p = UniPoly.from_roots(sorted(roots)) * UniPoly([-rng.choice([2, 3, 5]), 0, 1])
+        intervals = isolate_real_roots(p)
+        assert len(intervals) == len(roots) + 2
+        assert all(a[1] <= b[0] for a, b in zip(intervals, intervals[1:]))
+        assert all(sturm_count(p, lo, hi) == 1 for lo, hi in intervals)

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from einpoly import faces as faces_module
 from einpoly.curvature import LaurentPoly, scalar_curvature
-from einpoly.exact import rank
+from einpoly.exact import DegenerateEliminationError, rank
 from einpoly.faces import (
     NEEDS_MORE_DATA,
     NONSINGULAR,
@@ -352,6 +353,44 @@ def test_methods_agree_on_random_parallelograms():
         v1 = parallelogram_singular(p, face)
         v2 = curve_singular(p, face)
         assert v1 == v2 == (SINGULAR if make_singular else NONSINGULAR)
+
+
+def test_degenerate_elimination_falls_back_to_groebner(monkeypatch):
+    # the product form is singular, the generic one nonsingular; with the
+    # resultant step reporting a degenerate pair both verdicts come from
+    # the Groebner basis alone and stay the same
+    terms = [(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, -1)]
+    cases = [(p, hull(p.support()).whole_face()) for p in (
+        LaurentPoly(3, dict(zip(terms, (F(1), F(1), F(1), F(1))))),
+        LaurentPoly(3, dict(zip(terms, (F(1), F(2), F(5), F(7))))),
+    )]
+    expected = [curve_singular(p, face) for p, face in cases]
+    assert expected == [SINGULAR, NONSINGULAR]
+    calls = []
+    groebner = faces_module._groebner_torus_singular
+
+    def degenerate(*_args):
+        raise DegenerateEliminationError("both inputs constant in y")
+
+    def counted(*args):
+        calls.append(args)
+        return groebner(*args)
+
+    monkeypatch.setattr(faces_module, "resultant", degenerate)
+    monkeypatch.setattr(faces_module, "_groebner_torus_singular", counted)
+    assert [curve_singular(p, face) for p, face in cases] == expected
+    assert len(calls) == 2
+
+
+def test_resultant_errors_are_not_swallowed(monkeypatch):
+    p = LaurentPoly(3, {(0, 0, 1): F(1), (1, 0, 0): F(2), (0, 1, 0): F(5), (1, 1, -1): F(7)})
+
+    def broken(*_args):
+        raise ZeroDivisionError("a programming error")
+
+    monkeypatch.setattr(faces_module, "resultant", broken)
+    with pytest.raises(ZeroDivisionError):
+        curve_singular(p, hull(p.support()).whole_face())
 
 
 def test_parallelogram_with_extra_support_defers():

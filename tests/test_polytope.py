@@ -346,6 +346,53 @@ def test_square_is_cross_polytope():
     assert center == (F(0), F(0))
 
 
+def cross_polytope_reference(face):
+    """Fraction center S / 2k, partners 2 center - v, rank of v - center."""
+    verts = face.vertices()
+    k = face.dim
+    if k < 1 or len(verts) != 2 * k:
+        return None
+    center = tuple(F(sum(col), len(verts)) for col in zip(*verts))
+    reps = []
+    used = set()
+    for v in verts:
+        if v in used:
+            continue
+        partner = tuple(2 * c - x for c, x in zip(center, v))
+        if any(c.denominator != 1 for c in partner):
+            return None
+        partner = tuple(int(c) for c in partner)
+        if partner not in verts or partner == v:
+            return None
+        used.update((v, partner))
+        reps.append([x - c for x, c in zip(v, center)])
+    return center if rank(reps) == k else None
+
+
+def test_cross_polytope_centers_off_the_lattice():
+    # the unit square pairs its vertices through (1/2, 1/2); a trapezoid
+    # has no common midpoint
+    assert is_cross_polytope(hull([(0, 0), (1, 0), (0, 1), (1, 1)]).whole_face()) == (F(1, 2), F(1, 2))
+    assert is_cross_polytope(hull([(0, 0), (2, 0), (0, 1), (1, 1)]).whole_face()) is None
+    octahedron = hull([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
+    assert is_cross_polytope(octahedron.whole_face()) == (F(0), F(0), F(0))
+
+
+def test_cross_polytope_matches_fraction_reference():
+    polytopes = [kaehler_b2_polytope(5), hull([(0, 0), (1, 0), (0, 1), (1, 1)])]
+    for name in ("e8_t1_a3_a4", "jordan_product_2_3"):
+        data = load_catalog(name)
+        polytopes.append(delta_min(weight_polytope(data), flat_complex(data)))
+    found = 0
+    for P in polytopes:
+        faces = [P.whole_face()] + [f for fs in P.all_proper_faces().values() for f in fs]
+        for face in faces:
+            center = is_cross_polytope(face)
+            assert center == cross_polytope_reference(face)
+            found += center is not None
+    assert found > 0
+
+
 def test_triangle_is_not_cross_polytope():
     T = hull([(1, 1, -1), (1, -1, 1), (-1, 1, 1)])
     assert is_cross_polytope(T.whole_face()) is None

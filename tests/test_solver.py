@@ -1,11 +1,18 @@
 """Solution counting, certification, and the bound report."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
+from math import lcm, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einpoly.curvature import einstein_system
+from einpoly.exact import UniPoly, isolate_real_roots, refine_root_interval
 from einpoly.homspace import (
     HomSpaceData,
     jordan_space,
@@ -16,6 +23,15 @@ from einpoly.homspace import (
 from einpoly.infinity import delta_min, flat_complex
 from einpoly.solver import (
     UnsupportedDimensionError,
+    _eliminant,
+    _eval_dict_exact,
+    _eval_dict_interval,
+    _integer_box,
+    _krawczyk_2x2,
+    _krawczyk_image,
+    _krawczyk_system,
+    _rational_root_in,
+    _ScaledPoly,
     bound_report,
     count_complex,
     dehomogenize,
@@ -234,3 +250,276 @@ def test_bound_report_inequalities_on_catalog():
         assert br.nu <= br.delannoy_bound < br.six_power
         if br.epsilon_computed is not None:
             assert br.epsilon_computed <= br.nu
+
+
+# ---------------------------------------------------------------------------
+# certification bytes
+# ---------------------------------------------------------------------------
+
+
+def pin_documents(seed: int = 0, n: int = 30) -> list:
+    """Random d = 2 and d = 3 documents: 40% with dimensions in {1, 2, 4}
+    and constants in {1, 2}, which often have rational solutions, the rest
+    with generic constants p/q, p and q in 1..9."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(n):
+        d = rng.choice((2, 3, 3))
+        if rng.random() < 0.4:
+            dims = [rng.choice((1, 2, 4)) for _ in range(d)]
+            def const():
+                return F(rng.choice((1, 2)))
+        else:
+            dims = [rng.randint(1, 8) for _ in range(d)]
+            def const():
+                return F(rng.randint(1, 9), rng.randint(1, 9))
+        keys = [k for k in combinations_with_replacement(range(1, d + 1), 3)
+                if len(set(k)) > 1]
+        chosen = rng.sample(keys, rng.randint(1, 2))
+        out.append(HomSpaceData(
+            name=f"pin_{i}", d=d, dims=tuple(dims),
+            b=tuple(const() for _ in range(d)),
+            triples={k: const() for k in chosen},
+        ))
+    return out
+
+
+# sha256 of json.dumps(real_positive(doc).to_json_obj(), sort_keys=True) for
+# each document of pin_documents(), in order
+CERTIFICATION_DIGESTS = [
+    "ba50a733b63ad520a282dd5e87e5dbe2ef0ca00e111241ccf6f41e9f785abb29",
+    "80903bc96ff81933102cdbbf258d5af1299854cd7e12dd65670dda258db39505",
+    "c53ced8e3394ae8f202b6fa7160052d5bd7fbaf051b6439b2082f97aab122654",
+    "80903bc96ff81933102cdbbf258d5af1299854cd7e12dd65670dda258db39505",
+    "80903bc96ff81933102cdbbf258d5af1299854cd7e12dd65670dda258db39505",
+    "80903bc96ff81933102cdbbf258d5af1299854cd7e12dd65670dda258db39505",
+    "80903bc96ff81933102cdbbf258d5af1299854cd7e12dd65670dda258db39505",
+    "81ea960a61d93608a00e7cbe11fcd754e2963d731a3a952d6040ba01412959c7",
+    "1c996b8079a2868ed7ebe0aebba3da5194693680b77faf5d6de84ddd4546861d",
+    "c65d455ff4213adf1f4504022259865790ec748726c93735ca7ec577be9476ad",
+    "630842603bfad494e52976a33f8e5b9980527f0ccc66bcf1525a68e3a6678575",
+    "0d0afbcc057f2d770fda22619683ecb0917984af7ec1f68d82c26144154e8256",
+    "6a087f14e002dafbd2e33042fb01e870dc7a0fbfaf95bb8df81381abe14e9fe3",
+    "4c82a01b1835f8467882be1f7531f6dc0e29e1de9de3b05fe67d7dc38be7cefa",
+    "b1b588218c67bd05fd70b6002f5d11ede42a561cb41b0be8b67d18a95688ae8f",
+    "1bc75c6281ff8ffd7599ebeecfcf3c2d6566802a0ef8878e57cb138cf8ee0355",
+    "3c41d4f6b9e88555a03e91ad27502b4d9780a066c200e7cbf7989fbd6e48247a",
+    "77120b65710872a52000b8f3929d50d7dd05f1e91440c230c1021047e2130838",
+    "630842603bfad494e52976a33f8e5b9980527f0ccc66bcf1525a68e3a6678575",
+    "630842603bfad494e52976a33f8e5b9980527f0ccc66bcf1525a68e3a6678575",
+    "655be18334694129bfb690ba8a631de0596aac206b0bd075c93d2264a8ccd7fa",
+    "d64ee6eae1917fd3b99b964bda146e6e04c142901447d0dc29596fbaee6164b4",
+    "1bc75c6281ff8ffd7599ebeecfcf3c2d6566802a0ef8878e57cb138cf8ee0355",
+    "630842603bfad494e52976a33f8e5b9980527f0ccc66bcf1525a68e3a6678575",
+    "b338b81aef84ac1cf31f0574657a594c2ba624ef2d056d484d303e89081c36ae",
+    "f8e57aa48aa9ad281f685c7a93c7cd90917e61bd009817a2a154db0006fdde70",
+    "733e19a2244c6293e282307e1354ad830884e9fa6aecdeb512d9cb516693ab70",
+    "a8931f2df1eb83e56667b33249597a0480cd982567b3951a5694b310bad5a0b8",
+    "91db57f58d3f25a8fd1c40ec9cdc963f9fd18ceef2dffdc7fe5fda84c8ced518",
+    "e84a8b05f261f08f0d9ba9aa0ee54d33568c5cef451c4d2ae7164534b5fec1c0",
+]
+
+
+def test_certification_bytes_pinned():
+    seen = set()
+    for data, expected in zip(pin_documents(), CERTIFICATION_DIGESTS, strict=True):
+        obj = real_positive(data).to_json_obj()
+        text = json.dumps(obj, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == expected, data.name
+        if obj["real_count"] == 0:
+            seen.add("no real solution")
+        seen.update((data.d, "exact" if s["exact"] else "box") for s in obj["solutions"])
+        seen.update(w.split(";")[0] for w in obj["warnings"])
+    # the pinned set reaches every kind of certificate
+    assert seen == {
+        "no real solution", (2, "exact"), (2, "box"), (3, "exact"), (3, "box"),
+        "sign-ambiguous box", "cluster separation failure",
+    }
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against Fraction references
+# ---------------------------------------------------------------------------
+
+
+def iv_mul_reference(a, b):
+    vals = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return (min(vals), max(vals))
+
+
+def iv_add_reference(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def interval_reference(poly, box):
+    """The interval extension in Fraction arithmetic: term by term, x^e by
+    repeated interval multiplication."""
+    acc = (F(0), F(0))
+    for e, c in poly.items():
+        term = (F(1), F(1))
+        for xi, ei in zip(box, e):
+            power = (F(1), F(1))
+            for _ in range(ei):
+                power = iv_mul_reference(power, xi)
+            if ei:
+                term = iv_mul_reference(term, power)
+        scaled = (term[0] * c, term[1] * c) if c >= 0 else (term[1] * c, term[0] * c)
+        acc = iv_add_reference(acc, scaled)
+    return acc
+
+
+coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+endpoints = st.fractions(min_value=-4, max_value=4, max_denominator=16)
+
+
+@st.composite
+def poly_and_box(draw):
+    n = draw(st.integers(min_value=1, max_value=2))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=4)] * n)
+    poly = draw(st.dictionaries(exps, coefficients, min_size=1, max_size=6))
+    box = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["any", "straddle", "point"]))
+        a = draw(endpoints)
+        if kind == "point":
+            box.append((a, a))
+        elif kind == "straddle":
+            box.append((-abs(a) - F(1, 7), draw(endpoints.map(abs)) + F(1, 5)))
+        else:
+            b = draw(endpoints)
+            box.append((min(a, b), max(a, b)))
+    return poly, tuple(box)
+
+
+@given(poly_and_box())
+@settings(max_examples=100, deadline=None)
+def test_integer_interval_evaluation_matches_fraction_reference(case):
+    poly, box = case
+    scaled = _ScaledPoly(poly)
+    assert _eval_dict_interval(scaled, box) == interval_reference(poly, box)
+    point = [lo for lo, _hi in box]
+    direct = sum((c * prod(x**ei for x, ei in zip(point, e)) for e, c in poly.items()), F(0))
+    assert _eval_dict_exact(scaled, point) == direct
+    if all(lo == hi for lo, hi in box):
+        assert _eval_dict_interval(scaled, box) == (direct, direct)
+
+
+def rational_root_reference(p, lo, hi):
+    """Every candidate num/den of the rational root theorem, num | a_0 and
+    den | a_n in all signs, under the same 10**7 cap."""
+    scale = lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * scale) for c in p.coeffs]
+    a0 = next(c for c in ints if c != 0)
+    an = ints[-1]
+    if abs(a0) > 10**7 or abs(an) > 10**7:
+        return None
+    nums = [n for n in range(1, abs(a0) + 1) if a0 % n == 0]
+    dens = [d for d in range(1, abs(an) + 1) if an % d == 0]
+    for num in nums:
+        for den in dens:
+            for cand in (F(num, den), F(-num, den)):
+                if lo < cand <= hi and p(cand) == 0:
+                    return cand
+    return None
+
+
+@given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6),
+                min_size=1, max_size=4, unique=True),
+       st.sampled_from([None, 2, 3, 5]),
+       st.integers(min_value=0, max_value=12))
+@settings(max_examples=80, deadline=None)
+def test_rational_root_search_matches_brute_force(roots, surd, bits):
+    p = UniPoly.from_roots(roots)
+    if surd is not None:
+        p = p * UniPoly([-surd, 0, 1])
+    for lo, hi in isolate_real_roots(p):
+        lo, hi = refine_root_interval(p, lo, hi, F(1, 2**bits))
+        found = _rational_root_in(p, lo, hi)
+        assert found == rational_root_reference(p, lo, hi)
+        planted = [r for r in roots if lo < r <= hi and r != 0]
+        assert found == (planted[0] if planted else None)
+
+
+def test_rational_root_search_respects_the_cap():
+    # a_0 = 3001 * 4001 > 10**7: the rational root 1 is not searched for
+    p = UniPoly.from_roots([F(1), F(3001), F(4001)])
+    assert all(_rational_root_in(p, lo, hi) is None for lo, hi in isolate_real_roots(p))
+    # leading coefficient over the cap after clearing denominators
+    p = UniPoly.from_roots([F(1, 3001), F(1, 4001), F(2)])
+    assert all(_rational_root_in(p, lo, hi) is None for lo, hi in isolate_real_roots(p))
+    # just under the cap the same roots are found
+    p = UniPoly.from_roots([F(1), F(2), F(3001), F(1000)])
+    found = [_rational_root_in(p, lo, hi) for lo, hi in isolate_real_roots(p)]
+    assert found == [F(1), F(2), F(1000), F(3001)]
+
+
+def krawczyk_image_reference(g1, g2, box):
+    """The Krawczyk image K = m - Y f(m) + (I - Y J(box)) (box - m) in
+    Fraction interval arithmetic, step by step; None when J(m) is
+    singular."""
+    def partial(poly, axis):
+        out = {}
+        for e, c in poly.items():
+            if e[axis]:
+                ne = tuple(x - (i == axis) for i, x in enumerate(e))
+                out[ne] = out.get(ne, F(0)) + c * e[axis]
+        return out
+
+    def at(poly, x):
+        return sum((c * x[0] ** e[0] * x[1] ** e[1] for e, c in poly.items()), F(0))
+
+    def iv_sub(a, b):
+        return (a[0] - b[1], a[1] - b[0])
+
+    def iv_scale(a, c):
+        return (a[0] * c, a[1] * c) if c >= 0 else (a[1] * c, a[0] * c)
+
+    m = [(lo + hi) / 2 for lo, hi in box]
+    jm = [[partial(g, k) for k in range(2)] for g in (g1, g2)]
+    a, b = at(jm[0][0], m), at(jm[0][1], m)
+    c, d = at(jm[1][0], m), at(jm[1][1], m)
+    det = a * d - b * c
+    if det == 0:
+        return None
+    y = [[d / det, -b / det], [-c / det, a / det]]
+    fm = [at(g1, m), at(g2, m)]
+    jac = [[interval_reference(jm[i][j], box) for j in range(2)] for i in range(2)]
+    k_img = []
+    for i in range(2):
+        center = m[i] - (y[i][0] * fm[0] + y[i][1] * fm[1])
+        acc = (center, center)
+        for j in range(2):
+            res = (F(i == j), F(i == j))
+            for k in range(2):
+                res = iv_sub(res, iv_scale(jac[k][j], y[i][k]))
+            acc = iv_add_reference(acc, iv_mul_reference(res, iv_sub(box[j], (m[j], m[j]))))
+        k_img.append(acc)
+    return k_img
+
+
+def test_krawczyk_image_matches_fraction_reference():
+    # boxes of the certification rounds, and copies shifted by up to two
+    # thirds of their width, on the d = 3 pinned documents
+    rng = random.Random(5)
+    verdicts = set()
+    for data in pin_documents():
+        if data.d != 3:
+            continue
+        (g1, g2), _ = dehomogenize(einstein_system(data))
+        system = _krawczyk_system(g1, g2)
+        q1, _ = _eliminant(g1, g2, 1)
+        q2, _ = _eliminant(g1, g2, 0)
+        if q1.degree <= 0 or q2.degree <= 0:
+            continue
+        for i1 in isolate_real_roots(q1):
+            for i2 in isolate_real_roots(q2):
+                b1, b2 = i1, i2
+                for _ in range(8):
+                    shift = F(rng.randint(-2, 2), 3) * (b1[1] - b1[0])
+                    for box in ((b1, b2), ((b1[0] + shift, b1[1] + shift), b2)):
+                        image = _krawczyk_image(system, _integer_box(box))
+                        assert image == krawczyk_image_reference(g1, g2, box)
+                        verdicts.add(_krawczyk_2x2(system, box))
+                    b1 = refine_root_interval(q1, *b1, (b1[1] - b1[0]) / 4)
+                    b2 = refine_root_interval(q2, *b2, (b2[1] - b2[0]) / 4)
+    assert verdicts == {"unique", "empty", "unknown"}
