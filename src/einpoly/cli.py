@@ -73,10 +73,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_kaehler_b2(args) -> int:
     d = args.d
-    if not 2 <= d <= 7:
-        print("error: d must be between 2 and 7", file=sys.stderr)
+    try:
+        P = kaehler_b2_polytope(d)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    P = kaehler_b2_polytope(d)
     nu = P.normalized_volume()
     try:
         b2 = b2_exponent(P)

@@ -189,16 +189,17 @@ class Face:
         return f"Face(dim={self.dim}, vertices={self.vertices()})"
 
     def contains_point(self, x) -> bool:
-        """Exact membership of a rational point in this face."""
+        """Exact membership of a rational point in this face.  The face is
+        P cut by its tight facets, so their equalities go first: they reject
+        most points before the full `P.contains`, which raises
+        DimensionError for a point of the wrong dimension."""
         P = self.polytope
-        if not P.contains(x):
-            return False
-        for fi in self.facet_indices:
-            normal, offset = P.facets[fi]
-            if _dot(normal, x) != offset:
-                return False
-        # the face is the intersection of its tight facets with P
-        return True
+        if len(x) == P.ambient_dim:
+            for fi in self.facet_indices:
+                normal, offset = P.facets[fi]
+                if _dot(normal, x) != offset:
+                    return False
+        return P.contains(x)
 
     def lattice_points(self) -> list:
         return [p for p in self.polytope.lattice_points() if self.contains_point(p)]

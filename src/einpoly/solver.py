@@ -9,6 +9,19 @@ count is exact without any root approximation.  Real and positive counts
 are certified by Sturm isolation plus an interval Newton (Krawczyk)
 operator over exact rational intervals.
 
+The splitting is one recursion (`_trim`): reduce a y-coefficient list mod
+h and drop zero leads; when the lead is a zero divisor, split h into
+g = gcd(lead, h) and h / g and recurse on both.  The gcd G of g1 and g2
+over a branch h has a lead invertible mod h, so G(a, y) has the same
+degree k at every root a of h, and its distinct nonzero roots, summed over
+the roots a, number
+
+    sum over the branches (hb, D) of gcd(G, dG/dy) of deg(hb) * (k - deg D)
+      - deg gcd(G(x, 0), h),
+
+where the subtracted term counts the roots a with G(a, 0) = 0; it is exact
+because h is squarefree.
+
 The certification runs in integer arithmetic: root refinement bisects by
 the sign of the eliminant alone, and the interval and point evaluations of
 the Krawczyk test work on integer numerators over a common denominator per
@@ -23,7 +36,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .curvature import LaurentPoly, einstein_system
 from .exact import (
@@ -35,7 +48,6 @@ from .exact import (
     refine_root_interval,
     resultant,
     sign_at,
-    sturm_count,
 )
 from .homspace import HomSpaceData, weight_polytope
 from .infinity import FlatComplex, delta_min, flat_complex
@@ -97,20 +109,13 @@ def dehomogenize(system: Sequence[LaurentPoly]) -> Tuple[list, list]:
         if len(sums) > 1:
             raise ValueError("system is not homogeneous")
         n = f.num_vars - 1
-        true_terms: Dict[tuple, Fraction] = {}
-        for a, c in f.terms.items():
-            key = tuple(-ai for ai in a[:-1])
-            true_terms[key] = true_terms.get(key, Fraction(0)) + c
-        true_terms = {e: c for e, c in true_terms.items() if c != 0}
+        # homogeneity makes the true exponents distinct
+        true_terms = {tuple(-ai for ai in a[:-1]): c for a, c in f.terms.items()}
         if not true_terms:
             raise DegenerateSystemError("zero polynomial after clearing")
-        mins = [min(e[i] for e in true_terms) for i in range(n)]
-        cleared = {tuple(e[i] - mins[i] for i in range(n)): c for e, c in true_terms.items()}
-        common = [min(e[i] for e in cleared) for i in range(n)]
-        if any(common):
-            cleared = {tuple(e[i] - common[i] for i in range(n)): c for e, c in cleared.items()}
-        removed.append(tuple(m + c for m, c in zip(mins, common)))
-        out.append(cleared)
+        mins = tuple(min(e[i] for e in true_terms) for i in range(n))
+        removed.append(mins)
+        out.append({tuple(ei - m for ei, m in zip(e, mins)): c for e, c in true_terms.items()})
     return out, removed
 
 
@@ -122,48 +127,34 @@ def _mod(p: UniPoly, h: UniPoly) -> UniPoly:
     return p.divmod(h)[1]
 
 
-def _ext_gcd(a: UniPoly, b: UniPoly):
-    r0, r1 = a, b
+def _inverse_mod(c: UniPoly, h: UniPoly) -> UniPoly:
+    """c^-1 mod h, by the extended Euclidean algorithm on (c, h) with only
+    the cofactor of c tracked."""
+    r0, r1 = c, h
     s0, s1 = UniPoly.const(1), UniPoly()
-    t0, t1 = UniPoly(), UniPoly.const(1)
     while not r1.is_zero():
         q, r = r0.divmod(r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return r0, s0, t0
-
-
-def _inverse_mod(c: UniPoly, h: UniPoly) -> UniPoly:
-    g, u, _v = _ext_gcd(c, h)
-    if g.degree != 0:
+    if r0.degree != 0:
         raise ArithmeticError("element not invertible in the quotient")
-    return _mod(u * (Fraction(1) / g.coeffs[0]), h)
+    return _mod(s0 * (Fraction(1) / r0.coeffs[0]), h)
 
 
 def _trim(A: list, h: UniPoly) -> list:
-    """Reduce a y-coefficient list mod h and trim until the leading
-    coefficient is invertible; splits the modulus when it is a zero divisor.
-    Returns [(h_branch, trimmed_list)] covering all branches."""
-    out = []
-    stack = [(h, [c for c in A])]
-    while stack:
-        hb, poly = stack.pop()
-        poly = [_mod(c, hb) for c in poly]
-        while poly and poly[-1].is_zero():
-            poly.pop()
-        if not poly:
-            out.append((hb, []))
-            continue
-        g = poly[-1].gcd(hb)
-        if g.degree == 0:
-            out.append((hb, poly))
-        elif g.degree == hb.degree:
-            stack.append((hb, poly[:-1]))
-        else:
-            stack.append((g, poly))
-            stack.append((hb.exact_div(g).monic(), poly))
-    return out
+    """[(h_branch, A_branch)] over a splitting of h: A's y-coefficients
+    reduced mod h_branch with zero leads dropped, so the lead is invertible
+    mod h_branch (or A_branch is empty).  A lead that is a zero divisor
+    splits h into g = gcd(lead, h) and h / g."""
+    A = [_mod(c, h) for c in A]
+    while A and A[-1].is_zero():
+        A.pop()
+    if not A:
+        return [(h, A)]
+    g = A[-1].gcd(h)
+    if g.degree == 0:
+        return [(h, A)]
+    return _trim(A, h.exact_div(g).monic()) + _trim(A, g)
 
 
 def _poly_mod(A: list, B: list, h: UniPoly) -> list:
@@ -188,115 +179,45 @@ def _poly_mod(A: list, B: list, h: UniPoly) -> list:
 
 def _fiber_gcd_branches(A: list, B: list, h: UniPoly) -> list:
     """[(h_branch, G)] with G = gcd of A and B in (Q[x]/(h_branch))[y],
-    trimmed so deg_y G is well-defined on the branch."""
+    trimmed so deg_y G is well-defined on the branch: A is trimmed over h,
+    B over each branch of A, and one remainder step recurses."""
     out = []
-    stack = [(h, A, B)]
-    while stack:
-        hb, A0, B0 = stack.pop()
-        if hb.degree == 0:
-            continue
-        branches_a = _trim(A0, hb)
-        if len(branches_a) > 1 or branches_a[0][0] != hb:
-            for ha, A1 in branches_a:
-                stack.append((ha, A1, B0))
-            continue
-        A1 = branches_a[0][1]
-        branches_b = _trim(B0, hb)
-        if len(branches_b) > 1 or branches_b[0][0] != hb:
-            for hb2, B1 in branches_b:
-                stack.append((hb2, A1, B1))
-            continue
-        B1 = branches_b[0][1]
-        if not A1 and not B1:
-            raise DegenerateSystemError("both polynomials vanish on a whole branch")
-        if not A1:
-            out.append((hb, B1))
-            continue
-        if not B1:
-            out.append((hb, A1))
-            continue
-        if len(A1) < len(B1):
-            A1, B1 = B1, A1
-        R = _poly_mod(A1, B1, hb)
-        stack.append((hb, B1, R))
+    for ha, A1 in _trim(A, h):
+        for hb, B1 in _trim(B, ha):
+            if A1 and B1:
+                a, b = (B1, A1) if len(A1) < len(B1) else (A1, B1)
+                out += _fiber_gcd_branches(b, _poly_mod(a, b, hb), hb)
+            elif A1 or B1:
+                out.append((hb, A1 or B1))
+            else:
+                raise DegenerateSystemError("both polynomials vanish on a whole branch")
     return out
 
 
-def _torus_sf_degree_total(G: list, h: UniPoly) -> int:
-    """Sum over branches of deg(h_branch) * (number of distinct nonzero
-    y-roots of G on the branch)."""
-    total = 0
-    stack = [(h, G)]
-    while stack:
-        hb, poly = stack.pop()
-        if hb.degree == 0:
-            continue
-        branches = _trim(poly, hb)
-        if len(branches) > 1 or branches[0][0] != hb:
-            stack.extend(branches)
-            continue
-        poly = branches[0][1]
-        if not poly:
-            raise DegenerateSystemError("gcd vanished identically on a branch")
-        # strip y-powers, splitting on the constant term
-        c0 = poly[0]
-        g0 = c0.gcd(hb)
-        if g0.degree == hb.degree:
-            stack.append((hb, poly[1:]))
-            continue
-        if g0.degree > 0:
-            stack.append((g0, poly))
-            stack.append((hb.exact_div(g0).monic(), poly))
-            continue
-        k = len(poly) - 1
-        if k == 0:
-            continue
-        deriv = [i * poly[i] for i in range(1, k + 1)]
-        for h2, D in _fiber_gcd_branches(poly, deriv, hb):
-            total += h2.degree * (k - (len(D) - 1))
-    return total
-
-
-# ---------------------------------------------------------------------------
-# bivariate helpers
-# ---------------------------------------------------------------------------
-
-def _torus_part(p: UniPoly) -> UniPoly:
-    _, q = p.strip_x_power()
-    return q
-
-
-def _count_fibers(cols1: list, cols2: list, h: UniPoly) -> int:
-    total = 0
-    for hb, G in _fiber_gcd_branches(cols1, cols2, h):
-        if not G:
-            continue
-        total += _torus_sf_degree_total(G, hb)
-    return total
+def _torus_roots(G: list, h: UniPoly) -> int:
+    """Distinct nonzero y-roots of G(a, y), summed over the roots a of the
+    squarefree h; lead(G) must be invertible mod h.  See the module
+    docstring for the formula."""
+    k = len(G) - 1
+    deriv = [i * G[i] for i in range(1, k + 1)]
+    total = sum(hb.degree * (k - (len(D) - 1)) for hb, D in _fiber_gcd_branches(G, deriv, h))
+    return total - G[0].gcd(h).degree
 
 
 def _eliminant(g1: dict, g2: dict, axis: int) -> Tuple[UniPoly, int]:
     """Torus part of the resultant of g1, g2 that eliminates the variable
-    `axis` (squarefree when of positive degree), and the number of
-    distinct torus solutions counted over its roots."""
+    `axis` (squarefree and monic when of positive degree), and the number
+    of distinct torus solutions counted over its roots."""
     cols1 = bivar_cols(g1, axis)
     cols2 = bivar_cols(g2, axis)
     r = resultant(cols1, cols2)
     if r.is_zero():
         raise DegenerateSystemError("resultant vanished; common factor present")
-    h = _torus_part(r)
+    _, h = r.strip_x_power()
     if h.degree <= 0:
         return h, 0
     h = h.squarefree()
-    return h, _count_fibers(cols1, cols2, h.monic())
-
-
-def _count_bivariate(g1: dict, g2: dict) -> Tuple[int, bool]:
-    """(distinct torus solutions, genericity flag); the count is verified by
-    eliminating in both variable orders."""
-    _, count_x = _eliminant(g1, g2, 1)
-    _, count_y = _eliminant(g1, g2, 0)
-    return count_x, count_x == count_y
+    return h, sum(_torus_roots(G, hb) for hb, G in _fiber_gcd_branches(cols1, cols2, h))
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +476,10 @@ def _solve(data: HomSpaceData, certify: bool, max_rounds: int = 40,
             f"complex counting is implemented for d in {{2, 3}}, got d = {data.d}"
         )
     system = einstein_system(data, s)
-    polys, _removed = dehomogenize(system)
+    polys, removed = dehomogenize(system)
     if data.d == 2:
-        p = _torus_part(_to_unipoly_1d(polys[0]))
+        # the cleared polynomial has a nonzero constant term: a torus part
+        p = _to_unipoly_1d(polys[0])
         if p.degree <= 0:
             out = SolutionSet(2, 0)
             if certify:
@@ -566,7 +488,7 @@ def _solve(data: HomSpaceData, certify: bool, max_rounds: int = 40,
         sf = p.squarefree()
         out = SolutionSet(2, sf.degree, multiplicity_excess=p.degree - sf.degree)
         if certify:
-            _certify_d2(out, sf, system)
+            _certify_d2(out, sf, system, [_ScaledPoly(polys[0])], removed)
         return out
     g1, g2 = polys
     q1, count = _eliminant(g1, g2, 1)
@@ -575,7 +497,7 @@ def _solve(data: HomSpaceData, certify: bool, max_rounds: int = 40,
     if not out.genericity:
         out.warnings.append("eliminations in the two variable orders disagree")
     if certify:
-        _certify_d3(out, g1, g2, q1, q2, system, max_rounds)
+        _certify_d3(out, g1, g2, q1, q2, system, removed, max_rounds)
     return out
 
 
@@ -587,28 +509,24 @@ def _to_unipoly_1d(poly: dict) -> UniPoly:
     return UniPoly(coeffs)
 
 
-def _residual_entry(system, point_or_box, exact: bool) -> dict:
-    if exact:
-        x = list(point_or_box) + [Fraction(1)]
-        res = [f.eval(x) for f in system]
-        assert all(r == 0 for r in res)
-        return {"x": [format_rat(v) for v in point_or_box], "exact": True, "residual": "0"}
-    box = point_or_box
+def _exact_entry(system, x) -> dict:
+    """A rational solution x, checked on the Laurent system."""
+    assert all(f.eval(list(x) + [Fraction(1)]) == 0 for f in system)
+    return {"x": [format_rat(v) for v in x], "exact": True, "residual": "0"}
+
+
+def _box_entry(scaled: Sequence[_ScaledPoly], removed: Sequence[tuple], box) -> dict:
+    """A solution box with a bound on the Laurent residuals over it: f is
+    x^shift times its cleared polynomial (`dehomogenize`), here scaled, and
+    |f| <= |cleared| / min |x^(-shift)| for the negative part of the shift."""
     bounds = []
-    for f in system:
-        poly = {}
-        for a, c in f.terms.items():
-            key = tuple(-ai for ai in a[:-1])
-            poly[key] = poly.get(key, Fraction(0)) + c
-        mins = [min(e[i] for e in poly) for i in range(len(box))]
-        cleared = {tuple(e[i] - mins[i] for i in range(len(box))): c for e, c in poly.items()}
-        iv = _eval_dict_interval(_ScaledPoly(cleared), box)
-        monomial = {tuple(max(0, -m) for m in mins): Fraction(1)}
+    for poly, shift in zip(scaled, removed):
+        iv = _eval_dict_interval(poly, box)
+        monomial = {tuple(max(0, -m) for m in shift): Fraction(1)}
         denom = _eval_dict_interval(_ScaledPoly(monomial), box)
-        # |f| <= |cleared| / min|denom| on a positive box
         scale = min(abs(denom[0]), abs(denom[1]))
-        bound = max(abs(iv[0]), abs(iv[1])) / scale if scale else max(abs(iv[0]), abs(iv[1]))
-        bounds.append(bound)
+        bound = max(abs(iv[0]), abs(iv[1]))
+        bounds.append(bound / scale if scale else bound)
     return {
         "box": [[format_rat(b[0]), format_rat(b[1])] for b in box],
         "exact": False,
@@ -616,20 +534,28 @@ def _residual_entry(system, point_or_box, exact: bool) -> dict:
     }
 
 
-def _certify_d2(base: SolutionSet, sf: UniPoly, system) -> None:
+def _certify_d2(base: SolutionSet, sf: UniPoly, system, scaled: list, removed: list) -> None:
     """Real and positive counts and solutions of the squarefree univariate
-    eliminant sf (degree >= 1)."""
-    base.real_count = sturm_count(sf)
-    base.positive_count = sturm_count(sf, Fraction(0), None)
-    for lo, hi in isolate_real_roots(sf):
+    eliminant sf (degree >= 1, sf(0) != 0), from one isolation.
+
+    The isolation bisects (-B, B] at 0 first, so only an unsplit (-B, B],
+    around the one real root, straddles 0.  sf has the sign of its lead
+    right of that root, so the root is positive iff sf(0) has the other
+    sign."""
+    intervals = isolate_real_roots(sf)
+    base.real_count = len(intervals)
+    base.positive_count = 0
+    for lo, hi in intervals:
+        if lo >= 0:
+            base.positive_count += 1
+        elif hi > 0:
+            base.positive_count += (sf.coeffs[0] > 0) != (sf.coeffs[-1] > 0)
         root = _rational_root_in(sf, lo, hi)
         if root is not None:
-            base.solutions.append(_residual_entry(system, [root], exact=True))
+            base.solutions.append(_exact_entry(system, [root]))
         else:
-            lo2, hi2 = refine_root_interval(sf, lo, hi, Fraction(1, 2**20))
-            base.solutions.append(
-                _residual_entry(system, [(lo2, hi2)], exact=False)
-            )
+            box = [refine_root_interval(sf, lo, hi, Fraction(1, 2**20))]
+            base.solutions.append(_box_entry(scaled, removed, box))
 
 
 def _rational_root_in(p: UniPoly, lo: Fraction, hi: Fraction):
@@ -665,7 +591,7 @@ def _divisors(n: int) -> list:
 
 
 def _certify_d3(base: SolutionSet, g1: dict, g2: dict, q1: UniPoly, q2: UniPoly,
-                system, max_rounds: int) -> None:
+                system, removed: list, max_rounds: int) -> None:
     """Real and positive counts by Krawczyk tests on the boxes that pair a
     real root of the x-eliminant q1 with one of the y-eliminant q2."""
     if q1.degree <= 0 or q2.degree <= 0:
@@ -706,13 +632,11 @@ def _certify_d3(base: SolutionSet, g1: dict, g2: dict, q1: UniPoly, q2: UniPoly,
                     and _eval_dict_exact(s1, [rr1, rr2]) == 0
                     and _eval_dict_exact(s2, [rr1, rr2]) == 0
                 ):
-                    base.solutions.append(_residual_entry(system, [rr1, rr2], exact=True))
+                    base.solutions.append(_exact_entry(system, [rr1, rr2]))
                 else:
                     b1w = refine_root_interval(q1, b1[0], b1[1], Fraction(1, 2**20))
                     b2w = refine_root_interval(q2, b2[0], b2[1], Fraction(1, 2**20))
-                    base.solutions.append(
-                        _residual_entry(system, (b1w, b2w), exact=False)
-                    )
+                    base.solutions.append(_box_entry((s1, s2), removed, (b1w, b2w)))
             elif status == "unknown":
                 base.warnings.append(
                     "cluster separation failure; widened interval left unresolved"

@@ -79,6 +79,23 @@ def test_kaehler_b2_summary(capsys):
 def test_kaehler_b2_out_of_range(capsys):
     code, _, err = run(capsys, "kaehler-b2", "9")
     assert code == 1
+    assert "2 <= d <= 8" in err
+
+
+def test_kaehler_b2_top_of_range(capsys):
+    # values computed through kaehler_b2_polytope, b2_exponent and
+    # marked_census before the command accepted d = 8
+    code, out, _ = run(capsys, "kaehler-b2", "8")
+    assert code == 0
+    assert json.loads(out) == {
+        "d": 8,
+        "facets": 280,
+        "nu": 7526,
+        "b2_exponent": 1,
+        "marked_by_dim": {"2": 55, "3": 34, "4": 157, "5": 127, "6": 67},
+        "marked_total": 440,
+        "test2_count": 4,
+    }
 
 
 def test_analyze_small_fixture(capsys, tmp_path):

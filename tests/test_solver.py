@@ -22,7 +22,9 @@ from einpoly.homspace import (
 )
 from einpoly.infinity import delta_min, flat_complex
 from einpoly.solver import (
+    SolutionSet,
     UnsupportedDimensionError,
+    _certify_d2,
     _eliminant,
     _eval_dict_exact,
     _eval_dict_interval,
@@ -335,6 +337,18 @@ def test_certification_bytes_pinned():
         "no real solution", (2, "exact"), (2, "box"), (3, "exact"), (3, "box"),
         "sign-ambiguous box", "cluster separation failure",
     }
+
+
+def test_d2_positive_count_of_an_unsplit_isolation():
+    # y^3 -+ 2 has one real root, so the isolation returns the Cauchy
+    # interval (-3, 3] unsplit; sf(0) against the lead decides its sign
+    for c0, positive in ((2, 0), (-2, 1)):
+        sf = UniPoly([c0, 0, 0, 1])
+        assert isolate_real_roots(sf) == [(F(-3), F(3))]
+        sol = SolutionSet(2, 3)
+        _certify_d2(sol, sf, [], [_ScaledPoly({(0,): F(c0), (3,): F(1)})], [(0,)])
+        assert (sol.real_count, sol.positive_count) == (1, positive)
+        assert not sol.solutions[0]["exact"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,20 @@
 Random small systems are counted twice: by the resultant/quotient-gcd
 machinery and by an exact shape-position reading of a lex Groebner basis
 computed with sympy.  (sympy.solve itself is not a reliable oracle: it can
-silently drop quartic roots.)
+silently drop quartic roots.)  A digest pins the eliminants and counts of
+a larger seeded set that reaches every branch of the fiber count.
 """
 
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 import sympy
 
-from einpoly.solver import DegenerateSystemError, _count_bivariate
+from einpoly import solver
+from einpoly.exact import bivar_cols
+from einpoly.solver import DegenerateSystemError, _eliminant
 
 X, Y = sympy.symbols("x y")
 
@@ -79,10 +83,11 @@ def test_bivariate_count_matches_groebner_shape_oracle():
         if len(g1) < 2 or len(g2) < 2:
             continue
         try:
-            count, generic = _count_bivariate(g1, g2)
+            _, count = _eliminant(g1, g2, 1)
+            _, count_y = _eliminant(g1, g2, 0)
         except DegenerateSystemError:
             continue
-        if not generic:
+        if count != count_y:
             continue
         expected = _shape_position_count(g1, g2)
         if expected is None:
@@ -97,14 +102,79 @@ def test_fiber_splitting_handles_shared_projections():
     # forces a genuine gcd-degree split over the eliminant root x = 1
     g1 = {(1, 1): F(1), (1, 0): F(-3), (0, 1): F(-1), (0, 0): F(3)}  # (x-1)(y-3)
     g2 = {(0, 2): F(1), (0, 0): F(-1)}  # y^2 - 1
-    count, generic = _count_bivariate(g1, g2)
-    assert generic
-    assert count == 2
+    assert _eliminant(g1, g2, 1)[1] == 2
+    assert _eliminant(g1, g2, 0)[1] == 2
 
 
 def test_common_factor_detected():
     # both polynomials share the factor (x y - 1): infinitely many zeros
     g1 = {(1, 1): F(1), (0, 0): F(-1)}
     g2 = {(2, 2): F(1), (1, 1): F(-1)}
-    with pytest.raises(DegenerateSystemError):
-        _count_bivariate(g1, g2)
+    for axis in (1, 0):
+        with pytest.raises(DegenerateSystemError):
+            _eliminant(g1, g2, axis)
+
+
+def test_zero_fiber_root_over_part_of_the_eliminant():
+    # g1 = (x-1)(x-2), g2 = y(y - x + 1): over x = 1 the only fiber root is
+    # y = 0, which is not a torus point; over x = 2 it is y = 1
+    g1 = {(2, 0): F(1), (1, 0): F(-3), (0, 0): F(2)}
+    g2 = {(0, 2): F(1), (1, 1): F(-1), (0, 1): F(1)}
+    assert _eliminant(g1, g2, 1)[1] == 1
+    assert _eliminant(g1, g2, 0)[1] == 1
+
+
+# sha256 over the outcomes of `_eliminant` in both orders on the systems of
+# `_digest_systems`, generated before the fiber count was rewritten
+ELIMINANT_DIGEST = "04640a7132af9328590ee3e7df490e4e5c988a1b1dcd77541c6e9a9608032eda"
+
+
+def _digest_systems():
+    """200 seeded pairs of bivariate polynomials of total degree <= 3 with
+    coefficients from {1, -1} or {1, 2, 4, -1, -2}: small sets make common
+    factors, shared projections and zero fiber roots frequent."""
+    rng = random.Random(7)
+    for _ in range(200):
+        coeffs = rng.choice(((1, -1), (1, 2, 4, -1, -2)))
+        pair = []
+        while len(pair) < 2:
+            p = {(i, j): F(rng.choice(coeffs))
+                 for i in range(4) for j in range(4 - i) if rng.random() < 0.3}
+            if len(p) >= 2:
+                pair.append(p)
+        yield pair
+
+
+def _zero_root_over_part(g1, g2, axis, h):
+    """Whether the eliminated variable is 0 at a common root over some, but
+    not all, roots of h: 0 < deg gcd(g1|0, g2|0, h) < deg h."""
+    z = bivar_cols(g1, axis)[0].gcd(bivar_cols(g2, axis)[0]).gcd(h)
+    return 0 < z.degree < h.degree
+
+
+def test_eliminant_digest_over_random_systems(monkeypatch):
+    splits = []
+    trim = solver._trim
+
+    def counted(A, h):
+        branches = trim(A, h)
+        splits.append(len(branches) > 1)
+        return branches
+
+    monkeypatch.setattr(solver, "_trim", counted)
+    digest = hashlib.sha256()
+    degenerate = partial = 0
+    for g1, g2 in _digest_systems():
+        for axis in (1, 0):
+            try:
+                h, count = _eliminant(g1, g2, axis)
+            except ValueError as exc:
+                degenerate += isinstance(exc, DegenerateSystemError)
+                digest.update(repr(exc).encode() + b"\n")
+                continue
+            digest.update(repr((h, count)).encode() + b"\n")
+            partial += h.degree > 0 and _zero_root_over_part(g1, g2, axis, h)
+    assert any(splits)
+    assert partial
+    assert degenerate
+    assert digest.hexdigest() == ELIMINANT_DIGEST
