@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 invalid input data, 3 unsupported
 capability (the analysis is still emitted).  Warnings never change the exit
-code.
+code.  Commands raise; `main` turns a usage error (`UsageError`, or an
+OSError on a path) and invalid data (`SchemaError`,
+`DegenerateSpectrumError`) into one line on stderr and the exit code.
 """
 
 from __future__ import annotations
@@ -11,21 +13,26 @@ import argparse
 import json
 import os
 import sys
+from .curvature import check_theta
 from .exact import parse_rat
 from .homspace import (
     DegenerateSpectrumError,
-    HomSpaceData,
     SchemaError,
     catalog_names,
     kaehler_b2_polytope,
     load_catalog,
-    parse,
+    parse_obj,
+    weight_polytope,
 )
 from .infinity import B2NotApplicableError, b2_exponent, delta_min, flat_complex
 from .faces import marked_census
-from .polytope import polytope_from_json
+from .polytope import LatticePolytope, polytope_from_json
 from .report import analyze, render_report, summarize
 from .solver import delannoy, legendre_at_3
+
+
+class UsageError(Exception):
+    """A mistake on the command line: exit 1 with this message."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,35 +42,51 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load_input(path_or_name: str) -> HomSpaceData:
-    if os.path.exists(path_or_name):
-        with open(path_or_name, "r", encoding="utf-8") as fh:
-            return parse(fh.read())
+def _load_input(source: str, polytope: bool = False):
+    """The HomSpaceData in a homspace/v1 file, or of a catalog entry when no
+    such file exists.  With `polytope`, a file may instead hold a polytope
+    document {"vertices": [[int, ...], ...]}; its hull is returned."""
+    if not os.path.exists(source):
+        try:
+            return load_catalog(source)
+        except (KeyError, ValueError):
+            raise UsageError(f"no such file or catalog entry: {source}") from None
     try:
-        return load_catalog(path_or_name)
-    except KeyError:
-        raise FileNotFoundError(path_or_name)
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError("/", str(exc)) from None
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("/", f"invalid JSON: {exc}") from None
+    if not polytope or isinstance(obj, dict) and obj.get("schema") == "homspace/v1":
+        return parse_obj(obj)
+    if not (isinstance(obj, dict) and "vertices" in obj):
+        raise SchemaError("/", "neither a homspace/v1 nor a polytope document")
+    _check_vertices(obj["vertices"])
+    return polytope_from_json(obj)
+
+
+def _check_vertices(points) -> None:
+    """The vertices of a polytope document must be a nonempty list of
+    integer points of one length."""
+    if not (isinstance(points, list) and points):
+        raise SchemaError("/vertices", "must be a nonempty list of points")
+    for i, p in enumerate(points):
+        if not (isinstance(p, list) and all(isinstance(x, int) for x in p)):
+            raise SchemaError(f"/vertices/{i}", "must be a list of integers")
+        if len(p) != len(points[0]):
+            raise SchemaError(f"/vertices/{i}", f"expected {len(points[0])} coordinates")
 
 
 def cmd_analyze(args) -> int:
+    data = _load_input(args.input)
     try:
-        data = _load_input(args.input)
-    except FileNotFoundError:
-        print(f"error: no such file or catalog entry: {args.input}", file=sys.stderr)
-        return 1
-    except (SchemaError, ValueError) as exc:
-        print(f"invalid data: {exc}", file=sys.stderr)
-        return 2
-    try:
-        theta = parse_rat(args.theta)
+        theta = check_theta(parse_rat(args.theta))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        report, solver_exit = analyze(data, theta=theta, solve=not args.no_solve)
-    except (DegenerateSpectrumError, SchemaError) as exc:
-        print(f"invalid data: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from None
+    report, solver_exit = analyze(data, theta=theta, solve=not args.no_solve)
     print(summarize(report))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -76,8 +99,7 @@ def cmd_kaehler_b2(args) -> int:
     try:
         P = kaehler_b2_polytope(d)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise UsageError(str(exc)) from None
     nu = P.normalized_volume()
     try:
         b2 = b2_exponent(P)
@@ -100,8 +122,7 @@ def cmd_kaehler_b2(args) -> int:
 def cmd_delannoy(args) -> int:
     n = args.n
     if n < 0:
-        print("error: n must be nonnegative", file=sys.stderr)
-        return 1
+        raise UsageError("n must be nonnegative")
     value = delannoy(n)
     check = legendre_at_3(n)
     if value != check:
@@ -117,13 +138,11 @@ def cmd_catalog(args) -> int:
             print(name)
         return 0
     if not args.name:
-        print("error: catalog show/export needs a name", file=sys.stderr)
-        return 1
+        raise UsageError("catalog show/export needs a name")
     try:
         data = load_catalog(args.name)
     except (KeyError, ValueError):
-        print(f"error: unknown catalog entry: {args.name}", file=sys.stderr)
-        return 1
+        raise UsageError(f"unknown catalog entry: {args.name}") from None
     if args.action == "show":
         print(f"name: {data.name}")
         print(f"d: {data.d}")
@@ -143,50 +162,15 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_polytope(args) -> int:
-    source = args.input
-    P = None
-    data = None
-    if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            print(f"invalid data: {exc}", file=sys.stderr)
-            return 2
-        if isinstance(obj, dict) and obj.get("schema") == "homspace/v1":
-            try:
-                data = parse(text)
-            except SchemaError as exc:
-                print(f"invalid data: {exc}", file=sys.stderr)
-                return 2
-        elif isinstance(obj, dict) and "vertices" in obj:
-            P = polytope_from_json(obj)
-        else:
-            print("invalid data: neither a homspace/v1 nor a polytope document",
-                  file=sys.stderr)
-            return 2
-    else:
-        try:
-            data = load_catalog(source)
-        except (KeyError, ValueError):
-            print(f"error: no such file or catalog entry: {source}", file=sys.stderr)
-            return 1
-    if P is None:
-        from .homspace import weight_polytope
-
-        try:
-            P = weight_polytope(data)
-        except DegenerateSpectrumError as exc:
-            print(f"invalid data: {exc}", file=sys.stderr)
-            return 2
+    source = _load_input(args.input, polytope=True)
+    if isinstance(source, LatticePolytope):
         if args.min:
-            P = delta_min(P, flat_complex(data))
+            raise UsageError("--min needs spectral data, not a bare polytope")
+        P = source
     else:
+        P = weight_polytope(source)
         if args.min:
-            print("error: --min needs spectral data, not a bare polytope",
-                  file=sys.stderr)
-            return 1
+            P = delta_min(P, flat_complex(source))
     if args.volume:
         print(P.normalized_volume())
     elif args.vertices:
@@ -238,7 +222,14 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (UsageError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (SchemaError, DegenerateSpectrumError) as exc:
+        print(f"invalid data: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,15 +4,20 @@ polynomial algebra.
 Everything here is exact: rationals are `fractions.Fraction`, matrices are
 nested sequences, no floating point anywhere.
 
-Linear algebra uses two eliminations, one per job:
+Elimination has one routine per job:
 
-* over Q, fraction-free Bareiss row reduction (`_bareiss`) gives `rank`,
-  `det` and `solve_unique`;
+* fraction-free Bareiss row reduction (`_bareiss`) runs on integer matrices
+  and, unchanged, on matrices over Q[x].  It returns its pivot columns and
+  gives `rank`, `det`, `solve_unique`, the Sylvester `resultant`, and the
+  start simplex of the double description in `polytope`;
 * over Z, the column Hermite form A U = H (`_column_hnf`) gives the
   saturated kernel, the lattice chart of an affine hull with its lift of
   chart vectors (`LatticeChart`), and `lattice_index`.  The chart factors
   its basis once; the basis is saturated, so the Hermite block it solves
   against is unit lower triangular and back-substitution stays integral.
+
+A polynomial given as a {degree: coefficient} dict becomes a `UniPoly`
+through one conversion, `unipoly`.
 
 Real roots of a univariate polynomial are isolated by Sturm chains and
 refined by bisection on the sign of the polynomial alone.  Both evaluate
@@ -35,17 +40,6 @@ _RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 class DimensionError(ValueError):
     """Matrix or vector dimensions do not fit the operation."""
-
-
-def rat(value) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rat(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
 def parse_rat(text: str) -> Fraction:
@@ -71,8 +65,8 @@ def common_denominator(values: Iterable) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# rational linear algebra: one elimination, fraction-free Bareiss
-# (rank, det, solve_unique)
+# one elimination, fraction-free Bareiss
+# (rank, det, solve_unique; resultant and the double-description start)
 # ---------------------------------------------------------------------------
 
 def _integer_rows(rows: Sequence[Sequence]) -> tuple:
@@ -93,8 +87,11 @@ def _integer_rows(rows: Sequence[Sequence]) -> tuple:
 
 
 def _bareiss(a: list) -> tuple:
-    """Fraction-free (Bareiss) row echelon reduction of an integer matrix,
-    in place.  Returns (rank, sign of the row permutation, last pivot).
+    """Fraction-free (Bareiss) row echelon reduction, in place, of a matrix
+    over an integral domain: integers, or `UniPoly` over Q.  Returns (pivot
+    columns, sign of the row permutation, last pivot); the rank is the
+    number of pivot columns, and column j is one iff it is independent of
+    the columns before it.
 
     After the step with pivot p, every entry below and right of it is a
     minor of the input (Sylvester's identity), so the division by the
@@ -103,10 +100,11 @@ def _bareiss(a: list) -> tuple:
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    rnk = 0
+    pivots = []
     sign = 1
     prev = 1
     for col in range(n):
+        rnk = len(pivots)
         if rnk == m:
             break
         piv = next((r for r in range(rnk, m) if a[r][col]), None)
@@ -123,8 +121,8 @@ def _bareiss(a: list) -> tuple:
             row[col + 1:] = [(p * x - f * y) // prev for x, y in zip(row[col + 1:], top)]
             row[col] = 0
         prev = p
-        rnk += 1
-    return rnk, sign, prev
+        pivots.append(col)
+    return pivots, sign, prev
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
@@ -134,8 +132,8 @@ def det(rows: Sequence[Sequence]) -> Fraction:
     if any(len(r) != n for r in rows):
         raise DimensionError("determinant requires a square matrix")
     a, scale = _integer_rows(rows)
-    rnk, sign, last = _bareiss(a)
-    if rnk < n:
+    pivots, sign, last = _bareiss(a)
+    if len(pivots) < n:
         return Fraction(0)
     return Fraction(sign * last, scale)
 
@@ -144,7 +142,7 @@ def rank(rows: Sequence[Sequence]) -> int:
     """Rank over the rationals."""
     if not rows:
         return 0
-    return _bareiss(_integer_rows(rows)[0])[0]
+    return len(_bareiss(_integer_rows(rows)[0])[0])
 
 
 def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list]:
@@ -152,17 +150,16 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list]:
 
     A may be rectangular (more rows than columns).  The augmented matrix
     [A | b] is scaled to integers row by row, which keeps the solution set,
-    and reduced by Bareiss.  With full column rank the echelon form has its
-    pivots on the diagonal of the first n columns, the system is
-    inconsistent iff the augmented column adds a pivot, and x follows by
-    back-substitution.
+    and reduced by Bareiss.  With full column rank the pivot columns start
+    with 0..n-1, on the diagonal, the system is inconsistent iff the
+    augmented column adds a pivot, and x follows by back-substitution.
     """
     a = _integer_rows([list(r) + [b] for r, b in zip(rows, rhs)])[0]
     n = len(a[0]) - 1
-    rnk = _bareiss(a)[0]
-    if len(a) < n or any(a[i][i] == 0 for i in range(n)):
+    pivots = _bareiss(a)[0]
+    if pivots[:n] != list(range(n)):
         raise DimensionError("matrix does not have full column rank")
-    if rnk > n:
+    if len(pivots) > n:
         return None
     x = [Fraction(0)] * n
     for i in reversed(range(n)):
@@ -180,57 +177,41 @@ def _column_hnf(a: list) -> tuple:
     """Column-style Hermite reduction.
 
     Returns (H, U) with A @ U = H, U unimodular, and H in column echelon
-    form (zero columns pushed right, positive leading entries).
+    form (zero columns pushed right, positive leading entries).  H is kept
+    above U in one list of rows, so each column operation is one loop.
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    h = [list(map(int, row)) for row in a]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_op_swap(i, j):
-        for row in h:
-            row[i], row[j] = row[j], row[i]
-        for row in u:
-            row[i], row[j] = row[j], row[i]
-
-    def col_op_add(i, j, k):
-        # column i += k * column j
-        for row in h:
-            row[i] += k * row[j]
-        for row in u:
-            row[i] += k * row[j]
-
-    def col_op_neg(i):
-        for row in h:
-            row[i] = -row[i]
-        for row in u:
-            row[i] = -row[i]
-
+    hu = [list(map(int, row)) for row in a] + [[int(i == j) for j in range(n)] for i in range(n)]
     r = 0
-    for row_i in range(m):
+    for lead in hu[:m]:
         if r == n:
             break
-        # gcd-reduce entries of row row_i across columns r..n-1
+        # gcd-reduce the entries of this row of H across columns r..n-1
         while True:
-            cols = [c for c in range(r, n) if h[row_i][c] != 0]
+            cols = [c for c in range(r, n) if lead[c]]
             if not cols:
                 break
-            piv = min(cols, key=lambda c: abs(h[row_i][c]))
+            piv = min(cols, key=lambda c: abs(lead[c]))
             if piv != r:
-                col_op_swap(r, piv)
-            if h[row_i][r] < 0:
-                col_op_neg(r)
+                for row in hu:
+                    row[r], row[piv] = row[piv], row[r]
+            if lead[r] < 0:
+                for row in hu:
+                    row[r] = -row[r]
             done = True
-            for c in range(r, n):
-                if c != r and h[row_i][c] != 0:
-                    col_op_add(c, r, -(h[row_i][c] // h[row_i][r]))
-                    if h[row_i][c] != 0:
+            for c in range(r + 1, n):
+                if lead[c]:
+                    k = lead[c] // lead[r]
+                    for row in hu:
+                        row[c] -= k * row[r]
+                    if lead[c]:
                         done = False
             if done:
                 break
-        if h[row_i][r] != 0:
+        if lead[r]:
             r += 1
-    return h, u
+    return hu[:m], hu[m:]
 
 
 def integer_kernel_basis(rows: Sequence[Sequence[int]]) -> list:
@@ -434,9 +415,13 @@ class UniPoly:
             rem.pop()
         return UniPoly(q), UniPoly(rem)
 
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
+    def __floordiv__(self, other) -> "UniPoly":
+        """Exact division by a UniPoly or a nonzero rational; raises on a
+        nonzero remainder."""
+        if not isinstance(other, UniPoly):
+            return UniPoly([c / other for c in self.coeffs])
         q, r = self.divmod(other)
-        if not r.is_zero():
+        if r:
             raise ArithmeticError("division was not exact")
         return q
 
@@ -453,12 +438,6 @@ class UniPoly:
         if self.is_zero():
             return self
         return UniPoly([c / self.coeffs[-1] for c in self.coeffs])
-
-    def shift_coeff(self, k: int) -> "UniPoly":
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        return UniPoly([Fraction(0)] * k + list(self.coeffs))
 
     def strip_x_power(self) -> tuple:
         """Return (k, p) with self = x**k * p and p(0) != 0."""
@@ -485,7 +464,7 @@ class UniPoly:
         g = self.gcd(self.derivative())
         if g.degree <= 0:
             return self.monic()
-        return self.exact_div(g).monic()
+        return (self // g).monic()
 
     def cauchy_root_bound(self) -> Fraction:
         """All real roots lie in (-B, B]."""
@@ -494,6 +473,14 @@ class UniPoly:
         lead = abs(self.coeffs[-1])
         m = max(abs(c) for c in self.coeffs[:-1])
         return Fraction(1) + m / lead
+
+
+def unipoly(terms: dict) -> UniPoly:
+    """The UniPoly with coefficient c at degree k for each {k: c}."""
+    coeffs = [0] * (max(terms, default=-1) + 1)
+    for k, c in terms.items():
+        coeffs[k] = c
+    return UniPoly(coeffs)
 
 
 def sign_at(c: Sequence[int], n: int, d: int) -> int:
@@ -623,51 +610,23 @@ class DegenerateEliminationError(ValueError):
     """Both inputs are constant in the eliminated variable."""
 
 
-def _bareiss_det_poly(mat: list) -> UniPoly:
-    """Bareiss fraction-free determinant over Q[x] (entries UniPoly)."""
-    n = len(mat)
-    a = [row[:] for row in mat]
-    sign = 1
-    prev = UniPoly.const(1)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            piv = next((r for r in range(k + 1, n) if not a[r][k].is_zero()), None)
-            if piv is None:
-                return UniPoly()
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = UniPoly()
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return result if sign == 1 else -result
-
-
 def bivar_cols(poly: dict, axis: int) -> list:
     """Coefficient list of a bivariate polynomial {(i, j): c} in the variable
     `axis`, entries UniPoly in the other one: the input form of
     `resultant`."""
-    other = 1 - axis
-    deg_main = max(e[axis] for e in poly)
-    deg_other = max(e[other] for e in poly)
-    cols = []
-    for j in range(deg_main + 1):
-        coeffs = [Fraction(0)] * (deg_other + 1)
-        for e, c in poly.items():
-            if e[axis] == j:
-                coeffs[e[other]] = c
-        cols.append(UniPoly(coeffs))
-    return cols
+    cols = [{} for _ in range(max(e[axis] for e in poly) + 1)]
+    for e, c in poly.items():
+        cols[e[axis]][e[1 - axis]] = c
+    return [unipoly(col) for col in cols]
 
 
 def resultant(p: Sequence[UniPoly], q: Sequence[UniPoly]) -> UniPoly:
     """Resultant in y of two polynomials given as y-coefficient lists over
     Q[x]; returns a polynomial in x.
 
-    Computed as the Sylvester determinant with fraction-free elimination.
+    Computed as the Sylvester determinant by `_bareiss` over Q[x].  When one
+    input is constant in y the matrix is diagonal and the determinant is
+    that constant to the degree of the other.
     """
     pc = list(p)
     qc = list(q)
@@ -681,23 +640,11 @@ def resultant(p: Sequence[UniPoly], q: Sequence[UniPoly]) -> UniPoly:
         return UniPoly()
     if m == 0 and n == 0:
         raise DegenerateEliminationError("both inputs constant in the eliminated variable")
-    if m == 0:
-        out = UniPoly.const(1)
-        for _ in range(n):
-            out = out * pc[0]
-        return out
-    if n == 0:
-        out = UniPoly.const(1)
-        for _ in range(m):
-            out = out * qc[0]
-        return out
     size = m + n
-    zero = UniPoly()
-    mat = [[zero] * size for _ in range(size)]
+    mat = [[UniPoly()] * size for _ in range(size)]
     for row in range(n):
-        for i, c in enumerate(reversed(pc)):
-            mat[row][row + i] = c
+        mat[row][row:row + m + 1] = reversed(pc)
     for row in range(m):
-        for i, c in enumerate(reversed(qc)):
-            mat[n + row][row + i] = c
-    return _bareiss_det_poly(mat)
+        mat[n + row][row:row + n + 1] = reversed(qc)
+    pivots, sign, last = _bareiss(mat)
+    return sign * last if len(pivots) == size else UniPoly()

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .curvature import LaurentPoly, restrict_to_face
-from .exact import DegenerateEliminationError, LatticeChart, UniPoly, bivar_cols, det, resultant
+from .exact import DegenerateEliminationError, LatticeChart, bivar_cols, det, resultant, unipoly
 from .polytope import Face, LatticePolytope, apexes, basis_points_on, is_cross_polytope
 
 SINGULAR = "singular"
@@ -93,12 +93,6 @@ class MarkedFaceCensus:
     polytope: LatticePolytope
     entries: List[CensusEntry]
     applicable: bool
-
-    def by_dim(self) -> Dict[int, List[CensusEntry]]:
-        out: Dict[int, List[CensusEntry]] = {}
-        for e in self.entries:
-            out.setdefault(e.dim, []).append(e)
-        return out
 
     def marked_by_dim(self) -> Dict[int, int]:
         out: Dict[int, int] = {}
@@ -239,18 +233,8 @@ def curve_singular(s: LaurentPoly, face: Face) -> str:
 
 
 def _univariate_singular(poly: dict) -> str:
-    xs = sorted({e[0] for e in poly})
-    ys = sorted({e[1] for e in poly})
-    if len(ys) == 1:
-        coeffs = [Fraction(0)] * (max(xs) + 1)
-        for (i, _j), c in poly.items():
-            coeffs[i] = c
-        p = UniPoly(coeffs)
-    else:
-        coeffs = [Fraction(0)] * (max(ys) + 1)
-        for (_i, j), c in poly.items():
-            coeffs[j] = c
-        p = UniPoly(coeffs)
+    axis = 0 if len({e[1] for e in poly}) == 1 else 1
+    p = unipoly({e[axis]: c for e, c in poly.items()})
     _, pt = p.strip_x_power()
     g = pt.gcd(pt.derivative())
     gt_deg = g.strip_x_power()[1].degree

@@ -40,6 +40,7 @@ from typing import Iterable, Optional, Tuple
 from .exact import (
     DimensionError,
     LatticeChart,
+    _bareiss,
     det,
     integer_kernel_basis,
     primitive,
@@ -84,27 +85,19 @@ def _bits(mask: int) -> list:
 # ---------------------------------------------------------------------------
 
 def _initial_rays(constraints: list, m: int) -> tuple:
-    """Pick m independent constraints and return their simplicial cone rays."""
-    chosen = []
-    idx = []
-    for i, c in enumerate(constraints):
-        if rank(chosen + [c]) > len(chosen):
-            chosen.append(c)
-            idx.append(i)
-            if len(chosen) == m:
-                break
-    if len(chosen) < m:
+    """The first m independent constraints, the pivot columns of one
+    elimination with the constraints as columns, and their simplicial cone
+    rays."""
+    idx = _bareiss([list(col) for col in zip(*constraints)])[0]
+    if len(idx) < m:
         raise DimensionError("constraint matrix is rank deficient")
+    chosen = [constraints[i] for i in idx]
     # rays r_j with <c_i, r_j> = 0 for i != j and > 0 for i == j
     rays = []
-    for j in range(m):
-        cols = [[Fraction(chosen[i][k]) for k in range(m)] for i in range(m) if i != j]
-        kern = integer_kernel_basis([[int(x) for x in row] for row in cols]) if cols else []
-        if cols:
-            r = kern[0]
-        else:
-            r = [1] * m
-        if _dot(chosen[j], r) < 0:
+    for j, c in enumerate(chosen):
+        others = chosen[:j] + chosen[j + 1:]
+        r = integer_kernel_basis(others)[0] if others else [1]
+        if _dot(c, r) < 0:
             r = [-x for x in r]
         rays.append(primitive(r))
     return rays, idx

@@ -48,6 +48,7 @@ from .exact import (
     refine_root_interval,
     resultant,
     sign_at,
+    unipoly,
 )
 from .homspace import HomSpaceData, weight_polytope
 from .infinity import FlatComplex, delta_min, flat_complex
@@ -154,7 +155,7 @@ def _trim(A: list, h: UniPoly) -> list:
     g = A[-1].gcd(h)
     if g.degree == 0:
         return [(h, A)]
-    return _trim(A, h.exact_div(g).monic()) + _trim(A, g)
+    return _trim(A, (h // g).monic()) + _trim(A, g)
 
 
 def _poly_mod(A: list, B: list, h: UniPoly) -> list:
@@ -479,7 +480,7 @@ def _solve(data: HomSpaceData, certify: bool, max_rounds: int = 40,
     polys, removed = dehomogenize(system)
     if data.d == 2:
         # the cleared polynomial has a nonzero constant term: a torus part
-        p = _to_unipoly_1d(polys[0])
+        p = unipoly({e[0]: c for e, c in polys[0].items()})
         if p.degree <= 0:
             out = SolutionSet(2, 0)
             if certify:
@@ -499,14 +500,6 @@ def _solve(data: HomSpaceData, certify: bool, max_rounds: int = 40,
     if certify:
         _certify_d3(out, g1, g2, q1, q2, system, removed, max_rounds)
     return out
-
-
-def _to_unipoly_1d(poly: dict) -> UniPoly:
-    deg = max(e[0] for e in poly)
-    coeffs = [Fraction(0)] * (deg + 1)
-    for e, c in poly.items():
-        coeffs[e[0]] = c
-    return UniPoly(coeffs)
 
 
 def _exact_entry(system, x) -> dict:

@@ -149,3 +149,39 @@ def test_analyze_theta_flag(capsys, tmp_path):
                      "--json", str(out_path))
     assert code == 0
     assert json.loads(out_path.read_text())["theta"] == "1/2"
+
+
+# Each failure the command line can meet on bad input: exit code and the
+# start of its one stderr line.  Paths are relative to a directory holding
+# the malformed documents below.
+_MALFORMED = {
+    "mixed.json": b'{"vertices": [[1, 0], [0, 1, 0]]}',
+    "empty.json": b'{"vertices": []}',
+    "text.json": b'{"vertices": [["a", 1]]}',
+    "binary.json": b'\xff\xfe{"vertices": []}',
+}
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["polytope", "mixed.json"], 2, "invalid data: /vertices/1"),
+    (["polytope", "empty.json"], 2, "invalid data: /vertices"),
+    (["polytope", "text.json"], 2, "invalid data: /vertices/0"),
+    (["polytope", "binary.json"], 2, "invalid data: /: "),
+    (["analyze", "binary.json"], 2, "invalid data: /: "),
+    (["analyze", "."], 1, "error: "),
+    (["polytope", "."], 1, "error: "),
+    (["analyze", "su3_t2", "--no-solve", "--json", "missing/x.json"], 1, "error: "),
+    (["analyze", "jordan_4"], 1, "error: no such file or catalog entry: jordan_4"),
+    (["polytope", "jordan_4"], 1, "error: no such file or catalog entry: jordan_4"),
+    (["catalog", "show", "jordan_4"], 1, "error: unknown catalog entry: jordan_4"),
+    (["analyze", "su3_t2", "--theta", "2"], 1, "error: theta must satisfy |theta| < 1"),
+    (["analyze", "su3_t2", "--theta", "-1"], 1, "error: theta must satisfy |theta| < 1"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_failures_exit_with_one_line(capsys, tmp_path, monkeypatch, argv, code, prefix):
+    for name, raw in _MALFORMED.items():
+        (tmp_path / name).write_bytes(raw)
+    monkeypatch.chdir(tmp_path)
+    got, _, err = run(capsys, *argv)
+    assert got == code
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -14,6 +14,8 @@ from einpoly.exact import (
     DimensionError,
     LatticeChart,
     UniPoly,
+    _column_hnf,
+    bivar_cols,
     det,
     integer_kernel_basis,
     isolate_real_roots,
@@ -25,6 +27,7 @@ from einpoly.exact import (
     resultant,
     solve_unique,
     sturm_count,
+    unipoly,
 )
 
 # ---------------------------------------------------------------------------
@@ -176,6 +179,70 @@ def test_empty_matrices():
 # ---------------------------------------------------------------------------
 # lattice index and the lattice chart
 # ---------------------------------------------------------------------------
+
+
+def reference_column_hnf(a):
+    """Column Hermite reduction with each column operation applied to H
+    and to U by its own closure, as the reduction was first written."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    h = [list(map(int, row)) for row in a]
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def col_op_swap(i, j):
+        for row in h:
+            row[i], row[j] = row[j], row[i]
+        for row in u:
+            row[i], row[j] = row[j], row[i]
+
+    def col_op_add(i, j, k):
+        for row in h:
+            row[i] += k * row[j]
+        for row in u:
+            row[i] += k * row[j]
+
+    def col_op_neg(i):
+        for row in h:
+            row[i] = -row[i]
+        for row in u:
+            row[i] = -row[i]
+
+    r = 0
+    for row_i in range(m):
+        if r == n:
+            break
+        while True:
+            cols = [c for c in range(r, n) if h[row_i][c] != 0]
+            if not cols:
+                break
+            piv = min(cols, key=lambda c: abs(h[row_i][c]))
+            if piv != r:
+                col_op_swap(r, piv)
+            if h[row_i][r] < 0:
+                col_op_neg(r)
+            done = True
+            for c in range(r, n):
+                if c != r and h[row_i][c] != 0:
+                    col_op_add(c, r, -(h[row_i][c] // h[row_i][r]))
+                    if h[row_i][c] != 0:
+                        done = False
+            if done:
+                break
+        if h[row_i][r] != 0:
+            r += 1
+    return h, u
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda m: st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                           min_size=m, max_size=m))))
+@settings(max_examples=300, deadline=None)
+def test_column_hnf_matches_reference(a):
+    # H and U entry for entry: LatticeChart.lift takes its particular
+    # solution from them
+    h, u = _column_hnf(a)
+    assert (h, u) == reference_column_hnf(a)
 
 
 def test_lattice_index_diagonal():
@@ -377,6 +444,81 @@ def test_resultant_rejects_double_constants():
         resultant([_c(3)], [_c(5)])
 
 
+def reference_bareiss_det_poly(mat):
+    """Bareiss determinant over Q[x], written for UniPoly entries."""
+    n = len(mat)
+    a = [row[:] for row in mat]
+    sign = 1
+    prev = UniPoly.const(1)
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            piv = next((r for r in range(k + 1, n) if not a[r][k].is_zero()), None)
+            if piv is None:
+                return UniPoly()
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
+            a[i][k] = UniPoly()
+        prev = a[k][k]
+    result = a[n - 1][n - 1]
+    return result if sign == 1 else -result
+
+
+def reference_resultant(p, q):
+    """Sylvester resultant with a power loop when one side is constant in
+    the eliminated variable, and the Q[x] Bareiss determinant otherwise."""
+    pc, qc = list(p), list(q)
+    while pc and pc[-1].is_zero():
+        pc.pop()
+    while qc and qc[-1].is_zero():
+        qc.pop()
+    m, n = len(pc) - 1, len(qc) - 1
+    if m < 0 or n < 0:
+        return UniPoly()
+    if m == 0 and n == 0:
+        raise DegenerateEliminationError("both constant")
+    if m == 0 or n == 0:
+        base, times = (pc[0], n) if m == 0 else (qc[0], m)
+        out = UniPoly.const(1)
+        for _ in range(times):
+            out = out * base
+        return out
+    size = m + n
+    mat = [[UniPoly()] * size for _ in range(size)]
+    for row in range(n):
+        for i, c in enumerate(reversed(pc)):
+            mat[row][row + i] = c
+    for row in range(m):
+        for i, c in enumerate(reversed(qc)):
+            mat[n + row][row + i] = c
+    return reference_bareiss_det_poly(mat)
+
+
+# y-coefficients over Q[x]: zero entries are drawn often, so leading zeros,
+# zero pivots (row swaps) and inputs constant in y all occur
+_x_poly = st.one_of(
+    st.just(UniPoly()),
+    st.integers(-3, 3).map(UniPoly.const),
+    st.lists(st.integers(-3, 3), max_size=3).map(UniPoly),
+)
+_bivariate = st.integers(min_value=0, max_value=3).flatmap(
+    lambda k: st.lists(_x_poly, min_size=k + 1, max_size=k + 1))
+
+
+@given(_bivariate, _bivariate)
+@settings(max_examples=400, deadline=None)
+def test_resultant_matches_reference(p, q):
+    try:
+        expected = reference_resultant(p, q)
+    except DegenerateEliminationError:
+        with pytest.raises(DegenerateEliminationError):
+            resultant(p, q)
+        return
+    assert resultant(p, q) == expected
+
+
 def _interp(points):
     """Lagrange interpolation through exact (x, y) samples."""
     out = UniPoly()
@@ -440,6 +582,54 @@ def test_resultant_vanishes_iff_common_root():
             qu = UniPoly([c(x1) for c in q])
             g = pu.gcd(qu)
             assert (r(x1) == 0) == (g.degree > 0)
+
+
+def reference_bivar_cols(poly, axis):
+    """Dense coefficient columns, one scan over the terms per column."""
+    other = 1 - axis
+    cols = []
+    for j in range(max(e[axis] for e in poly) + 1):
+        coeffs = [F(0)] * (max(e[other] for e in poly) + 1)
+        for e, c in poly.items():
+            if e[axis] == j:
+                coeffs[e[other]] = c
+        cols.append(UniPoly(coeffs))
+    return cols
+
+
+_bivariate_terms = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    min_size=1, max_size=8)
+
+
+@given(_bivariate_terms, st.sampled_from([0, 1]))
+@settings(max_examples=200, deadline=None)
+def test_bivar_cols_matches_dense_builder(poly, axis):
+    assert bivar_cols(poly, axis) == reference_bivar_cols(poly, axis)
+
+
+def reference_dense(terms):
+    """Dense Fraction coefficients up to the top degree, then UniPoly."""
+    coeffs = [F(0)] * (max(terms) + 1)
+    for k, c in terms.items():
+        coeffs[k] = c
+    return UniPoly(coeffs)
+
+
+@given(st.dictionaries(st.integers(0, 8),
+                       st.one_of(st.integers(-5, 5),
+                                 st.fractions(min_value=-5, max_value=5, max_denominator=4)),
+                       min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_unipoly_matches_dense_builder(terms):
+    p = unipoly(terms)
+    assert p == reference_dense(terms)
+    assert all(isinstance(c, F) for c in p.coeffs)
+
+
+def test_unipoly_of_no_terms_is_zero():
+    assert unipoly({}) == UniPoly() and unipoly({3: 0}) == UniPoly()
 
 
 # ---------------------------------------------------------------------------

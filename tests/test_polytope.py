@@ -684,3 +684,77 @@ def test_hull_matches_reference_hull_on_catalog(key):
     for P in kernel_polytopes(key):
         Q = hull(P.vertices)
         assert (Q.vertices, Q.facets, Q.affine_hull, Q.dim) == reference_hull(P.vertices)
+
+
+# ---------------------------------------------------------------------------
+# the double-description start simplex against the greedy rank scan
+# ---------------------------------------------------------------------------
+
+
+def reference_initial_rays(constraints, m):
+    """The first m independent constraints by one rank test per scanned
+    constraint, and the rays of their simplicial cone."""
+    chosen, idx = [], []
+    for i, c in enumerate(constraints):
+        if rank(chosen + [c]) > len(chosen):
+            chosen.append(c)
+            idx.append(i)
+            if len(chosen) == m:
+                break
+    if len(chosen) < m:
+        raise DimensionError("constraint matrix is rank deficient")
+    rays = []
+    for j in range(m):
+        cols = [[F(chosen[i][k]) for k in range(m)] for i in range(m) if i != j]
+        r = integer_kernel_basis([[int(x) for x in row] for row in cols])[0] if cols else [1] * m
+        if dot(chosen[j], r) < 0:
+            r = [-x for x in r]
+        rays.append(primitive(r))
+    return rays, idx
+
+
+@pytest.mark.parametrize("key", list(KERNEL_CATALOG) + [f"kaehler_{d}" for d in range(2, 7)])
+def test_initial_rays_match_greedy_rank_scan(monkeypatch, key):
+    seen = []
+    initial_rays = polytope._initial_rays
+
+    def recorded(constraints, m):
+        seen.append((constraints, m))
+        return initial_rays(constraints, m)
+
+    monkeypatch.setattr(polytope, "_initial_rays", recorded)
+    kernel_polytopes(key)
+    assert seen
+    for constraints, m in seen:
+        assert initial_rays(constraints, m) == reference_initial_rays(constraints, m)
+
+
+def test_initial_rays_skip_dependent_constraints():
+    # zero rows, multiples and sums of earlier rows ahead of and between the
+    # independent ones; some sets stay rank deficient
+    rng = random.Random(808)
+    deficient = 0
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        constraints = []
+        for _ in range(rng.randint(1, m + 3)):
+            kind = rng.random()
+            if kind < 0.2:
+                constraints.append([0] * m)
+            elif kind < 0.45 and constraints:
+                c = rng.choice(constraints)
+                constraints.append([rng.choice([-2, -1, 2, 3]) * x for x in c])
+            elif kind < 0.6 and len(constraints) >= 2:
+                a, b = rng.sample(constraints, 2)
+                constraints.append([x + y for x, y in zip(a, b)])
+            else:
+                constraints.append([rng.randint(-3, 3) for _ in range(m)])
+        try:
+            expected = reference_initial_rays(constraints, m)
+        except DimensionError:
+            deficient += 1
+            with pytest.raises(DimensionError):
+                polytope._initial_rays(constraints, m)
+            continue
+        assert polytope._initial_rays(constraints, m) == expected
+    assert 0 < deficient < 300
