@@ -13,6 +13,8 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
+
 from .curvature import check_theta
 from .exact import parse_rat
 from .homspace import (
@@ -86,10 +88,18 @@ def cmd_analyze(args) -> int:
         theta = check_theta(parse_rat(args.theta))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    report, solver_exit = analyze(data, theta=theta, solve=not args.no_solve)
-    print(summarize(report))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+    # the report path is opened first, so a bad path fails before the run;
+    # a run that fails removes it again rather than leave an empty report
+    with open(args.json, "w", encoding="utf-8") if args.json else nullcontext() as fh:
+        try:
+            report, solver_exit = analyze(data, theta=theta, solve=not args.no_solve)
+        except BaseException:
+            if fh is not None:
+                fh.close()
+                os.remove(args.json)
+            raise
+        print(summarize(report))
+        if fh is not None:
             fh.write(render_report(report) + "\n")
     return solver_exit
 

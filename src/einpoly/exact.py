@@ -7,9 +7,11 @@ nested sequences, no floating point anywhere.
 Elimination has one routine per job:
 
 * fraction-free Bareiss row reduction (`_bareiss`) runs on integer matrices
-  and, unchanged, on matrices over Q[x].  It returns its pivot columns and
-  gives `rank`, `det`, `solve_unique`, the Sylvester `resultant`, and the
-  start simplex of the double description in `polytope`;
+  and, unchanged, on matrices over Z[x] (`ZPoly`).  It returns its pivot
+  columns and gives `rank`, `det`, `solve_unique`, the Sylvester
+  `resultant` (an integer determinant over Z[x]: each input is cleared of
+  denominators once and the scale divided out at the end), and the start
+  simplex of the double description in `polytope`;
 * over Z, the column Hermite form A U = H (`_column_hnf`) gives the
   saturated kernel, the lattice chart of an affine hull with its lift of
   chart vectors (`LatticeChart`), and `lattice_index`.  The chart factors
@@ -17,7 +19,10 @@ Elimination has one routine per job:
   against is unit lower triangular and back-substitution stays integral.
 
 A polynomial given as a {degree: coefficient} dict becomes a `UniPoly`
-through one conversion, `unipoly`.
+through one conversion, `unipoly`; a list of `UniPoly` becomes integer
+polynomials over one denominator through `clear_denominators`.  Besides the
+exact division `_bareiss` needs, `ZPoly` has the pseudo-remainder and the
+primitive gcd, which the d = 3 fiber gcds of `solver` run on.
 
 Real roots of a univariate polynomial are isolated by Sturm chains and
 refined by bisection on the sign of the polynomial alone.  Both evaluate
@@ -88,7 +93,7 @@ def _integer_rows(rows: Sequence[Sequence]) -> tuple:
 
 def _bareiss(a: list) -> tuple:
     """Fraction-free (Bareiss) row echelon reduction, in place, of a matrix
-    over an integral domain: integers, or `UniPoly` over Q.  Returns (pivot
+    over an integral domain: integers, or `ZPoly` over Z[x].  Returns (pivot
     columns, sign of the row permutation, last pivot); the rank is the
     number of pivot columns, and column j is one iff it is independent of
     the columns before it.
@@ -451,20 +456,18 @@ class UniPoly:
         return k, UniPoly(cs)
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        a, b = self, other
-        while not b.is_zero():
-            _, r = a.divmod(b)
-            a, b = b, r
-        return a.monic() if not a.is_zero() else a
+        """The monic gcd (zero for two zeros): the primitive integer gcd
+        (`ZPoly.gcd`) of the two over a common denominator, made monic."""
+        (a, b), _ = clear_denominators((self, other))
+        return UniPoly(a.gcd(b).coeffs).monic()
 
     def squarefree(self) -> "UniPoly":
-        """Squarefree part p / gcd(p, p')."""
+        """Squarefree part p / gcd(p, p'), monic, by the primitive integer
+        gcd and an exact quotient in Z[x]."""
         if self.is_zero():
             raise ValueError("zero polynomial has no squarefree part")
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self.monic()
-        return (self // g).monic()
+        (p, dp), _ = clear_denominators((self, self.derivative()))
+        return UniPoly((p // p.gcd(dp)).coeffs).monic()
 
     def cauchy_root_bound(self) -> Fraction:
         """All real roots lie in (-B, B]."""
@@ -481,6 +484,140 @@ def unipoly(terms: dict) -> UniPoly:
     for k, c in terms.items():
         coeffs[k] = c
     return UniPoly(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# univariate polynomials over Z
+# ---------------------------------------------------------------------------
+
+class ZPoly:
+    """Dense univariate polynomial with integer coefficients, ascending.
+
+    Z[x] is an integral domain with exact division, which is all `_bareiss`
+    needs.  `prem` and `gcd` are the pseudo-remainder and the primitive gcd
+    of the fiber gcds in `solver`.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = list(coeffs)
+        while cs and not cs[-1]:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __repr__(self):
+        return f"ZPoly({list(self.coeffs)})"
+
+    def __sub__(self, other):
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return ZPoly(out)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return ZPoly([c * other for c in self.coeffs])
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return ZPoly()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return ZPoly(out)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other) -> "ZPoly":
+        """Exact quotient by a nonzero integer or ZPoly; raises
+        ArithmeticError on a nonzero remainder."""
+        if isinstance(other, int):
+            if any(c % other for c in self.coeffs):
+                raise ArithmeticError("division was not exact")
+            return ZPoly([c // other for c in self.coeffs])
+        b = other.coeffs
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        db = len(b) - 1
+        lead = b[-1]
+        rem = list(self.coeffs)
+        q = [0] * max(0, len(rem) - db)
+        for s in reversed(range(len(q))):
+            t, r = divmod(rem[s + db], lead)
+            if r:
+                raise ArithmeticError("division was not exact")
+            q[s] = t
+            if t:
+                for i in range(db):
+                    rem[s + i] -= t * b[i]
+        if any(rem[:db]):
+            raise ArithmeticError("division was not exact")
+        return ZPoly(q)
+
+    def prem(self, other: "ZPoly") -> "ZPoly":
+        """The pseudo-remainder lead(other)^k * self mod other, with
+        k = max(0, deg self - deg other + 1): the remainder over Q times a
+        nonzero integer, found without division.  Each of the k steps
+        multiplies by lead(other) and cancels the top coefficient."""
+        b = other.coeffs
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        db = len(b) - 1
+        lead = b[-1]
+        rem = list(self.coeffs)
+        for s in reversed(range(len(rem) - db)):
+            t = rem[-1]
+            rem = [lead * c for c in rem[:-1]]
+            if t:
+                for i in range(db):
+                    rem[s + i] -= t * b[i]
+        return ZPoly(rem)
+
+    def primitive(self) -> "ZPoly":
+        """self over the gcd of its coefficients, with a positive lead; the
+        zero polynomial stays zero."""
+        cs = self.coeffs
+        if not cs:
+            return self
+        g = gcd(*cs)
+        if cs[-1] < 0:
+            g = -g
+        return self if g == 1 else ZPoly([c // g for c in cs])
+
+    def gcd(self, other: "ZPoly") -> "ZPoly":
+        """The primitive gcd: by Gauss's lemma the gcd over Q, scaled to a
+        primitive integer polynomial with a positive lead, found by the
+        primitive remainder sequence; zero for two zeros."""
+        a, b = self.primitive(), other.primitive()
+        if a.degree < b.degree:
+            a, b = b, a
+        while b:
+            a, b = b, a.prem(b).primitive()
+        return a
+
+
+def clear_denominators(polys: Sequence[UniPoly]) -> tuple:
+    """UniPolys over their least common denominator D > 0: (the ZPoly
+    numerators, D)."""
+    nums, den = common_denominator(c for p in polys for c in p.coeffs)
+    out = []
+    start = 0
+    for p in polys:
+        stop = start + len(p.coeffs)
+        out.append(ZPoly(nums[start:stop]))
+        start = stop
+    return out, den
 
 
 def sign_at(c: Sequence[int], n: int, d: int) -> int:
@@ -624,7 +761,10 @@ def resultant(p: Sequence[UniPoly], q: Sequence[UniPoly]) -> UniPoly:
     """Resultant in y of two polynomials given as y-coefficient lists over
     Q[x]; returns a polynomial in x.
 
-    Computed as the Sylvester determinant by `_bareiss` over Q[x].  When one
+    Each input is cleared of denominators once, p = P / d1 and q = Q / d2
+    with P, Q over Z[x], and the Sylvester determinant of P and Q is taken
+    by `_bareiss` over Z[x].  It has n rows of P and m of Q (m, n the
+    degrees in y of p, q), so res(p, q) = res(P, Q) / (d1^n d2^m).  When one
     input is constant in y the matrix is diagonal and the determinant is
     that constant to the degree of the other.
     """
@@ -640,11 +780,15 @@ def resultant(p: Sequence[UniPoly], q: Sequence[UniPoly]) -> UniPoly:
         return UniPoly()
     if m == 0 and n == 0:
         raise DegenerateEliminationError("both inputs constant in the eliminated variable")
+    (pc, d1), (qc, d2) = clear_denominators(pc), clear_denominators(qc)
     size = m + n
-    mat = [[UniPoly()] * size for _ in range(size)]
+    mat = [[ZPoly()] * size for _ in range(size)]
     for row in range(n):
         mat[row][row:row + m + 1] = reversed(pc)
     for row in range(m):
         mat[n + row][row:row + n + 1] = reversed(qc)
     pivots, sign, last = _bareiss(mat)
-    return sign * last if len(pivots) == size else UniPoly()
+    if len(pivots) < size:
+        return UniPoly()
+    scale = d1**n * d2**m
+    return UniPoly([Fraction(sign * c, scale) for c in last.coeffs])

@@ -11,6 +11,7 @@ derives constants from root systems; catalog entries carry fixed values.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -444,6 +445,13 @@ _STATIC_ENTRIES = (
 
 _ALIASES = {"wang_ziller": "wang_ziller_killing"}
 
+# generator families: the whole name must match, with integer parameters
+_FAMILIES = (
+    (re.compile(r"jordan_product_([0-9]+)_([0-9]+)"), jordan_product),
+    (re.compile(r"jordan_([0-9]+)"), jordan_space),
+    (re.compile(r"product_of_irreducibles_([0-9]+)"), product_of_irreducibles),
+)
+
 
 def catalog_names() -> list:
     """Names resolvable by load_catalog (static entries plus generator
@@ -462,17 +470,14 @@ def catalog_names() -> list:
 
 
 def load_catalog(name: str) -> HomSpaceData:
-    """Load a catalog fixture by name."""
+    """Load a catalog fixture by name; KeyError for a name that is neither
+    a static entry nor a generator family with integer parameters."""
     name = _ALIASES.get(name, name)
     if name in _STATIC_ENTRIES:
         text = resources.files("einpoly.catalog").joinpath(f"{name}.json").read_text()
         return parse(text)
-    if name.startswith("jordan_product_"):
-        _, _, rest = name.partition("jordan_product_")
-        p, q = (int(x) for x in rest.split("_"))
-        return jordan_product(p, q)
-    if name.startswith("jordan_"):
-        return jordan_space(int(name.split("_")[1]))
-    if name.startswith("product_of_irreducibles_"):
-        return product_of_irreducibles(int(name.rsplit("_", 1)[1]))
+    for pattern, build in _FAMILIES:
+        match = pattern.fullmatch(name)
+        if match:
+            return build(*map(int, match.groups()))
     raise KeyError(f"unknown catalog entry: {name}")

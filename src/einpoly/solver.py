@@ -9,12 +9,22 @@ count is exact without any root approximation.  Real and positive counts
 are certified by Sturm isolation plus an interval Newton (Krawczyk)
 operator over exact rational intervals.
 
+The elimination runs in integers.  The resultant is an integer Sylvester
+determinant over Z[x] (`exact.resultant`), and the fiber gcds work in
+(Z[x]/(H))[y], H the primitive integer multiple of h.  A y-coefficient
+list is reduced mod H with one power of lead(H) for all its entries and
+divided by its integer content (`_reduce`); a remainder step is the
+pseudo-remainder step lead(B) rem - lead(rem) y^s B.  Both multiply by a
+unit of Q[x]/(h), which changes no zero test and no gcd degree, so no
+modular inverse is needed.
+
 The splitting is one recursion (`_trim`): reduce a y-coefficient list mod
-h and drop zero leads; when the lead is a zero divisor, split h into
-g = gcd(lead, h) and h / g and recurse on both.  The gcd G of g1 and g2
-over a branch h has a lead invertible mod h, so G(a, y) has the same
-degree k at every root a of h, and its distinct nonzero roots, summed over
-the roots a, number
+H and drop zero leads; when the lead is a zero divisor, split H into the
+primitive g = gcd(lead, H) and the exact quotient H / g (both in Z[x], by
+Gauss's lemma) and recurse on both.  The gcd G of g1 and g2 over a branch
+h has a lead invertible mod h, so G(a, y) has the same degree k at every
+root a of h, and its distinct nonzero roots, summed over the roots a,
+number
 
     sum over the branches (hb, D) of gcd(G, dG/dy) of deg(hb) * (k - deg D)
       - deg gcd(G(x, 0), h),
@@ -41,7 +51,9 @@ from typing import List, Optional, Sequence, Tuple
 from .curvature import LaurentPoly, einstein_system
 from .exact import (
     UniPoly,
+    ZPoly,
     bivar_cols,
+    clear_denominators,
     common_denominator,
     format_rat,
     isolate_real_roots,
@@ -124,64 +136,58 @@ def dehomogenize(system: Sequence[LaurentPoly]) -> Tuple[list, list]:
 # quotient-ring gcd machinery (dynamic modulus splitting)
 # ---------------------------------------------------------------------------
 
-def _mod(p: UniPoly, h: UniPoly) -> UniPoly:
-    return p.divmod(h)[1]
+def _reduce(A: list, h: ZPoly) -> list:
+    """A y-coefficient list over Z[x] reduced mod h with one power of
+    lead(h) for all entries, lead(h)^e A mod h, then divided by the integer
+    content of the whole list, with zero leads dropped: a nonzero integer
+    multiple of A mod h."""
+    dh = h.degree
+    powers = [max(0, c.degree - dh + 1) for c in A]
+    e = max(powers, default=0)
+    lead = h.coeffs[-1]
+    out = [c.prem(h) * lead ** (e - k) for c, k in zip(A, powers)]
+    while out and not out[-1]:
+        out.pop()
+    g = gcd(*(x for c in out for x in c.coeffs))
+    return [c // g for c in out] if g > 1 else out
 
 
-def _inverse_mod(c: UniPoly, h: UniPoly) -> UniPoly:
-    """c^-1 mod h, by the extended Euclidean algorithm on (c, h) with only
-    the cofactor of c tracked."""
-    r0, r1 = c, h
-    s0, s1 = UniPoly.const(1), UniPoly()
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if r0.degree != 0:
-        raise ArithmeticError("element not invertible in the quotient")
-    return _mod(s0 * (Fraction(1) / r0.coeffs[0]), h)
-
-
-def _trim(A: list, h: UniPoly) -> list:
+def _trim(A: list, h: ZPoly) -> list:
     """[(h_branch, A_branch)] over a splitting of h: A's y-coefficients
-    reduced mod h_branch with zero leads dropped, so the lead is invertible
-    mod h_branch (or A_branch is empty).  A lead that is a zero divisor
-    splits h into g = gcd(lead, h) and h / g."""
-    A = [_mod(c, h) for c in A]
-    while A and A[-1].is_zero():
-        A.pop()
+    reduced mod h_branch (`_reduce`), so the lead is invertible mod
+    h_branch (or A_branch is empty).  A lead that is a zero divisor splits h
+    into the primitive g = gcd(lead, h) and the exact quotient h / g."""
+    A = _reduce(A, h)
     if not A:
         return [(h, A)]
     g = A[-1].gcd(h)
     if g.degree == 0:
         return [(h, A)]
-    return _trim(A, (h // g).monic()) + _trim(A, g)
+    return _trim(A, h // g) + _trim(A, g)
 
 
-def _poly_mod(A: list, B: list, h: UniPoly) -> list:
-    """Remainder of A by B in (Q[x]/(h))[y]; lead(B) must be invertible."""
-    inv = _inverse_mod(B[-1], h)
-    rem = [_mod(c, h) for c in A]
+def _poly_mod(A: list, B: list, h: ZPoly) -> list:
+    """A multiple of the remainder of A by B in (Q[x]/(h))[y] by a unit,
+    for lead(B) invertible mod h: each step is the pseudo-remainder step
+    lead(B) rem - lead(rem) y^s B, reduced mod h."""
+    lb = B[-1]
     db = len(B) - 1
-    while len(rem) - 1 >= db:
-        while rem and rem[-1].is_zero():
-            rem.pop()
-        if len(rem) - 1 < db:
-            break
-        factor = _mod(rem[-1] * inv, h)
-        shift = len(rem) - 1 - db
-        for i, c in enumerate(B):
-            rem[shift + i] = _mod(rem[shift + i] - factor * c, h)
-        rem.pop()
-    while rem and rem[-1].is_zero():
-        rem.pop()
+    rem = _reduce(A, h)
+    while len(rem) > db:
+        lr = rem.pop()
+        s = len(rem) - db
+        rem = [lb * c for c in rem]
+        for i, c in enumerate(B[:-1]):
+            rem[s + i] -= lr * c
+        rem = _reduce(rem, h)
     return rem
 
 
-def _fiber_gcd_branches(A: list, B: list, h: UniPoly) -> list:
-    """[(h_branch, G)] with G = gcd of A and B in (Q[x]/(h_branch))[y],
-    trimmed so deg_y G is well-defined on the branch: A is trimmed over h,
-    B over each branch of A, and one remainder step recurses."""
+def _fiber_gcd_branches(A: list, B: list, h: ZPoly) -> list:
+    """[(h_branch, G)] with G = gcd of A and B in (Q[x]/(h_branch))[y], up
+    to a unit, trimmed so deg_y G is well-defined on the branch: A is
+    trimmed over h, B over each branch of A, and one remainder step
+    recurses."""
     out = []
     for ha, A1 in _trim(A, h):
         for hb, B1 in _trim(B, ha):
@@ -195,7 +201,7 @@ def _fiber_gcd_branches(A: list, B: list, h: UniPoly) -> list:
     return out
 
 
-def _torus_roots(G: list, h: UniPoly) -> int:
+def _torus_roots(G: list, h: ZPoly) -> int:
     """Distinct nonzero y-roots of G(a, y), summed over the roots a of the
     squarefree h; lead(G) must be invertible mod h.  See the module
     docstring for the formula."""
@@ -208,9 +214,17 @@ def _torus_roots(G: list, h: UniPoly) -> int:
 def _eliminant(g1: dict, g2: dict, axis: int) -> Tuple[UniPoly, int]:
     """Torus part of the resultant of g1, g2 that eliminates the variable
     `axis` (squarefree and monic when of positive degree), and the number
-    of distinct torus solutions counted over its roots."""
+    of distinct torus solutions counted over its roots.
+
+    When both are constant in that variable, the resultant is the empty
+    Sylvester determinant 1 and the count 0, unless they share a factor."""
     cols1 = bivar_cols(g1, axis)
     cols2 = bivar_cols(g2, axis)
+    A, B = clear_denominators(cols1)[0], clear_denominators(cols2)[0]
+    if len(A) == 1 and len(B) == 1:
+        if A[0].gcd(B[0]).degree > 0:
+            raise DegenerateSystemError("common factor present")
+        return UniPoly.const(1), 0
     r = resultant(cols1, cols2)
     if r.is_zero():
         raise DegenerateSystemError("resultant vanished; common factor present")
@@ -218,7 +232,8 @@ def _eliminant(g1: dict, g2: dict, axis: int) -> Tuple[UniPoly, int]:
     if h.degree <= 0:
         return h, 0
     h = h.squarefree()
-    return h, sum(_torus_roots(G, hb) for hb, G in _fiber_gcd_branches(cols1, cols2, h))
+    H = clear_denominators([h])[0][0].primitive()
+    return h, sum(_torus_roots(G, hb) for hb, G in _fiber_gcd_branches(A, B, H))
 
 
 # ---------------------------------------------------------------------------

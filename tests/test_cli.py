@@ -185,3 +185,27 @@ def test_failures_exit_with_one_line(capsys, tmp_path, monkeypatch, argv, code, 
     assert got == code
     assert err.startswith(prefix)
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unwritable_json_path_fails_before_the_analysis(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "analyze", "su3_t2", "--json", "missing/x.json")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_failed_analysis_leaves_no_json_report(capsys, tmp_path):
+    # spectral data whose weight polytope is too small: exit 2 after the
+    # report path was opened
+    doc = tmp_path / "flat.json"
+    doc.write_text(json.dumps({
+        "schema": "homspace/v1", "name": "flat", "d": 3, "dims": [7, 5, 5],
+        "b": ["1", "0", "0"], "triples": [{"ijk": [1, 3, 3], "value": "7/8"}],
+        "bracket_meets_h": [[1, 1], [1, 3], [3, 3]], "h_nontrivial": [], "central": [],
+        "complement": "other",
+    }))
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, "analyze", str(doc), "--json", str(out_path))
+    assert code == 2 and out == "" and err.startswith("invalid data: ")
+    assert not out_path.exists()

@@ -14,8 +14,10 @@ from einpoly.exact import (
     DimensionError,
     LatticeChart,
     UniPoly,
+    ZPoly,
     _column_hnf,
     bivar_cols,
+    clear_denominators,
     det,
     integer_kernel_basis,
     isolate_real_roots,
@@ -497,11 +499,13 @@ def reference_resultant(p, q):
 
 
 # y-coefficients over Q[x]: zero entries are drawn often, so leading zeros,
-# zero pivots (row swaps) and inputs constant in y all occur
+# zero pivots (row swaps) and inputs constant in y all occur; rational
+# coefficients make each input clear its own denominator
 _x_poly = st.one_of(
     st.just(UniPoly()),
     st.integers(-3, 3).map(UniPoly.const),
     st.lists(st.integers(-3, 3), max_size=3).map(UniPoly),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=3).map(UniPoly),
 )
 _bivariate = st.integers(min_value=0, max_value=3).flatmap(
     lambda k: st.lists(_x_poly, min_size=k + 1, max_size=k + 1))
@@ -630,6 +634,71 @@ def test_unipoly_matches_dense_builder(terms):
 
 def test_unipoly_of_no_terms_is_zero():
     assert unipoly({}) == UniPoly() and unipoly({3: 0}) == UniPoly()
+
+
+# ---------------------------------------------------------------------------
+# integer polynomials: exact quotient, pseudo-remainder, primitive gcd
+# ---------------------------------------------------------------------------
+
+# zero, constants and non-monic polynomials of degree up to 5
+_z_poly = st.lists(st.integers(-9, 9), max_size=6).map(ZPoly)
+_nonzero_z_poly = _z_poly.filter(bool)
+_q_poly = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                  max_size=4).map(UniPoly)
+
+
+def _q(z):
+    return UniPoly(z.coeffs)
+
+
+def reference_gcd(a, b):
+    """Monic gcd by the Euclidean algorithm over Q (zero for two zeros)."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
+
+
+@given(_z_poly, _nonzero_z_poly)
+@settings(max_examples=300, deadline=None)
+def test_pseudo_remainder_is_the_scaled_rational_remainder(a, b):
+    k = max(0, a.degree - b.degree + 1)
+    assert _q(a.prem(b)) == _q(a).divmod(_q(b))[1] * b.coeffs[-1] ** k
+
+
+@given(_z_poly, _z_poly)
+@settings(max_examples=300, deadline=None)
+def test_primitive_gcd_matches_the_rational_gcd(a, b):
+    g = a.gcd(b)
+    expected = reference_gcd(_q(a), _q(b))
+    assert _q(g).monic() == expected == _q(a).gcd(_q(b))
+    if g:
+        assert g.coeffs[-1] > 0 and gcd(*g.coeffs) == 1
+        assert not (a.prem(g) or b.prem(g))
+
+
+@given(_z_poly, _nonzero_z_poly)
+@settings(max_examples=200, deadline=None)
+def test_exact_quotient_in_z_x(a, b):
+    assert ((a * b) // b).coeffs == a.coeffs
+    assert ((a * 6) // 6).coeffs == a.coeffs == ((a * 6) // -6 * -1).coeffs
+    if b.degree > 0:
+        with pytest.raises(ArithmeticError):
+            (a * b - ZPoly([1])) // b
+
+
+@given(st.lists(_q_poly, max_size=4))
+def test_clear_denominators_keeps_every_polynomial(polys):
+    nums, den = clear_denominators(polys)
+    assert den > 0 and len(nums) == len(polys)
+    assert all(_q(z) == p * den for z, p in zip(nums, polys))
+
+
+# p = a b^2, so repeated factors are common
+@given(st.tuples(_q_poly, _q_poly).map(lambda ab: ab[0] * ab[1] * ab[1]).filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_squarefree_matches_the_rational_quotient(p):
+    g = reference_gcd(p, p.derivative())
+    assert p.squarefree() == p.divmod(g)[0].monic()
 
 
 # ---------------------------------------------------------------------------

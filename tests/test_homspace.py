@@ -101,6 +101,12 @@ def test_catalog_alias():
     assert load_catalog("wang_ziller").name == "wang_ziller_killing"
 
 
+@pytest.mark.parametrize("name", ["jordan_x", "product_of_irreducibles_x", "jordan_product_2"])
+def test_malformed_generator_name_is_unknown(name):
+    with pytest.raises(KeyError, match=f"unknown catalog entry: {name}"):
+        load_catalog(name)
+
+
 def test_b_zero_warning():
     data = HomSpaceData(
         name="odd", d=2, dims=(1, 1), b=(F(0), F(1)), triples={},

@@ -17,11 +17,13 @@ from einpoly.homspace import (
     HomSpaceData,
     jordan_space,
     load_catalog,
+    parse,
     product_of_irreducibles,
     weight_polytope,
 )
 from einpoly.infinity import delta_min, flat_complex
 from einpoly.solver import (
+    DegenerateSystemError,
     SolutionSet,
     UnsupportedDimensionError,
     _certify_d2,
@@ -537,3 +539,44 @@ def test_krawczyk_image_matches_fraction_reference():
                     b1 = refine_root_interval(q1, *b1, (b1[1] - b1[0]) / 4)
                     b2 = refine_root_interval(q2, *b2, (b2[1] - b2[0]) / 4)
     assert verdicts == {"unique", "empty", "unknown"}
+
+
+# ---------------------------------------------------------------------------
+# both polynomials constant in the eliminated variable
+# ---------------------------------------------------------------------------
+
+# dehomogenizes to g1 = -x^2/32 - 7/16 and the nonzero constant g2 = -7/80:
+# no solution, and both are constant in y
+CONSTANT_IN_Y_DOCUMENT = json.dumps({
+    "schema": "homspace/v1", "name": "random_048", "d": 3, "dims": [7, 5, 5],
+    "b": ["3/3", "0", "0"], "triples": [{"ijk": [1, 3, 3], "value": "7/8"}],
+    "bracket_meets_h": [[1, 1], [1, 3], [3, 3]], "h_nontrivial": [], "central": [],
+    "complement": "other",
+})
+
+
+def test_constant_in_one_variable_counts_zero_through_the_library():
+    data = parse(CONSTANT_IN_Y_DOCUMENT)
+    (g1, g2), _ = dehomogenize(einstein_system(data))
+    assert all(e[1] == 0 for e in g1) and list(g2) == [(0, 0)]
+    assert count_complex(data).distinct_complex == 0
+    out = real_positive(data)
+    assert (out.distinct_complex, out.real_count, out.positive_count) == (0, 0, 0)
+    assert out.genericity and not out.solutions
+
+
+def test_constant_in_the_eliminated_variable_without_common_factor():
+    # g1 = x - 1, g2 = x - 2: no common zero; the other order agrees
+    g1 = {(1, 0): F(1), (0, 0): F(-1)}
+    g2 = {(1, 0): F(1), (0, 0): F(-2)}
+    assert _eliminant(g1, g2, 1)[1] == 0
+    assert _eliminant(g1, g2, 0)[1] == 0
+
+
+def test_constant_in_the_eliminated_variable_with_common_factor():
+    # g1 = (x - 1)(x - 2), g2 = x - 1: the line x = 1 is a common zero
+    g1 = {(2, 0): F(1), (1, 0): F(-3), (0, 0): F(2)}
+    g2 = {(1, 0): F(1), (0, 0): F(-1)}
+    for axis in (1, 0):
+        with pytest.raises(DegenerateSystemError):
+            _eliminant(g1, g2, axis)

@@ -4,7 +4,9 @@ Random small systems are counted twice: by the resultant/quotient-gcd
 machinery and by an exact shape-position reading of a lex Groebner basis
 computed with sympy.  (sympy.solve itself is not a reliable oracle: it can
 silently drop quartic roots.)  A digest pins the eliminants and counts of
-a larger seeded set that reaches every branch of the fiber count.
+a larger seeded set that reaches every branch of the fiber count, and the
+integer fiber recursion is checked against the same recursion over
+Q[x]/(h) in Fraction arithmetic.
 """
 
 import hashlib
@@ -15,7 +17,7 @@ import pytest
 import sympy
 
 from einpoly import solver
-from einpoly.exact import bivar_cols
+from einpoly.exact import UniPoly, bivar_cols, resultant
 from einpoly.solver import DegenerateSystemError, _eliminant
 
 X, Y = sympy.symbols("x y")
@@ -178,3 +180,121 @@ def test_eliminant_digest_over_random_systems(monkeypatch):
     assert partial
     assert degenerate
     assert digest.hexdigest() == ELIMINANT_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# the fiber recursion over Q[x]/(h), in Fraction arithmetic: modular
+# inverses and monic moduli, as the count was computed before it moved to
+# pseudo-remainders over Z[x]
+# ---------------------------------------------------------------------------
+
+def _fraction_mod(p, h):
+    return p.divmod(h)[1]
+
+
+def _fraction_inverse_mod(c, h):
+    r0, r1 = c, h
+    s0, s1 = UniPoly.const(1), UniPoly()
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    assert r0.degree == 0
+    return _fraction_mod(s0 * (F(1) / r0.coeffs[0]), h)
+
+
+def _fraction_trim(A, h):
+    A = [_fraction_mod(c, h) for c in A]
+    while A and A[-1].is_zero():
+        A.pop()
+    if not A:
+        return [(h, A)]
+    g = A[-1].gcd(h)
+    if g.degree == 0:
+        return [(h, A)]
+    return _fraction_trim(A, (h // g).monic()) + _fraction_trim(A, g)
+
+
+def _fraction_poly_mod(A, B, h):
+    inv = _fraction_inverse_mod(B[-1], h)
+    rem = [_fraction_mod(c, h) for c in A]
+    db = len(B) - 1
+    while len(rem) - 1 >= db:
+        while rem and rem[-1].is_zero():
+            rem.pop()
+        if len(rem) - 1 < db:
+            break
+        factor = _fraction_mod(rem[-1] * inv, h)
+        shift = len(rem) - 1 - db
+        for i, c in enumerate(B):
+            rem[shift + i] = _fraction_mod(rem[shift + i] - factor * c, h)
+        rem.pop()
+    while rem and rem[-1].is_zero():
+        rem.pop()
+    return rem
+
+
+def _fraction_fiber_gcd_branches(A, B, h):
+    out = []
+    for ha, A1 in _fraction_trim(A, h):
+        for hb, B1 in _fraction_trim(B, ha):
+            if A1 and B1:
+                a, b = (B1, A1) if len(A1) < len(B1) else (A1, B1)
+                out += _fraction_fiber_gcd_branches(b, _fraction_poly_mod(a, b, hb), hb)
+            elif A1 or B1:
+                out.append((hb, A1 or B1))
+            else:
+                raise DegenerateSystemError("both polynomials vanish on a whole branch")
+    return out
+
+
+def _fraction_torus_roots(G, h):
+    k = len(G) - 1
+    deriv = [G[i] * i for i in range(1, k + 1)]
+    branches = _fraction_fiber_gcd_branches(G, deriv, h)
+    return sum(hb.degree * (k - (len(D) - 1)) for hb, D in branches) - G[0].gcd(h).degree
+
+
+def _fraction_count(g1, g2, axis):
+    """The torus count of `_eliminant` through the Fraction recursion."""
+    cols1, cols2 = bivar_cols(g1, axis), bivar_cols(g2, axis)
+    r = resultant(cols1, cols2)
+    if r.is_zero():
+        raise DegenerateSystemError("resultant vanished")
+    _, h = r.strip_x_power()
+    if h.degree <= 0:
+        return 0
+    h = h.squarefree()
+    return sum(_fraction_torus_roots(G, hb)
+               for hb, G in _fraction_fiber_gcd_branches(cols1, cols2, h))
+
+
+def _rational_systems():
+    """100 seeded pairs of total degree <= 3 with rational coefficients."""
+    rng = random.Random(11)
+    for _ in range(100):
+        pair = []
+        while len(pair) < 2:
+            p = {(i, j): F(rng.choice((1, -1, 2, -3, 5)), rng.choice((1, 1, 2, 3)))
+                 for i in range(4) for j in range(4 - i) if rng.random() < 0.35}
+            if len(p) >= 2:
+                pair.append(p)
+        yield pair
+
+
+def test_integer_fiber_count_matches_the_fraction_recursion():
+    compared = 0
+    for g1, g2 in list(_digest_systems()) + list(_rational_systems()):
+        for axis in (1, 0):
+            try:
+                _, count = _eliminant(g1, g2, axis)
+            except DegenerateSystemError:
+                with pytest.raises(DegenerateSystemError):
+                    _fraction_count(g1, g2, axis)
+                continue
+            if len(bivar_cols(g1, axis)) == len(bivar_cols(g2, axis)) == 1:
+                assert count == 0
+                continue
+            assert count == _fraction_count(g1, g2, axis), (g1, g2, axis)
+            compared += 1
+    assert compared > 500
