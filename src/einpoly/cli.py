@@ -21,6 +21,7 @@ from .homspace import (
     DegenerateSpectrumError,
     SchemaError,
     catalog_names,
+    is_int,
     kaehler_b2_polytope,
     load_catalog,
     parse_obj,
@@ -76,7 +77,7 @@ def _check_vertices(points) -> None:
     if not (isinstance(points, list) and points):
         raise SchemaError("/vertices", "must be a nonempty list of points")
     for i, p in enumerate(points):
-        if not (isinstance(p, list) and all(isinstance(x, int) for x in p)):
+        if not (isinstance(p, list) and all(is_int(x) for x in p)):
             raise SchemaError(f"/vertices/{i}", "must be a list of integers")
         if len(p) != len(points[0]):
             raise SchemaError(f"/vertices/{i}", f"expected {len(points[0])} coordinates")

@@ -21,14 +21,15 @@ Elimination has one routine per job:
 A polynomial given as a {degree: coefficient} dict becomes a `UniPoly`
 through one conversion, `unipoly`; a list of `UniPoly` becomes integer
 polynomials over one denominator through `clear_denominators`.  Besides the
-exact division `_bareiss` needs, `ZPoly` has the pseudo-remainder and the
-primitive gcd, which the d = 3 fiber gcds of `solver` run on.
+exact division `_bareiss` needs, `ZPoly` has the pseudo-remainder, the
+primitive gcd and the primitive squarefree part, which the d = 3 fiber gcds
+of `solver` run on.
 
-Real roots of a univariate polynomial are isolated by Sturm chains and
-refined by bisection on the sign of the polynomial alone.  Both evaluate
-signs in integers (`sign_at`): a homogeneous Horner sum over the integer
-coefficients at a point n/d, with interval endpoints kept as integers over
-a common denominator.
+Real roots are isolated and refined in integers: the input is a squarefree
+`ZPoly`, its Sturm chain is built by signed pseudo-remainders, and an
+isolating interval is an integer triple (a, b, D) for (a/D, b/D].  Sturm
+variations (isolation) and the sign of the polynomial (refinement) are both
+read by `sign_at`, a homogeneous Horner sum at a point n/d.
 """
 
 from __future__ import annotations
@@ -462,20 +463,11 @@ class UniPoly:
         return UniPoly(a.gcd(b).coeffs).monic()
 
     def squarefree(self) -> "UniPoly":
-        """Squarefree part p / gcd(p, p'), monic, by the primitive integer
-        gcd and an exact quotient in Z[x]."""
+        """Squarefree part p / gcd(p, p'), monic: `ZPoly.squarefree` of p
+        over a common denominator."""
         if self.is_zero():
             raise ValueError("zero polynomial has no squarefree part")
-        (p, dp), _ = clear_denominators((self, self.derivative()))
-        return UniPoly((p // p.gcd(dp)).coeffs).monic()
-
-    def cauchy_root_bound(self) -> Fraction:
-        """All real roots lie in (-B, B]."""
-        if self.degree < 1:
-            return Fraction(1)
-        lead = abs(self.coeffs[-1])
-        m = max(abs(c) for c in self.coeffs[:-1])
-        return Fraction(1) + m / lead
+        return UniPoly(clear_denominators([self])[0][0].squarefree().coeffs).monic()
 
 
 def unipoly(terms: dict) -> UniPoly:
@@ -495,7 +487,7 @@ class ZPoly:
 
     Z[x] is an integral domain with exact division, which is all `_bareiss`
     needs.  `prem` and `gcd` are the pseudo-remainder and the primitive gcd
-    of the fiber gcds in `solver`.
+    of the fiber gcds in `solver` and of the Sturm chains below.
     """
 
     __slots__ = ("coeffs",)
@@ -584,6 +576,9 @@ class ZPoly:
                     rem[s + i] -= t * b[i]
         return ZPoly(rem)
 
+    def derivative(self) -> "ZPoly":
+        return ZPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
     def primitive(self) -> "ZPoly":
         """self over the gcd of its coefficients, with a positive lead; the
         zero polynomial stays zero."""
@@ -605,6 +600,11 @@ class ZPoly:
         while b:
             a, b = b, a.prem(b).primitive()
         return a
+
+    def squarefree(self) -> "ZPoly":
+        """The primitive squarefree part self / gcd(self, self'), an exact
+        quotient in Z[x] by Gauss's lemma; 1 for a nonzero constant."""
+        return (self // self.gcd(self.derivative())).primitive()
 
 
 def clear_denominators(polys: Sequence[UniPoly]) -> tuple:
@@ -633,16 +633,26 @@ def sign_at(c: Sequence[int], n: int, d: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sturm_chain(p: UniPoly) -> list:
-    """The Sturm chain of p, each member as integer coefficients of a
-    positive multiple (same signs everywhere)."""
+def _sturm_chain(p: ZPoly) -> list:
+    """The Sturm chain of p by signed pseudo-remainders: each member is the
+    integer coefficients of a positive multiple of the Sturm member, so it
+    has the same signs everywhere.
+
+    For positive multiples a, b of two consecutive members,
+    prem(a, b) = lead(b)^k rem(a, b) with k = deg a - deg b + 1, so
+    -sign(lead(b))^k prem(a, b) over its positive content is a positive
+    multiple of the next member, -rem.
+    """
     chain = [p, p.derivative()]
     while chain[-1].degree > 0:
-        _, r = chain[-2].divmod(chain[-1])
-        if r.is_zero():
+        a, b = chain[-2], chain[-1]
+        r = a.prem(b)
+        if not r:
             break
-        chain.append(-r)
-    return [common_denominator(q.coeffs)[0] for q in chain if not q.is_zero()]
+        g = gcd(*r.coeffs)
+        # -sign(lead(b))^k is +1 iff lead(b) < 0 and k is odd
+        chain.append(r // (g if b.coeffs[-1] < 0 and (a.degree - b.degree) % 2 == 0 else -g))
+    return [q.coeffs for q in chain]
 
 
 def _variations(chain: list, x: Optional[tuple], side: int = 1) -> int:
@@ -675,33 +685,31 @@ def sturm_count(p: UniPoly, a=None, b=None) -> int:
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    sf = p.squarefree()
+    sf = clear_denominators([p])[0][0].squarefree()
     if sf.degree < 1:
         return 0
     chain = _sturm_chain(sf)
     return _variations(chain, _point(a), -1) - _variations(chain, _point(b), 1)
 
 
-def isolate_real_roots(p: UniPoly) -> list:
-    """Disjoint isolating intervals (a, b] with exactly one real root each,
-    in increasing order: bisection of (-B, B], B the Cauchy bound, counted
-    by one Sturm chain.  An interval is kept as integer endpoints over a
-    common denominator."""
-    sf = p.squarefree()
-    if sf.degree < 1:
+def isolate_real_roots(p: ZPoly) -> list:
+    """Disjoint isolating intervals (a/D, b/D], given as (a, b, D), with
+    exactly one real root each of the squarefree p, in increasing order:
+    bisection of (-B, B], B = 1 + max |c_i| / |lead| the Cauchy bound,
+    counted by one Sturm chain."""
+    if p.degree < 1:
         return []
-    chain = _sturm_chain(sf)
+    chain = _sturm_chain(p)
     total = _variations(chain, None, -1) - _variations(chain, None, 1)
     if total == 0:
         return []
-    bound = sf.cauchy_root_bound()
     out = []
 
     def split(lo, hi, den, count, vlo):
         if count == 0:
             return
         if count == 1:
-            out.append((Fraction(lo, den), Fraction(hi, den)))
+            out.append((lo, hi, den))
             return
         mid = lo + hi
         vmid = _variations(chain, (mid, 2 * den))
@@ -709,23 +717,24 @@ def isolate_real_roots(p: UniPoly) -> list:
         split(2 * lo, mid, 2 * den, left, vlo)
         split(mid, 2 * hi, 2 * den, count - left, vmid)
 
-    b, den = bound.numerator, bound.denominator
+    den = abs(p.coeffs[-1])
+    b = den + max(abs(c) for c in p.coeffs[:-1])
     split(-b, b, den, total, _variations(chain, (-b, den)))
     return out
 
 
-def refine_root_interval(p: UniPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple:
-    """Bisect an isolating interval (lo, hi] of squarefree p down to width.
+def refine_root_interval(p: ZPoly, interval: tuple, width: Fraction) -> tuple:
+    """Bisect an isolating interval (a, b, D) of squarefree p, standing for
+    (a/D, b/D], down to width; returns the same form.
 
     The sign of p alone decides each step, with no Sturm chain: the one
-    root r in (lo, hi] is simple, so p changes sign at r and nowhere else
-    in the interval.  Hence r <= m, the midpoint, iff p(m) = 0 or p(m) has
-    the sign of p(hi).  That covers r = hi too: then p(hi) = 0 and p(m) is
-    not, so the step goes right.  The endpoints are integers over a common
-    denominator that doubles with each step.
+    root r in the interval is simple, so p changes sign at r and nowhere
+    else in it.  Hence r <= m, the midpoint, iff p(m) = 0 or p(m) has the
+    sign of p(b/D).  That covers r = b/D too: then p(b/D) = 0 and p(m) is
+    not, so the step goes right.  The denominator doubles with each step.
     """
-    c, _ = common_denominator(p.coeffs)
-    (a, b), den = common_denominator((lo, hi))
+    c = p.coeffs
+    a, b, den = interval
     wn, wd = width.numerator, width.denominator
     s_hi = sign_at(c, b, den)
     while (b - a) * wd > wn * den:
@@ -736,7 +745,7 @@ def refine_root_interval(p: UniPoly, lo: Fraction, hi: Fraction, width: Fraction
             b, s_hi = mid, s
         else:
             a = mid
-    return Fraction(a, den), Fraction(b, den)
+    return a, b, den
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .polytope import Face, LatticePolytope, apexes, basis_points_on, is_cross_p
 SINGULAR = "singular"
 NONSINGULAR = "nonsingular"
 NEEDS_MORE_DATA = "needs_more_data"
+NOT_ANALYZED = "not_analyzed"
 
 
 def test1_pyramid(polytope: LatticePolytope, face: Face) -> bool:
@@ -134,8 +135,12 @@ def marked_census(polytope: LatticePolytope) -> MarkedFaceCensus:
 # singularity of face-restricted hypersurfaces
 # ---------------------------------------------------------------------------
 
-def _parallelogram_diagonals(verts: list):
-    """Split four vertices into the two diagonal pairs (equal sums)."""
+def _parallelogram_diagonals(face: Face):
+    """The two diagonal pairs (equal sums) of a parallelogram 2-face; None
+    for any other face."""
+    verts = face.vertices()
+    if face.dim != 2 or len(verts) != 4:
+        return None
     v0 = verts[0]
     for a, b in ((1, 2), (1, 3), (2, 3)):
         c = ({1, 2, 3} - {a, b}).pop()
@@ -146,25 +151,37 @@ def _parallelogram_diagonals(verts: list):
     return None
 
 
-def parallelogram_singular(s: LaurentPoly, face: Face) -> str:
-    """Verdict for the hypersurface cut out by the face restriction of s on
-    a parallelogram face: with vertex coefficients a0, a1, a12, a2 (a0/a12
-    and a1/a2 opposite) the restriction factors through a torus translate
-    iff a0*a12 = a1*a2, and then it is singular."""
-    verts = face.vertices()
-    if face.dim != 2 or len(verts) != 4:
-        raise ValueError("face is not a parallelogram")
-    diag = _parallelogram_diagonals(verts)
-    if diag is None:
-        raise ValueError("face is not a parallelogram")
+def _diagonal_verdict(s: LaurentPoly, face: Face, diag: tuple) -> str:
+    """With vertex coefficients a0, a1, a12, a2 (a0/a12 and a1/a2 on the
+    diagonals) the restriction factors through a torus translate iff
+    a0*a12 = a1*a2, and then it is singular."""
     restricted = restrict_to_face(s, face)
-    support = set(restricted.terms)
-    if support != set(verts):
-        return NEEDS_MORE_DATA
     (p0, p12), (p1, p2) = diag
+    if set(restricted.terms) != {p0, p12, p1, p2}:
+        return NEEDS_MORE_DATA
     a0, a12 = restricted.terms[p0], restricted.terms[p12]
     a1, a2 = restricted.terms[p1], restricted.terms[p2]
     return SINGULAR if a0 * a12 == a1 * a2 else NONSINGULAR
+
+
+def parallelogram_singular(s: LaurentPoly, face: Face) -> str:
+    """Verdict for the hypersurface cut out by the face restriction of s on
+    a parallelogram face (`_diagonal_verdict`); raises ValueError on any
+    other face."""
+    diag = _parallelogram_diagonals(face)
+    if diag is None:
+        raise ValueError("face is not a parallelogram")
+    return _diagonal_verdict(s, face, diag)
+
+
+def face_verdict(s: LaurentPoly, face: Face) -> str:
+    """The report's singularity verdict on a marked face: the parallelogram
+    verdict on a parallelogram 2-face, needs_more_data on any other 2-face,
+    not_analyzed in any other dimension."""
+    if face.dim != 2:
+        return NOT_ANALYZED
+    diag = _parallelogram_diagonals(face)
+    return NEEDS_MORE_DATA if diag is None else _diagonal_verdict(s, face, diag)
 
 
 def _face_chart_poly(s: LaurentPoly, face: Face):

@@ -39,6 +39,11 @@ class DegenerateSpectrumError(ValueError):
 TripleKey = Tuple[int, int, int]
 
 
+def is_int(value) -> bool:
+    """An int that is not a bool: JSON true and false are not numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class HomSpaceData:
     """Combinatorial spectral data of a homogeneous space."""
@@ -101,7 +106,7 @@ def _validate(data: HomSpaceData):
     if len(data.dims) != data.d:
         raise SchemaError("/dims", f"expected {data.d} entries")
     for i, m in enumerate(data.dims):
-        if not isinstance(m, int) or m <= 0:
+        if not is_int(m) or m <= 0:
             raise SchemaError(f"/dims/{i}", "module dimensions must be positive integers")
     if len(data.b) != data.d:
         raise SchemaError("/b", f"expected {data.d} entries")
@@ -168,14 +173,17 @@ def parse_obj(obj: dict) -> HomSpaceData:
         if req not in obj:
             raise SchemaError(f"/{req}", "missing required field")
     d = obj["d"]
-    if not isinstance(d, int):
+    if not is_int(d):
         raise SchemaError("/d", "must be an integer")
+    dims = obj["dims"]
+    if not isinstance(dims, list):
+        raise SchemaError("/dims", "must be a list")
 
     def _rat_at(path, value):
         try:
             if isinstance(value, str):
                 return parse_rat(value)
-            if isinstance(value, int):
+            if is_int(value):
                 return Fraction(value)
         except ValueError:
             pass
@@ -189,7 +197,7 @@ def parse_obj(obj: dict) -> HomSpaceData:
         if not isinstance(entry, dict) or set(entry) != {"ijk", "value"}:
             raise SchemaError(f"/triples/{pos}", "expected {'ijk': [...], 'value': 'p/q'}")
         ijk = entry["ijk"]
-        if not (isinstance(ijk, list) and len(ijk) == 3 and all(isinstance(i, int) for i in ijk)):
+        if not (isinstance(ijk, list) and len(ijk) == 3 and all(is_int(i) for i in ijk)):
             raise SchemaError(f"/triples/{pos}/ijk", "must be a list of three integers")
         key = tuple(sorted(ijk))
         if key in triples:
@@ -200,14 +208,14 @@ def parse_obj(obj: dict) -> HomSpaceData:
         raw = obj.get(name, [])
         out = set()
         for pos, pair in enumerate(raw):
-            if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(i, int) for i in pair)):
+            if not (isinstance(pair, list) and len(pair) == 2 and all(is_int(i) for i in pair)):
                 raise SchemaError(f"/{name}/{pos}", "must be a pair of integers")
             out.add(tuple(sorted(pair)))
         return frozenset(out)
 
     def _indices(name):
         raw = obj.get(name, [])
-        if not isinstance(raw, list) or not all(isinstance(i, int) for i in raw):
+        if not isinstance(raw, list) or not all(is_int(i) for i in raw):
             raise SchemaError(f"/{name}", "must be a list of integers")
         return frozenset(raw)
 
@@ -215,7 +223,7 @@ def parse_obj(obj: dict) -> HomSpaceData:
         return HomSpaceData(
             name=str(obj["name"]),
             d=d,
-            dims=tuple(obj["dims"]) if isinstance(obj["dims"], list) else (_ for _ in ()).throw(SchemaError("/dims", "must be a list")),
+            dims=tuple(dims),
             b=tuple(_rat_at(f"/b/{i}", v) for i, v in enumerate(obj["b"])),
             triples=triples,
             bracket_meets_h=_pairs("bracket_meets_h"),

@@ -12,15 +12,10 @@ from fractions import Fraction
 from . import __version__
 from .curvature import newton_polytope, scalar_curvature
 from .exact import format_rat
-from .faces import (
-    NEEDS_MORE_DATA,
-    _parallelogram_diagonals,
-    marked_census,
-    parallelogram_singular,
-)
+from .faces import NEEDS_MORE_DATA, face_verdict, marked_census
 from .homspace import HomSpaceData, weight_polytope
 from .infinity import B2NotApplicableError, b2_exponent, delta_min, flat_complex, is_admissible
-from .solver import _build_bound_report, real_positive
+from .solver import build_bound_report, real_positive
 
 REPORT_SCHEMA = "report/v1"
 
@@ -49,32 +44,14 @@ def analyze(data: HomSpaceData, theta=Fraction(0), solve: bool = True) -> tuple[
         b2 = f"not applicable: {exc}"
     sol = real_positive(data, s=s) if solve and data.d in (2, 3) else None
     epsilon = sol.distinct_complex if sol is not None else None
-    bounds = _build_bound_report(data, nu, T, epsilon)
+    bounds = build_bound_report(data, nu, T, epsilon)
     census = marked_census(dmin)
     singularity = []
     if census.applicable and dmin.contains_polytope(nw):
         for entry in census.marked_faces():
-            if entry.dim != 2:
-                singularity.append(
-                    {
-                        "signature": list(entry.signature),
-                        "dim": entry.dim,
-                        "verdict": "not_analyzed",
-                    }
-                )
-                continue
-            verts = entry.face.vertices()
-            if len(verts) == 4 and _parallelogram_diagonals(verts) is not None:
-                verdict = parallelogram_singular(s, entry.face)
-            else:
-                verdict = NEEDS_MORE_DATA
-            singularity.append(
-                {
-                    "signature": list(entry.signature),
-                    "dim": entry.dim,
-                    "verdict": verdict,
-                }
-            )
+            verdict = face_verdict(s, entry.face)
+            singularity.append({"signature": list(entry.signature), "dim": entry.dim,
+                                "verdict": verdict})
             if verdict == NEEDS_MORE_DATA:
                 warnings.append(
                     f"face {list(entry.signature)} left undecided (needs more data)"

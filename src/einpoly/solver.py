@@ -32,12 +32,12 @@ number
 where the subtracted term counts the roots a with G(a, 0) = 0; it is exact
 because h is squarefree.
 
-The certification runs in integer arithmetic: root refinement bisects by
-the sign of the eliminant alone, and the interval and point evaluations of
-the Krawczyk test work on integer numerators over a common denominator per
-box coordinate.  Only the results become Fractions, and they are the same
-rationals the Fraction interval arithmetic gives, so the output is
-unchanged.
+The certification keeps one integer form from the resultant to the
+Krawczyk box: the eliminant H itself, and isolating intervals (a, b, D) for
+(a/D, b/D] that `exact.isolate_real_roots` returns and refinement bisects
+by the sign of H.  The Krawczyk test evaluates on their integer numerators;
+only the report entries and the Krawczyk image are Fractions, the same
+rationals Fraction interval arithmetic gives.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .curvature import LaurentPoly, einstein_system
 from .exact import (
-    UniPoly,
     ZPoly,
     bivar_cols,
     clear_denominators,
@@ -211,10 +210,11 @@ def _torus_roots(G: list, h: ZPoly) -> int:
     return total - G[0].gcd(h).degree
 
 
-def _eliminant(g1: dict, g2: dict, axis: int) -> Tuple[UniPoly, int]:
-    """Torus part of the resultant of g1, g2 that eliminates the variable
-    `axis` (squarefree and monic when of positive degree), and the number
-    of distinct torus solutions counted over its roots.
+def _eliminant(g1: dict, g2: dict, axis: int) -> Tuple[ZPoly, int]:
+    """The torus eliminant H of g1, g2 for the variable `axis`: the
+    primitive squarefree part of the resultant with its x power stripped
+    (1 when that is constant), and the number of distinct torus solutions
+    counted over its roots.
 
     When both are constant in that variable, the resultant is the empty
     Sylvester determinant 1 and the count 0, unless they share a factor."""
@@ -224,24 +224,19 @@ def _eliminant(g1: dict, g2: dict, axis: int) -> Tuple[UniPoly, int]:
     if len(A) == 1 and len(B) == 1:
         if A[0].gcd(B[0]).degree > 0:
             raise DegenerateSystemError("common factor present")
-        return UniPoly.const(1), 0
+        return ZPoly([1]), 0
     r = resultant(cols1, cols2)
     if r.is_zero():
         raise DegenerateSystemError("resultant vanished; common factor present")
-    _, h = r.strip_x_power()
-    if h.degree <= 0:
-        return h, 0
-    h = h.squarefree()
-    H = clear_denominators([h])[0][0].primitive()
-    return h, sum(_torus_roots(G, hb) for hb, G in _fiber_gcd_branches(A, B, H))
+    H = clear_denominators([r.strip_x_power()[1]])[0][0].squarefree()
+    if H.degree <= 0:
+        return H, 0
+    return H, sum(_torus_roots(G, hb) for hb, G in _fiber_gcd_branches(A, B, H))
 
 
 # ---------------------------------------------------------------------------
 # interval arithmetic and Krawczyk certification
 # ---------------------------------------------------------------------------
-
-Interval = Tuple[Fraction, Fraction]
-
 
 class _ScaledPoly:
     """A polynomial dict {exponent tuple: Fraction} as integer coefficients
@@ -258,27 +253,18 @@ class _ScaledPoly:
         self.degs = [max(e[i] for e in poly) for i in range(n)]
 
 
-def _integer_box(box: Sequence[Interval]) -> list:
-    """Each coordinate interval [lo, hi] as integers (a, b, D) with
-    lo = a/D and hi = b/D, D > 0."""
-    out = []
-    for interval in box:
-        (a, b), den = common_denominator(interval)
-        out.append((a, b, den))
-    return out
-
-
 def _iv_mul(a, b):
     vals = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return (min(vals), max(vals))
 
 
-def _interval_numerators(poly: _ScaledPoly, ibox: list) -> tuple:
-    """(lo, hi, den): the interval extension of poly on an integer box is
-    [lo/den, hi/den].  It is the extension term by term, x^e by repeated
-    interval multiplication, computed on numerators: a term's interval has
-    denominator prod D_i^e_i and is lifted to prod D_i^degs_i by a positive
-    factor, which keeps every min and max."""
+def _interval_numerators(poly: _ScaledPoly, ibox: Sequence[tuple]) -> tuple:
+    """(lo, hi, den): the interval extension of poly on an integer box, one
+    (a, b, D) per coordinate for [a/D, b/D], is [lo/den, hi/den].  It is the
+    extension term by term, x^e by repeated interval multiplication,
+    computed on numerators: a term's interval has denominator prod D_i^e_i
+    and is lifted to prod D_i^degs_i by a positive factor, which keeps every
+    min and max."""
     powers = []
     dens = []
     for (a, b, d), k in zip(ibox, poly.degs):
@@ -307,12 +293,6 @@ def _interval_numerators(poly: _ScaledPoly, ibox: list) -> tuple:
     for dp in dens:
         den *= dp[-1]
     return lo, hi, den
-
-
-def _eval_dict_interval(poly: _ScaledPoly, box: Sequence[Interval]) -> Interval:
-    """The interval extension of poly on a box of Fraction intervals."""
-    lo, hi, den = _interval_numerators(poly, _integer_box(box))
-    return Fraction(lo, den), Fraction(hi, den)
 
 
 def _dict_partial(poly: dict, axis: int) -> dict:
@@ -350,11 +330,6 @@ def _exact_numerators(poly: _ScaledPoly, x: Sequence[tuple]) -> tuple:
     return acc, den
 
 
-def _eval_dict_exact(poly: _ScaledPoly, x: Sequence[Fraction]) -> Fraction:
-    """poly at a point of Fractions."""
-    return Fraction(*_exact_numerators(poly, [(v.numerator, v.denominator) for v in x]))
-
-
 def _krawczyk_system(g1: dict, g2: dict) -> tuple:
     """g1, g2 and their partials d1 g1, d2 g1, d1 g2, d2 g2, scaled once
     for all boxes of a system."""
@@ -370,10 +345,10 @@ def _common(pairs) -> tuple:
     return [n * (den // d) for n, d in pairs], den
 
 
-def _krawczyk_image(system: tuple, ibox: list) -> Optional[list]:
+def _krawczyk_image(system: tuple, ibox: Sequence[tuple]) -> Optional[list]:
     """The Krawczyk image K = m - Y f(m) + (I - Y J(box)) (box - m) of an
-    integer box (`_integer_box`), with m the midpoint and Y the inverse
-    Jacobian at m; None when J(m) is singular.  `system` is
+    integer box (`_interval_numerators`), with m the midpoint and Y the
+    inverse Jacobian at m; None when J(m) is singular.  `system` is
     `_krawczyk_system(g1, g2)`.
 
     Coordinate i of the box is [a_i, b_i] / D_i, so box - m is
@@ -420,10 +395,9 @@ def _krawczyk_image(system: tuple, ibox: list) -> Optional[list]:
     return k_img
 
 
-def _krawczyk_2x2(system: tuple, box: Sequence[Interval]):
-    """Returns 'unique', 'empty' or 'unknown' for the box; `system` is
-    `_krawczyk_system(g1, g2)`."""
-    ibox = _integer_box(box)
+def _krawczyk_2x2(system: tuple, ibox: Sequence[tuple]):
+    """Returns 'unique', 'empty' or 'unknown' for the integer box;
+    `system` is `_krawczyk_system(g1, g2)`."""
     for g in system[:2]:
         lo, hi, _den = _interval_numerators(g, ibox)
         if lo > 0 or hi < 0:
@@ -431,11 +405,11 @@ def _krawczyk_2x2(system: tuple, box: Sequence[Interval]):
     k_img = _krawczyk_image(system, ibox)
     if k_img is None:
         return "unknown"
-    inside = all(box[i][0] < k_img[i][0] and k_img[i][1] < box[i][1] for i in range(2))
-    if inside:
+    # K_i times D_i against the box coordinate [a_i, b_i]
+    scaled = [(lo * d, hi * d, a, b) for (lo, hi), (a, b, d) in zip(k_img, ibox)]
+    if all(a < lo and hi < b for lo, hi, a, b in scaled):
         return "unique"
-    disjoint = any(k_img[i][1] < box[i][0] or k_img[i][0] > box[i][1] for i in range(2))
-    if disjoint:
+    if any(hi < a or lo > b for lo, hi, a, b in scaled):
         return "empty"
     return "unknown"
 
@@ -495,7 +469,7 @@ def _solve(data: HomSpaceData, certify: bool, max_rounds: int = 40,
     polys, removed = dehomogenize(system)
     if data.d == 2:
         # the cleared polynomial has a nonzero constant term: a torus part
-        p = unipoly({e[0]: c for e, c in polys[0].items()})
+        p = clear_denominators([unipoly({e[0]: c for e, c in polys[0].items()})])[0][0]
         if p.degree <= 0:
             out = SolutionSet(2, 0)
             if certify:
@@ -523,26 +497,31 @@ def _exact_entry(system, x) -> dict:
     return {"x": [format_rat(v) for v in x], "exact": True, "residual": "0"}
 
 
-def _box_entry(scaled: Sequence[_ScaledPoly], removed: Sequence[tuple], box) -> dict:
+def _box_entry(scaled: Sequence[_ScaledPoly], removed: Sequence[tuple], ibox) -> dict:
     """A solution box with a bound on the Laurent residuals over it: f is
     x^shift times its cleared polynomial (`dehomogenize`), here scaled, and
     |f| <= |cleared| / min |x^(-shift)| for the negative part of the shift."""
     bounds = []
     for poly, shift in zip(scaled, removed):
-        iv = _eval_dict_interval(poly, box)
-        monomial = {tuple(max(0, -m) for m in shift): Fraction(1)}
-        denom = _eval_dict_interval(_ScaledPoly(monomial), box)
-        scale = min(abs(denom[0]), abs(denom[1]))
-        bound = max(abs(iv[0]), abs(iv[1]))
-        bounds.append(bound / scale if scale else bound)
+        lo, hi, den = _interval_numerators(poly, ibox)
+        monomial = _ScaledPoly({tuple(max(0, -m) for m in shift): 1})
+        mlo, mhi, mden = _interval_numerators(monomial, ibox)
+        scale = min(abs(mlo), abs(mhi))
+        bound = max(abs(lo), abs(hi))
+        bounds.append(Fraction(bound * mden, den * scale) if scale else Fraction(bound, den))
     return {
-        "box": [[format_rat(b[0]), format_rat(b[1])] for b in box],
+        "box": [[format_rat(Fraction(a, d)), format_rat(Fraction(b, d))] for a, b, d in ibox],
         "exact": False,
         "residual_bound": format_rat(max(bounds)),
     }
 
 
-def _certify_d2(base: SolutionSet, sf: UniPoly, system, scaled: list, removed: list) -> None:
+# refinement widths: solution boxes, and boxes whose sign is ambiguous
+_BOX_WIDTH = Fraction(1, 2**20)
+_SIGN_WIDTH = Fraction(1, 2**30)
+
+
+def _certify_d2(base: SolutionSet, sf: ZPoly, system, scaled: list, removed: list) -> None:
     """Real and positive counts and solutions of the squarefree univariate
     eliminant sf (degree >= 1, sf(0) != 0), from one isolation.
 
@@ -553,38 +532,41 @@ def _certify_d2(base: SolutionSet, sf: UniPoly, system, scaled: list, removed: l
     intervals = isolate_real_roots(sf)
     base.real_count = len(intervals)
     base.positive_count = 0
-    for lo, hi in intervals:
+    for interval in intervals:
+        lo, hi, _den = interval
         if lo >= 0:
             base.positive_count += 1
         elif hi > 0:
             base.positive_count += (sf.coeffs[0] > 0) != (sf.coeffs[-1] > 0)
-        root = _rational_root_in(sf, lo, hi)
+        root = _rational_root_in(sf, interval)
         if root is not None:
             base.solutions.append(_exact_entry(system, [root]))
         else:
-            box = [refine_root_interval(sf, lo, hi, Fraction(1, 2**20))]
+            box = [refine_root_interval(sf, interval, _BOX_WIDTH)]
             base.solutions.append(_box_entry(scaled, removed, box))
 
 
-def _rational_root_in(p: UniPoly, lo: Fraction, hi: Fraction):
-    """A rational root of p inside (lo, hi], when cheap to find.
+def _rational_root_in(p: ZPoly, interval: tuple):
+    """A rational root of p inside the interval (lo/D, hi/D], given as
+    (lo, hi, D), when cheap to find.
 
     By the rational root theorem a root num/den in lowest terms has den
-    dividing the leading and num the lowest nonzero integer coefficient;
-    when both are at most 10**7, the candidates inside (lo, hi] are taken,
-    for each den, from the sorted signed divisors of the latter between
-    lo * den (exclusive) and hi * den.
+    dividing the leading and num the lowest nonzero coefficient; when both
+    are at most 10**7, the candidates inside the interval are taken, for
+    each den, from the sorted signed divisors of the latter between
+    lo * den / D (exclusive) and hi * den / D.
     """
-    ints, _ = common_denominator(p.coeffs)
-    a0 = next((c for c in ints if c != 0), 0)
+    ints = p.coeffs
+    a0 = next(c for c in ints if c)
     an = ints[-1]
-    if a0 == 0 or an == 0 or abs(a0) > 10**7 or abs(an) > 10**7:
+    if abs(a0) > 10**7 or abs(an) > 10**7:
         return None
+    lo, hi, d = interval
     nums = _divisors(a0)
     nums = [-n for n in reversed(nums)] + nums
     for den in _divisors(an):
-        start = bisect_right(nums, lo.numerator * den // lo.denominator)
-        stop = bisect_right(nums, hi.numerator * den // hi.denominator)
+        start = bisect_right(nums, lo * den // d)
+        stop = bisect_right(nums, hi * den // d)
         for num in nums[start:stop]:
             if gcd(num, den) == 1 and sign_at(ints, num, den) == 0:
                 return Fraction(num, den)
@@ -598,10 +580,11 @@ def _divisors(n: int) -> list:
     return small + [n // i for i in reversed(small) if i * i != n]
 
 
-def _certify_d3(base: SolutionSet, g1: dict, g2: dict, q1: UniPoly, q2: UniPoly,
+def _certify_d3(base: SolutionSet, g1: dict, g2: dict, q1: ZPoly, q2: ZPoly,
                 system, removed: list, max_rounds: int) -> None:
     """Real and positive counts by Krawczyk tests on the boxes that pair a
-    real root of the x-eliminant q1 with one of the y-eliminant q2."""
+    real root of the x-eliminant q1 with one of the y-eliminant q2; a box
+    is two integer intervals (a, b, D), and a > 0 means positive."""
     if q1.degree <= 0 or q2.degree <= 0:
         base.real_count = 0
         base.positive_count = 0
@@ -620,31 +603,26 @@ def _certify_d3(base: SolutionSet, g1: dict, g2: dict, q1: UniPoly, q2: UniPoly,
                 status = _krawczyk_2x2(krawczyk, (b1, b2))
                 if status in ("unique", "empty"):
                     break
-                b1 = refine_root_interval(q1, b1[0], b1[1], (b1[1] - b1[0]) / 4)
-                b2 = refine_root_interval(q2, b2[0], b2[1], (b2[1] - b2[0]) / 4)
+                b1 = refine_root_interval(q1, b1, Fraction(b1[1] - b1[0], 4 * b1[2]))
+                b2 = refine_root_interval(q2, b2, Fraction(b2[1] - b2[0], 4 * b2[2]))
             if status == "unique":
                 real += 1
                 if b1[0] > 0 and b2[0] > 0:
                     positive += 1
                 elif b1[1] > 0 and b2[1] > 0 and (b1[0] <= 0 or b2[0] <= 0):
                     base.warnings.append("sign-ambiguous box; refining")
-                    b1 = refine_root_interval(q1, b1[0], b1[1], Fraction(1, 2**30))
-                    b2 = refine_root_interval(q2, b2[0], b2[1], Fraction(1, 2**30))
+                    b1 = refine_root_interval(q1, b1, _SIGN_WIDTH)
+                    b2 = refine_root_interval(q2, b2, _SIGN_WIDTH)
                     if b1[0] > 0 and b2[0] > 0:
                         positive += 1
-                rr1 = _rational_root_in(q1, b1[0], b1[1])
-                rr2 = _rational_root_in(q2, b2[0], b2[1])
-                if (
-                    rr1 is not None
-                    and rr2 is not None
-                    and _eval_dict_exact(s1, [rr1, rr2]) == 0
-                    and _eval_dict_exact(s2, [rr1, rr2]) == 0
-                ):
-                    base.solutions.append(_exact_entry(system, [rr1, rr2]))
+                roots = [_rational_root_in(q1, b1), _rational_root_in(q2, b2)]
+                point = [(r.numerator, r.denominator) for r in roots if r is not None]
+                if len(point) == 2 and not any(_exact_numerators(g, point)[0] for g in (s1, s2)):
+                    base.solutions.append(_exact_entry(system, roots))
                 else:
-                    b1w = refine_root_interval(q1, b1[0], b1[1], Fraction(1, 2**20))
-                    b2w = refine_root_interval(q2, b2[0], b2[1], Fraction(1, 2**20))
-                    base.solutions.append(_box_entry((s1, s2), removed, (b1w, b2w)))
+                    box = (refine_root_interval(q1, b1, _BOX_WIDTH),
+                           refine_root_interval(q2, b2, _BOX_WIDTH))
+                    base.solutions.append(_box_entry((s1, s2), removed, box))
             elif status == "unknown":
                 base.warnings.append(
                     "cluster separation failure; widened interval left unresolved"
@@ -692,10 +670,10 @@ def bound_report(data: HomSpaceData, solve: bool = True) -> BoundReport:
     eps_c = None
     if solve and data.d in (2, 3):
         eps_c = count_complex(data).distinct_complex
-    return _build_bound_report(data, nu, T, eps_c)
+    return build_bound_report(data, nu, T, eps_c)
 
 
-def _build_bound_report(
+def build_bound_report(
     data: HomSpaceData, nu: int, T: FlatComplex, eps_c: Optional[int]
 ) -> BoundReport:
     """The bound report from values an analysis already holds: nu of the

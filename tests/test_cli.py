@@ -159,6 +159,15 @@ _MALFORMED = {
     "empty.json": b'{"vertices": []}',
     "text.json": b'{"vertices": [["a", 1]]}',
     "binary.json": b'\xff\xfe{"vertices": []}',
+    "bool_vertex.json": b'{"vertices": [[true, 0], [0, 1], [0, 0]]}',
+    "bool_dims.json": json.dumps({
+        "schema": "homspace/v1", "name": "bool_dims", "d": 3, "dims": [True, 2, 2],
+        "b": ["1", "1", "1"], "triples": [{"ijk": [1, 2, 3], "value": "1"}],
+    }).encode(),
+    "bool_value.json": json.dumps({
+        "schema": "homspace/v1", "name": "bool_value", "d": 3, "dims": [1, 2, 2],
+        "b": ["1", "1", "1"], "triples": [{"ijk": [1, 2, 3], "value": True}],
+    }).encode(),
 }
 
 
@@ -168,6 +177,9 @@ _MALFORMED = {
     (["polytope", "text.json"], 2, "invalid data: /vertices/0"),
     (["polytope", "binary.json"], 2, "invalid data: /: "),
     (["analyze", "binary.json"], 2, "invalid data: /: "),
+    (["polytope", "bool_vertex.json"], 2, "invalid data: /vertices/0"),
+    (["analyze", "bool_dims.json"], 2, "invalid data: /dims/0"),
+    (["analyze", "bool_value.json"], 2, "invalid data: /triples/0/value"),
     (["analyze", "."], 1, "error: "),
     (["polytope", "."], 1, "error: "),
     (["analyze", "su3_t2", "--no-solve", "--json", "missing/x.json"], 1, "error: "),

@@ -6,7 +6,8 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from einpoly.exact import (
@@ -16,8 +17,11 @@ from einpoly.exact import (
     UniPoly,
     ZPoly,
     _column_hnf,
+    _sturm_chain,
+    _variations,
     bivar_cols,
     clear_denominators,
+    common_denominator,
     det,
     integer_kernel_basis,
     isolate_real_roots,
@@ -758,7 +762,7 @@ def test_sturm_degree_eight_known_split():
 
 def test_isolation_separates_roots():
     p = UniPoly.from_roots([F(-2), F(1, 3), F(5)])
-    intervals = isolate_real_roots(p)
+    intervals = [fraction_interval(iv) for iv in isolate_real_roots(as_zpoly(p))]
     assert len(intervals) == 3
     for (lo, hi), root in zip(intervals, [F(-2), F(1, 3), F(5)]):
         assert lo < root <= hi
@@ -775,19 +779,49 @@ def test_parse_rat_rejects_decimals():
 # ---------------------------------------------------------------------------
 
 
-def sturm_refine_reference(p, lo, hi, width):
-    """Bisection of an isolating interval (lo, hi] by Sturm counts, in
-    Fraction arithmetic: the root lies in (lo, mid] iff V(lo) - V(mid) = 1."""
+def as_zpoly(p):
+    """p as a ZPoly, a positive multiple: the input form of isolation and
+    refinement."""
+    return clear_denominators([p])[0][0]
+
+
+def fraction_interval(interval):
+    """An integer interval (a, b, D) as the Fractions (a/D, b/D)."""
+    a, b, d = interval
+    return F(a, d), F(b, d)
+
+
+def triple(lo, hi):
+    """Fractions (lo, hi) as an integer interval (a, b, D)."""
+    (a, b), d = common_denominator((lo, hi))
+    return a, b, d
+
+
+def fraction_sturm_chain(p):
+    """The Sturm chain of p in Fraction arithmetic, by `UniPoly.divmod`."""
     chain = [p, p.derivative()]
     while chain[-1].degree > 0:
         _, r = chain[-2].divmod(chain[-1])
         if r.is_zero():
             break
         chain.append(-r)
+    return chain
+
+
+def fraction_variations(chain, x):
+    """Sign variations of a Fraction chain at the rational x, zeros
+    skipped."""
+    signs = [s for s in ((q(x) > 0) - (q(x) < 0) for q in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def sturm_refine_reference(p, lo, hi, width):
+    """Bisection of an isolating interval (lo, hi] by Sturm counts, in
+    Fraction arithmetic: the root lies in (lo, mid] iff V(lo) - V(mid) = 1."""
+    chain = fraction_sturm_chain(p)
 
     def var(x):
-        signs = [s for s in ((q(x) > 0) - (q(x) < 0) for q in chain) if s]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
+        return fraction_variations(chain, x)
 
     vlo = var(lo)
     while hi - lo > width:
@@ -825,16 +859,17 @@ def planted_polynomials(draw):
 def test_refine_matches_sturm_bisection(planted, bits):
     p, roots = planted
     width = F(1, 2**bits)
-    intervals = isolate_real_roots(p)
+    intervals = isolate_real_roots(as_zpoly(p))
     assert len(intervals) == sturm_count(p)
-    for lo, hi in intervals:
-        lo2, hi2 = refine_root_interval(p, lo, hi, width)
+    for interval in intervals:
+        lo, hi = fraction_interval(interval)
+        lo2, hi2 = fraction_interval(refine_root_interval(as_zpoly(p), interval, width))
         assert (lo2, hi2) == sturm_refine_reference(p, lo, hi, width)
         assert hi2 - lo2 <= width
         assert lo <= lo2 < hi2 <= hi
         assert sturm_count(p, lo2, hi2) == 1
     for r in roots:
-        assert sum(lo < r <= hi for lo, hi in intervals) == 1
+        assert sum(lo < r <= hi for lo, hi in map(fraction_interval, intervals)) == 1
 
 
 @given(planted_polynomials(), st.integers(min_value=1, max_value=6),
@@ -849,7 +884,7 @@ def test_refine_with_a_root_at_an_endpoint_or_midpoint(planted, shift, bits):
         for lo, hi in ((r - F(1, 2**shift), r), (r - F(1, 2**shift), r + F(1, 2**shift))):
             if sturm_count(p, lo, hi) != 1:
                 continue
-            lo2, hi2 = refine_root_interval(p, lo, hi, width)
+            lo2, hi2 = fraction_interval(refine_root_interval(as_zpoly(p), triple(lo, hi), width))
             assert (lo2, hi2) == sturm_refine_reference(p, lo, hi, width)
             assert lo2 < r <= hi2
 
@@ -859,7 +894,50 @@ def test_isolation_matches_sturm_counts_per_interval():
     for _ in range(20):
         roots = {F(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(rng.randint(1, 6))}
         p = UniPoly.from_roots(sorted(roots)) * UniPoly([-rng.choice([2, 3, 5]), 0, 1])
-        intervals = isolate_real_roots(p)
+        intervals = [fraction_interval(iv) for iv in isolate_real_roots(as_zpoly(p))]
         assert len(intervals) == len(roots) + 2
         assert all(a[1] <= b[0] for a, b in zip(intervals, intervals[1:]))
         assert all(sturm_count(p, lo, hi) == 1 for lo, hi in intervals)
+
+
+# ---------------------------------------------------------------------------
+# the integer Sturm chain against the Fraction chain
+# ---------------------------------------------------------------------------
+
+# sparse coefficients, so remainder degrees often drop by more than one, with
+# leads of both signs
+sparse_polynomials = st.lists(
+    st.sampled_from([0, 0, 0, 1, -1, 2, -3, F(1, 2), F(-5, 3)]), min_size=2, max_size=8,
+).map(UniPoly).filter(lambda p: p.degree >= 1)
+
+
+def rational_roots(q):
+    """The rational roots of a Fraction polynomial of degree >= 1."""
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(q.coeffs)]
+    roots = sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ").ground_roots()
+    return [F(int(r.p), int(r.q)) for r in roots]
+
+
+def variations_at_infinity(chain, side):
+    signs = [(1 if q.coeffs[-1] > 0 else -1) * side**q.degree for q in chain]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+# a remainder step with a negative lead and an odd power of it in the
+# pseudo-remainder: 1 - 3x^4 - x^5 and x^2 - x^5
+@example(UniPoly([1, 0, 0, 0, -3, -1]), [])
+@example(UniPoly([0, 0, 1, 0, 0, -1]), [])
+@given(st.one_of(planted_polynomials().map(lambda planted: planted[0]), sparse_polynomials),
+       st.lists(small_rats, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_integer_sturm_chain_matches_the_fraction_chain(p, points):
+    chain = fraction_sturm_chain(p)
+    ichain = _sturm_chain(as_zpoly(p))
+    assert len(ichain) == len(chain)
+    for q, c in zip(chain, ichain):
+        assert c[-1] * q.coeffs[-1] > 0 and UniPoly(c).monic() == q.monic()
+    roots = [r for q in chain if q.degree >= 1 for r in rational_roots(q)]
+    for x in points + roots:
+        assert _variations(ichain, (x.numerator, x.denominator)) == fraction_variations(chain, x)
+    for side in (1, -1):
+        assert _variations(ichain, None, side) == variations_at_infinity(chain, side)

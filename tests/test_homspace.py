@@ -66,6 +66,33 @@ def test_parse_rejects_negative_constants():
     assert "/b/0" in str(exc.value)
 
 
+# a boolean in each place an integer or a rational is read, and the JSON
+# pointer it is rejected at
+_BOOLEANS = [
+    (dict(MINIMAL, d=True), "/d"),
+    (dict(MINIMAL, dims=[True, 1]), "/dims/0"),
+    (dict(MINIMAL, b=["1", True]), "/b/1"),
+    (dict(MINIMAL, triples=[{"ijk": [True, 2, 2], "value": "1"}]), "/triples/0/ijk"),
+    (dict(MINIMAL, triples=[{"ijk": [1, 2, 2], "value": True}]), "/triples/0/value"),
+    (dict(MINIMAL, bracket_meets_h=[[True, 2]]), "/bracket_meets_h/0"),
+    (dict(MINIMAL, h_nontrivial=[True]), "/h_nontrivial"),
+    (dict(MINIMAL, central=[False]), "/central"),
+]
+
+
+@pytest.mark.parametrize("doc, path", _BOOLEANS, ids=[path for _doc, path in _BOOLEANS])
+def test_parse_rejects_booleans_as_numbers(doc, path):
+    with pytest.raises(SchemaError) as exc:
+        parse(json.dumps(doc))
+    assert exc.value.path == path
+
+
+def test_parse_rejects_dims_that_are_not_a_list():
+    with pytest.raises(SchemaError) as exc:
+        parse(json.dumps(dict(MINIMAL, dims=2)))
+    assert exc.value.path == "/dims"
+
+
 def test_parse_rejects_decimal_rationals():
     doc = dict(MINIMAL, b=["0.5", "1"])
     with pytest.raises(SchemaError):

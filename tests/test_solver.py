@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from einpoly.curvature import einstein_system
-from einpoly.exact import UniPoly, isolate_real_roots, refine_root_interval
+from einpoly.exact import (
+    UniPoly,
+    ZPoly,
+    clear_denominators,
+    common_denominator,
+    isolate_real_roots,
+    refine_root_interval,
+)
 from einpoly.homspace import (
     HomSpaceData,
     jordan_space,
@@ -28,9 +35,8 @@ from einpoly.solver import (
     UnsupportedDimensionError,
     _certify_d2,
     _eliminant,
-    _eval_dict_exact,
-    _eval_dict_interval,
-    _integer_box,
+    _exact_numerators,
+    _interval_numerators,
     _krawczyk_2x2,
     _krawczyk_image,
     _krawczyk_system,
@@ -345,8 +351,8 @@ def test_d2_positive_count_of_an_unsplit_isolation():
     # y^3 -+ 2 has one real root, so the isolation returns the Cauchy
     # interval (-3, 3] unsplit; sf(0) against the lead decides its sign
     for c0, positive in ((2, 0), (-2, 1)):
-        sf = UniPoly([c0, 0, 0, 1])
-        assert isolate_real_roots(sf) == [(F(-3), F(3))]
+        sf = ZPoly([c0, 0, 0, 1])
+        assert isolate_real_roots(sf) == [(-3, 3, 1)]
         sol = SolutionSet(2, 3)
         _certify_d2(sol, sf, [], [_ScaledPoly({(0,): F(c0), (3,): F(1)})], [(0,)])
         assert (sol.real_count, sol.positive_count) == (1, positive)
@@ -384,6 +390,29 @@ def interval_reference(poly, box):
     return acc
 
 
+def integer_box(box):
+    """Fraction intervals [lo, hi] as integer intervals (a, b, D)."""
+    out = []
+    for interval in box:
+        (a, b), den = common_denominator(interval)
+        out.append((a, b, den))
+    return out
+
+
+def fraction_box(ibox):
+    """Integer intervals (a, b, D) as Fraction intervals [a/D, b/D]."""
+    return tuple((F(a, d), F(b, d)) for a, b, d in ibox)
+
+
+def eval_interval(scaled, box):
+    lo, hi, den = _interval_numerators(scaled, integer_box(box))
+    return F(lo, den), F(hi, den)
+
+
+def eval_point(scaled, point):
+    return F(*_exact_numerators(scaled, [(x.numerator, x.denominator) for x in point]))
+
+
 coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=9)
 endpoints = st.fractions(min_value=-4, max_value=4, max_denominator=16)
 
@@ -412,12 +441,12 @@ def poly_and_box(draw):
 def test_integer_interval_evaluation_matches_fraction_reference(case):
     poly, box = case
     scaled = _ScaledPoly(poly)
-    assert _eval_dict_interval(scaled, box) == interval_reference(poly, box)
+    assert eval_interval(scaled, box) == interval_reference(poly, box)
     point = [lo for lo, _hi in box]
     direct = sum((c * prod(x**ei for x, ei in zip(point, e)) for e, c in poly.items()), F(0))
-    assert _eval_dict_exact(scaled, point) == direct
+    assert eval_point(scaled, point) == direct
     if all(lo == hi for lo, hi in box):
-        assert _eval_dict_interval(scaled, box) == (direct, direct)
+        assert eval_interval(scaled, box) == (direct, direct)
 
 
 def rational_root_reference(p, lo, hi):
@@ -448,9 +477,11 @@ def test_rational_root_search_matches_brute_force(roots, surd, bits):
     p = UniPoly.from_roots(roots)
     if surd is not None:
         p = p * UniPoly([-surd, 0, 1])
-    for lo, hi in isolate_real_roots(p):
-        lo, hi = refine_root_interval(p, lo, hi, F(1, 2**bits))
-        found = _rational_root_in(p, lo, hi)
+    z = clear_denominators([p])[0][0]
+    for interval in isolate_real_roots(z):
+        interval = refine_root_interval(z, interval, F(1, 2**bits))
+        lo, hi = fraction_box([interval])[0]
+        found = _rational_root_in(z, interval)
         assert found == rational_root_reference(p, lo, hi)
         planted = [r for r in roots if lo < r <= hi and r != 0]
         assert found == (planted[0] if planted else None)
@@ -458,14 +489,14 @@ def test_rational_root_search_matches_brute_force(roots, surd, bits):
 
 def test_rational_root_search_respects_the_cap():
     # a_0 = 3001 * 4001 > 10**7: the rational root 1 is not searched for
-    p = UniPoly.from_roots([F(1), F(3001), F(4001)])
-    assert all(_rational_root_in(p, lo, hi) is None for lo, hi in isolate_real_roots(p))
+    p = clear_denominators([UniPoly.from_roots([F(1), F(3001), F(4001)])])[0][0]
+    assert all(_rational_root_in(p, iv) is None for iv in isolate_real_roots(p))
     # leading coefficient over the cap after clearing denominators
-    p = UniPoly.from_roots([F(1, 3001), F(1, 4001), F(2)])
-    assert all(_rational_root_in(p, lo, hi) is None for lo, hi in isolate_real_roots(p))
+    p = clear_denominators([UniPoly.from_roots([F(1, 3001), F(1, 4001), F(2)])])[0][0]
+    assert all(_rational_root_in(p, iv) is None for iv in isolate_real_roots(p))
     # just under the cap the same roots are found
-    p = UniPoly.from_roots([F(1), F(2), F(3001), F(1000)])
-    found = [_rational_root_in(p, lo, hi) for lo, hi in isolate_real_roots(p)]
+    p = clear_denominators([UniPoly.from_roots([F(1), F(2), F(3001), F(1000)])])[0][0]
+    found = [_rational_root_in(p, iv) for iv in isolate_real_roots(p)]
     assert found == [F(1), F(2), F(1000), F(3001)]
 
 
@@ -531,13 +562,16 @@ def test_krawczyk_image_matches_fraction_reference():
             for i2 in isolate_real_roots(q2):
                 b1, b2 = i1, i2
                 for _ in range(8):
-                    shift = F(rng.randint(-2, 2), 3) * (b1[1] - b1[0])
-                    for box in ((b1, b2), ((b1[0] + shift, b1[1] + shift), b2)):
-                        image = _krawczyk_image(system, _integer_box(box))
-                        assert image == krawczyk_image_reference(g1, g2, box)
+                    # b1 shifted by k/3 of its width
+                    k = rng.randint(-2, 2)
+                    a, b, d = b1
+                    shifted = (3 * a + k * (b - a), 3 * b + k * (b - a), 3 * d)
+                    for box in ((b1, b2), (shifted, b2)):
+                        image = _krawczyk_image(system, box)
+                        assert image == krawczyk_image_reference(g1, g2, fraction_box(box))
                         verdicts.add(_krawczyk_2x2(system, box))
-                    b1 = refine_root_interval(q1, *b1, (b1[1] - b1[0]) / 4)
-                    b2 = refine_root_interval(q2, *b2, (b2[1] - b2[0]) / 4)
+                    b1 = refine_root_interval(q1, b1, F(b1[1] - b1[0], 4 * b1[2]))
+                    b2 = refine_root_interval(q2, b2, F(b2[1] - b2[0], 4 * b2[2]))
     assert verdicts == {"unique", "empty", "unknown"}
 
 

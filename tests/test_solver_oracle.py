@@ -17,7 +17,7 @@ import pytest
 import sympy
 
 from einpoly import solver
-from einpoly.exact import UniPoly, bivar_cols, resultant
+from einpoly.exact import UniPoly, bivar_cols, clear_denominators, resultant
 from einpoly.solver import DegenerateSystemError, _eliminant
 
 X, Y = sympy.symbols("x y")
@@ -127,8 +127,10 @@ def test_zero_fiber_root_over_part_of_the_eliminant():
 
 
 # sha256 over the outcomes of `_eliminant` in both orders on the systems of
-# `_digest_systems`, generated before the fiber count was rewritten
-ELIMINANT_DIGEST = "04640a7132af9328590ee3e7df490e4e5c988a1b1dcd77541c6e9a9608032eda"
+# `_digest_systems`, generated when the eliminant became the primitive
+# integer polynomial; `test_eliminant_matches_its_fraction_form` ties every
+# outcome to the monic Fraction eliminant returned before
+ELIMINANT_DIGEST = "15d8574d21f22e657ba1d21d8db9a15c506df4dcda5af2eee437e430b7748a6b"
 
 
 def _digest_systems():
@@ -150,7 +152,7 @@ def _digest_systems():
 def _zero_root_over_part(g1, g2, axis, h):
     """Whether the eliminated variable is 0 at a common root over some, but
     not all, roots of h: 0 < deg gcd(g1|0, g2|0, h) < deg h."""
-    z = bivar_cols(g1, axis)[0].gcd(bivar_cols(g2, axis)[0]).gcd(h)
+    z = bivar_cols(g1, axis)[0].gcd(bivar_cols(g2, axis)[0]).gcd(UniPoly(h.coeffs))
     return 0 < z.degree < h.degree
 
 
@@ -180,6 +182,51 @@ def test_eliminant_digest_over_random_systems(monkeypatch):
     assert partial
     assert degenerate
     assert digest.hexdigest() == ELIMINANT_DIGEST
+
+
+def _fraction_eliminant(g1, g2, axis):
+    """`_eliminant` as it was when it returned a Fraction eliminant: the
+    resultant with its x power stripped, made squarefree (p / gcd(p, p')
+    over a common denominator) and monic at positive degree, the raw
+    constant otherwise; the count through the same integer fiber
+    recursion."""
+    cols1, cols2 = bivar_cols(g1, axis), bivar_cols(g2, axis)
+    A, B = clear_denominators(cols1)[0], clear_denominators(cols2)[0]
+    if len(A) == 1 and len(B) == 1:
+        if A[0].gcd(B[0]).degree > 0:
+            raise DegenerateSystemError("common factor present")
+        return UniPoly.const(1), 0
+    r = resultant(cols1, cols2)
+    if r.is_zero():
+        raise DegenerateSystemError("resultant vanished; common factor present")
+    _, h = r.strip_x_power()
+    if h.degree <= 0:
+        return h, 0
+    (p, dp), _ = clear_denominators((h, h.derivative()))
+    h = UniPoly((p // p.gcd(dp)).coeffs).monic()
+    H = clear_denominators([h])[0][0].primitive()
+    return h, sum(solver._torus_roots(G, hb) for hb, G in solver._fiber_gcd_branches(A, B, H))
+
+
+def test_eliminant_matches_its_fraction_form():
+    outcomes = []
+    for g1, g2 in list(_digest_systems()) + list(_rational_systems()):
+        for axis in (1, 0):
+            try:
+                h, count = _fraction_eliminant(g1, g2, axis)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    _eliminant(g1, g2, axis)
+                assert repr(got.value) == repr(exc)
+                outcomes.append("exception")
+                continue
+            H, got_count = _eliminant(g1, g2, axis)
+            assert (H.degree, got_count) == (h.degree, count)
+            if H.degree > 0:
+                assert UniPoly(H.coeffs).monic() == h
+            outcomes.append(H.degree > 0)
+    assert len(outcomes) == 600
+    assert {"exception", True, False} <= set(outcomes)
 
 
 # ---------------------------------------------------------------------------
