@@ -1,5 +1,5 @@
 """Exact rational arithmetic, integer lattice routines, and univariate
-polynomial algebra.
+polynomial algebra over Z.
 
 Everything here is exact: rationals are `fractions.Fraction`, matrices are
 nested sequences, no floating point anywhere.
@@ -9,21 +9,22 @@ Elimination has one routine per job:
 * fraction-free Bareiss row reduction (`_bareiss`) runs on integer matrices
   and, unchanged, on matrices over Z[x] (`ZPoly`).  It returns its pivot
   columns and gives `rank`, `det`, `solve_unique`, the Sylvester
-  `resultant` (an integer determinant over Z[x]: each input is cleared of
-  denominators once and the scale divided out at the end), and the start
-  simplex of the double description in `polytope`;
+  `resultant` (an integer determinant over Z[x]), and the start simplex of
+  the double description in `polytope`;
 * over Z, the column Hermite form A U = H (`_column_hnf`) gives the
   saturated kernel, the lattice chart of an affine hull with its lift of
   chart vectors (`LatticeChart`), and `lattice_index`.  The chart factors
   its basis once; the basis is saturated, so the Hermite block it solves
   against is unit lower triangular and back-substitution stays integral.
 
-A polynomial given as a {degree: coefficient} dict becomes a `UniPoly`
-through one conversion, `unipoly`; a list of `UniPoly` becomes integer
-polynomials over one denominator through `clear_denominators`.  Besides the
-exact division `_bareiss` needs, `ZPoly` has the pseudo-remainder, the
-primitive gcd and the primitive squarefree part, which the d = 3 fiber gcds
-of `solver` run on.
+There is one polynomial type, `ZPoly` (Z[x]), and one conversion into it:
+`zpoly` clears a rational {degree: coefficient} dict over its least common
+denominator, and `bivar_cols` clears a bivariate dict the same way once
+before it splits it into columns.  Besides the exact division `_bareiss`
+needs, `ZPoly` has the pseudo-remainder, the primitive gcd and the
+primitive squarefree part, which the d = 3 fiber gcds of `solver` and the
+curve verdicts of `faces` run on.  Only gcds, degrees and signs are read
+from them, so the positive scale of a cleared polynomial never matters.
 
 Real roots are isolated and refined in integers: the input is a squarefree
 `ZPoly`, its Sturm chain is built by signed pseudo-remainders, and an
@@ -322,163 +323,6 @@ def primitive(vec: Sequence[int]) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q
-# ---------------------------------------------------------------------------
-
-class UniPoly:
-    """Dense univariate polynomial with Fraction coefficients, ascending."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def const(cls, c) -> "UniPoly":
-        return cls([Fraction(c)])
-
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return cls([0, 1])
-
-    @classmethod
-    def from_roots(cls, roots) -> "UniPoly":
-        p = cls.const(1)
-        for r in roots:
-            p = p * cls([-Fraction(r), 1])
-        return p
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"UniPoly({list(self.coeffs)})"
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UniPoly([c * other for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def divmod(self, other: "UniPoly"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        dlead = other.coeffs[-1]
-        dn = other.degree
-        while len(rem) - 1 >= dn and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dn:
-                break
-            shift = len(rem) - 1 - dn
-            factor = rem[-1] / dlead
-            q[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-            rem.pop()
-        return UniPoly(q), UniPoly(rem)
-
-    def __floordiv__(self, other) -> "UniPoly":
-        """Exact division by a UniPoly or a nonzero rational; raises on a
-        nonzero remainder."""
-        if not isinstance(other, UniPoly):
-            return UniPoly([c / other for c in self.coeffs])
-        q, r = self.divmod(other)
-        if r:
-            raise ArithmeticError("division was not exact")
-        return q
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        return UniPoly([c / self.coeffs[-1] for c in self.coeffs])
-
-    def strip_x_power(self) -> tuple:
-        """Return (k, p) with self = x**k * p and p(0) != 0."""
-        if self.is_zero():
-            return 0, self
-        k = 0
-        cs = list(self.coeffs)
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            k += 1
-        return k, UniPoly(cs)
-
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        """The monic gcd (zero for two zeros): the primitive integer gcd
-        (`ZPoly.gcd`) of the two over a common denominator, made monic."""
-        (a, b), _ = clear_denominators((self, other))
-        return UniPoly(a.gcd(b).coeffs).monic()
-
-    def squarefree(self) -> "UniPoly":
-        """Squarefree part p / gcd(p, p'), monic: `ZPoly.squarefree` of p
-        over a common denominator."""
-        if self.is_zero():
-            raise ValueError("zero polynomial has no squarefree part")
-        return UniPoly(clear_denominators([self])[0][0].squarefree().coeffs).monic()
-
-
-def unipoly(terms: dict) -> UniPoly:
-    """The UniPoly with coefficient c at degree k for each {k: c}."""
-    coeffs = [0] * (max(terms, default=-1) + 1)
-    for k, c in terms.items():
-        coeffs[k] = c
-    return UniPoly(coeffs)
-
-
-# ---------------------------------------------------------------------------
 # univariate polynomials over Z
 # ---------------------------------------------------------------------------
 
@@ -579,6 +423,12 @@ class ZPoly:
     def derivative(self) -> "ZPoly":
         return ZPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
+    def strip_x_power(self) -> tuple:
+        """(k, p) with self = x^k p and p(0) != 0; (0, 0) for zero."""
+        cs = self.coeffs
+        k = next((i for i, c in enumerate(cs) if c), 0)
+        return k, ZPoly(cs[k:])
+
     def primitive(self) -> "ZPoly":
         """self over the gcd of its coefficients, with a positive lead; the
         zero polynomial stays zero."""
@@ -607,17 +457,14 @@ class ZPoly:
         return (self // self.gcd(self.derivative())).primitive()
 
 
-def clear_denominators(polys: Sequence[UniPoly]) -> tuple:
-    """UniPolys over their least common denominator D > 0: (the ZPoly
-    numerators, D)."""
-    nums, den = common_denominator(c for p in polys for c in p.coeffs)
-    out = []
-    start = 0
-    for p in polys:
-        stop = start + len(p.coeffs)
-        out.append(ZPoly(nums[start:stop]))
-        start = stop
-    return out, den
+def zpoly(terms: dict) -> tuple:
+    """(P, D) with P / D the polynomial with coefficient c at degree k for
+    each {k: c}: D > 0 is the least common denominator of the c."""
+    nums, den = common_denominator(terms.values())
+    coeffs = [0] * (max(terms, default=-1) + 1)
+    for k, c in zip(terms, nums):
+        coeffs[k] = c
+    return ZPoly(coeffs), den
 
 
 def sign_at(c: Sequence[int], n: int, d: int) -> int:
@@ -678,14 +525,14 @@ def _point(x) -> Optional[tuple]:
     return x.numerator, x.denominator
 
 
-def sturm_count(p: UniPoly, a=None, b=None) -> int:
+def sturm_count(p: ZPoly, a=None, b=None) -> int:
     """Number of distinct real roots of p in (a, b].
 
     None stands for -oo (as a) or +oo (as b).
     """
-    if p.is_zero():
+    if not p:
         raise ValueError("zero polynomial")
-    sf = clear_denominators([p])[0][0].squarefree()
+    sf = p.squarefree()
     if sf.degree < 1:
         return 0
     chain = _sturm_chain(sf)
@@ -757,39 +604,35 @@ class DegenerateEliminationError(ValueError):
 
 
 def bivar_cols(poly: dict, axis: int) -> list:
-    """Coefficient list of a bivariate polynomial {(i, j): c} in the variable
-    `axis`, entries UniPoly in the other one: the input form of
+    """Coefficient list of D * poly, for a bivariate polynomial {(i, j): c}
+    and D the least common denominator of its coefficients, in the variable
+    `axis`, entries `ZPoly` in the other one: the input form of
     `resultant`."""
+    nums, _ = common_denominator(poly.values())
     cols = [{} for _ in range(max(e[axis] for e in poly) + 1)]
-    for e, c in poly.items():
+    for e, c in zip(poly, nums):
         cols[e[axis]][e[1 - axis]] = c
-    return [unipoly(col) for col in cols]
+    return [zpoly(col)[0] for col in cols]
 
 
-def resultant(p: Sequence[UniPoly], q: Sequence[UniPoly]) -> UniPoly:
+def resultant(p: Sequence[ZPoly], q: Sequence[ZPoly]) -> ZPoly:
     """Resultant in y of two polynomials given as y-coefficient lists over
-    Q[x]; returns a polynomial in x.
-
-    Each input is cleared of denominators once, p = P / d1 and q = Q / d2
-    with P, Q over Z[x], and the Sylvester determinant of P and Q is taken
-    by `_bareiss` over Z[x].  It has n rows of P and m of Q (m, n the
-    degrees in y of p, q), so res(p, q) = res(P, Q) / (d1^n d2^m).  When one
-    input is constant in y the matrix is diagonal and the determinant is
-    that constant to the degree of the other.
+    Z[x]: the Sylvester determinant, taken by `_bareiss` over Z[x].  When
+    one input is constant in y the matrix is diagonal and the determinant
+    is that constant to the degree of the other.
     """
     pc = list(p)
     qc = list(q)
-    while pc and pc[-1].is_zero():
+    while pc and not pc[-1]:
         pc.pop()
-    while qc and qc[-1].is_zero():
+    while qc and not qc[-1]:
         qc.pop()
     m = len(pc) - 1
     n = len(qc) - 1
     if m < 0 or n < 0:
-        return UniPoly()
+        return ZPoly()
     if m == 0 and n == 0:
         raise DegenerateEliminationError("both inputs constant in the eliminated variable")
-    (pc, d1), (qc, d2) = clear_denominators(pc), clear_denominators(qc)
     size = m + n
     mat = [[ZPoly()] * size for _ in range(size)]
     for row in range(n):
@@ -798,6 +641,5 @@ def resultant(p: Sequence[UniPoly], q: Sequence[UniPoly]) -> UniPoly:
         mat[n + row][row:row + n + 1] = reversed(qc)
     pivots, sign, last = _bareiss(mat)
     if len(pivots) < size:
-        return UniPoly()
-    scale = d1**n * d2**m
-    return UniPoly([Fraction(sign * c, scale) for c in last.coeffs])
+        return ZPoly()
+    return last * sign

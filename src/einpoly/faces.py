@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .curvature import LaurentPoly, restrict_to_face
-from .exact import DegenerateEliminationError, LatticeChart, bivar_cols, det, resultant, unipoly
+from .exact import DegenerateEliminationError, LatticeChart, bivar_cols, det, resultant, zpoly
 from .polytope import Face, LatticePolytope, apexes, basis_points_on, is_cross_polytope
 
 SINGULAR = "singular"
@@ -235,13 +235,11 @@ def curve_singular(s: LaurentPoly, face: Face) -> str:
         # univariate part has a repeated torus root
         return _univariate_singular(poly)
     try:
-        r1 = resultant(bivar_cols(poly, 1), bivar_cols(g1, 1))
-        r2 = resultant(bivar_cols(poly, 1), bivar_cols(g2, 1))
-        _, r1t = r1.strip_x_power()
-        _, r2t = r2.strip_x_power()
-        if not r1t.is_zero() and not r2t.is_zero():
-            h = r1t.gcd(r2t)
-            _, ht = h.strip_x_power()
+        cols = bivar_cols(poly, 1)
+        _, r1t = resultant(cols, bivar_cols(g1, 1)).strip_x_power()
+        _, r2t = resultant(cols, bivar_cols(g2, 1)).strip_x_power()
+        if r1t and r2t:
+            _, ht = r1t.gcd(r2t).strip_x_power()
             if ht.degree <= 0:
                 return NONSINGULAR
     except DegenerateEliminationError:
@@ -251,7 +249,7 @@ def curve_singular(s: LaurentPoly, face: Face) -> str:
 
 def _univariate_singular(poly: dict) -> str:
     axis = 0 if len({e[1] for e in poly}) == 1 else 1
-    p = unipoly({e[axis]: c for e, c in poly.items()})
+    p, _ = zpoly({e[axis]: c for e, c in poly.items()})
     _, pt = p.strip_x_power()
     g = pt.gcd(pt.derivative())
     gt_deg = g.strip_x_power()[1].degree

@@ -175,9 +175,10 @@ def parse_obj(obj: dict) -> HomSpaceData:
     d = obj["d"]
     if not is_int(d):
         raise SchemaError("/d", "must be an integer")
+    for name in ("dims", "b"):
+        if not isinstance(obj[name], list):
+            raise SchemaError(f"/{name}", "must be a list")
     dims = obj["dims"]
-    if not isinstance(dims, list):
-        raise SchemaError("/dims", "must be a list")
 
     def _rat_at(path, value):
         try:
@@ -206,6 +207,8 @@ def parse_obj(obj: dict) -> HomSpaceData:
 
     def _pairs(name):
         raw = obj.get(name, [])
+        if not isinstance(raw, list):
+            raise SchemaError(f"/{name}", "must be a list")
         out = set()
         for pos, pair in enumerate(raw):
             if not (isinstance(pair, list) and len(pair) == 2 and all(is_int(i) for i in pair)):

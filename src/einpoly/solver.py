@@ -52,14 +52,13 @@ from .curvature import LaurentPoly, einstein_system
 from .exact import (
     ZPoly,
     bivar_cols,
-    clear_denominators,
     common_denominator,
     format_rat,
     isolate_real_roots,
     refine_root_interval,
     resultant,
     sign_at,
-    unipoly,
+    zpoly,
 )
 from .homspace import HomSpaceData, weight_polytope
 from .infinity import FlatComplex, delta_min, flat_complex
@@ -218,17 +217,16 @@ def _eliminant(g1: dict, g2: dict, axis: int) -> Tuple[ZPoly, int]:
 
     When both are constant in that variable, the resultant is the empty
     Sylvester determinant 1 and the count 0, unless they share a factor."""
-    cols1 = bivar_cols(g1, axis)
-    cols2 = bivar_cols(g2, axis)
-    A, B = clear_denominators(cols1)[0], clear_denominators(cols2)[0]
+    A = bivar_cols(g1, axis)
+    B = bivar_cols(g2, axis)
     if len(A) == 1 and len(B) == 1:
         if A[0].gcd(B[0]).degree > 0:
             raise DegenerateSystemError("common factor present")
         return ZPoly([1]), 0
-    r = resultant(cols1, cols2)
-    if r.is_zero():
+    r = resultant(A, B)
+    if not r:
         raise DegenerateSystemError("resultant vanished; common factor present")
-    H = clear_denominators([r.strip_x_power()[1]])[0][0].squarefree()
+    H = r.strip_x_power()[1].squarefree()
     if H.degree <= 0:
         return H, 0
     return H, sum(_torus_roots(G, hb) for hb, G in _fiber_gcd_branches(A, B, H))
@@ -469,7 +467,7 @@ def _solve(data: HomSpaceData, certify: bool, max_rounds: int = 40,
     polys, removed = dehomogenize(system)
     if data.d == 2:
         # the cleared polynomial has a nonzero constant term: a torus part
-        p = clear_denominators([unipoly({e[0]: c for e, c in polys[0].items()})])[0][0]
+        p, _ = zpoly({e[0]: c for e, c in polys[0].items()})
         if p.degree <= 0:
             out = SolutionSet(2, 0)
             if certify:

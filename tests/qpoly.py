@@ -1,0 +1,154 @@
+"""Reference univariate polynomials over Q for the tests.
+
+`QPoly` holds Fraction coefficients and computes gcds and squarefree parts
+by Euclid's algorithm over Q, independently of the integer `ZPoly` the
+library computes with.  `clear` and `as_zpoly` turn references into the
+library's input form; `bivar_cols` is the dense reference for
+`einpoly.exact.bivar_cols` before clearing.
+"""
+
+from fractions import Fraction
+from math import lcm
+
+from einpoly.exact import ZPoly
+
+
+class QPoly:
+    """Dense univariate polynomial with Fraction coefficients, ascending."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def const(cls, c) -> "QPoly":
+        return cls([c])
+
+    @classmethod
+    def from_roots(cls, roots) -> "QPoly":
+        p = cls.const(1)
+        for r in roots:
+            p = p * cls([-Fraction(r), 1])
+        return p
+
+    @property
+    def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        return isinstance(other, QPoly) and self.coeffs == other.coeffs
+
+    def __repr__(self):
+        return f"QPoly({[str(c) for c in self.coeffs]})"
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return QPoly(out)
+
+    def __neg__(self):
+        return QPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QPoly([c * other for c in self.coeffs])
+        if not self.coeffs or not other.coeffs:
+            return QPoly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return QPoly(out)
+
+    def divmod(self, other: "QPoly") -> tuple:
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dn = other.degree
+        q = [Fraction(0)] * max(0, len(rem) - dn)
+        for shift in reversed(range(len(q))):
+            factor = rem[shift + dn] / other.coeffs[-1]
+            q[shift] = factor
+            for i, c in enumerate(other.coeffs):
+                rem[shift + i] -= factor * c
+        return QPoly(q), QPoly(rem)
+
+    def __floordiv__(self, other: "QPoly") -> "QPoly":
+        """Exact division; raises on a nonzero remainder."""
+        q, r = self.divmod(other)
+        if r:
+            raise ArithmeticError("division was not exact")
+        return q
+
+    def derivative(self) -> "QPoly":
+        return QPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def __call__(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def monic(self) -> "QPoly":
+        return self if self.is_zero() else self * (1 / self.coeffs[-1])
+
+    def strip_x_power(self) -> tuple:
+        """(k, p) with self = x^k p and p(0) != 0; (0, 0) for zero."""
+        k = next((i for i, c in enumerate(self.coeffs) if c), 0)
+        return k, QPoly(self.coeffs[k:])
+
+    def gcd(self, other: "QPoly") -> "QPoly":
+        """The monic gcd by Euclid's algorithm over Q (zero for two
+        zeros)."""
+        a, b = self, other
+        while b:
+            a, b = b, a.divmod(b)[1]
+        return a.monic()
+
+    def squarefree(self) -> "QPoly":
+        """p / gcd(p, p'), monic."""
+        return (self // self.gcd(self.derivative())).monic()
+
+
+def clear(polys) -> tuple:
+    """QPolys over their least common denominator D > 0: (the ZPoly
+    numerators, D)."""
+    den = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return [ZPoly([int(c * den) for c in p.coeffs]) for p in polys], den
+
+
+def as_zpoly(p: QPoly) -> ZPoly:
+    """p over its least common denominator, a positive multiple of p."""
+    return clear([p])[0][0]
+
+
+def bivar_cols(poly: dict, axis: int) -> list:
+    """Dense QPoly columns of a bivariate {(i, j): c} in the variable
+    `axis`, one scan over the terms per column."""
+    other = 1 - axis
+    cols = []
+    for j in range(max(e[axis] for e in poly) + 1):
+        coeffs = [Fraction(0)] * (max(e[other] for e in poly) + 1)
+        for e, c in poly.items():
+            if e[axis] == j:
+                coeffs[e[other]] = c
+        cols.append(QPoly(coeffs))
+    return cols

@@ -164,6 +164,10 @@ _MALFORMED = {
         "schema": "homspace/v1", "name": "bool_dims", "d": 3, "dims": [True, 2, 2],
         "b": ["1", "1", "1"], "triples": [{"ijk": [1, 2, 3], "value": "1"}],
     }).encode(),
+    "str_b.json": json.dumps({
+        "schema": "homspace/v1", "name": "str_b", "d": 3, "dims": [1, 2, 2],
+        "b": "111", "triples": [{"ijk": [1, 2, 3], "value": "1"}],
+    }).encode(),
     "bool_value.json": json.dumps({
         "schema": "homspace/v1", "name": "bool_value", "d": 3, "dims": [1, 2, 2],
         "b": ["1", "1", "1"], "triples": [{"ijk": [1, 2, 3], "value": True}],
@@ -180,6 +184,7 @@ _MALFORMED = {
     (["polytope", "bool_vertex.json"], 2, "invalid data: /vertices/0"),
     (["analyze", "bool_dims.json"], 2, "invalid data: /dims/0"),
     (["analyze", "bool_value.json"], 2, "invalid data: /triples/0/value"),
+    (["analyze", "str_b.json"], 2, "invalid data: /b: must be a list"),
     (["analyze", "."], 1, "error: "),
     (["polytope", "."], 1, "error: "),
     (["analyze", "su3_t2", "--no-solve", "--json", "missing/x.json"], 1, "error: "),

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -14,13 +14,11 @@ from einpoly.exact import (
     DegenerateEliminationError,
     DimensionError,
     LatticeChart,
-    UniPoly,
     ZPoly,
     _column_hnf,
     _sturm_chain,
     _variations,
     bivar_cols,
-    clear_denominators,
     common_denominator,
     det,
     integer_kernel_basis,
@@ -33,8 +31,10 @@ from einpoly.exact import (
     resultant,
     solve_unique,
     sturm_count,
-    unipoly,
+    zpoly,
 )
+from qpoly import QPoly, as_zpoly, clear
+from qpoly import bivar_cols as reference_bivar_cols
 
 # ---------------------------------------------------------------------------
 # determinants
@@ -423,76 +423,69 @@ def test_solve_unique_special_cases():
 # ---------------------------------------------------------------------------
 
 
-def _c(v):
-    return UniPoly.const(v)
-
-
 def test_resultant_linear_elimination():
     # p = y - x, q = y - 1  ->  x - 1 up to sign
-    x = UniPoly.x()
-    p = [-x, _c(1)]
-    q = [_c(-1), _c(1)]
-    r = resultant(p, q)
-    assert r in (UniPoly([-1, 1]), UniPoly([1, -1]))
+    p = [ZPoly([0, -1]), ZPoly([1])]
+    q = [ZPoly([-1]), ZPoly([1])]
+    assert resultant(p, q).coeffs in ((-1, 1), (1, -1))
 
 
 def test_resultant_substitution():
     # p = y^2 - x, q = y - 2 -> 4 - x up to sign
-    x = UniPoly.x()
-    p = [-x, _c(0), _c(1)]
-    q = [_c(-2), _c(1)]
-    r = resultant(p, q)
-    assert r in (UniPoly([4, -1]), UniPoly([-4, 1]))
+    p = [ZPoly([0, -1]), ZPoly(), ZPoly([1])]
+    q = [ZPoly([-2]), ZPoly([1])]
+    assert resultant(p, q).coeffs in ((4, -1), (-4, 1))
 
 
 def test_resultant_rejects_double_constants():
     with pytest.raises(DegenerateEliminationError):
-        resultant([_c(3)], [_c(5)])
+        resultant([ZPoly([3])], [ZPoly([5])])
 
 
 def reference_bareiss_det_poly(mat):
-    """Bareiss determinant over Q[x], written for UniPoly entries."""
+    """Bareiss determinant over Q[x], written for QPoly entries."""
     n = len(mat)
     a = [row[:] for row in mat]
     sign = 1
-    prev = UniPoly.const(1)
+    prev = QPoly.const(1)
     for k in range(n - 1):
         if a[k][k].is_zero():
             piv = next((r for r in range(k + 1, n) if not a[r][k].is_zero()), None)
             if piv is None:
-                return UniPoly()
+                return QPoly()
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = UniPoly()
+            a[i][k] = QPoly()
         prev = a[k][k]
     result = a[n - 1][n - 1]
     return result if sign == 1 else -result
 
 
+def y_degree(cols):
+    """Degree in y of a y-coefficient list; -1 when every entry is zero."""
+    return max((i for i, c in enumerate(cols) if c), default=-1)
+
+
 def reference_resultant(p, q):
     """Sylvester resultant with a power loop when one side is constant in
     the eliminated variable, and the Q[x] Bareiss determinant otherwise."""
-    pc, qc = list(p), list(q)
-    while pc and pc[-1].is_zero():
-        pc.pop()
-    while qc and qc[-1].is_zero():
-        qc.pop()
-    m, n = len(pc) - 1, len(qc) - 1
+    m, n = y_degree(p), y_degree(q)
+    pc, qc = list(p)[:m + 1], list(q)[:n + 1]
     if m < 0 or n < 0:
-        return UniPoly()
+        return QPoly()
     if m == 0 and n == 0:
         raise DegenerateEliminationError("both constant")
     if m == 0 or n == 0:
         base, times = (pc[0], n) if m == 0 else (qc[0], m)
-        out = UniPoly.const(1)
+        out = QPoly.const(1)
         for _ in range(times):
             out = out * base
         return out
     size = m + n
-    mat = [[UniPoly()] * size for _ in range(size)]
+    mat = [[QPoly()] * size for _ in range(size)]
     for row in range(n):
         for i, c in enumerate(reversed(pc)):
             mat[row][row + i] = c
@@ -506,10 +499,10 @@ def reference_resultant(p, q):
 # zero pivots (row swaps) and inputs constant in y all occur; rational
 # coefficients make each input clear its own denominator
 _x_poly = st.one_of(
-    st.just(UniPoly()),
-    st.integers(-3, 3).map(UniPoly.const),
-    st.lists(st.integers(-3, 3), max_size=3).map(UniPoly),
-    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=3).map(UniPoly),
+    st.just(QPoly()),
+    st.integers(-3, 3).map(QPoly.const),
+    st.lists(st.integers(-3, 3), max_size=3).map(QPoly),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=3).map(QPoly),
 )
 _bivariate = st.integers(min_value=0, max_value=3).flatmap(
     lambda k: st.lists(_x_poly, min_size=k + 1, max_size=k + 1))
@@ -518,24 +511,30 @@ _bivariate = st.integers(min_value=0, max_value=3).flatmap(
 @given(_bivariate, _bivariate)
 @settings(max_examples=400, deadline=None)
 def test_resultant_matches_reference(p, q):
+    (pz, d1), (qz, d2) = clear(p), clear(q)
     try:
         expected = reference_resultant(p, q)
     except DegenerateEliminationError:
         with pytest.raises(DegenerateEliminationError):
-            resultant(p, q)
+            resultant(pz, qz)
         return
-    assert resultant(p, q) == expected
+    # p = pz / d1 and q = qz / d2 scale the Sylvester determinant, which
+    # has n rows of p and m of q, by d1^n d2^m
+    m, n = y_degree(p), y_degree(q)
+    r = resultant(pz, qz)
+    assert all(isinstance(c, int) for c in r.coeffs)
+    assert QPoly(r.coeffs) == expected * F(d1) ** n * F(d2) ** m
 
 
 def _interp(points):
     """Lagrange interpolation through exact (x, y) samples."""
-    out = UniPoly()
+    out = QPoly()
     for i, (xi, yi) in enumerate(points):
-        term = UniPoly.const(yi)
+        term = QPoly.const(yi)
         for j, (xj, _) in enumerate(points):
             if i == j:
                 continue
-            term = term * UniPoly([-xj, 1]) * (F(1) / (xi - xj))
+            term = term * QPoly([-xj, 1]) * (F(1) / (xi - xj))
         out = out + term
     return out
 
@@ -543,11 +542,11 @@ def _interp(points):
 def test_resultant_matches_evaluation_interpolation_oracle():
     rng = random.Random(31)
     for _ in range(8):
-        p = [UniPoly([rng.randint(-3, 3) for _ in range(2)]) for _ in range(4)]
-        q = [UniPoly([rng.randint(-3, 3) for _ in range(2)]) for _ in range(4)]
+        p = [QPoly([rng.randint(-3, 3) for _ in range(2)]) for _ in range(4)]
+        q = [QPoly([rng.randint(-3, 3) for _ in range(2)]) for _ in range(4)]
         if p[-1].is_zero() or q[-1].is_zero():
             continue
-        r = resultant(p, q)
+        r = QPoly(resultant(clear(p)[0], clear(q)[0]).coeffs)
         deg_bound = r.degree if not r.is_zero() else 0
         samples = []
         x0 = -deg_bound - 2
@@ -579,30 +578,16 @@ def test_resultant_vanishes_iff_common_root():
         # p = (y - y0) * (y - a), q = (y - y0) * (y - b) at x = x0 after
         # shifting the constant terms by multiples of (x - x0)
         a, b = F(rng.randint(-3, 3)), F(rng.randint(2, 5))
-        shift = UniPoly([-x0, 1])
-        p = [UniPoly.const(y0 * a) + shift, UniPoly.const(-(y0 + a)), UniPoly.const(1)]
-        q = [UniPoly.const(y0 * b) + shift * 2, UniPoly.const(-(y0 + b)), UniPoly.const(1)]
-        r = resultant(p, q)
-        # at x = x0 both reduce to polynomials sharing the root y0 + correction?
-        # direct check instead: r(x1) = 0 iff gcd of specializations nontrivial
+        shift = QPoly([-x0, 1])
+        p = [QPoly.const(y0 * a) + shift, QPoly.const(-(y0 + a)), QPoly.const(1)]
+        q = [QPoly.const(y0 * b) + shift * 2, QPoly.const(-(y0 + b)), QPoly.const(1)]
+        r = QPoly(resultant(clear(p)[0], clear(q)[0]).coeffs)
+        # r(x1) = 0 iff the specializations at x1 share a root in y
         for x1 in (x0, x0 + 1, F(7, 2)):
-            pu = UniPoly([c(x1) for c in p])
-            qu = UniPoly([c(x1) for c in q])
+            pu = QPoly([c(x1) for c in p])
+            qu = QPoly([c(x1) for c in q])
             g = pu.gcd(qu)
             assert (r(x1) == 0) == (g.degree > 0)
-
-
-def reference_bivar_cols(poly, axis):
-    """Dense coefficient columns, one scan over the terms per column."""
-    other = 1 - axis
-    cols = []
-    for j in range(max(e[axis] for e in poly) + 1):
-        coeffs = [F(0)] * (max(e[other] for e in poly) + 1)
-        for e, c in poly.items():
-            if e[axis] == j:
-                coeffs[e[other]] = c
-        cols.append(UniPoly(coeffs))
-    return cols
 
 
 _bivariate_terms = st.dictionaries(
@@ -614,30 +599,32 @@ _bivariate_terms = st.dictionaries(
 @given(_bivariate_terms, st.sampled_from([0, 1]))
 @settings(max_examples=200, deadline=None)
 def test_bivar_cols_matches_dense_builder(poly, axis):
-    assert bivar_cols(poly, axis) == reference_bivar_cols(poly, axis)
+    # one denominator for the whole dict: the columns of D * poly
+    den = lcm(*(c.denominator for c in poly.values()))
+    cols = bivar_cols(poly, axis)
+    assert all(isinstance(c, int) for col in cols for c in col.coeffs)
+    assert [QPoly(col.coeffs) for col in cols] == [
+        col * den for col in reference_bivar_cols(poly, axis)]
 
 
 def reference_dense(terms):
-    """Dense Fraction coefficients up to the top degree, then UniPoly."""
-    coeffs = [F(0)] * (max(terms) + 1)
+    """Dense Fraction coefficients up to the top degree, then QPoly."""
+    coeffs = [F(0)] * (max(terms, default=-1) + 1)
     for k, c in terms.items():
         coeffs[k] = c
-    return UniPoly(coeffs)
+    return QPoly(coeffs)
 
 
 @given(st.dictionaries(st.integers(0, 8),
                        st.one_of(st.integers(-5, 5),
                                  st.fractions(min_value=-5, max_value=5, max_denominator=4)),
-                       min_size=1, max_size=6))
+                       max_size=6))
 @settings(max_examples=200, deadline=None)
-def test_unipoly_matches_dense_builder(terms):
-    p = unipoly(terms)
-    assert p == reference_dense(terms)
-    assert all(isinstance(c, F) for c in p.coeffs)
-
-
-def test_unipoly_of_no_terms_is_zero():
-    assert unipoly({}) == UniPoly() and unipoly({3: 0}) == UniPoly()
+def test_zpoly_is_the_dense_polynomial_over_one_denominator(terms):
+    p, den = zpoly(terms)
+    assert den > 0 and all(isinstance(c, int) for c in p.coeffs)
+    assert gcd(den, *p.coeffs) == 1
+    assert QPoly(p.coeffs) * F(1, den) == reference_dense(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -648,18 +635,11 @@ def test_unipoly_of_no_terms_is_zero():
 _z_poly = st.lists(st.integers(-9, 9), max_size=6).map(ZPoly)
 _nonzero_z_poly = _z_poly.filter(bool)
 _q_poly = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
-                  max_size=4).map(UniPoly)
+                  max_size=4).map(QPoly)
 
 
 def _q(z):
-    return UniPoly(z.coeffs)
-
-
-def reference_gcd(a, b):
-    """Monic gcd by the Euclidean algorithm over Q (zero for two zeros)."""
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a.monic()
+    return QPoly(z.coeffs)
 
 
 @given(_z_poly, _nonzero_z_poly)
@@ -673,8 +653,7 @@ def test_pseudo_remainder_is_the_scaled_rational_remainder(a, b):
 @settings(max_examples=300, deadline=None)
 def test_primitive_gcd_matches_the_rational_gcd(a, b):
     g = a.gcd(b)
-    expected = reference_gcd(_q(a), _q(b))
-    assert _q(g).monic() == expected == _q(a).gcd(_q(b))
+    assert _q(g).monic() == _q(a).gcd(_q(b))
     if g:
         assert g.coeffs[-1] > 0 and gcd(*g.coeffs) == 1
         assert not (a.prem(g) or b.prem(g))
@@ -690,19 +669,20 @@ def test_exact_quotient_in_z_x(a, b):
             (a * b - ZPoly([1])) // b
 
 
-@given(st.lists(_q_poly, max_size=4))
-def test_clear_denominators_keeps_every_polynomial(polys):
-    nums, den = clear_denominators(polys)
-    assert den > 0 and len(nums) == len(polys)
-    assert all(_q(z) == p * den for z, p in zip(nums, polys))
-
-
 # p = a b^2, so repeated factors are common
 @given(st.tuples(_q_poly, _q_poly).map(lambda ab: ab[0] * ab[1] * ab[1]).filter(bool))
 @settings(max_examples=200, deadline=None)
 def test_squarefree_matches_the_rational_quotient(p):
-    g = reference_gcd(p, p.derivative())
-    assert p.squarefree() == p.divmod(g)[0].monic()
+    sf = as_zpoly(p).squarefree()
+    assert sf.coeffs[-1] > 0 and gcd(*sf.coeffs) == 1
+    assert _q(sf).monic() == p.squarefree()
+
+
+@given(_z_poly)
+def test_strip_x_power(p):
+    k, q = p.strip_x_power()
+    assert (q * ZPoly([0] * k + [1])).coeffs == p.coeffs
+    assert not q or q.coeffs[0] != 0
 
 
 # ---------------------------------------------------------------------------
@@ -711,18 +691,18 @@ def test_squarefree_matches_the_rational_quotient(p):
 
 
 def test_squarefree_and_sturm_double_root():
-    p = UniPoly([1, -2, 1])  # (x-1)^2
-    assert p.squarefree() == UniPoly([-1, 1])
+    p = ZPoly([1, -2, 1])  # (x-1)^2
+    assert p.squarefree().coeffs == (-1, 1)
     assert sturm_count(p) == 1
 
 
 def test_sturm_no_real_roots():
-    assert sturm_count(UniPoly([1, 0, 1])) == 0
+    assert sturm_count(ZPoly([1, 0, 1])) == 0
 
 
 def test_sturm_zero_polynomial_rejected():
     with pytest.raises(ValueError):
-        sturm_count(UniPoly())
+        sturm_count(ZPoly())
 
 
 def test_sturm_counts_match_constructed_factorization():
@@ -730,14 +710,14 @@ def test_sturm_counts_match_constructed_factorization():
     for _ in range(15):
         roots = sorted(rng.sample(range(-6, 7), rng.randint(1, 4)))
         mult = [rng.randint(1, 3) for _ in roots]
-        p = UniPoly.const(1)
+        p = ZPoly([1])
         for r, m in zip(roots, mult):
             for _ in range(m):
-                p = p * UniPoly([-r, 1])
+                p = p * ZPoly([-r, 1])
         n_pairs = rng.randint(0, 2)
         for _ in range(n_pairs):
             a = rng.randint(1, 4)
-            p = p * UniPoly([a * a + 1, -2 * a, 1])  # (x-a)^2 + 1: no real roots
+            p = p * ZPoly([a * a + 1, -2 * a, 1])  # (x-a)^2 + 1: no real roots
         assert sturm_count(p) == len(roots)
         lo, hi = F(roots[0]), F(roots[-1])
         # (lo, hi] excludes the left endpoint, includes the right one
@@ -747,11 +727,11 @@ def test_sturm_counts_match_constructed_factorization():
 
 def test_sturm_degree_eight_known_split():
     # roots 1..5 plus one complex-conjugate pair and a double root
-    p = UniPoly.const(1)
+    p = ZPoly([1])
     for r in (1, 2, 3, 4, 5):
-        p = p * UniPoly([-r, 1])
-    p = p * UniPoly([-1, 1])  # double the root at 1
-    p = p * UniPoly([2, 0, 1])  # x^2 + 2
+        p = p * ZPoly([-r, 1])
+    p = p * ZPoly([-1, 1])  # double the root at 1
+    p = p * ZPoly([2, 0, 1])  # x^2 + 2
     assert p.degree == 8
     assert sturm_count(p) == 5
     sf = p.squarefree()
@@ -761,7 +741,7 @@ def test_sturm_degree_eight_known_split():
 
 
 def test_isolation_separates_roots():
-    p = UniPoly.from_roots([F(-2), F(1, 3), F(5)])
+    p = QPoly.from_roots([F(-2), F(1, 3), F(5)])
     intervals = [fraction_interval(iv) for iv in isolate_real_roots(as_zpoly(p))]
     assert len(intervals) == 3
     for (lo, hi), root in zip(intervals, [F(-2), F(1, 3), F(5)]):
@@ -779,12 +759,6 @@ def test_parse_rat_rejects_decimals():
 # ---------------------------------------------------------------------------
 
 
-def as_zpoly(p):
-    """p as a ZPoly, a positive multiple: the input form of isolation and
-    refinement."""
-    return clear_denominators([p])[0][0]
-
-
 def fraction_interval(interval):
     """An integer interval (a, b, D) as the Fractions (a/D, b/D)."""
     a, b, d = interval
@@ -798,7 +772,7 @@ def triple(lo, hi):
 
 
 def fraction_sturm_chain(p):
-    """The Sturm chain of p in Fraction arithmetic, by `UniPoly.divmod`."""
+    """The Sturm chain of p in Fraction arithmetic, by `QPoly.divmod`."""
     chain = [p, p.derivative()]
     while chain[-1].degree > 0:
         _, r = chain[-2].divmod(chain[-1])
@@ -844,13 +818,13 @@ def planted_polynomials(draw):
     roots = draw(st.lists(small_rats, min_size=0, max_size=4, unique=True))
     surds = draw(st.lists(st.sampled_from([2, 3, 5, 6, 7, 10]), max_size=2, unique=True))
     complex_pairs = draw(st.lists(st.integers(min_value=1, max_value=9), max_size=1))
-    p = UniPoly.from_roots(roots)
+    p = QPoly.from_roots(roots)
     for n in surds:
-        p = p * UniPoly([-n, 0, 1])
+        p = p * QPoly([-n, 0, 1])
     for c in complex_pairs:
-        p = p * UniPoly([c, 0, 1])
+        p = p * QPoly([c, 0, 1])
     if p.degree < 1:
-        p = UniPoly([-3, 0, 1])
+        p = QPoly([-3, 0, 1])
     return p, roots
 
 
@@ -859,15 +833,16 @@ def planted_polynomials(draw):
 def test_refine_matches_sturm_bisection(planted, bits):
     p, roots = planted
     width = F(1, 2**bits)
-    intervals = isolate_real_roots(as_zpoly(p))
-    assert len(intervals) == sturm_count(p)
+    z = as_zpoly(p)
+    intervals = isolate_real_roots(z)
+    assert len(intervals) == sturm_count(z)
     for interval in intervals:
         lo, hi = fraction_interval(interval)
-        lo2, hi2 = fraction_interval(refine_root_interval(as_zpoly(p), interval, width))
+        lo2, hi2 = fraction_interval(refine_root_interval(z, interval, width))
         assert (lo2, hi2) == sturm_refine_reference(p, lo, hi, width)
         assert hi2 - lo2 <= width
         assert lo <= lo2 < hi2 <= hi
-        assert sturm_count(p, lo2, hi2) == 1
+        assert sturm_count(z, lo2, hi2) == 1
     for r in roots:
         assert sum(lo < r <= hi for lo, hi in map(fraction_interval, intervals)) == 1
 
@@ -879,12 +854,13 @@ def test_refine_with_a_root_at_an_endpoint_or_midpoint(planted, shift, bits):
     # (r - 2^-shift, r] has the root at hi, (r - 2^-shift, r + 2^-shift] at
     # the first midpoint; both isolate r once shift is large enough
     p, roots = planted
+    z = as_zpoly(p)
     width = F(1, 2**bits)
     for r in roots:
         for lo, hi in ((r - F(1, 2**shift), r), (r - F(1, 2**shift), r + F(1, 2**shift))):
-            if sturm_count(p, lo, hi) != 1:
+            if sturm_count(z, lo, hi) != 1:
                 continue
-            lo2, hi2 = fraction_interval(refine_root_interval(as_zpoly(p), triple(lo, hi), width))
+            lo2, hi2 = fraction_interval(refine_root_interval(z, triple(lo, hi), width))
             assert (lo2, hi2) == sturm_refine_reference(p, lo, hi, width)
             assert lo2 < r <= hi2
 
@@ -893,8 +869,8 @@ def test_isolation_matches_sturm_counts_per_interval():
     rng = random.Random(29)
     for _ in range(20):
         roots = {F(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(rng.randint(1, 6))}
-        p = UniPoly.from_roots(sorted(roots)) * UniPoly([-rng.choice([2, 3, 5]), 0, 1])
-        intervals = [fraction_interval(iv) for iv in isolate_real_roots(as_zpoly(p))]
+        p = as_zpoly(QPoly.from_roots(sorted(roots)) * QPoly([-rng.choice([2, 3, 5]), 0, 1]))
+        intervals = [fraction_interval(iv) for iv in isolate_real_roots(p)]
         assert len(intervals) == len(roots) + 2
         assert all(a[1] <= b[0] for a, b in zip(intervals, intervals[1:]))
         assert all(sturm_count(p, lo, hi) == 1 for lo, hi in intervals)
@@ -908,7 +884,7 @@ def test_isolation_matches_sturm_counts_per_interval():
 # leads of both signs
 sparse_polynomials = st.lists(
     st.sampled_from([0, 0, 0, 1, -1, 2, -3, F(1, 2), F(-5, 3)]), min_size=2, max_size=8,
-).map(UniPoly).filter(lambda p: p.degree >= 1)
+).map(QPoly).filter(lambda p: p.degree >= 1)
 
 
 def rational_roots(q):
@@ -925,8 +901,8 @@ def variations_at_infinity(chain, side):
 
 # a remainder step with a negative lead and an odd power of it in the
 # pseudo-remainder: 1 - 3x^4 - x^5 and x^2 - x^5
-@example(UniPoly([1, 0, 0, 0, -3, -1]), [])
-@example(UniPoly([0, 0, 1, 0, 0, -1]), [])
+@example(QPoly([1, 0, 0, 0, -3, -1]), [])
+@example(QPoly([0, 0, 1, 0, 0, -1]), [])
 @given(st.one_of(planted_polynomials().map(lambda planted: planted[0]), sparse_polynomials),
        st.lists(small_rats, max_size=6))
 @settings(max_examples=150, deadline=None)
@@ -935,7 +911,7 @@ def test_integer_sturm_chain_matches_the_fraction_chain(p, points):
     ichain = _sturm_chain(as_zpoly(p))
     assert len(ichain) == len(chain)
     for q, c in zip(chain, ichain):
-        assert c[-1] * q.coeffs[-1] > 0 and UniPoly(c).monic() == q.monic()
+        assert c[-1] * q.coeffs[-1] > 0 and QPoly(c).monic() == q.monic()
     roots = [r for q in chain if q.degree >= 1 for r in rational_roots(q)]
     for x in points + roots:
         assert _variations(ichain, (x.numerator, x.denominator)) == fraction_variations(chain, x)

@@ -13,6 +13,7 @@ from einpoly.faces import (
     NONSINGULAR,
     SINGULAR,
     ChartSubstitution,
+    _parallelogram_diagonals,
     boundary_jacobian,
     curve_singular,
     localize,
@@ -353,6 +354,25 @@ def test_methods_agree_on_random_parallelograms():
         v1 = parallelogram_singular(p, face)
         v2 = curve_singular(p, face)
         assert v1 == v2 == (SINGULAR if make_singular else NONSINGULAR)
+
+
+@pytest.mark.parametrize("name, singular, nonsingular", [
+    ("e8_t1_a3_a4", 1, 6),
+    ("e8_t1_a4_a2_a1", 6, 9),
+])
+def test_curve_verdict_matches_the_parallelogram_formula_on_marked_faces(name, singular, nonsingular):
+    # two independent routes to one verdict on every marked parallelogram
+    # 2-face of the minimal polytope: the diagonal-product formula and the
+    # resultant/Groebner decision for the restricted curve
+    data = load_catalog(name)
+    s = scalar_curvature(data)
+    verdicts = []
+    for entry in marked_census(minimal_polytope(data)).marked_faces():
+        if entry.dim == 2 and _parallelogram_diagonals(entry.face) is not None:
+            verdict = parallelogram_singular(s, entry.face)
+            assert curve_singular(s, entry.face) == verdict, entry.signature
+            verdicts.append(verdict)
+    assert (verdicts.count(SINGULAR), verdicts.count(NONSINGULAR)) == (singular, nonsingular)
 
 
 def test_degenerate_elimination_falls_back_to_groebner(monkeypatch):

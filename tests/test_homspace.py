@@ -93,6 +93,24 @@ def test_parse_rejects_dims_that_are_not_a_list():
     assert exc.value.path == "/dims"
 
 
+# a string or an object where a list is read: iterating it would read its
+# characters or keys as entries
+_NOT_LISTS = [
+    (dict(MINIMAL, b="11"), "/b"),
+    (dict(MINIMAL, b={"1": 1, "2": 2}), "/b"),
+    (dict(MINIMAL, bracket_meets_h={}), "/bracket_meets_h"),
+    (dict(MINIMAL, h_nontrivial="1"), "/h_nontrivial"),
+]
+
+
+@pytest.mark.parametrize("doc, path", _NOT_LISTS,
+                         ids=[f"{path}={doc[path[1:]]!r}" for doc, path in _NOT_LISTS])
+def test_parse_rejects_fields_that_are_not_lists(doc, path):
+    with pytest.raises(SchemaError) as exc:
+        parse(json.dumps(doc))
+    assert exc.value.path == path
+
+
 def test_parse_rejects_decimal_rationals():
     doc = dict(MINIMAL, b=["0.5", "1"])
     with pytest.raises(SchemaError):

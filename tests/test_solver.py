@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 
 from einpoly.curvature import einstein_system
 from einpoly.exact import (
-    UniPoly,
     ZPoly,
-    clear_denominators,
     common_denominator,
     isolate_real_roots,
     refine_root_interval,
@@ -49,6 +47,7 @@ from einpoly.solver import (
     legendre_at_3,
     real_positive,
 )
+from qpoly import QPoly, as_zpoly
 
 
 def wang_ziller_shape(b1, b2, t1, t2, name="wz_shape"):
@@ -474,10 +473,10 @@ def rational_root_reference(p, lo, hi):
        st.integers(min_value=0, max_value=12))
 @settings(max_examples=80, deadline=None)
 def test_rational_root_search_matches_brute_force(roots, surd, bits):
-    p = UniPoly.from_roots(roots)
+    p = QPoly.from_roots(roots)
     if surd is not None:
-        p = p * UniPoly([-surd, 0, 1])
-    z = clear_denominators([p])[0][0]
+        p = p * QPoly([-surd, 0, 1])
+    z = as_zpoly(p)
     for interval in isolate_real_roots(z):
         interval = refine_root_interval(z, interval, F(1, 2**bits))
         lo, hi = fraction_box([interval])[0]
@@ -489,13 +488,13 @@ def test_rational_root_search_matches_brute_force(roots, surd, bits):
 
 def test_rational_root_search_respects_the_cap():
     # a_0 = 3001 * 4001 > 10**7: the rational root 1 is not searched for
-    p = clear_denominators([UniPoly.from_roots([F(1), F(3001), F(4001)])])[0][0]
+    p = as_zpoly(QPoly.from_roots([F(1), F(3001), F(4001)]))
     assert all(_rational_root_in(p, iv) is None for iv in isolate_real_roots(p))
     # leading coefficient over the cap after clearing denominators
-    p = clear_denominators([UniPoly.from_roots([F(1, 3001), F(1, 4001), F(2)])])[0][0]
+    p = as_zpoly(QPoly.from_roots([F(1, 3001), F(1, 4001), F(2)]))
     assert all(_rational_root_in(p, iv) is None for iv in isolate_real_roots(p))
     # just under the cap the same roots are found
-    p = clear_denominators([UniPoly.from_roots([F(1), F(2), F(3001), F(1000)])])[0][0]
+    p = as_zpoly(QPoly.from_roots([F(1), F(2), F(3001), F(1000)]))
     found = [_rational_root_in(p, iv) for iv in isolate_real_roots(p)]
     assert found == [F(1), F(2), F(1000), F(3001)]
 

@@ -17,8 +17,10 @@ import pytest
 import sympy
 
 from einpoly import solver
-from einpoly.exact import UniPoly, bivar_cols, clear_denominators, resultant
+from einpoly.exact import bivar_cols, resultant
 from einpoly.solver import DegenerateSystemError, _eliminant
+from qpoly import QPoly, as_zpoly
+from qpoly import bivar_cols as fraction_bivar_cols
 
 X, Y = sympy.symbols("x y")
 
@@ -152,7 +154,7 @@ def _digest_systems():
 def _zero_root_over_part(g1, g2, axis, h):
     """Whether the eliminated variable is 0 at a common root over some, but
     not all, roots of h: 0 < deg gcd(g1|0, g2|0, h) < deg h."""
-    z = bivar_cols(g1, axis)[0].gcd(bivar_cols(g2, axis)[0]).gcd(UniPoly(h.coeffs))
+    z = bivar_cols(g1, axis)[0].gcd(bivar_cols(g2, axis)[0]).gcd(h)
     return 0 < z.degree < h.degree
 
 
@@ -187,24 +189,21 @@ def test_eliminant_digest_over_random_systems(monkeypatch):
 def _fraction_eliminant(g1, g2, axis):
     """`_eliminant` as it was when it returned a Fraction eliminant: the
     resultant with its x power stripped, made squarefree (p / gcd(p, p')
-    over a common denominator) and monic at positive degree, the raw
-    constant otherwise; the count through the same integer fiber
-    recursion."""
-    cols1, cols2 = bivar_cols(g1, axis), bivar_cols(g2, axis)
-    A, B = clear_denominators(cols1)[0], clear_denominators(cols2)[0]
+    by Euclid over Q) and monic at positive degree, the raw constant
+    otherwise; the count through the same integer fiber recursion."""
+    A, B = bivar_cols(g1, axis), bivar_cols(g2, axis)
     if len(A) == 1 and len(B) == 1:
         if A[0].gcd(B[0]).degree > 0:
             raise DegenerateSystemError("common factor present")
-        return UniPoly.const(1), 0
-    r = resultant(cols1, cols2)
-    if r.is_zero():
+        return QPoly.const(1), 0
+    r = resultant(A, B)
+    if not r:
         raise DegenerateSystemError("resultant vanished; common factor present")
-    _, h = r.strip_x_power()
+    _, h = QPoly(r.coeffs).strip_x_power()
     if h.degree <= 0:
         return h, 0
-    (p, dp), _ = clear_denominators((h, h.derivative()))
-    h = UniPoly((p // p.gcd(dp)).coeffs).monic()
-    H = clear_denominators([h])[0][0].primitive()
+    h = h.squarefree()
+    H = as_zpoly(h).primitive()
     return h, sum(solver._torus_roots(G, hb) for hb, G in solver._fiber_gcd_branches(A, B, H))
 
 
@@ -223,7 +222,7 @@ def test_eliminant_matches_its_fraction_form():
             H, got_count = _eliminant(g1, g2, axis)
             assert (H.degree, got_count) == (h.degree, count)
             if H.degree > 0:
-                assert UniPoly(H.coeffs).monic() == h
+                assert QPoly(H.coeffs).monic() == h
             outcomes.append(H.degree > 0)
     assert len(outcomes) == 600
     assert {"exception", True, False} <= set(outcomes)
@@ -241,7 +240,7 @@ def _fraction_mod(p, h):
 
 def _fraction_inverse_mod(c, h):
     r0, r1 = c, h
-    s0, s1 = UniPoly.const(1), UniPoly()
+    s0, s1 = QPoly.const(1), QPoly()
     while not r1.is_zero():
         q, r = r0.divmod(r1)
         r0, r1 = r1, r
@@ -303,17 +302,17 @@ def _fraction_torus_roots(G, h):
 
 
 def _fraction_count(g1, g2, axis):
-    """The torus count of `_eliminant` through the Fraction recursion."""
-    cols1, cols2 = bivar_cols(g1, axis), bivar_cols(g2, axis)
-    r = resultant(cols1, cols2)
-    if r.is_zero():
+    """The torus count of `_eliminant` through the Fraction recursion, on
+    the Fraction columns of g1, g2."""
+    r = resultant(bivar_cols(g1, axis), bivar_cols(g2, axis))
+    if not r:
         raise DegenerateSystemError("resultant vanished")
-    _, h = r.strip_x_power()
+    _, h = QPoly(r.coeffs).strip_x_power()
     if h.degree <= 0:
         return 0
     h = h.squarefree()
-    return sum(_fraction_torus_roots(G, hb)
-               for hb, G in _fraction_fiber_gcd_branches(cols1, cols2, h))
+    return sum(_fraction_torus_roots(G, hb) for hb, G in _fraction_fiber_gcd_branches(
+        fraction_bivar_cols(g1, axis), fraction_bivar_cols(g2, axis), h))
 
 
 def _rational_systems():
