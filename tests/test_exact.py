@@ -620,11 +620,18 @@ def reference_dense(terms):
                                  st.fractions(min_value=-5, max_value=5, max_denominator=4)),
                        max_size=6))
 @settings(max_examples=200, deadline=None)
-def test_zpoly_is_the_dense_polynomial_over_one_denominator(terms):
+def test_unipoly_matches_dense_builder(terms):
+    # the dict-to-polynomial conversion is `zpoly`: P / D over one denominator
     p, den = zpoly(terms)
     assert den > 0 and all(isinstance(c, int) for c in p.coeffs)
     assert gcd(den, *p.coeffs) == 1
     assert QPoly(p.coeffs) * F(1, den) == reference_dense(terms)
+
+
+def test_unipoly_of_no_terms_is_zero():
+    for terms in ({}, {3: 0}, {0: F(0), 2: 0}):
+        p, den = zpoly(terms)
+        assert not p and p.coeffs == () and den == 1
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +674,19 @@ def test_exact_quotient_in_z_x(a, b):
     if b.degree > 0:
         with pytest.raises(ArithmeticError):
             (a * b - ZPoly([1])) // b
+
+
+@given(st.lists(_q_poly, max_size=4))
+def test_clear_denominators_keeps_every_polynomial(polys):
+    # several polynomials over one denominator, as `bivar_cols` clears its
+    # columns: `common_denominator` of all their coefficients at once
+    flat, den = common_denominator(c for p in polys for c in p.coeffs)
+    nums, start = [], 0
+    for p in polys:
+        nums.append(ZPoly(flat[start:start + len(p.coeffs)]))
+        start += len(p.coeffs)
+    assert den > 0 and len(nums) == len(polys) and start == len(flat)
+    assert all(_q(z) == p * den for z, p in zip(nums, polys))
 
 
 # p = a b^2, so repeated factors are common
