@@ -200,8 +200,8 @@ def _face_chart_poly(s: LaurentPoly, face: Face):
 
 
 def _shift_nonneg(poly: dict) -> dict:
-    mi = min(e[0] for e in poly)
-    mj = min(e[1] for e in poly)
+    mi = min((e[0] for e in poly), default=0)
+    mj = min((e[1] for e in poly), default=0)
     return {(i - mi, j - mj): c for (i, j), c in poly.items()}
 
 
@@ -228,8 +228,8 @@ def curve_singular(s: LaurentPoly, face: Face) -> str:
     if poly is None or len(poly) <= 1:
         return NEEDS_MORE_DATA
     poly = _shift_nonneg(poly)
-    g1 = _shift_nonneg(_euler_bivar(poly, 0)) if _euler_bivar(poly, 0) else {}
-    g2 = _shift_nonneg(_euler_bivar(poly, 1)) if _euler_bivar(poly, 1) else {}
+    g1 = _shift_nonneg(_euler_bivar(poly, 0))
+    g2 = _shift_nonneg(_euler_bivar(poly, 1))
     if not g1 or not g2:
         # the curve is essentially univariate; it is singular only if the
         # univariate part has a repeated torus root

@@ -8,9 +8,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import DimensionError, lattice_index, rank, solve_unique
+from .exact import lattice_index, rank
 from .homspace import HomSpaceData
-from .polytope import Face, LatticePolytope, hull
+from .polytope import Face, LatticePolytope, _extreme_rays, hull
 
 
 class FlatComplex:
@@ -164,56 +164,27 @@ def is_admissible(polytope: LatticePolytope, T: FlatComplex) -> bool:
 
 def _simplex_slice_dim(flat, face: Face) -> int:
     """Affine dimension of conv{e_i : i in flat} intersected with a face;
-    -1 when the intersection is empty."""
+    -1 when the intersection is empty.
+
+    On the coordinates y in flat the slice is {y >= 0 : sum y = 1} cut by
+    the face.  Its homogenization, the points (y, t) with y >= 0, sum y = t,
+    the face's facets and the affine hull as equalities and every other
+    facet as an inequality, is a pointed integer cone whose extreme rays
+    are the slice's vertices, so their rank is one more than its dimension."""
     P = face.polytope
-    d = P.ambient_dim
-    idx = list(flat)
-    # equality system on the supported coordinates: face-tight facets plus
-    # the affine hull of the owning polytope, restricted to coords in flat
-    rows = []
-    rhs = []
-    for row, b in P.affine_hull:
-        rows.append([Fraction(row[i - 1]) for i in idx])
-        rhs.append(Fraction(b))
-    for fi in face.facet_indices:
-        normal, off = P.facets[fi]
-        rows.append([Fraction(normal[i - 1]) for i in idx])
-        rhs.append(Fraction(off))
-    ineq = []
-    for fj in range(len(P.facets)):
-        if fj in face.facet_indices:
-            continue
-        normal, off = P.facets[fj]
-        ineq.append(([Fraction(normal[i - 1]) for i in idx], Fraction(off)))
-    rows.append([Fraction(1)] * len(idx))
-    rhs.append(Fraction(1))
-    # vertices of {y >= 0 : rows y = rhs} via basic solutions
-    k = len(idx)
-    r = rank(rows)
-    verts = []
-    for basis in combinations(range(k), r):
-        sub = [[row[c] for c in basis] for row in rows]
-        try:
-            sol = solve_unique(sub, rhs)
-        except DimensionError:
-            # these r columns are dependent: no basic solution
-            continue
-        if sol is None or any(v < 0 for v in sol):
-            continue
-        y = [Fraction(0)] * k
-        for c, v in zip(basis, sol):
-            y[c] = v
-        # check remaining equalities and the polytope inequalities
-        if any(sum(row[c] * y[c] for c in range(k)) != b for row, b in zip(rows, rhs)):
-            continue
-        if any(sum(row[c] * y[c] for c in range(k)) < b for row, b in ineq):
-            continue
-        verts.append(tuple(y))
-    verts = sorted(set(verts))
-    if not verts:
-        return -1
-    diffs = [[v[i] - verts[0][i] for i in range(k)] for v in verts[1:]]
-    return rank(diffs) if diffs else 0
+    idx = [i - 1 for i in flat]
+
+    def row(normal, offset):
+        return [normal[i] for i in idx] + [-offset]
+
+    eqs = [row(*eq) for eq in P.affine_hull]
+    eqs += [row(*P.facets[fi]) for fi in face.facet_indices]
+    eqs.append([1] * len(idx) + [-1])
+    rows = [[int(i == j) for j in range(len(idx) + 1)] for i in range(len(idx))]
+    rows += eqs + [[-x for x in r] for r in eqs]
+    rows += [row(*P.facets[fj]) for fj in range(len(P.facets)) if fj not in face.facet_indices]
+    rays = _extreme_rays(rows)
+    return rank(rays) - 1 if rays else -1
 
 
 def t_dimension_report(polytope: LatticePolytope, T: FlatComplex) -> list:

@@ -259,10 +259,6 @@ class LatticePolytope:
         for normal, offset in self.facets:
             if _dot(normal, x) < offset:
                 return False
-        if self.dim == 0:
-            return tuple(Fraction(v) for v in x) == tuple(
-                Fraction(v) for v in self.vertices[0]
-            )
         return True
 
     def contains_polytope(self, other: "LatticePolytope") -> bool:

@@ -6,8 +6,11 @@ Counting is resultant-based.  For d = 3 the fiber over every eliminant root
 is analyzed through gcd computations in the quotient ring Q[x]/(h) with
 dynamic splitting of the (squarefree) modulus, so the distinct-solution
 count is exact without any root approximation.  Real and positive counts
-are certified by Sturm isolation plus an interval Newton (Krawczyk)
-operator over exact rational intervals.
+are certified box by box (`_certify_d3`): a box with a rational coordinate
+is decided exactly, and Krawczyk rounds over exact rational intervals
+exclude any other box or certify it.  Only an irrational singular or
+clustered solution is left as a "cluster separation failure", and then
+the real count is a lower bound.
 
 The elimination runs in integers.  The resultant is an integer Sylvester
 determinant over Z[x] (`exact.resultant`), and the fiber gcds work in
@@ -58,6 +61,7 @@ from .exact import (
     refine_root_interval,
     resultant,
     sign_at,
+    sturm_count,
     zpoly,
 )
 from .homspace import HomSpaceData, weight_polytope
@@ -446,16 +450,14 @@ def count_complex(data: HomSpaceData) -> SolutionSet:
     return _solve(data, certify=False)
 
 
-def real_positive(data: HomSpaceData, max_rounds: int = 40,
-                  s: Optional[LaurentPoly] = None) -> SolutionSet:
+def real_positive(data: HomSpaceData, s: Optional[LaurentPoly] = None) -> SolutionSet:
     """count_complex enriched with certified real and positive counts and
     refined solution boxes with residual certificates.  `s` is
     `scalar_curvature(data)` when the caller already holds it."""
-    return _solve(data, certify=True, max_rounds=max_rounds, s=s)
+    return _solve(data, certify=True, s=s)
 
 
-def _solve(data: HomSpaceData, certify: bool, max_rounds: int = 40,
-           s: Optional[LaurentPoly] = None) -> SolutionSet:
+def _solve(data: HomSpaceData, certify: bool, s: Optional[LaurentPoly] = None) -> SolutionSet:
     """One pass for both entry points: the system is built and
     dehomogenized once, and the eliminants that give the complex count
     are the ones the real/positive certification isolates."""
@@ -485,7 +487,7 @@ def _solve(data: HomSpaceData, certify: bool, max_rounds: int = 40,
     if not out.genericity:
         out.warnings.append("eliminations in the two variable orders disagree")
     if certify:
-        _certify_d3(out, g1, g2, q1, q2, system, removed, max_rounds)
+        _certify_d3(out, g1, g2, q1, q2, system, removed)
     return out
 
 
@@ -514,28 +516,32 @@ def _box_entry(scaled: Sequence[_ScaledPoly], removed: Sequence[tuple], ibox) ->
     }
 
 
-# refinement widths: solution boxes, and boxes whose sign is ambiguous
+# the width of a solution box, and the Krawczyk rounds a box gets
 _BOX_WIDTH = Fraction(1, 2**20)
-_SIGN_WIDTH = Fraction(1, 2**30)
+_MAX_ROUNDS = 40
+
+
+def _positive(q: ZPoly, interval: tuple) -> bool:
+    """Whether the one root of q (q(0) != 0) in the isolating interval
+    (a/D, b/D], given as (a, b, D), is positive.  q changes sign there at
+    the root only, so an interval around 0 holds it in (0, b/D] iff
+    q(b/D) = 0 or q(b/D) and q(0) have opposite signs."""
+    a, b, d = interval
+    if a >= 0:
+        return True
+    if b <= 0:
+        return False
+    s = sign_at(q.coeffs, b, d)
+    return s == 0 or (s > 0) != (q.coeffs[0] > 0)
 
 
 def _certify_d2(base: SolutionSet, sf: ZPoly, system, scaled: list, removed: list) -> None:
     """Real and positive counts and solutions of the squarefree univariate
-    eliminant sf (degree >= 1, sf(0) != 0), from one isolation.
-
-    The isolation bisects (-B, B] at 0 first, so only an unsplit (-B, B],
-    around the one real root, straddles 0.  sf has the sign of its lead
-    right of that root, so the root is positive iff sf(0) has the other
-    sign."""
+    eliminant sf (degree >= 1, sf(0) != 0), from one isolation."""
     intervals = isolate_real_roots(sf)
     base.real_count = len(intervals)
-    base.positive_count = 0
+    base.positive_count = sum(_positive(sf, interval) for interval in intervals)
     for interval in intervals:
-        lo, hi, _den = interval
-        if lo >= 0:
-            base.positive_count += 1
-        elif hi > 0:
-            base.positive_count += (sf.coeffs[0] > 0) != (sf.coeffs[-1] > 0)
         root = _rational_root_in(sf, interval)
         if root is not None:
             base.solutions.append(_exact_entry(system, [root]))
@@ -545,28 +551,29 @@ def _certify_d2(base: SolutionSet, sf: ZPoly, system, scaled: list, removed: lis
 
 
 def _rational_root_in(p: ZPoly, interval: tuple):
-    """A rational root of p inside the interval (lo/D, hi/D], given as
-    (lo, hi, D), when cheap to find.
+    """The root of the squarefree p in its isolating interval (lo/D, hi/D],
+    given as (lo, hi, D), when it is rational and cheap to find; else None.
 
     By the rational root theorem a root num/den in lowest terms has den
     dividing the leading and num the lowest nonzero coefficient; when both
-    are at most 10**7, the candidates inside the interval are taken, for
-    each den, from the sorted signed divisors of the latter between
-    lo * den / D (exclusive) and hi * den / D.
+    are at most 10**7, the interval is refined to half of 1 / lead^2, less
+    than the gap between two such candidates, and the one candidate left
+    in it is found, for some den, among the sorted signed divisors of the
+    latter between lo * den / D (exclusive) and hi * den / D.
     """
     ints = p.coeffs
     a0 = next(c for c in ints if c)
     an = ints[-1]
     if abs(a0) > 10**7 or abs(an) > 10**7:
         return None
-    lo, hi, d = interval
+    lo, hi, d = refine_root_interval(p, interval, Fraction(1, 2 * an * an))
     nums = _divisors(a0)
     nums = [-n for n in reversed(nums)] + nums
     for den in _divisors(an):
         start = bisect_right(nums, lo * den // d)
         stop = bisect_right(nums, hi * den // d)
         for num in nums[start:stop]:
-            if gcd(num, den) == 1 and sign_at(ints, num, den) == 0:
+            if sign_at(ints, num, den) == 0:
                 return Fraction(num, den)
     return None
 
@@ -578,53 +585,66 @@ def _divisors(n: int) -> list:
     return small + [n // i for i in reversed(small) if i * i != n]
 
 
+def _fiber_has_root(g1: dict, g2: dict, axis: int, r: Fraction, interval: tuple) -> bool:
+    """Whether g1 and g2 with coordinate `axis` set to r have a common
+    nonzero root in (a/D, b/D], the interval (a, b, D) of the other
+    coordinate, by the Sturm count of the primitive gcd of the restrictions,
+    its x power stripped.  `_eliminant` rejects a common factor x_axis - r."""
+    g = ZPoly()
+    for poly in (g1, g2):
+        terms = {}
+        for e, c in poly.items():
+            terms[e[1 - axis]] = terms.get(e[1 - axis], 0) + c * r ** e[axis]
+        g = g.gcd(zpoly(terms)[0])
+    a, b, d = interval
+    return sturm_count(g.strip_x_power()[1], Fraction(a, d), Fraction(b, d)) > 0
+
+
 def _certify_d3(base: SolutionSet, g1: dict, g2: dict, q1: ZPoly, q2: ZPoly,
-                system, removed: list, max_rounds: int) -> None:
-    """Real and positive counts by Krawczyk tests on the boxes that pair a
-    real root of the x-eliminant q1 with one of the y-eliminant q2; a box
-    is two integer intervals (a, b, D), and a > 0 means positive."""
-    if q1.degree <= 0 or q2.degree <= 0:
-        base.real_count = 0
-        base.positive_count = 0
-        return
+                system, removed: list) -> None:
+    """Real and positive counts over the boxes that pair a real root of the
+    x-eliminant q1 with one of the y-eliminant q2, a box two integer
+    intervals (a, b, D), with one decision per box.  A box with a rational
+    coordinate is decided exactly (`_fiber_has_root`): a rational root can
+    sit on a dyadic endpoint, where the Krawczyk test never passes.  On a
+    box of two irrational coordinates, up to _MAX_ROUNDS Krawczyk rounds
+    exclude it or certify a solution in it.  A box they leave undecided
+    holds a singular or clustered solution: it is a "cluster separation
+    failure", and real_count is a lower bound."""
     iso1 = isolate_real_roots(q1)
     iso2 = isolate_real_roots(q2)
+    rational2 = [_rational_root_in(q2, i2) for i2 in iso2]
     krawczyk = _krawczyk_system(g1, g2)
-    s1, s2 = krawczyk[:2]
     real = 0
     positive = 0
     for i1 in iso1:
-        for i2 in iso2:
+        r1 = _rational_root_in(q1, i1)
+        for i2, r2 in zip(iso2, rational2):
             b1, b2 = i1, i2
-            status = "unknown"
-            for _ in range(max_rounds):
-                status = _krawczyk_2x2(krawczyk, (b1, b2))
-                if status in ("unique", "empty"):
-                    break
-                b1 = refine_root_interval(q1, b1, Fraction(b1[1] - b1[0], 4 * b1[2]))
-                b2 = refine_root_interval(q2, b2, Fraction(b2[1] - b2[0], 4 * b2[2]))
-            if status == "unique":
-                real += 1
-                if b1[0] > 0 and b2[0] > 0:
-                    positive += 1
-                elif b1[1] > 0 and b2[1] > 0 and (b1[0] <= 0 or b2[0] <= 0):
-                    base.warnings.append("sign-ambiguous box; refining")
-                    b1 = refine_root_interval(q1, b1, _SIGN_WIDTH)
-                    b2 = refine_root_interval(q2, b2, _SIGN_WIDTH)
-                    if b1[0] > 0 and b2[0] > 0:
-                        positive += 1
-                roots = [_rational_root_in(q1, b1), _rational_root_in(q2, b2)]
-                point = [(r.numerator, r.denominator) for r in roots if r is not None]
-                if len(point) == 2 and not any(_exact_numerators(g, point)[0] for g in (s1, s2)):
-                    base.solutions.append(_exact_entry(system, roots))
-                else:
-                    box = (refine_root_interval(q1, b1, _BOX_WIDTH),
-                           refine_root_interval(q2, b2, _BOX_WIDTH))
-                    base.solutions.append(_box_entry((s1, s2), removed, box))
-            elif status == "unknown":
+            if r1 is not None:
+                status = "unique" if _fiber_has_root(g1, g2, 0, r1, b2) else "empty"
+            elif r2 is not None:
+                status = "unique" if _fiber_has_root(g1, g2, 1, r2, b1) else "empty"
+            else:
+                for _ in range(_MAX_ROUNDS):
+                    status = _krawczyk_2x2(krawczyk, (b1, b2))
+                    if status != "unknown":
+                        break
+                    b1 = refine_root_interval(q1, b1, Fraction(b1[1] - b1[0], 4 * b1[2]))
+                    b2 = refine_root_interval(q2, b2, Fraction(b2[1] - b2[0], 4 * b2[2]))
+            if status == "unknown":
                 base.warnings.append(
                     "cluster separation failure; widened interval left unresolved"
                 )
+            elif status == "unique":
+                real += 1
+                positive += _positive(q1, b1) and _positive(q2, b2)
+                if r1 is not None and r2 is not None:
+                    base.solutions.append(_exact_entry(system, (r1, r2)))
+                else:
+                    box = (refine_root_interval(q1, b1, _BOX_WIDTH),
+                           refine_root_interval(q2, b2, _BOX_WIDTH))
+                    base.solutions.append(_box_entry(krawczyk[:2], removed, box))
     base.real_count = real
     base.positive_count = positive
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from einpoly.exact import DimensionError, rank, solve_unique
 from einpoly.homspace import (
     DegenerateSpectrumError,
     HomSpaceData,
@@ -23,6 +24,7 @@ from einpoly.infinity import (
     B2NotApplicableError,
     FlatComplex,
     NotFlatError,
+    _simplex_slice_dim,
     b2_exponent,
     delta_min,
     flat_complex,
@@ -314,6 +316,71 @@ def test_admissibility_matches_face_lattice_definition_on_drawn_data(data):
         pass
     for Q in polytopes:
         assert is_admissible(Q, T) == reference_admissible(Q, T)
+
+
+def reference_slice_dim(flat, face):
+    """Affine dimension of conv{e_i : i in flat} cut by the face, -1 when
+    empty, from the vertices of {y >= 0 : rows y = rhs} enumerated as basic
+    solutions over every column subset of the equality rank."""
+    P = face.polytope
+    idx = list(flat)
+    rows = []
+    rhs = []
+    for row, b in P.affine_hull:
+        rows.append([F(row[i - 1]) for i in idx])
+        rhs.append(F(b))
+    for fi in face.facet_indices:
+        normal, off = P.facets[fi]
+        rows.append([F(normal[i - 1]) for i in idx])
+        rhs.append(F(off))
+    ineq = []
+    for fj in range(len(P.facets)):
+        if fj not in face.facet_indices:
+            normal, off = P.facets[fj]
+            ineq.append(([F(normal[i - 1]) for i in idx], F(off)))
+    rows.append([F(1)] * len(idx))
+    rhs.append(F(1))
+    k = len(idx)
+    verts = set()
+    for basis in combinations(range(k), rank(rows)):
+        try:
+            sol = solve_unique([[row[c] for c in basis] for row in rows], rhs)
+        except DimensionError:
+            continue  # dependent columns: no basic solution
+        if sol is None or any(v < 0 for v in sol):
+            continue
+        y = [F(0)] * k
+        for c, v in zip(basis, sol):
+            y[c] = v
+        if any(sum(r[c] * y[c] for c in range(k)) != b for r, b in zip(rows, rhs)):
+            continue
+        if any(sum(r[c] * y[c] for c in range(k)) < b for r, b in ineq):
+            continue
+        verts.add(tuple(y))
+    verts = sorted(verts)
+    if not verts:
+        return -1
+    return rank([[a - b for a, b in zip(v, verts[0])] for v in verts[1:]]) if len(verts) > 1 else 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(spectral_documents())
+def test_slice_dimension_matches_basic_solution_enumeration(data):
+    try:
+        P = weight_polytope(data)
+    except DegenerateSpectrumError:
+        return
+    T = flat_complex(data)
+    polytopes = [P]
+    try:
+        polytopes.append(delta_min(P, T))
+    except ValueError:  # every generator lies in |T|
+        pass
+    for Q in polytopes:
+        for faces in Q.all_proper_faces().values():
+            for face in faces:
+                for flat in T.maximal_flats:
+                    assert _simplex_slice_dim(flat, face) == reference_slice_dim(flat, face)
 
 
 def test_t_dimension_report_flags_the_bad_vertex(wang_ziller_q):

@@ -266,6 +266,11 @@ def test_contains_barycenter_and_outside_point():
     assert not S.contains([F(2), F(-1), F(0)])
     with pytest.raises(DimensionError):
         S.contains([1, 0])
+    # a point polytope: its affine hull alone decides membership
+    pt = hull([(1, 2, 0)])
+    assert pt.dim == 0 and not pt.facets
+    assert pt.contains((1, 2, 0)) and pt.contains([F(2, 2), F(2), F(0)])
+    assert not pt.contains((1, 2, 1)) and not pt.contains([F(1, 2), 2, 0])
 
 
 def test_contains_polytope_simplex_in_permutohedron():

@@ -44,7 +44,7 @@ GOLDEN = {
         ("16541129ad2ac16854c307395c8dbecdd13e63199aabcbde1cbfde29b201ad3f", 0),
     ),
     "jordan_2": (
-        ("746cef83d5c40701161ca1ba4eafb19b1c1142e813824672c9eaf6b6259372b7", 0),
+        ("d18451631ce5f3aa860e0c63de5a65815a45b3023a03aee323ed1df427812b7a", 0),
         ("c1302c04a8395005221056f2e86775e2c10dfe9df5319d42d1571ec347f6d362", 0),
     ),
     "jordan_3": (

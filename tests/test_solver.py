@@ -32,12 +32,14 @@ from einpoly.solver import (
     SolutionSet,
     UnsupportedDimensionError,
     _certify_d2,
+    _certify_d3,
     _eliminant,
     _exact_numerators,
     _interval_numerators,
     _krawczyk_2x2,
     _krawczyk_image,
     _krawczyk_system,
+    _positive,
     _rational_root_in,
     _ScaledPoly,
     bound_report,
@@ -216,6 +218,86 @@ def test_wang_ziller_catalog_positive_solutions(wang_ziller_killing):
         assert s["residual" if s["exact"] else "residual_bound"] is not None
 
 
+def test_jordan_2_solution_on_an_interval_endpoint_is_exact():
+    # the one solution (1, 1) is the right end of both isolating intervals,
+    # where no Krawczyk image lies strictly inside the box
+    sol = real_positive(jordan_space(2))
+    assert (sol.distinct_complex, sol.real_count, sol.positive_count) == (1, 1, 1)
+    assert sol.solutions == [{"x": ["1", "1"], "exact": True, "residual": "0"}]
+    assert not sol.warnings
+
+
+def test_rational_solution_is_decided_exactly():
+    # g1 = xy/4 - 1/2, g2 = (1 - y)/2: the single solution (2, 1)
+    data = HomSpaceData(name="rational", d=3, dims=(4, 1, 2), b=(F(1), F(1), F(1)),
+                        triples={(2, 3, 3): F(1)})
+    sol = real_positive(data)
+    assert (sol.distinct_complex, sol.real_count, sol.positive_count) == (1, 1, 1)
+    assert sol.solutions == [{"x": ["2", "1"], "exact": True, "residual": "0"}]
+    assert not sol.warnings
+
+
+def test_one_rational_coordinate_is_decided_exactly():
+    # the solutions (+-sqrt(6)/2, -3) share the rational y = -3: neither
+    # is positive, and each is reported as a box
+    data = HomSpaceData(name="half_rational", d=3, dims=(2, 2, 2), b=(F(0), F(1), F(0)),
+                        triples={(1, 1, 3): F(1)})
+    sol = real_positive(data)
+    assert (sol.real_count, sol.positive_count) == (2, 0)
+    assert not sol.warnings
+    for s, sign in zip(sol.solutions, (-1, 1)):
+        (xlo, xhi), (ylo, yhi) = ([F(v) for v in iv] for iv in s["box"])
+        assert not s["exact"] and ylo <= -3 <= yhi
+        # sign * x lies in [lo, hi], and (sqrt(6)/2)^2 = 3/2
+        lo, hi = sorted((sign * xlo, sign * xhi))
+        assert 0 < lo and lo**2 <= F(3, 2) <= hi**2
+
+
+def test_singular_irrational_solutions_are_left_as_clusters():
+    # g1 = x^2 - 2, g2 = (y - x)^2: the solutions (+-sqrt 2, +-sqrt 2) are
+    # singular and irrational, so neither Krawczyk nor the exact route
+    # decides their boxes; the two boxes of opposite signs are excluded
+    g1 = {(2, 0): F(1), (0, 0): F(-2)}
+    g2 = {(0, 2): F(1), (1, 1): F(-2), (2, 0): F(1)}
+    q1, count = _eliminant(g1, g2, 1)
+    q2, _ = _eliminant(g1, g2, 0)
+    assert count == 2
+    sol = SolutionSet(3, count)
+    _certify_d3(sol, g1, g2, q1, q2, [], [])
+    assert (sol.real_count, sol.positive_count) == (0, 0)
+    assert [w.split(";")[0] for w in sol.warnings] == ["cluster separation failure"] * 2
+
+
+@given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6),
+                min_size=1, max_size=4, unique=True),
+       st.sampled_from([None, 2, 3, 5]),
+       st.booleans(),
+       st.integers(min_value=0, max_value=12))
+@settings(max_examples=80, deadline=None)
+def test_positive_matches_the_sign_of_the_root(roots, surd, flip, bits):
+    roots = [r for r in roots if r != 0]
+    p = QPoly.from_roots(roots) * QPoly([-1 if flip else 1])
+    negative = sum(r < 0 for r in roots)
+    if surd is not None:
+        p = p * QPoly([-surd, 0, 1])
+        negative += 1
+    z = as_zpoly(p)
+    if z.degree < 1:
+        return
+    # the i-th interval holds the i-th smallest real root
+    for i, interval in enumerate(isolate_real_roots(z)):
+        for iv in (interval, refine_root_interval(z, interval, F(1, 2**bits))):
+            assert _positive(z, iv) == (i >= negative)
+
+
+def test_positive_root_on_the_right_end_of_a_straddling_interval():
+    # isolation splits at 0 first, so it never returns such an interval,
+    # but the rule holds on any isolating interval: q(b/D) = 0 there
+    for q in (ZPoly([-1, 1]), ZPoly([1, -1])):
+        assert _positive(q, (-1, 1, 1))
+    assert not _positive(ZPoly([2, 1]), (-3, 1, 1))
+
+
 def test_counts_never_exceed_complex(su3_t2):
     for data in (su3_t2, product_of_irreducibles(2), jordan_space(2)):
         sol = real_positive(data)
@@ -308,7 +390,7 @@ CERTIFICATION_DIGESTS = [
     "c65d455ff4213adf1f4504022259865790ec748726c93735ca7ec577be9476ad",
     "630842603bfad494e52976a33f8e5b9980527f0ccc66bcf1525a68e3a6678575",
     "0d0afbcc057f2d770fda22619683ecb0917984af7ec1f68d82c26144154e8256",
-    "6a087f14e002dafbd2e33042fb01e870dc7a0fbfaf95bb8df81381abe14e9fe3",
+    "a7fb45e7978d4e57d67201670010cddb59558de8b76d3e0580b01486c5b3ceae",
     "4c82a01b1835f8467882be1f7531f6dc0e29e1de9de3b05fe67d7dc38be7cefa",
     "b1b588218c67bd05fd70b6002f5d11ede42a561cb41b0be8b67d18a95688ae8f",
     "1bc75c6281ff8ffd7599ebeecfcf3c2d6566802a0ef8878e57cb138cf8ee0355",
@@ -325,7 +407,7 @@ CERTIFICATION_DIGESTS = [
     "733e19a2244c6293e282307e1354ad830884e9fa6aecdeb512d9cb516693ab70",
     "a8931f2df1eb83e56667b33249597a0480cd982567b3951a5694b310bad5a0b8",
     "91db57f58d3f25a8fd1c40ec9cdc963f9fd18ceef2dffdc7fe5fda84c8ced518",
-    "e84a8b05f261f08f0d9ba9aa0ee54d33568c5cef451c4d2ae7164534b5fec1c0",
+    "980d7f5b441b60dc783990524374b4eba812f984a48e9933bc87e2e1c9067a92",
 ]
 
 
@@ -342,7 +424,6 @@ def test_certification_bytes_pinned():
     # the pinned set reaches every kind of certificate
     assert seen == {
         "no real solution", (2, "exact"), (2, "box"), (3, "exact"), (3, "box"),
-        "sign-ambiguous box", "cluster separation failure",
     }
 
 

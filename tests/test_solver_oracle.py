@@ -6,18 +6,22 @@ computed with sympy.  (sympy.solve itself is not a reliable oracle: it can
 silently drop quartic roots.)  A digest pins the eliminants and counts of
 a larger seeded set that reaches every branch of the fiber count, and the
 integer fiber recursion is checked against the same recursion over
-Q[x]/(h) in Fraction arithmetic.
+Q[x]/(h) in Fraction arithmetic.  On a seeded family of documents with
+rational and singular solutions, every certified real count has the parity
+of the complex count.
 """
 
 import hashlib
 import random
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import pytest
 import sympy
 
 from einpoly import solver
 from einpoly.exact import bivar_cols, resultant
+from einpoly.homspace import HomSpaceData
 from einpoly.solver import DegenerateSystemError, _eliminant
 from qpoly import QPoly, as_zpoly
 from qpoly import bivar_cols as fraction_bivar_cols
@@ -344,3 +348,30 @@ def test_integer_fiber_count_matches_the_fraction_recursion():
             assert count == _fraction_count(g1, g2, axis), (g1, g2, axis)
             compared += 1
     assert compared > 500
+
+
+# ---------------------------------------------------------------------------
+# parity of the real count
+# ---------------------------------------------------------------------------
+
+
+def _degenerate_family(n):
+    """d = 3 documents with small dimensions, small b and constants in
+    {1/4, 1/2, 1, 2}: rational and singular solutions are common."""
+    rng = random.Random(7)
+    keys = [k for k in combinations_with_replacement((1, 2, 3), 3) if len(set(k)) > 1]
+    for i in range(n):
+        dims = tuple(rng.randint(1, 4) for _ in range(3))
+        b = tuple(F(rng.choice((0, 1, 2, 4))) for _ in range(3))
+        triples = {k: F(rng.choice((F(1, 4), F(1, 2), 1, 2)))
+                   for k in rng.sample(keys, rng.randint(1, 4))}
+        yield HomSpaceData(name=f"family_{i}", d=3, dims=dims, b=b, triples=triples)
+
+
+def test_real_count_has_the_parity_of_the_complex_count():
+    # the complex solutions of a rational system come in conjugate pairs, so
+    # a certified real count differs from the complex count by an even number
+    for data in _degenerate_family(300):
+        sol = solver.real_positive(data)
+        assert not any(w.startswith("cluster separation failure") for w in sol.warnings), data
+        assert (sol.distinct_complex - sol.real_count) % 2 == 0, data
