@@ -25,9 +25,13 @@ contains p's.  Exact, because the smallest face containing p is P cut by
 the facets tight at p, and that face is the hull of the input points on
 it, so it is {p} exactly when no other input point lies on all of them.
 
-Faces are vertex bitmasks.  The facets of a face F are the inclusion-maximal
-proper cuts F & H over the facets H of the polytope, which gives the face
-lattice and the pulling triangulation without any rank computation.
+Faces are bitmasks, read off the smaller side of the vertex-facet incidence
+(Kaibel & Pfetsch 2002, *Computing the face lattice of a polytope from its
+vertex-facet incidences*).  With fewer facets than vertices a face is its
+vertex mask, and its facets are the inclusion-maximal proper cuts F & H over
+the facets H; otherwise a face is its facet mask, and the same cut over the
+facet masks of the vertices gives the faces covering it.  Neither walk, nor
+the pulling triangulation, needs a rank computation.
 """
 
 from __future__ import annotations
@@ -78,6 +82,19 @@ def _bits(mask: int) -> list:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _maximal_cuts(mask: int, rows) -> list:
+    """The inclusion-maximal proper cuts mask & row, largest first."""
+    cuts = {mask & row for row in rows}
+    cuts.discard(mask)
+    maximal = []
+    # a cut inside a non-maximal one is inside a larger maximal one, which
+    # comes earlier in this order
+    for c in sorted(cuts, key=int.bit_count, reverse=True):
+        if not any(c & o == c for o in maximal):
+            maximal.append(c)
+    return maximal
 
 
 # ---------------------------------------------------------------------------
@@ -304,39 +321,28 @@ class LatticePolytope:
             self._incidence = (by_facet, by_vertex)
         return self._incidence
 
-    def _face_facets(self, vmask: int) -> list:
-        """Vertex masks of the facets of the face with vertex mask `vmask`
-        (of dimension >= 1), largest first.  Every proper face of a face F
-        is F & H for some facet H of P, so the facets of F are the
-        inclusion-maximal proper cuts F & H."""
-        cuts = {vmask & inc for inc in self._incidences()[0]}
-        cuts.discard(vmask)
-        maximal = []
-        # a cut inside a non-maximal one is inside a larger maximal one,
-        # which comes earlier in this order
-        for c in sorted(cuts, key=int.bit_count, reverse=True):
-            if not any(c & o == c for o in maximal):
-                maximal.append(c)
-        return maximal
-
     def _face_lattice(self) -> dict:
         if self._faces_by_dim is not None:
             return self._faces_by_dim
-        incidences, vertex_facets = self._incidences()
-        # levels[j] holds the faces of dimension dim - 1 - j; the faces one
-        # dimension lower are their facets
-        levels = [dict.fromkeys(incidences)]
+        by_facet, by_vertex = self._incidences()
+        # top-down a face is its vertex mask, cut to its facets; bottom-up a
+        # face is its facet mask, cut to the faces covering it
+        top_down = len(by_facet) < len(by_vertex)
+        rows, other = (by_facet, by_vertex) if top_down else (by_vertex, by_facet)
+        # levels[j] holds the faces of dimension dim - 1 - j (top-down) or j
+        levels = [dict.fromkeys(rows)]
         while len(levels) < self.dim:
-            levels.append({sub: None for mask in levels[-1] for sub in self._face_facets(mask)})
+            levels.append({c: None for mask in levels[-1] for c in _maximal_cuts(mask, rows)})
         by_dim = {}
         for dim_ in range(self.dim):
             faces = []
-            for mask in levels[self.dim - 1 - dim_]:
-                verts = _bits(mask)
-                fmask = vertex_facets[verts[0]]
-                for i in verts[1:]:
-                    fmask &= vertex_facets[i]
-                faces.append(Face(self, verts, dim_, _bits(fmask)))
+            for mask in levels[self.dim - 1 - dim_ if top_down else dim_]:
+                bits = _bits(mask)
+                omask = other[bits[0]]
+                for i in bits[1:]:
+                    omask &= other[i]
+                verts, facets = (bits, _bits(omask)) if top_down else (_bits(omask), bits)
+                faces.append(Face(self, verts, dim_, facets))
             by_dim[dim_] = sorted(faces, key=lambda f: f.vertex_indices)
         self._faces_by_dim = by_dim
         return by_dim
@@ -388,9 +394,12 @@ class LatticePolytope:
     def _pulling_triangulation(self) -> list:
         """Triangulation into simplices given by vertex-index tuples: each
         face is the cone from its first vertex over the triangulations of
-        its facets that miss that vertex."""
+        its facets that miss that vertex, which are its maximal cuts by the
+        facets of P that miss it."""
         if self.dim == 0:
             return [tuple([0])]
+        by_facet = self._incidences()[0]
+        missing = [[r for r in by_facet if not r >> v & 1] for v in range(len(self.vertices))]
         memo = {}
 
         def triangulate(vmask: int, dim_: int) -> list:
@@ -399,9 +408,8 @@ class LatticePolytope:
             if dim_ == 0:
                 memo[vmask] = [tuple(_bits(vmask))]
                 return memo[vmask]
-            pull_bit = vmask & -vmask
-            pull = pull_bit.bit_length() - 1
-            children = [c for c in self._face_facets(vmask) if not c & pull_bit]
+            pull = (vmask & -vmask).bit_length() - 1
+            children = _maximal_cuts(vmask, missing[pull])
             simplices = []
             for child in sorted(children, key=_bits):
                 for s in triangulate(child, dim_ - 1):

@@ -334,6 +334,17 @@ def test_all_proper_faces_grouping():
     assert len(grouped[0]) == 6 and len(grouped[1]) == 6
 
 
+def test_low_dimensional_face_lattices():
+    # a point has no proper faces, not an empty level at dimension -1
+    point = hull([(2, -1)])
+    assert point.all_proper_faces() == {}
+    assert point.faces(0) == [point.whole_face()]
+    segment = hull([(0, 1), (2, -1)])
+    grouped = segment.all_proper_faces()
+    assert list(grouped) == [0]
+    assert [f.vertices() for f in grouped[0]] == [[(0, 1)], [(2, -1)]]
+
+
 # ---------------------------------------------------------------------------
 # pyramids and cross polytopes
 # ---------------------------------------------------------------------------
@@ -559,8 +570,13 @@ def permuted_hull(P, seed):
     return hull([tuple(v[p] for p in perm) for v in P.vertices])
 
 
+def flat_lattice(P):
+    return sorted((f.dim, f.vertex_indices, f.facet_indices)
+                  for fs in P.all_proper_faces().values() for f in fs)
+
+
 @pytest.mark.parametrize("permute", [False, True], ids=["as_built", "permuted"])
-@pytest.mark.parametrize("key", list(KERNEL_CATALOG) + [f"kaehler_{d}" for d in range(2, 7)])
+@pytest.mark.parametrize("key", list(KERNEL_CATALOG) + [f"kaehler_{d}" for d in range(2, 8)])
 def test_kernels_match_reference_implementations(monkeypatch, key, permute):
     runs = []
     extreme_rays = polytope._extreme_rays
@@ -578,10 +594,14 @@ def test_kernels_match_reference_implementations(monkeypatch, key, permute):
     for constraints, rays in runs:
         assert sorted(rays) == sorted(reference_extreme_rays(constraints))
     for P in polys:
-        faces = [(f.dim, f.vertex_indices, f.facet_indices)
-                 for fs in P.all_proper_faces().values() for f in fs]
-        assert sorted(faces) == reference_face_lattice(P)
+        assert flat_lattice(P) == reference_face_lattice(P)
         assert sorted(P._pulling_triangulation()) == sorted(reference_triangulation(P))
+
+
+def test_kaehler_d8_face_lattice_matches_reference():
+    # 40 vertices and 280 facets: the lattice is walked up from the vertices
+    P = kaehler_b2_polytope(8)
+    assert flat_lattice(P) == reference_face_lattice(P)
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +702,16 @@ def point_sets(draw):
 def test_hull_matches_reference_hull(pts):
     P = hull(pts)
     assert (P.vertices, P.facets, P.affine_hull, P.dim) == reference_hull(pts)
+
+
+@given(point_sets())
+@settings(max_examples=200, deadline=None)
+def test_face_lattice_and_triangulation_match_reference(pts):
+    P = hull(pts)
+    assert flat_lattice(P) == reference_face_lattice(P)
+    assert sorted(P._pulling_triangulation()) == sorted(reference_triangulation(P))
+    # the flattened lattice cannot see an empty level outside 0..dim-1
+    assert set(P.all_proper_faces()) == set(range(P.dim))
 
 
 @pytest.mark.parametrize("key", list(KERNEL_CATALOG) + [f"kaehler_{d}" for d in range(2, 7)])
