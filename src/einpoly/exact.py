@@ -30,7 +30,9 @@ Real roots are isolated and refined in integers: the input is a squarefree
 `ZPoly`, its Sturm chain is built by signed pseudo-remainders, and an
 isolating interval is an integer triple (a, b, D) for (a/D, b/D].  Sturm
 variations (isolation) and the sign of the polynomial (refinement) are both
-read by `sign_at`, a homogeneous Horner sum at a point n/d.
+read by `sign_at`, a homogeneous Horner sum at a point n/d.  The sign of a
+second polynomial P at an isolated root of h is exact too (`sign_at_root`):
+it is the variation drop of one Sturm-Tarski sequence of h and h'P.
 """
 
 from __future__ import annotations
@@ -480,17 +482,18 @@ def sign_at(c: Sequence[int], n: int, d: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sturm_chain(p: ZPoly) -> list:
-    """The Sturm chain of p by signed pseudo-remainders: each member is the
-    integer coefficients of a positive multiple of the Sturm member, so it
-    has the same signs everywhere.
+def _sturm_chain(p: ZPoly, q: ZPoly) -> list:
+    """The signed remainder sequence of p and q (the Sturm chain for
+    q = p') by signed pseudo-remainders: each member is the integer
+    coefficients of a positive multiple of the signed remainder, so it has
+    the same signs everywhere.
 
     For positive multiples a, b of two consecutive members,
     prem(a, b) = lead(b)^k rem(a, b) with k = deg a - deg b + 1, so
     -sign(lead(b))^k prem(a, b) over its positive content is a positive
     multiple of the next member, -rem.
     """
-    chain = [p, p.derivative()]
+    chain = [p, q]
     while chain[-1].degree > 0:
         a, b = chain[-2], chain[-1]
         r = a.prem(b)
@@ -535,7 +538,7 @@ def sturm_count(p: ZPoly, a=None, b=None) -> int:
     sf = p.squarefree()
     if sf.degree < 1:
         return 0
-    chain = _sturm_chain(sf)
+    chain = _sturm_chain(sf, sf.derivative())
     return _variations(chain, _point(a), -1) - _variations(chain, _point(b), 1)
 
 
@@ -546,7 +549,7 @@ def isolate_real_roots(p: ZPoly) -> list:
     counted by one Sturm chain."""
     if p.degree < 1:
         return []
-    chain = _sturm_chain(p)
+    chain = _sturm_chain(p, p.derivative())
     total = _variations(chain, None, -1) - _variations(chain, None, 1)
     if total == 0:
         return []
@@ -593,6 +596,31 @@ def refine_root_interval(p: ZPoly, interval: tuple, width: Fraction) -> tuple:
         else:
             a = mid
     return a, b, den
+
+
+def clear_left_end(p: ZPoly, interval: tuple) -> tuple:
+    """An isolating interval (a, b, D) of the squarefree p bisected until
+    p(a/D) != 0: the left end of (a/D, b/D] can be the neighbouring root."""
+    a, b, d = interval
+    while sign_at(p.coeffs, a, d) == 0:
+        a, b, d = refine_root_interval(p, (a, b, d), Fraction(b - a, 2 * d))
+    return a, b, d
+
+
+def sign_at_root(P: ZPoly, h: ZPoly, interval: tuple) -> int:
+    """The sign of P at the one root r of the squarefree h (positive lead)
+    in (a/D, b/D], given as (a, b, D).  The left end may be the neighbouring
+    root, so it is cleared first (`clear_left_end`), which can move r onto
+    the right end, tested next.  Then by the Sturm-Tarski theorem the
+    variation drop V(a/D) - V(b/D) of the signed remainder sequence of h and
+    h'P is the sign of P(r).  h'P may be replaced by its pseudo-remainder
+    mod h, a positive multiple of the remainder: that adds a polynomial to
+    h'P / h, which has no pole, so the variation drop is kept."""
+    a, b, d = clear_left_end(h, interval)
+    if sign_at(h.coeffs, b, d) == 0:
+        return sign_at(P.coeffs, b, d)
+    chain = _sturm_chain(h, (h.derivative() * P).prem(h))
+    return _variations(chain, (a, d)) - _variations(chain, (b, d))
 
 
 # ---------------------------------------------------------------------------

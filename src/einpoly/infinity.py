@@ -10,7 +10,7 @@ from itertools import combinations
 
 from .exact import lattice_index, rank
 from .homspace import HomSpaceData
-from .polytope import Face, LatticePolytope, _extreme_rays, hull
+from .polytope import Face, LatticePolytope, _dot, _extreme_rays, _mask, hull
 
 
 class FlatComplex:
@@ -162,42 +162,43 @@ def is_admissible(polytope: LatticePolytope, T: FlatComplex) -> bool:
     return polytope.dim == 0 or not any(T.contains_point(v) for v in polytope.vertices)
 
 
-def _simplex_slice_dim(flat, face: Face) -> int:
-    """Affine dimension of conv{e_i : i in flat} intersected with a face;
-    -1 when the intersection is empty.
-
-    On the coordinates y in flat the slice is {y >= 0 : sum y = 1} cut by
-    the face.  Its homogenization, the points (y, t) with y >= 0, sum y = t,
-    the face's facets and the affine hull as equalities and every other
-    facet as an inequality, is a pointed integer cone whose extreme rays
-    are the slice's vertices, so their rank is one more than its dimension."""
-    P = face.polytope
+def _flat_slice(flat, P: LatticePolytope) -> list:
+    """The vertices of the slice Q = conv{e_i : i in flat} intersected with
+    P, homogenized, each with the mask of the facets of P it is tight on.
+    On the coordinates y in flat, Q is {y >= 0 : sum y = 1} cut by P.  Its
+    homogenization, the points (y, t) with y >= 0, sum y = t, the affine
+    hull as equalities and every facet as an inequality, is a pointed
+    integer cone whose extreme rays are the vertices of Q."""
     idx = [i - 1 for i in flat]
 
     def row(normal, offset):
         return [normal[i] for i in idx] + [-offset]
 
     eqs = [row(*eq) for eq in P.affine_hull]
-    eqs += [row(*P.facets[fi]) for fi in face.facet_indices]
     eqs.append([1] * len(idx) + [-1])
     rows = [[int(i == j) for j in range(len(idx) + 1)] for i in range(len(idx))]
     rows += eqs + [[-x for x in r] for r in eqs]
-    rows += [row(*P.facets[fj]) for fj in range(len(P.facets)) if fj not in face.facet_indices]
-    rays = _extreme_rays(rows)
-    return rank(rays) - 1 if rays else -1
+    facets = [row(*f) for f in P.facets]
+    rays = _extreme_rays(rows + facets)
+    return [(r, _mask(fi for fi, f in enumerate(facets) if _dot(f, r) == 0)) for r in rays]
+
+
+def _slice_dim(slice_: list, face: Face) -> int:
+    """Affine dimension of a face F of P cut with a flat's slice Q
+    (`_flat_slice`), -1 when empty.  Q lies in P, so F cuts it in the face
+    of Q on F's facet equalities, the hull of the vertices of Q tight on
+    them: the rank of their homogenized rays is one more than its dim."""
+    mask = _mask(face.facet_indices)
+    tight = [r for r, m in slice_ if m & mask == mask]
+    return rank(tight) - 1 if tight else -1
 
 
 def t_dimension_report(polytope: LatticePolytope, T: FlatComplex) -> list:
     """Per proper face: (face, dim(face), dim(T cap face)); the compactification
     is admissible in the strong sense when every row has slice < face dim."""
-    out = []
-    for dim_, faces in sorted(polytope.all_proper_faces().items()):
-        for face in faces:
-            slice_dim = -1
-            for flat in T.maximal_flats:
-                slice_dim = max(slice_dim, _simplex_slice_dim(flat, face))
-            out.append((face, dim_, slice_dim))
-    return out
+    slices = [_flat_slice(flat, polytope) for flat in T.maximal_flats]
+    return [(face, dim_, max((_slice_dim(s, face) for s in slices), default=-1))
+            for dim_, faces in sorted(polytope.all_proper_faces().items()) for face in faces]
 
 
 class B2NotApplicableError(ValueError):

@@ -5,12 +5,11 @@ report.
 Counting is resultant-based.  For d = 3 the fiber over every eliminant root
 is analyzed through gcd computations in the quotient ring Q[x]/(h) with
 dynamic splitting of the (squarefree) modulus, so the distinct-solution
-count is exact without any root approximation.  Real and positive counts
-are certified box by box (`_certify_d3`): a box with a rational coordinate
-is decided exactly, and Krawczyk rounds over exact rational intervals
-exclude any other box or certify it.  Only an irrational singular or
-clustered solution is left as a "cluster separation failure", and then
-the real count is a lower bound.
+count is exact without any root approximation.  So are the real and
+positive counts (`_certify_d3`): a box pairs an isolated root a of the
+x-eliminant with one b of the y-eliminant, and holds a solution iff the
+gcd of the system and the y-eliminant over a's branch changes sign across
+b's interval, read at a by one Sturm-Tarski sequence, singular or not.
 
 The elimination runs in integers.  The resultant is an integer Sylvester
 determinant over Z[x] (`exact.resultant`), and the fiber gcds work in
@@ -18,8 +17,8 @@ determinant over Z[x] (`exact.resultant`), and the fiber gcds work in
 list is reduced mod H with one power of lead(H) for all its entries and
 divided by its integer content (`_reduce`); a remainder step is the
 pseudo-remainder step lead(B) rem - lead(rem) y^s B.  Both multiply by a
-unit of Q[x]/(h), which changes no zero test and no gcd degree, so no
-modular inverse is needed.
+unit of Q[x]/(h), which changes no zero test, no gcd degree and no sign
+change at a root of h, so no modular inverse is needed.
 
 The splitting is one recursion (`_trim`): reduce a y-coefficient list mod
 H and drop zero leads; when the lead is a zero divisor, split H into the
@@ -36,11 +35,11 @@ where the subtracted term counts the roots a with G(a, 0) = 0; it is exact
 because h is squarefree.
 
 The certification keeps one integer form from the resultant to the
-Krawczyk box: the eliminant H itself, and isolating intervals (a, b, D) for
-(a/D, b/D] that `exact.isolate_real_roots` returns and refinement bisects
-by the sign of H.  The Krawczyk test evaluates on their integer numerators;
-only the report entries and the Krawczyk image are Fractions, the same
-rationals Fraction interval arithmetic gives.
+solution box: the eliminants themselves, and isolating intervals (a, b, D)
+for (a/D, b/D] that `exact.isolate_real_roots` returns and refinement
+bisects by the sign of the eliminant.  A solution box is the two isolating
+intervals refined to width at most 2^-20; only its report entry, with an
+interval bound on the residuals, is made of Fractions.
 """
 
 from __future__ import annotations
@@ -48,20 +47,21 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import List, Optional, Sequence, Tuple
 
 from .curvature import LaurentPoly, einstein_system
 from .exact import (
     ZPoly,
     bivar_cols,
+    clear_left_end,
     common_denominator,
     format_rat,
     isolate_real_roots,
     refine_root_interval,
     resultant,
     sign_at,
-    sturm_count,
+    sign_at_root,
     zpoly,
 )
 from .homspace import HomSpaceData, weight_polytope
@@ -237,7 +237,7 @@ def _eliminant(g1: dict, g2: dict, axis: int) -> Tuple[ZPoly, int]:
 
 
 # ---------------------------------------------------------------------------
-# interval arithmetic and Krawczyk certification
+# interval residual bounds
 # ---------------------------------------------------------------------------
 
 class _ScaledPoly:
@@ -295,125 +295,6 @@ def _interval_numerators(poly: _ScaledPoly, ibox: Sequence[tuple]) -> tuple:
     for dp in dens:
         den *= dp[-1]
     return lo, hi, den
-
-
-def _dict_partial(poly: dict, axis: int) -> dict:
-    out = {}
-    for e, c in poly.items():
-        if e[axis] == 0:
-            continue
-        ne = list(e)
-        ne[axis] -= 1
-        out[tuple(ne)] = out.get(tuple(ne), Fraction(0)) + c * e[axis]
-    return out
-
-
-def _exact_numerators(poly: _ScaledPoly, x: Sequence[tuple]) -> tuple:
-    """(num, den): poly at the rational point x_i = p_i / q_i, given as
-    pairs (p_i, q_i) with q_i > 0, is num/den, summed as integers over the
-    common denominator den = poly.den * prod q_i^degs_i."""
-    nums = []
-    dens = []
-    for (p, q), k in zip(x, poly.degs):
-        pn, pd = [1], [1]
-        for _ in range(k):
-            pn.append(pn[-1] * p)
-            pd.append(pd[-1] * q)
-        nums.append(pn)
-        dens.append(pd)
-    acc = 0
-    for e, c in poly.terms:
-        for pn, pd, ei, k in zip(nums, dens, e, poly.degs):
-            c *= pn[ei] * pd[k - ei]
-        acc += c
-    den = poly.den
-    for pd in dens:
-        den *= pd[-1]
-    return acc, den
-
-
-def _krawczyk_system(g1: dict, g2: dict) -> tuple:
-    """g1, g2 and their partials d1 g1, d2 g1, d1 g2, d2 g2, scaled once
-    for all boxes of a system."""
-    polys = (g1, g2, _dict_partial(g1, 0), _dict_partial(g1, 1),
-             _dict_partial(g2, 0), _dict_partial(g2, 1))
-    return tuple(_ScaledPoly(p) for p in polys)
-
-
-def _common(pairs) -> tuple:
-    """Rationals given as (num, den) pairs, den > 0, over their least common
-    denominator: (numerators, lcm)."""
-    den = lcm(*(d for _n, d in pairs))
-    return [n * (den // d) for n, d in pairs], den
-
-
-def _krawczyk_image(system: tuple, ibox: Sequence[tuple]) -> Optional[list]:
-    """The Krawczyk image K = m - Y f(m) + (I - Y J(box)) (box - m) of an
-    integer box (`_interval_numerators`), with m the midpoint and Y the
-    inverse Jacobian at m; None when J(m) is singular.  `system` is
-    `_krawczyk_system(g1, g2)`.
-
-    Coordinate i of the box is [a_i, b_i] / D_i, so box - m is
-    [-w_i, w_i] / (2 D_i), w_i = b_i - a_i, and the interval product of an
-    entry [lo, hi] of I - Y J(box) with it is [-1, 1] max(|lo|, |hi|) w_i /
-    (2 D_i).  K_i is then c_i + [-r_i, r_i], c_i = m_i - (Y f(m))_i.  Every
-    quantity is an integer numerator over a positive common denominator;
-    only c_i and r_i become Fractions.
-    """
-    g1, g2, j11, j12, j21, j22 = system
-    m = [(a + b, 2 * d) for a, b, d in ibox]
-    # J(m) = [[p, q], [r, t]] / e and Y = [[t, -q], [-r, p]] e / det = y / delta
-    (p, q, r, t), e = _common([_exact_numerators(j, m) for j in (j11, j12, j21, j22)])
-    det = p * t - q * r
-    if det == 0:
-        return None
-    sgn = e if det > 0 else -e
-    y = [[sgn * t, -sgn * q], [-sgn * r, sgn * p]]
-    delta = abs(det)
-    (f1, f2), phi = _common([_exact_numerators(g1, m), _exact_numerators(g2, m)])
-    # J(box) entry (k, j) is [lo, hi] / gden
-    ends = []
-    for j in (j11, j12, j21, j22):
-        lo, hi, den = _interval_numerators(j, ibox)
-        ends += [(lo, den), (hi, den)]
-    jac, gden = _common(ends)
-    jac = [[jac[0:2], jac[2:4]], [jac[4:6], jac[6:8]]]
-    qden = delta * gden
-    (a0, b0, d0), (a1, b1, d1) = ibox
-    k_img = []
-    for i in range(2):
-        # |(I - Y J(box))_ij| over qden, times w_j / (2 D_j), summed over j
-        mags = []
-        for j in range(2):
-            lo = hi = qden if i == j else 0
-            for k in range(2):
-                ends = (y[i][k] * jac[k][j][0], y[i][k] * jac[k][j][1])
-                lo -= max(ends)
-                hi -= min(ends)
-            mags.append(max(abs(lo), abs(hi)))
-        rad = Fraction(mags[0] * (b0 - a0) * d1 + mags[1] * (b1 - a1) * d0, 2 * d0 * d1 * qden)
-        center = Fraction(*m[i]) - Fraction(y[i][0] * f1 + y[i][1] * f2, delta * phi)
-        k_img.append((center - rad, center + rad))
-    return k_img
-
-
-def _krawczyk_2x2(system: tuple, ibox: Sequence[tuple]):
-    """Returns 'unique', 'empty' or 'unknown' for the integer box;
-    `system` is `_krawczyk_system(g1, g2)`."""
-    for g in system[:2]:
-        lo, hi, _den = _interval_numerators(g, ibox)
-        if lo > 0 or hi < 0:
-            return "empty"
-    k_img = _krawczyk_image(system, ibox)
-    if k_img is None:
-        return "unknown"
-    # K_i times D_i against the box coordinate [a_i, b_i]
-    scaled = [(lo * d, hi * d, a, b) for (lo, hi), (a, b, d) in zip(k_img, ibox)]
-    if all(a < lo and hi < b for lo, hi, a, b in scaled):
-        return "unique"
-    if any(hi < a or lo > b for lo, hi, a, b in scaled):
-        return "empty"
-    return "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +397,7 @@ def _box_entry(scaled: Sequence[_ScaledPoly], removed: Sequence[tuple], ibox) ->
     }
 
 
-# the width of a solution box, and the Krawczyk rounds a box gets
 _BOX_WIDTH = Fraction(1, 2**20)
-_MAX_ROUNDS = 40
 
 
 def _positive(q: ZPoly, interval: tuple) -> bool:
@@ -585,68 +464,71 @@ def _divisors(n: int) -> list:
     return small + [n // i for i in reversed(small) if i * i != n]
 
 
-def _fiber_has_root(g1: dict, g2: dict, axis: int, r: Fraction, interval: tuple) -> bool:
-    """Whether g1 and g2 with coordinate `axis` set to r have a common
-    nonzero root in (a/D, b/D], the interval (a, b, D) of the other
-    coordinate, by the Sturm count of the primitive gcd of the restrictions,
-    its x power stripped.  `_eliminant` rejects a common factor x_axis - r."""
-    g = ZPoly()
-    for poly in (g1, g2):
-        terms = {}
-        for e, c in poly.items():
-            terms[e[1 - axis]] = terms.get(e[1 - axis], 0) + c * r ** e[axis]
-        g = g.gcd(zpoly(terms)[0])
-    a, b, d = interval
-    return sturm_count(g.strip_x_power()[1], Fraction(a, d), Fraction(b, d)) > 0
+def _at_y(S: list, n: int, d: int) -> ZPoly:
+    """d^k S(x, n/d) in Z[x], S a y-coefficient list over Z[x], k = deg_y S."""
+    k = len(S) - 1
+    out = [0] * max(len(c.coeffs) for c in S)
+    for j, c in enumerate(S):
+        w = n**j * d ** (k - j)
+        for i, x in enumerate(c.coeffs):
+            out[i] += w * x
+    return ZPoly(out)
+
+
+def _fiber_gcds(g1: dict, g2: dict, q1: ZPoly, q2: ZPoly) -> list:
+    """[(h, S)] over a splitting of the x-eliminant q1: S is the gcd of
+    g1, g2 and the y-eliminant q2 in (Q[x]/(h))[y], up to a unit, with a
+    lead invertible mod h.  At a root a of h the roots of S(a, y) are the
+    y-coordinates of the solutions over a, each a simple root of q2."""
+    Q2 = [ZPoly([c]) for c in q2.coeffs]
+    return [branch for hb, G in _fiber_gcd_branches(bivar_cols(g1, 1), bivar_cols(g2, 1), q1)
+            for branch in _fiber_gcd_branches(G, Q2, hb)]
+
+
+def _holds_solution(branches: list, i1: tuple, i2: tuple) -> bool:
+    """Whether the root a of q1 in i1 and b of q2 in i2 form a solution,
+    for isolating intervals (lo, hi, D) with q1(lo/D), q2(lo/D) != 0 and
+    `branches` = `_fiber_gcds(g1, g2, q1, q2)`.  So a's branch h is the
+    one that changes sign on i1, and b is the one root of q2 in i2: (a, b)
+    is a solution iff S(a, y) vanishes at hi/D or changes sign across i2,
+    S(a, lo/D) S(a, hi/D) <= 0, read at a by `sign_at_root`.  The unit that
+    S is known up to is nonzero at a and scales both values alike."""
+    lo, hi, d = i1
+    h, S = next((h, S) for h, S in branches
+                if sign_at(h.coeffs, lo, d) != sign_at(h.coeffs, hi, d))
+    if len(S) == 1:
+        return False
+    lo, hi, d = i2
+    return sign_at_root(_at_y(S, lo, d) * _at_y(S, hi, d), h, i1) <= 0
 
 
 def _certify_d3(base: SolutionSet, g1: dict, g2: dict, q1: ZPoly, q2: ZPoly,
                 system, removed: list) -> None:
     """Real and positive counts over the boxes that pair a real root of the
-    x-eliminant q1 with one of the y-eliminant q2, a box two integer
-    intervals (a, b, D), with one decision per box.  A box with a rational
-    coordinate is decided exactly (`_fiber_has_root`): a rational root can
-    sit on a dyadic endpoint, where the Krawczyk test never passes.  On a
-    box of two irrational coordinates, up to _MAX_ROUNDS Krawczyk rounds
-    exclude it or certify a solution in it.  A box they leave undecided
-    holds a singular or clustered solution: it is a "cluster separation
-    failure", and real_count is a lower bound."""
-    iso1 = isolate_real_roots(q1)
-    iso2 = isolate_real_roots(q2)
-    rational2 = [_rational_root_in(q2, i2) for i2 in iso2]
-    krawczyk = _krawczyk_system(g1, g2)
-    real = 0
-    positive = 0
+    x-eliminant q1 with one of the y-eliminant q2, with one exact decision
+    per box (`_holds_solution`).  A solution with two rational coordinates
+    is reported exactly, any other as its box refined to _BOX_WIDTH."""
+    base.real_count = base.positive_count = 0
+    iso1 = [clear_left_end(q1, i1) for i1 in isolate_real_roots(q1)]
+    iso2 = [clear_left_end(q2, i2) for i2 in isolate_real_roots(q2)]
+    if not iso1 or not iso2:
+        return
+    branches = _fiber_gcds(g1, g2, q1, q2)
+    scaled = [_ScaledPoly(g1), _ScaledPoly(g2)]
     for i1 in iso1:
-        r1 = _rational_root_in(q1, i1)
-        for i2, r2 in zip(iso2, rational2):
-            b1, b2 = i1, i2
-            if r1 is not None:
-                status = "unique" if _fiber_has_root(g1, g2, 0, r1, b2) else "empty"
-            elif r2 is not None:
-                status = "unique" if _fiber_has_root(g1, g2, 1, r2, b1) else "empty"
+        for i2 in iso2:
+            if not _holds_solution(branches, i1, i2):
+                continue
+            base.real_count += 1
+            base.positive_count += _positive(q1, i1) and _positive(q2, i2)
+            r1 = _rational_root_in(q1, i1)
+            r2 = None if r1 is None else _rational_root_in(q2, i2)
+            if r2 is not None:
+                base.solutions.append(_exact_entry(system, (r1, r2)))
             else:
-                for _ in range(_MAX_ROUNDS):
-                    status = _krawczyk_2x2(krawczyk, (b1, b2))
-                    if status != "unknown":
-                        break
-                    b1 = refine_root_interval(q1, b1, Fraction(b1[1] - b1[0], 4 * b1[2]))
-                    b2 = refine_root_interval(q2, b2, Fraction(b2[1] - b2[0], 4 * b2[2]))
-            if status == "unknown":
-                base.warnings.append(
-                    "cluster separation failure; widened interval left unresolved"
-                )
-            elif status == "unique":
-                real += 1
-                positive += _positive(q1, b1) and _positive(q2, b2)
-                if r1 is not None and r2 is not None:
-                    base.solutions.append(_exact_entry(system, (r1, r2)))
-                else:
-                    box = (refine_root_interval(q1, b1, _BOX_WIDTH),
-                           refine_root_interval(q2, b2, _BOX_WIDTH))
-                    base.solutions.append(_box_entry(krawczyk[:2], removed, box))
-    base.real_count = real
-    base.positive_count = positive
+                box = (refine_root_interval(q1, i1, _BOX_WIDTH),
+                       refine_root_interval(q2, i2, _BOX_WIDTH))
+                base.solutions.append(_box_entry(scaled, removed, box))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@
 by Euclid's algorithm over Q, independently of the integer `ZPoly` the
 library computes with.  `clear` and `as_zpoly` turn references into the
 library's input form; `bivar_cols` is the dense reference for
-`einpoly.exact.bivar_cols` before clearing.
+`einpoly.exact.bivar_cols` before clearing.  `surd_sign` is the exact sign
+of a number in Q(sqrt s).
 """
 
 from fractions import Fraction
@@ -152,3 +153,12 @@ def bivar_cols(poly: dict, axis: int) -> list:
                 coeffs[e[other]] = c
         cols.append(QPoly(coeffs))
     return cols
+
+
+def surd_sign(u, v, s) -> int:
+    """The sign of u + v sqrt(s), u and v rational and s not a square: the
+    sign of u and v when they agree, else of the larger of u^2 and s v^2."""
+    su, sv = (u > 0) - (u < 0), (v > 0) - (v < 0)
+    if su == sv or not su or not sv:
+        return su or sv
+    return su if u * u > s * v * v else sv

@@ -19,6 +19,7 @@ from einpoly.exact import (
     _sturm_chain,
     _variations,
     bivar_cols,
+    clear_left_end,
     common_denominator,
     det,
     integer_kernel_basis,
@@ -29,11 +30,12 @@ from einpoly.exact import (
     rank,
     refine_root_interval,
     resultant,
+    sign_at_root,
     solve_unique,
     sturm_count,
     zpoly,
 )
-from qpoly import QPoly, as_zpoly, clear
+from qpoly import QPoly, as_zpoly, clear, surd_sign
 from qpoly import bivar_cols as reference_bivar_cols
 
 # ---------------------------------------------------------------------------
@@ -928,7 +930,8 @@ def variations_at_infinity(chain, side):
 @settings(max_examples=150, deadline=None)
 def test_integer_sturm_chain_matches_the_fraction_chain(p, points):
     chain = fraction_sturm_chain(p)
-    ichain = _sturm_chain(as_zpoly(p))
+    z = as_zpoly(p)
+    ichain = _sturm_chain(z, z.derivative())
     assert len(ichain) == len(chain)
     for q, c in zip(chain, ichain):
         assert c[-1] * q.coeffs[-1] > 0 and QPoly(c).monic() == q.monic()
@@ -937,3 +940,85 @@ def test_integer_sturm_chain_matches_the_fraction_chain(p, points):
         assert _variations(ichain, (x.numerator, x.denominator)) == fraction_variations(chain, x)
     for side in (1, -1):
         assert _variations(ichain, None, side) == variations_at_infinity(chain, side)
+
+
+# ---------------------------------------------------------------------------
+# the sign of a polynomial at an isolated root
+# ---------------------------------------------------------------------------
+
+
+def sign_at_surd(P, s, side):
+    """The sign of P at side * sqrt(s): P mod (x^2 - s) is A + B x."""
+    _, r = P.divmod(QPoly([-s, 0, 1]))
+    a, b = (list(r.coeffs) + [F(0), F(0)])[:2]
+    return surd_sign(a, side * b, s)
+
+
+def surd_in(s, side, lo, hi):
+    """Whether side * sqrt(s) lies in (lo, hi], by squares."""
+    above = (lo < 0 or lo * lo < s) if side > 0 else (lo < 0 and lo * lo > s)
+    below = (hi > 0 and hi * hi >= s) if side > 0 else (hi >= 0 or hi * hi <= s)
+    return above and below
+
+
+@st.composite
+def sign_cases(draw):
+    """(h, its rational roots, its surds, P): h squarefree with planted
+    rational roots and factors x^2 - s; P random, and sometimes a multiple
+    of a factor of h, so that it vanishes at some of its roots."""
+    roots = draw(st.lists(small_rats, min_size=0, max_size=4, unique=True))
+    surds = draw(st.lists(st.sampled_from([2, 3, 5, 6, 7]), max_size=2, unique=True))
+    if not roots and not surds:
+        roots = [F(1, 2)]
+    h = QPoly.from_roots(roots)
+    for n in surds:
+        h = h * QPoly([-n, 0, 1])
+    P = QPoly(draw(st.lists(small_rats, min_size=1, max_size=5)))
+    shared = draw(st.sampled_from([None] + roots + [-n for n in surds]))
+    if shared is not None:
+        P = P * (QPoly([-shared, 1]) if shared in roots else QPoly([shared, 0, 1]))
+    return h, roots, surds, P
+
+
+@given(sign_cases(), st.integers(min_value=0, max_value=12))
+@settings(max_examples=120, deadline=None)
+def test_sign_at_root_matches_the_exact_sign(case, bits):
+    # intervals between any two of the rational roots, points just past
+    # them and the refined isolation's endpoints: with two rational roots
+    # there is always one with a root of h on the right end, and one whose
+    # left end is the neighbouring root
+    h, roots, surds, P = case
+    z = as_zpoly(h)
+    zP = as_zpoly(P) if P else ZPoly()
+    points = set(roots) | {r + F(1, 2**bits) for r in roots}
+    for iv in isolate_real_roots(z):
+        points.update(fraction_interval(refine_root_interval(z, iv, F(1, 2**bits))))
+    points = sorted(points)
+    reached = set()
+    for i, lo in enumerate(points):
+        for hi in points[i + 1:]:
+            if sturm_count(z, lo, hi) != 1:
+                continue
+            inside = [r for r in roots if lo < r <= hi]
+            if inside:
+                expected = (P(inside[0]) > 0) - (P(inside[0]) < 0)
+                if inside[0] == hi:
+                    reached.add("right end")
+            else:
+                expected = next(sign_at_surd(P, n, side) for n in surds for side in (1, -1)
+                                if surd_in(n, side, lo, hi))
+            if lo in roots:
+                reached.add("left end")
+            assert sign_at_root(zP, z, triple(lo, hi)) == expected, (h, P, lo, hi)
+    if len(roots) >= 2:
+        assert reached == {"right end", "left end"}
+
+
+def test_sign_at_root_after_the_bisection_moves_the_root_onto_the_right_end():
+    # h = (3x + 2)(2x + 1)(x - 4): the left end -2/3 of (-2/3, 0] is a root,
+    # and the bisection off it leaves the root -1/2 on the right end
+    h = ZPoly([-8, -26, -17, 6])
+    assert fraction_interval(clear_left_end(h, (-2, 0, 3))) == (F(-7, 12), F(-1, 2))
+    assert sign_at_root(ZPoly([-1, -4]), h, (-2, 0, 3)) == 1
+    assert sign_at_root(ZPoly([1, 4]), h, (-2, 0, 3)) == -1
+    assert sign_at_root(ZPoly([1, 2]), h, (-2, 0, 3)) == 0

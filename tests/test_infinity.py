@@ -24,7 +24,8 @@ from einpoly.infinity import (
     B2NotApplicableError,
     FlatComplex,
     NotFlatError,
-    _simplex_slice_dim,
+    _flat_slice,
+    _slice_dim,
     b2_exponent,
     delta_min,
     flat_complex,
@@ -377,10 +378,11 @@ def test_slice_dimension_matches_basic_solution_enumeration(data):
     except ValueError:  # every generator lies in |T|
         pass
     for Q in polytopes:
-        for faces in Q.all_proper_faces().values():
-            for face in faces:
-                for flat in T.maximal_flats:
-                    assert _simplex_slice_dim(flat, face) == reference_slice_dim(flat, face)
+        for flat in T.maximal_flats:
+            slice_ = _flat_slice(flat, Q)
+            for faces in Q.all_proper_faces().values():
+                for face in faces:
+                    assert _slice_dim(slice_, face) == reference_slice_dim(flat, face)
 
 
 def test_t_dimension_report_flags_the_bad_vertex(wang_ziller_q):

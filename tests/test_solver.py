@@ -7,6 +7,7 @@ from fractions import Fraction as F
 from itertools import combinations_with_replacement
 from math import lcm, prod
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from einpoly.curvature import einstein_system
 from einpoly.exact import (
     ZPoly,
+    clear_left_end,
     common_denominator,
     isolate_real_roots,
     refine_root_interval,
@@ -34,11 +36,9 @@ from einpoly.solver import (
     _certify_d2,
     _certify_d3,
     _eliminant,
-    _exact_numerators,
+    _fiber_gcds,
+    _holds_solution,
     _interval_numerators,
-    _krawczyk_2x2,
-    _krawczyk_image,
-    _krawczyk_system,
     _positive,
     _rational_root_in,
     _ScaledPoly,
@@ -49,7 +49,7 @@ from einpoly.solver import (
     legendre_at_3,
     real_positive,
 )
-from qpoly import QPoly, as_zpoly
+from qpoly import QPoly, as_zpoly, surd_sign
 
 
 def wang_ziller_shape(b1, b2, t1, t2, name="wz_shape"):
@@ -220,7 +220,7 @@ def test_wang_ziller_catalog_positive_solutions(wang_ziller_killing):
 
 def test_jordan_2_solution_on_an_interval_endpoint_is_exact():
     # the one solution (1, 1) is the right end of both isolating intervals,
-    # where no Krawczyk image lies strictly inside the box
+    # where the fiber gcd vanishes instead of changing sign
     sol = real_positive(jordan_space(2))
     assert (sol.distinct_complex, sol.real_count, sol.positive_count) == (1, 1, 1)
     assert sol.solutions == [{"x": ["1", "1"], "exact": True, "residual": "0"}]
@@ -254,18 +254,70 @@ def test_one_rational_coordinate_is_decided_exactly():
 
 
 def test_singular_irrational_solutions_are_left_as_clusters():
-    # g1 = x^2 - 2, g2 = (y - x)^2: the solutions (+-sqrt 2, +-sqrt 2) are
-    # singular and irrational, so neither Krawczyk nor the exact route
-    # decides their boxes; the two boxes of opposite signs are excluded
+    # The id is kept from when such boxes ended in a "cluster separation
+    # failure" with no solution counted.  g1 = x^2 - 2, g2 = (y - x)^2: the
+    # solutions (+-sqrt 2, +-sqrt 2) are singular and irrational, and the
+    # fiber gcd y - x over x^2 - 2 decides every box exactly.
     g1 = {(2, 0): F(1), (0, 0): F(-2)}
     g2 = {(0, 2): F(1), (1, 1): F(-2), (2, 0): F(1)}
     q1, count = _eliminant(g1, g2, 1)
     q2, _ = _eliminant(g1, g2, 0)
     assert count == 2
     sol = SolutionSet(3, count)
-    _certify_d3(sol, g1, g2, q1, q2, [], [])
-    assert (sol.real_count, sol.positive_count) == (0, 0)
-    assert [w.split(";")[0] for w in sol.warnings] == ["cluster separation failure"] * 2
+    _certify_d3(sol, g1, g2, q1, q2, [], [(0, 0), (0, 0)])
+    assert (sol.real_count, sol.positive_count) == (2, 1)
+    assert not sol.warnings
+    for s, sign in zip(sol.solutions, (-1, 1)):
+        assert not s["exact"]
+        for lo, hi in s["box"]:
+            lo, hi = sorted((sign * F(lo), sign * F(hi)))
+            assert 0 < lo and lo**2 <= 2 <= hi**2
+
+
+def planted_system(roots, surds, c, e, m):
+    """g1 = p(x) + x L and g2 = L^m, L = y - c x - e, p with the distinct
+    rational roots and the factors x^2 - s: the solutions are (a, c a + e)
+    over the roots a of p, singular for m = 2."""
+    p = QPoly.from_roots(roots)
+    for s in surds:
+        p = p * QPoly([-s, 0, 1])
+    line = {(0, 1): F(1), (1, 0): -c, (0, 0): -e}
+    g1 = {(i, 0): a for i, a in enumerate(p.coeffs) if a}
+    for (i, j), a in line.items():
+        g1[(i + 1, j)] = g1.get((i + 1, j), F(0)) + a
+    g2 = {(0, 0): F(1)}
+    for _ in range(m):
+        prod_ = {}
+        for (i, j), a in g2.items():
+            for (k, l), b in line.items():
+                prod_[(i + k, j + l)] = prod_.get((i + k, j + l), F(0)) + a * b
+        g2 = prod_
+    return ({k: v for k, v in g1.items() if v}, {k: v for k, v in g2.items() if v})
+
+
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                min_size=0, max_size=3, unique=True),
+       st.lists(st.sampled_from([2, 3, 5]), max_size=2, unique=True),
+       st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(2)]),
+       st.sampled_from([F(0), F(1), F(-1), F(3, 2)]),
+       st.sampled_from([1, 2]))
+@settings(max_examples=60, deadline=None)
+def test_planted_systems_count_every_real_and_positive_solution(roots, surds, c, e, m):
+    if not roots and not surds:
+        roots = [F(1)]
+    g1, g2 = planted_system(roots, surds, c, e, m)
+    # a root a = u + v sqrt(s) as (u, v, s), and the signs of a and c a + e
+    xs = [(r, F(0), 2) for r in roots] + [(F(0), F(side), s) for s in surds for side in (1, -1)]
+    signs = [(surd_sign(u, v, s), surd_sign(c * u + e, c * v, s)) for u, v, s in xs]
+    torus = [(sx, sy) for sx, sy in signs if sx and sy]
+    q1, count = _eliminant(g1, g2, 1)
+    q2, _ = _eliminant(g1, g2, 0)
+    assert count == len(torus)
+    sol = SolutionSet(3, count)
+    _certify_d3(sol, g1, g2, q1, q2, [], [(0, 0), (0, 0)])
+    assert sol.real_count == len(torus)
+    assert sol.positive_count == sum(sx > 0 and sy > 0 for sx, sy in torus)
+    assert not sol.warnings
 
 
 @given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=6),
@@ -391,7 +443,7 @@ CERTIFICATION_DIGESTS = [
     "630842603bfad494e52976a33f8e5b9980527f0ccc66bcf1525a68e3a6678575",
     "0d0afbcc057f2d770fda22619683ecb0917984af7ec1f68d82c26144154e8256",
     "a7fb45e7978d4e57d67201670010cddb59558de8b76d3e0580b01486c5b3ceae",
-    "4c82a01b1835f8467882be1f7531f6dc0e29e1de9de3b05fe67d7dc38be7cefa",
+    "5fbd6505da38fbdb51cb7a2b53995ebaab4e5f3697e50e13e640a036877573ca",
     "b1b588218c67bd05fd70b6002f5d11ede42a561cb41b0be8b67d18a95688ae8f",
     "1bc75c6281ff8ffd7599ebeecfcf3c2d6566802a0ef8878e57cb138cf8ee0355",
     "3c41d4f6b9e88555a03e91ad27502b4d9780a066c200e7cbf7989fbd6e48247a",
@@ -489,10 +541,6 @@ def eval_interval(scaled, box):
     return F(lo, den), F(hi, den)
 
 
-def eval_point(scaled, point):
-    return F(*_exact_numerators(scaled, [(x.numerator, x.denominator) for x in point]))
-
-
 coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=9)
 endpoints = st.fractions(min_value=-4, max_value=4, max_denominator=16)
 
@@ -524,7 +572,6 @@ def test_integer_interval_evaluation_matches_fraction_reference(case):
     assert eval_interval(scaled, box) == interval_reference(poly, box)
     point = [lo for lo, _hi in box]
     direct = sum((c * prod(x**ei for x, ei in zip(point, e)) for e, c in poly.items()), F(0))
-    assert eval_point(scaled, point) == direct
     if all(lo == hi for lo, hi in box):
         assert eval_interval(scaled, box) == (direct, direct)
 
@@ -580,79 +627,55 @@ def test_rational_root_search_respects_the_cap():
     assert found == [F(1), F(2), F(1000), F(3001)]
 
 
-def krawczyk_image_reference(g1, g2, box):
-    """The Krawczyk image K = m - Y f(m) + (I - Y J(box)) (box - m) in
-    Fraction interval arithmetic, step by step; None when J(m) is
-    singular."""
-    def partial(poly, axis):
-        out = {}
-        for e, c in poly.items():
-            if e[axis]:
-                ne = tuple(x - (i == axis) for i, x in enumerate(e))
-                out[ne] = out.get(ne, F(0)) + c * e[axis]
-        return out
+MP80 = mpmath.MPContext()
+MP80.dps = 80
 
-    def at(poly, x):
-        return sum((c * x[0] ** e[0] * x[1] ** e[1] for e, c in poly.items()), F(0))
 
-    def iv_sub(a, b):
-        return (a[0] - b[1], a[1] - b[0])
-
-    def iv_scale(a, c):
-        return (a[0] * c, a[1] * c) if c >= 0 else (a[1] * c, a[0] * c)
-
-    m = [(lo + hi) / 2 for lo, hi in box]
-    jm = [[partial(g, k) for k in range(2)] for g in (g1, g2)]
-    a, b = at(jm[0][0], m), at(jm[0][1], m)
-    c, d = at(jm[1][0], m), at(jm[1][1], m)
-    det = a * d - b * c
-    if det == 0:
-        return None
-    y = [[d / det, -b / det], [-c / det, a / det]]
-    fm = [at(g1, m), at(g2, m)]
-    jac = [[interval_reference(jm[i][j], box) for j in range(2)] for i in range(2)]
-    k_img = []
-    for i in range(2):
-        center = m[i] - (y[i][0] * fm[0] + y[i][1] * fm[1])
-        acc = (center, center)
-        for j in range(2):
-            res = (F(i == j), F(i == j))
-            for k in range(2):
-                res = iv_sub(res, iv_scale(jac[k][j], y[i][k]))
-            acc = iv_add_reference(acc, iv_mul_reference(res, iv_sub(box[j], (m[j], m[j]))))
-        k_img.append(acc)
-    return k_img
+def real_roots_in(q, intervals):
+    """The real root of q in each isolating interval, in 80-digit mpmath:
+    the one of all its roots (`polyroots`) that lies there."""
+    roots = [r.real for r in MP80.polyroots(list(reversed(q.coeffs)), maxsteps=200,
+                                             extraprec=200)
+             if abs(r.imag) < MP80.mpf(10)**-60]
+    out = []
+    for lo, hi, d in intervals:
+        inside = [r for r in roots if lo < r * d <= hi + MP80.mpf(10)**-60]
+        assert len(inside) == 1
+        out.append(inside[0])
+    return out
 
 
 def test_krawczyk_image_matches_fraction_reference():
-    # boxes of the certification rounds, and copies shifted by up to two
-    # thirds of their width, on the d = 3 pinned documents
-    rng = random.Random(5)
-    verdicts = set()
+    # The id is kept from the interval test this replaced.  The box rule on
+    # each pair of isolating intervals of the d = 3 pinned documents and on
+    # three refinements of it, against an 80-digit residual at the roots:
+    # it is below 10^-40 on a solution and above 10^-20 everywhere else.
+    tiny, large = MP80.mpf(10)**-40, MP80.mpf(10)**-20
+    decisions = []
     for data in pin_documents():
         if data.d != 3:
             continue
         (g1, g2), _ = dehomogenize(einstein_system(data))
-        system = _krawczyk_system(g1, g2)
         q1, _ = _eliminant(g1, g2, 1)
         q2, _ = _eliminant(g1, g2, 0)
         if q1.degree <= 0 or q2.degree <= 0:
             continue
-        for i1 in isolate_real_roots(q1):
-            for i2 in isolate_real_roots(q2):
+        branches = _fiber_gcds(g1, g2, q1, q2)
+        iso1 = [clear_left_end(q1, i1) for i1 in isolate_real_roots(q1)]
+        iso2 = [clear_left_end(q2, i2) for i2 in isolate_real_roots(q2)]
+        for i1, x in zip(iso1, real_roots_in(q1, iso1)):
+            for i2, y in zip(iso2, real_roots_in(q2, iso2)):
+                residual = max(abs(sum(MP80.mpf(c.numerator) / c.denominator * x**i * y**j
+                                       for (i, j), c in g.items())) for g in (g1, g2))
+                assert residual < tiny or residual > large
                 b1, b2 = i1, i2
-                for _ in range(8):
-                    # b1 shifted by k/3 of its width
-                    k = rng.randint(-2, 2)
-                    a, b, d = b1
-                    shifted = (3 * a + k * (b - a), 3 * b + k * (b - a), 3 * d)
-                    for box in ((b1, b2), (shifted, b2)):
-                        image = _krawczyk_image(system, box)
-                        assert image == krawczyk_image_reference(g1, g2, fraction_box(box))
-                        verdicts.add(_krawczyk_2x2(system, box))
+                for _ in range(4):
+                    solution = _holds_solution(branches, b1, b2)
+                    assert solution == (residual < tiny), (data.name, b1, b2)
+                    decisions.append(solution)
                     b1 = refine_root_interval(q1, b1, F(b1[1] - b1[0], 4 * b1[2]))
                     b2 = refine_root_interval(q2, b2, F(b2[1] - b2[0], 4 * b2[2]))
-    assert verdicts == {"unique", "empty", "unknown"}
+    assert 0 < sum(decisions) < len(decisions)
 
 
 # ---------------------------------------------------------------------------
