@@ -15,7 +15,7 @@ from .exact import format_rat
 from .faces import NEEDS_MORE_DATA, face_verdict, marked_census
 from .homspace import HomSpaceData, weight_polytope
 from .infinity import B2NotApplicableError, b2_exponent, delta_min, flat_complex, is_admissible
-from .solver import build_bound_report, real_positive
+from .solver import DegenerateSystemError, build_bound_report, real_positive
 
 REPORT_SCHEMA = "report/v1"
 
@@ -23,7 +23,8 @@ REPORT_SCHEMA = "report/v1"
 def analyze(data: HomSpaceData, theta=Fraction(0), solve: bool = True) -> tuple[dict, int]:
     """Full pipeline: weight polytope, flats, minimal polytope, volume and
     bounds, marked-face census, 2-face singularity verdicts, and (for
-    d <= 3) the certified solver."""
+    d <= 3) the certified solver.  The exit code is 3 when the solver is
+    skipped: d > 3, or a system with a positive-dimensional solution set."""
     warnings = list(data.validation_warnings())
     delta = weight_polytope(data)
     T = flat_complex(data)
@@ -42,7 +43,13 @@ def analyze(data: HomSpaceData, theta=Fraction(0), solve: bool = True) -> tuple[
         b2 = b2_exponent(dmin)
     except B2NotApplicableError as exc:
         b2 = f"not applicable: {exc}"
-    sol = real_positive(data, s=s) if solve and data.d in (2, 3) else None
+    sol = None
+    skipped = f"unsupported dimension d = {data.d} (supported: 2, 3)"
+    if solve and data.d in (2, 3):
+        try:
+            sol = real_positive(data, s=s)
+        except DegenerateSystemError as exc:
+            skipped = f"degenerate system ({exc})"
     epsilon = sol.distinct_complex if sol is not None else None
     bounds = build_bound_report(data, nu, T, epsilon)
     census = marked_census(dmin)
@@ -66,9 +73,7 @@ def analyze(data: HomSpaceData, theta=Fraction(0), solve: bool = True) -> tuple[
         warnings.extend(sol.warnings)
     elif solve:
         solver_exit = 3
-        warnings.append(
-            f"solver skipped: unsupported dimension d = {data.d} (supported: 2, 3)"
-        )
+        warnings.append(f"solver skipped: {skipped}")
     report = {
         "schema": REPORT_SCHEMA,
         "version": __version__,

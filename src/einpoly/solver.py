@@ -23,16 +23,13 @@ change at a root of h, so no modular inverse is needed.
 The splitting is one recursion (`_trim`): reduce a y-coefficient list mod
 H and drop zero leads; when the lead is a zero divisor, split H into the
 primitive g = gcd(lead, H) and the exact quotient H / g (both in Z[x], by
-Gauss's lemma) and recurse on both.  The gcd G of g1 and g2 over a branch
-h has a lead invertible mod h, so G(a, y) has the same degree k at every
-root a of h, and its distinct nonzero roots, summed over the roots a,
-number
-
-    sum over the branches (hb, D) of gcd(G, dG/dy) of deg(hb) * (k - deg D)
-      - deg gcd(G(x, 0), h),
-
-where the subtracted term counts the roots a with G(a, 0) = 0; it is exact
-because h is squarefree.
+Gauss's lemma) and recurse on both.  Over each branch h of the
+x-eliminant, S = gcd(g1, g2, q2) in (Q[x]/(h))[y], q2 the y-eliminant,
+has a lead invertible mod h (`_fibers`).  q2 is squarefree with
+q2(0) != 0, so at every root a of h the roots of S(a, y) are distinct and
+nonzero: they are the y-coordinates of the torus solutions over a.  This
+one fiber gcd gives both the distinct count, the sum of deg(h) * deg_y(S)
+over the branches, and the box decisions of the real count.
 
 The certification keeps one integer form from the resultant to the
 solution box: the eliminants themselves, and isolating intervals (a, b, D)
@@ -203,37 +200,38 @@ def _fiber_gcd_branches(A: list, B: list, h: ZPoly) -> list:
     return out
 
 
-def _torus_roots(G: list, h: ZPoly) -> int:
-    """Distinct nonzero y-roots of G(a, y), summed over the roots a of the
-    squarefree h; lead(G) must be invertible mod h.  See the module
-    docstring for the formula."""
-    k = len(G) - 1
-    deriv = [i * G[i] for i in range(1, k + 1)]
-    total = sum(hb.degree * (k - (len(D) - 1)) for hb, D in _fiber_gcd_branches(G, deriv, h))
-    return total - G[0].gcd(h).degree
-
-
-def _eliminant(g1: dict, g2: dict, axis: int) -> Tuple[ZPoly, int]:
+def _eliminant(g1: dict, g2: dict, axis: int) -> Tuple[ZPoly, list]:
     """The torus eliminant H of g1, g2 for the variable `axis`: the
     primitive squarefree part of the resultant with its x power stripped
-    (1 when that is constant), and the number of distinct torus solutions
-    counted over its roots.
+    (1 when that is constant), and the branches [(h, G)] of the gcd G of
+    g1 and g2 over a splitting of H (none when H is constant).
 
     When both are constant in that variable, the resultant is the empty
-    Sylvester determinant 1 and the count 0, unless they share a factor."""
+    Sylvester determinant 1, unless they share a factor."""
     A = bivar_cols(g1, axis)
     B = bivar_cols(g2, axis)
     if len(A) == 1 and len(B) == 1:
         if A[0].gcd(B[0]).degree > 0:
             raise DegenerateSystemError("common factor present")
-        return ZPoly([1]), 0
+        return ZPoly([1]), []
     r = resultant(A, B)
     if not r:
         raise DegenerateSystemError("resultant vanished; common factor present")
     H = r.strip_x_power()[1].squarefree()
     if H.degree <= 0:
-        return H, 0
-    return H, sum(_torus_roots(G, hb) for hb, G in _fiber_gcd_branches(A, B, H))
+        return H, []
+    return H, _fiber_gcd_branches(A, B, H)
+
+
+def _fibers(branches: list, q: ZPoly) -> Tuple[list, int]:
+    """[(h, S)] with S the gcd of each branch's G (`_eliminant`) and the
+    other eliminant q in (Q[x]/(h))[y], up to a unit, with a lead
+    invertible mod h, and the number of torus solutions over them, the sum
+    of deg(h) * deg_y(S).  At a root a of h the roots of S(a, y) are the
+    other coordinates of the solutions over a, each a simple root of q."""
+    Q = [ZPoly([c]) for c in q.coeffs]
+    fibers = [fiber for h, G in branches for fiber in _fiber_gcd_branches(G, Q, h)]
+    return fibers, sum(h.degree * (len(S) - 1) for h, S in fibers)
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +360,14 @@ def _solve(data: HomSpaceData, certify: bool, s: Optional[LaurentPoly] = None) -
             _certify_d2(out, sf, system, [_ScaledPoly(polys[0])], removed)
         return out
     g1, g2 = polys
-    q1, count = _eliminant(g1, g2, 1)
-    q2, count_y = _eliminant(g1, g2, 0)
-    out = SolutionSet(3, count, genericity=count == count_y)
+    q1, branches = _eliminant(g1, g2, 1)
+    q2, branches_y = _eliminant(g1, g2, 0)
+    fibers, count = _fibers(branches, q2)
+    out = SolutionSet(3, count, genericity=count == _fibers(branches_y, q1)[1])
     if not out.genericity:
         out.warnings.append("eliminations in the two variable orders disagree")
     if certify:
-        _certify_d3(out, g1, g2, q1, q2, system, removed)
+        _certify_d3(out, g1, g2, q1, q2, fibers, system, removed)
     return out
 
 
@@ -475,26 +474,16 @@ def _at_y(S: list, n: int, d: int) -> ZPoly:
     return ZPoly(out)
 
 
-def _fiber_gcds(g1: dict, g2: dict, q1: ZPoly, q2: ZPoly) -> list:
-    """[(h, S)] over a splitting of the x-eliminant q1: S is the gcd of
-    g1, g2 and the y-eliminant q2 in (Q[x]/(h))[y], up to a unit, with a
-    lead invertible mod h.  At a root a of h the roots of S(a, y) are the
-    y-coordinates of the solutions over a, each a simple root of q2."""
-    Q2 = [ZPoly([c]) for c in q2.coeffs]
-    return [branch for hb, G in _fiber_gcd_branches(bivar_cols(g1, 1), bivar_cols(g2, 1), q1)
-            for branch in _fiber_gcd_branches(G, Q2, hb)]
-
-
-def _holds_solution(branches: list, i1: tuple, i2: tuple) -> bool:
+def _holds_solution(fibers: list, i1: tuple, i2: tuple) -> bool:
     """Whether the root a of q1 in i1 and b of q2 in i2 form a solution,
     for isolating intervals (lo, hi, D) with q1(lo/D), q2(lo/D) != 0 and
-    `branches` = `_fiber_gcds(g1, g2, q1, q2)`.  So a's branch h is the
-    one that changes sign on i1, and b is the one root of q2 in i2: (a, b)
-    is a solution iff S(a, y) vanishes at hi/D or changes sign across i2,
+    the x-order `fibers` over q1 (`_fibers`).  So a's branch h is the one
+    that changes sign on i1, and b is the one root of q2 in i2: (a, b) is
+    a solution iff S(a, y) vanishes at hi/D or changes sign across i2,
     S(a, lo/D) S(a, hi/D) <= 0, read at a by `sign_at_root`.  The unit that
     S is known up to is nonzero at a and scales both values alike."""
     lo, hi, d = i1
-    h, S = next((h, S) for h, S in branches
+    h, S = next((h, S) for h, S in fibers
                 if sign_at(h.coeffs, lo, d) != sign_at(h.coeffs, hi, d))
     if len(S) == 1:
         return False
@@ -503,21 +492,21 @@ def _holds_solution(branches: list, i1: tuple, i2: tuple) -> bool:
 
 
 def _certify_d3(base: SolutionSet, g1: dict, g2: dict, q1: ZPoly, q2: ZPoly,
-                system, removed: list) -> None:
+                fibers: list, system, removed: list) -> None:
     """Real and positive counts over the boxes that pair a real root of the
     x-eliminant q1 with one of the y-eliminant q2, with one exact decision
-    per box (`_holds_solution`).  A solution with two rational coordinates
-    is reported exactly, any other as its box refined to _BOX_WIDTH."""
+    per box (`_holds_solution` on the x-order `fibers`).  A solution with
+    two rational coordinates is reported exactly, any other as its box
+    refined to _BOX_WIDTH."""
     base.real_count = base.positive_count = 0
     iso1 = [clear_left_end(q1, i1) for i1 in isolate_real_roots(q1)]
     iso2 = [clear_left_end(q2, i2) for i2 in isolate_real_roots(q2)]
     if not iso1 or not iso2:
         return
-    branches = _fiber_gcds(g1, g2, q1, q2)
     scaled = [_ScaledPoly(g1), _ScaledPoly(g2)]
     for i1 in iso1:
         for i2 in iso2:
-            if not _holds_solution(branches, i1, i2):
+            if not _holds_solution(fibers, i1, i2):
                 continue
             base.real_count += 1
             base.positive_count += _positive(q1, i1) and _positive(q2, i2)

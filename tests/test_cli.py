@@ -119,6 +119,29 @@ def test_analyze_unsupported_solve_dimension_exits_three(capsys, tmp_path):
     assert code == 0
 
 
+def test_analyze_degenerate_system_exits_three(capsys, tmp_path):
+    # a d = 3 system with a positive-dimensional solution set: the solver is
+    # skipped with one warning and the rest of the analysis is emitted
+    doc = tmp_path / "wb.json"
+    doc.write_text(json.dumps({
+        "schema": "homspace/v1", "name": "wb", "d": 3, "dims": [2, 3, 2],
+        "b": ["0", "0", "0"], "triples": [{"ijk": [1, 2, 3], "value": "1"},
+                                          {"ijk": [1, 1, 2], "value": "1"},
+                                          {"ijk": [2, 3, 3], "value": "1"}],
+    }))
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, "analyze", str(doc), "--json", str(out_path))
+    assert code == 3 and err == "" and "wb: d = 3" in out
+    report = json.loads(out_path.read_text())
+    assert report["solver"] is None
+    assert report["bounds"]["epsilon_computed"] is None
+    skipped = [w for w in report["warnings"] if w.startswith("solver skipped: ")]
+    assert skipped == ["solver skipped: degenerate system "
+                       "(both polynomials vanish on a whole branch)"]
+    code, _, _ = run(capsys, "analyze", str(doc), "--no-solve")
+    assert code == 0
+
+
 def test_analyze_malformed_file_exits_two(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({

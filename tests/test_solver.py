@@ -36,7 +36,7 @@ from einpoly.solver import (
     _certify_d2,
     _certify_d3,
     _eliminant,
-    _fiber_gcds,
+    _fibers,
     _holds_solution,
     _interval_numerators,
     _positive,
@@ -253,6 +253,17 @@ def test_one_rational_coordinate_is_decided_exactly():
         assert 0 < lo and lo**2 <= F(3, 2) <= hi**2
 
 
+def solve_cleared(g1, g2) -> SolutionSet:
+    """The d = 3 steps of `_solve` on a cleared pair g1, g2, certified
+    with no Laurent system to check exact entries on."""
+    q1, branches = _eliminant(g1, g2, 1)
+    q2, branches_y = _eliminant(g1, g2, 0)
+    fibers, count = _fibers(branches, q2)
+    sol = SolutionSet(3, count, genericity=count == _fibers(branches_y, q1)[1])
+    _certify_d3(sol, g1, g2, q1, q2, fibers, [], [(0, 0), (0, 0)])
+    return sol
+
+
 def test_singular_irrational_solutions_are_left_as_clusters():
     # The id is kept from when such boxes ended in a "cluster separation
     # failure" with no solution counted.  g1 = x^2 - 2, g2 = (y - x)^2: the
@@ -260,11 +271,8 @@ def test_singular_irrational_solutions_are_left_as_clusters():
     # fiber gcd y - x over x^2 - 2 decides every box exactly.
     g1 = {(2, 0): F(1), (0, 0): F(-2)}
     g2 = {(0, 2): F(1), (1, 1): F(-2), (2, 0): F(1)}
-    q1, count = _eliminant(g1, g2, 1)
-    q2, _ = _eliminant(g1, g2, 0)
-    assert count == 2
-    sol = SolutionSet(3, count)
-    _certify_d3(sol, g1, g2, q1, q2, [], [(0, 0), (0, 0)])
+    sol = solve_cleared(g1, g2)
+    assert sol.distinct_complex == 2 and sol.genericity
     assert (sol.real_count, sol.positive_count) == (2, 1)
     assert not sol.warnings
     for s, sign in zip(sol.solutions, (-1, 1)):
@@ -310,11 +318,8 @@ def test_planted_systems_count_every_real_and_positive_solution(roots, surds, c,
     xs = [(r, F(0), 2) for r in roots] + [(F(0), F(side), s) for s in surds for side in (1, -1)]
     signs = [(surd_sign(u, v, s), surd_sign(c * u + e, c * v, s)) for u, v, s in xs]
     torus = [(sx, sy) for sx, sy in signs if sx and sy]
-    q1, count = _eliminant(g1, g2, 1)
-    q2, _ = _eliminant(g1, g2, 0)
-    assert count == len(torus)
-    sol = SolutionSet(3, count)
-    _certify_d3(sol, g1, g2, q1, q2, [], [(0, 0), (0, 0)])
+    sol = solve_cleared(g1, g2)
+    assert sol.distinct_complex == len(torus) and sol.genericity
     assert sol.real_count == len(torus)
     assert sol.positive_count == sum(sx > 0 and sy > 0 for sx, sy in torus)
     assert not sol.warnings
@@ -656,11 +661,11 @@ def test_krawczyk_image_matches_fraction_reference():
         if data.d != 3:
             continue
         (g1, g2), _ = dehomogenize(einstein_system(data))
-        q1, _ = _eliminant(g1, g2, 1)
+        q1, branches = _eliminant(g1, g2, 1)
         q2, _ = _eliminant(g1, g2, 0)
         if q1.degree <= 0 or q2.degree <= 0:
             continue
-        branches = _fiber_gcds(g1, g2, q1, q2)
+        fibers, _ = _fibers(branches, q2)
         iso1 = [clear_left_end(q1, i1) for i1 in isolate_real_roots(q1)]
         iso2 = [clear_left_end(q2, i2) for i2 in isolate_real_roots(q2)]
         for i1, x in zip(iso1, real_roots_in(q1, iso1)):
@@ -670,7 +675,7 @@ def test_krawczyk_image_matches_fraction_reference():
                 assert residual < tiny or residual > large
                 b1, b2 = i1, i2
                 for _ in range(4):
-                    solution = _holds_solution(branches, b1, b2)
+                    solution = _holds_solution(fibers, b1, b2)
                     assert solution == (residual < tiny), (data.name, b1, b2)
                     decisions.append(solution)
                     b1 = refine_root_interval(q1, b1, F(b1[1] - b1[0], 4 * b1[2]))
@@ -706,8 +711,9 @@ def test_constant_in_the_eliminated_variable_without_common_factor():
     # g1 = x - 1, g2 = x - 2: no common zero; the other order agrees
     g1 = {(1, 0): F(1), (0, 0): F(-1)}
     g2 = {(1, 0): F(1), (0, 0): F(-2)}
-    assert _eliminant(g1, g2, 1)[1] == 0
-    assert _eliminant(g1, g2, 0)[1] == 0
+    assert _eliminant(g1, g2, 1)[1] == _eliminant(g1, g2, 0)[1] == []
+    sol = solve_cleared(g1, g2)
+    assert sol.distinct_complex == sol.real_count == 0 and sol.genericity
 
 
 def test_constant_in_the_eliminated_variable_with_common_factor():

@@ -5,10 +5,11 @@ machinery and by an exact shape-position reading of a lex Groebner basis
 computed with sympy.  (sympy.solve itself is not a reliable oracle: it can
 silently drop quartic roots.)  A digest pins the eliminants and counts of
 a larger seeded set that reaches every branch of the fiber count, and the
-integer fiber recursion is checked against the same recursion over
-Q[x]/(h) in Fraction arithmetic.  On a seeded family of documents with
-rational and singular solutions, every certified real count has the parity
-of the complex count.
+integer count is checked against the same fiber recursion over Q[x]/(h)
+in Fraction arithmetic that counts each fiber by the derivative gcd, a
+second route to the same number.  On a seeded family of documents with
+rational and singular solutions, every certified real count has the
+parity of the complex count.
 """
 
 import hashlib
@@ -22,7 +23,7 @@ import sympy
 from einpoly import solver
 from einpoly.exact import bivar_cols, resultant
 from einpoly.homspace import HomSpaceData
-from einpoly.solver import DegenerateSystemError, _eliminant
+from einpoly.solver import DegenerateSystemError, _eliminant, _fibers
 from qpoly import QPoly, as_zpoly
 from qpoly import bivar_cols as fraction_bivar_cols
 
@@ -71,6 +72,15 @@ def _shape_position_count(g1, g2):
     return int(count)
 
 
+def _pair_outcome(g1, g2):
+    """(q1, count, q2, count_y) as `solver._solve` computes them: both
+    eliminants, then the torus count over the fibers of each order, each
+    gcd taken with the other order's eliminant."""
+    q1, branches = _eliminant(g1, g2, 1)
+    q2, branches_y = _eliminant(g1, g2, 0)
+    return q1, _fibers(branches, q2)[1], q2, _fibers(branches_y, q1)[1]
+
+
 def _random_poly(rng, deg):
     poly = {}
     for i in range(deg + 1):
@@ -91,8 +101,7 @@ def test_bivariate_count_matches_groebner_shape_oracle():
         if len(g1) < 2 or len(g2) < 2:
             continue
         try:
-            _, count = _eliminant(g1, g2, 1)
-            _, count_y = _eliminant(g1, g2, 0)
+            _, count, _, count_y = _pair_outcome(g1, g2)
         except DegenerateSystemError:
             continue
         if count != count_y:
@@ -110,8 +119,7 @@ def test_fiber_splitting_handles_shared_projections():
     # forces a genuine gcd-degree split over the eliminant root x = 1
     g1 = {(1, 1): F(1), (1, 0): F(-3), (0, 1): F(-1), (0, 0): F(3)}  # (x-1)(y-3)
     g2 = {(0, 2): F(1), (0, 0): F(-1)}  # y^2 - 1
-    assert _eliminant(g1, g2, 1)[1] == 2
-    assert _eliminant(g1, g2, 0)[1] == 2
+    assert _pair_outcome(g1, g2)[1::2] == (2, 2)
 
 
 def test_common_factor_detected():
@@ -128,15 +136,18 @@ def test_zero_fiber_root_over_part_of_the_eliminant():
     # y = 0, which is not a torus point; over x = 2 it is y = 1
     g1 = {(2, 0): F(1), (1, 0): F(-3), (0, 0): F(2)}
     g2 = {(0, 2): F(1), (1, 1): F(-1), (0, 1): F(1)}
-    assert _eliminant(g1, g2, 1)[1] == 1
-    assert _eliminant(g1, g2, 0)[1] == 1
+    assert _pair_outcome(g1, g2)[1::2] == (1, 1)
+    # g2 = y(y - x)^2: each fiber holds y = 0 and the double root y = x
+    g2 = {(0, 3): F(1), (1, 2): F(-2), (2, 1): F(1)}
+    assert _pair_outcome(g1, g2)[1::2] == (2, 2)
 
 
-# sha256 over the outcomes of `_eliminant` in both orders on the systems of
-# `_digest_systems`, generated when the eliminant became the primitive
-# integer polynomial; `test_eliminant_matches_its_fraction_form` ties every
-# outcome to the monic Fraction eliminant returned before
-ELIMINANT_DIGEST = "15d8574d21f22e657ba1d21d8db9a15c506df4dcda5af2eee437e430b7748a6b"
+# sha256 over the pair outcomes (q1, count, q2, count_y) or the exception on
+# the systems of `_digest_systems`, generated when each order's count became
+# the gcd with the other order's eliminant;
+# `test_eliminant_matches_its_fraction_form` ties every eliminant to the
+# monic Fraction eliminant returned before
+ELIMINANT_DIGEST = "b8488fcd811fa0658abb41adf7531a06724f15414c14023ea7bdc9c72b9a21fb"
 
 
 def _digest_systems():
@@ -175,14 +186,14 @@ def test_eliminant_digest_over_random_systems(monkeypatch):
     digest = hashlib.sha256()
     degenerate = partial = 0
     for g1, g2 in _digest_systems():
-        for axis in (1, 0):
-            try:
-                h, count = _eliminant(g1, g2, axis)
-            except ValueError as exc:
-                degenerate += isinstance(exc, DegenerateSystemError)
-                digest.update(repr(exc).encode() + b"\n")
-                continue
-            digest.update(repr((h, count)).encode() + b"\n")
+        try:
+            outcome = _pair_outcome(g1, g2)
+        except ValueError as exc:
+            degenerate += isinstance(exc, DegenerateSystemError)
+            digest.update(repr(exc).encode() + b"\n")
+            continue
+        digest.update(repr(outcome).encode() + b"\n")
+        for axis, h in ((1, outcome[0]), (0, outcome[2])):
             partial += h.degree > 0 and _zero_root_over_part(g1, g2, axis, h)
     assert any(splits)
     assert partial
@@ -194,21 +205,20 @@ def _fraction_eliminant(g1, g2, axis):
     """`_eliminant` as it was when it returned a Fraction eliminant: the
     resultant with its x power stripped, made squarefree (p / gcd(p, p')
     by Euclid over Q) and monic at positive degree, the raw constant
-    otherwise; the count through the same integer fiber recursion."""
+    otherwise; the gcd branches through the same integer fiber recursion."""
     A, B = bivar_cols(g1, axis), bivar_cols(g2, axis)
     if len(A) == 1 and len(B) == 1:
         if A[0].gcd(B[0]).degree > 0:
             raise DegenerateSystemError("common factor present")
-        return QPoly.const(1), 0
+        return QPoly.const(1), []
     r = resultant(A, B)
     if not r:
         raise DegenerateSystemError("resultant vanished; common factor present")
     _, h = QPoly(r.coeffs).strip_x_power()
     if h.degree <= 0:
-        return h, 0
+        return h, []
     h = h.squarefree()
-    H = as_zpoly(h).primitive()
-    return h, sum(solver._torus_roots(G, hb) for hb, G in solver._fiber_gcd_branches(A, B, H))
+    return h, solver._fiber_gcd_branches(A, B, as_zpoly(h).primitive())
 
 
 def test_eliminant_matches_its_fraction_form():
@@ -216,15 +226,15 @@ def test_eliminant_matches_its_fraction_form():
     for g1, g2 in list(_digest_systems()) + list(_rational_systems()):
         for axis in (1, 0):
             try:
-                h, count = _fraction_eliminant(g1, g2, axis)
+                h, branches = _fraction_eliminant(g1, g2, axis)
             except ValueError as exc:
                 with pytest.raises(ValueError) as got:
                     _eliminant(g1, g2, axis)
                 assert repr(got.value) == repr(exc)
                 outcomes.append("exception")
                 continue
-            H, got_count = _eliminant(g1, g2, axis)
-            assert (H.degree, got_count) == (h.degree, count)
+            H, got_branches = _eliminant(g1, g2, axis)
+            assert H.degree == h.degree and repr(got_branches) == repr(branches)
             if H.degree > 0:
                 assert QPoly(H.coeffs).monic() == h
             outcomes.append(H.degree > 0)
@@ -235,7 +245,7 @@ def test_eliminant_matches_its_fraction_form():
 # ---------------------------------------------------------------------------
 # the fiber recursion over Q[x]/(h), in Fraction arithmetic: modular
 # inverses and monic moduli, as the count was computed before it moved to
-# pseudo-remainders over Z[x]
+# pseudo-remainders over Z[x] and to the gcd with the other eliminant
 # ---------------------------------------------------------------------------
 
 def _fraction_mod(p, h):
@@ -299,6 +309,11 @@ def _fraction_fiber_gcd_branches(A, B, h):
 
 
 def _fraction_torus_roots(G, h):
+    """Distinct nonzero y-roots of G(a, y), summed over the roots a of the
+    squarefree h, for lead(G) invertible mod h, by the derivative gcd:
+    G(a, y) has the same degree k at every a, its distinct roots number the
+    sum of deg(hb) * (k - deg D) over the branches (hb, D) of gcd(G, dG/dy),
+    and deg gcd(G(x, 0), h) of the roots a have G(a, 0) = 0."""
     k = len(G) - 1
     deriv = [G[i] * i for i in range(1, k + 1)]
     branches = _fraction_fiber_gcd_branches(G, deriv, h)
@@ -306,8 +321,9 @@ def _fraction_torus_roots(G, h):
 
 
 def _fraction_count(g1, g2, axis):
-    """The torus count of `_eliminant` through the Fraction recursion, on
-    the Fraction columns of g1, g2."""
+    """The torus count of one elimination order through the Fraction
+    recursion and the derivative gcd, on the Fraction columns of g1, g2,
+    without the other order's eliminant."""
     r = resultant(bivar_cols(g1, axis), bivar_cols(g2, axis))
     if not r:
         raise DegenerateSystemError("resultant vanished")
@@ -335,17 +351,21 @@ def _rational_systems():
 def test_integer_fiber_count_matches_the_fraction_recursion():
     compared = 0
     for g1, g2 in list(_digest_systems()) + list(_rational_systems()):
-        for axis in (1, 0):
-            try:
-                _, count = _eliminant(g1, g2, axis)
-            except DegenerateSystemError:
-                with pytest.raises(DegenerateSystemError):
-                    _fraction_count(g1, g2, axis)
-                continue
+        try:
+            _, count, _, count_y = _pair_outcome(g1, g2)
+        except DegenerateSystemError:
+            for axis in (1, 0):
+                try:
+                    _eliminant(g1, g2, axis)
+                except DegenerateSystemError:
+                    with pytest.raises(DegenerateSystemError):
+                        _fraction_count(g1, g2, axis)
+            continue
+        for axis, n in ((1, count), (0, count_y)):
             if len(bivar_cols(g1, axis)) == len(bivar_cols(g2, axis)) == 1:
-                assert count == 0
+                assert n == 0
                 continue
-            assert count == _fraction_count(g1, g2, axis), (g1, g2, axis)
+            assert n == _fraction_count(g1, g2, axis), (g1, g2, axis)
             compared += 1
     assert compared > 500
 
