@@ -20,6 +20,11 @@ computation per face:
   lookup is by vertex mask alone.
 * a basis point e on F lies in conv(others) iff e lies on that base face G,
   which is the first criterion again with G's facet mask.
+
+A marked 2-face is singular when the curve of the face restriction is
+singular at a torus point.  On a parallelogram that is one product of
+vertex coefficients (`parallelogram_singular`); on any 2-face
+`curve_singular` decides it exactly with the d = 3 solver's fiber gcds.
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .curvature import LaurentPoly, restrict_to_face
-from .exact import DegenerateEliminationError, LatticeChart, bivar_cols, det, resultant, zpoly
+from .exact import LatticeChart, det
 from .polytope import Face, LatticePolytope, apexes, basis_points_on, is_cross_polytope
+from .solver import DegenerateSystemError, common_torus_zero
 
 SINGULAR = "singular"
 NONSINGULAR = "nonsingular"
@@ -187,8 +193,8 @@ def face_verdict(s: LaurentPoly, face: Face) -> str:
 def _face_chart_poly(s: LaurentPoly, face: Face):
     """Rewrite the face restriction in two lattice coordinates of the face
     (padded with 0 when its support spans fewer directions); returns a dict
-    (i, j) -> coeff of true exponents, or None when the restriction is
-    empty."""
+    (i, j) -> coeff of true exponents shifted to nonnegative ones, so
+    neither variable divides it, or None when the restriction is empty."""
     restricted = restrict_to_face(s, face)
     if restricted.is_zero():
         return None
@@ -196,7 +202,7 @@ def _face_chart_poly(s: LaurentPoly, face: Face):
     if len(chart.basis) > 2:
         raise ValueError("face restriction spans more than two directions")
     pad = (0,) * (2 - len(chart.basis))
-    return {chart.coords(p) + pad: coef for p, coef in restricted.terms.items()}
+    return _shift_nonneg({chart.coords(p) + pad: coef for p, coef in restricted.terms.items()})
 
 
 def _shift_nonneg(poly: dict) -> dict:
@@ -206,72 +212,47 @@ def _shift_nonneg(poly: dict) -> dict:
 
 
 def _euler_bivar(poly: dict, axis: int) -> dict:
-    out = {}
-    for (i, j), c in poly.items():
-        t = (i, j)[axis]
-        if t:
-            out[(i, j)] = c * t
-    return out
+    """x df/dx (axis 0) or y df/dy (axis 1), shifted to nonnegative
+    exponents; empty when f is constant in that variable."""
+    return _shift_nonneg({e: c * e[axis] for e, c in poly.items() if e[axis]})
 
 
 def curve_singular(s: LaurentPoly, face: Face) -> str:
-    """Exact decision whether the plane curve cut out by the face restriction
-    has a singular point with all torus coordinates nonzero.
+    """Exact decision whether the plane curve f = 0 cut out by the face
+    restriction has a singular point with both torus coordinates nonzero,
+    i.e. a common torus zero of f, x df/dx and y df/dy.
 
-    A constant gcd of the two elimination resultants certifies smoothness;
-    the remaining (degenerate) cases are settled by an exact radical-membership
-    computation (Groebner basis with a torus saturation variable).
+    The pairs (f, x df/dx; third y df/dy) and (f, y df/dy; third x df/dx)
+    are tried in turn by `solver.common_torus_zero`.  A pair is degenerate
+    when its derivative is zero or it has a common factor (the solver
+    raises `DegenerateSystemError`); the first pair that is not decides,
+    and when both are, f is singular.  Proof: f is shifted so that x and y
+    do not divide it, so no factor of f is a monomial.  Let c be an
+    irreducible common factor of f and f_x.  If c divides f once, f = c m
+    with c not dividing m, and c divides f_x - c m_x = c_x m, so c divides
+    c_x, which has lower degree in x: c_x = 0 and c = p(y).  Likewise a
+    common factor of f and f_y is a repeated factor or an r(x), and a zero
+    f_x or f_y makes f itself a p(y) or an r(x).  A repeated non-monomial
+    factor has torus zeros, where f and both derivatives vanish.  Otherwise
+    f has factors p(y) and r(x), and at a torus point (a, b) with
+    r(a) = p(b) = 0 their product vanishes to second order, so f is
+    singular there.  One degenerate pair decides nothing:
+    (y - 2)(xy - 2x + 1) shares y - 2 with x df/dx and is nonsingular.
     """
     if face.dim != 2:
         raise ValueError("curve singularity analysis needs a 2-face")
     poly = _face_chart_poly(s, face)
     if poly is None or len(poly) <= 1:
         return NEEDS_MORE_DATA
-    poly = _shift_nonneg(poly)
-    g1 = _shift_nonneg(_euler_bivar(poly, 0))
-    g2 = _shift_nonneg(_euler_bivar(poly, 1))
-    if not g1 or not g2:
-        # the curve is essentially univariate; it is singular only if the
-        # univariate part has a repeated torus root
-        return _univariate_singular(poly)
-    try:
-        cols = bivar_cols(poly, 1)
-        _, r1t = resultant(cols, bivar_cols(g1, 1)).strip_x_power()
-        _, r2t = resultant(cols, bivar_cols(g2, 1)).strip_x_power()
-        if r1t and r2t:
-            _, ht = r1t.gcd(r2t).strip_x_power()
-            if ht.degree <= 0:
-                return NONSINGULAR
-    except DegenerateEliminationError:
-        pass
-    return _groebner_torus_singular(poly, g1, g2)
-
-
-def _univariate_singular(poly: dict) -> str:
-    axis = 0 if len({e[1] for e in poly}) == 1 else 1
-    p, _ = zpoly({e[axis]: c for e, c in poly.items()})
-    _, pt = p.strip_x_power()
-    g = pt.gcd(pt.derivative())
-    gt_deg = g.strip_x_power()[1].degree
-    return SINGULAR if gt_deg > 0 else NONSINGULAR
-
-
-def _groebner_torus_singular(poly: dict, g1: dict, g2: dict) -> str:
-    import sympy
-
-    t1, t2, w = sympy.symbols("t1 t2 w")
-
-    def expr(p):
-        return sympy.Add(*[sympy.Rational(c) * t1**i * t2**j for (i, j), c in p.items()])
-
-    basis = sympy.groebner(
-        [expr(poly), expr(g1), expr(g2), 1 - w * t1 * t2],
-        t1,
-        t2,
-        w,
-        order="lex",
-    )
-    return NONSINGULAR if basis.exprs == [sympy.Integer(1)] else SINGULAR
+    g1, g2 = _euler_bivar(poly, 0), _euler_bivar(poly, 1)
+    for g, third in ((g1, g2), (g2, g1)):
+        if not g:
+            continue
+        try:
+            return SINGULAR if common_torus_zero(poly, g, third) else NONSINGULAR
+        except DegenerateSystemError:
+            pass
+    return SINGULAR
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,19 @@ def _fibers(branches: list, q: ZPoly) -> Tuple[list, int]:
     return fibers, sum(h.degree * (len(S) - 1) for h, S in fibers)
 
 
+def common_torus_zero(f: dict, g: dict, k: dict) -> bool:
+    """Whether the bivariate f, g and k ({(i, j): c}, k empty for zero)
+    have a common zero with both coordinates nonzero;
+    `DegenerateSystemError` when f and g have a common factor.  The
+    x-order fibers (h, S) of f and g (`_fibers`, against the y-eliminant
+    with its zero root stripped) hold their common torus zeros, and one of
+    those is a zero of k iff gcd(S, k) keeps deg_y > 0 on some branch of h."""
+    _, branches = _eliminant(f, g, 1)
+    fibers, _ = _fibers(branches, _eliminant(f, g, 0)[0])
+    K = bivar_cols(k, 1) if k else []
+    return any(len(G) > 1 for h, S in fibers for _, G in _fiber_gcd_branches(S, K, h))
+
+
 # ---------------------------------------------------------------------------
 # interval residual bounds
 # ---------------------------------------------------------------------------
@@ -552,13 +565,17 @@ class BoundReport:
 
 def bound_report(data: HomSpaceData, solve: bool = True) -> BoundReport:
     """nu, the Delannoy/Legendre bound, 6^(d-1), the solver count when
-    available, and the missing-solution note when nu exceeds epsilon."""
+    available (none for a degenerate system, as in `report.analyze`), and
+    the missing-solution note when nu exceeds epsilon."""
     P = weight_polytope(data)
     T = flat_complex(data)
     nu = delta_min(P, T).normalized_volume()
     eps_c = None
     if solve and data.d in (2, 3):
-        eps_c = count_complex(data).distinct_complex
+        try:
+            eps_c = count_complex(data).distinct_complex
+        except DegenerateSystemError:
+            pass
     return build_bound_report(data, nu, T, eps_c)
 
 

@@ -1,13 +1,20 @@
 """Shape tests, the marked census, singularity verdicts, chart localization."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from einpoly import faces as faces_module
+import einpoly
+from einpoly import solver as solver_module
 from einpoly.curvature import LaurentPoly, scalar_curvature
-from einpoly.exact import DegenerateEliminationError, rank
+from einpoly.exact import rank
 from einpoly.faces import (
     NEEDS_MORE_DATA,
     NONSINGULAR,
@@ -375,31 +382,97 @@ def test_curve_verdict_matches_the_parallelogram_formula_on_marked_faces(name, s
     assert (verdicts.count(SINGULAR), verdicts.count(NONSINGULAR)) == (singular, nonsingular)
 
 
-def test_degenerate_elimination_falls_back_to_groebner(monkeypatch):
-    # the product form is singular, the generic one nonsingular; with the
-    # resultant step reporting a degenerate pair both verdicts come from
-    # the Groebner basis alone and stay the same
-    terms = [(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, -1)]
-    cases = [(p, hull(p.support()).whole_face()) for p in (
-        LaurentPoly(3, dict(zip(terms, (F(1), F(1), F(1), F(1))))),
-        LaurentPoly(3, dict(zip(terms, (F(1), F(2), F(5), F(7))))),
-    )]
-    expected = [curve_singular(p, face) for p, face in cases]
-    assert expected == [SINGULAR, NONSINGULAR]
-    calls = []
-    groebner = faces_module._groebner_torus_singular
+X, Y, W = sympy.symbols("x y w")
 
-    def degenerate(*_args):
-        raise DegenerateEliminationError("both inputs constant in y")
 
-    def counted(*args):
-        calls.append(args)
-        return groebner(*args)
+def groebner_torus_singular(poly: dict) -> str:
+    """Reference verdict for the curve poly = 0, {(i, j): c}: it has a
+    singular torus point iff f, x df/dx, y df/dy and 1 - w x y do not
+    generate the unit ideal (a lex Groebner basis with a torus saturation
+    variable)."""
+    f = sympy.Add(*[sympy.Rational(c) * X**i * Y**j for (i, j), c in poly.items()])
+    basis = sympy.groebner([f, X * f.diff(X), Y * f.diff(Y), 1 - W * X * Y], X, Y, W,
+                           order="lex")
+    return NONSINGULAR if basis.exprs == [sympy.Integer(1)] else SINGULAR
 
-    monkeypatch.setattr(faces_module, "resultant", degenerate)
-    monkeypatch.setattr(faces_module, "_groebner_torus_singular", counted)
-    assert [curve_singular(p, face) for p, face in cases] == expected
-    assert len(calls) == 2
+
+def bivariate(expr) -> dict:
+    """{(i, j): c} of a sympy polynomial in x and y."""
+    terms = sympy.Poly(sympy.expand(expr), X, Y).terms()
+    return {e: F(int(c)) for e, c in terms if c}
+
+
+def curve_on_face(poly: dict):
+    """A LaurentPoly whose restriction to a 2-face is poly, and that face:
+    (i, j) sits at (i, j, -i - j) on the square of side n, the largest
+    exponent."""
+    n = max(max(e) for e in poly)
+    face = hull([(0, 0, 0), (n, 0, -n), (0, n, -n), (n, n, -2 * n)]).whole_face()
+    return LaurentPoly(3, {(i, j, -i - j): c for (i, j), c in poly.items()}), face
+
+
+_coef = st.integers(-3, 3)
+
+
+@st.composite
+def _factor(draw, deg=1):
+    return sum(draw(_coef) * X**i * Y**j for i in range(deg + 1) for j in range(deg + 1))
+
+
+@st.composite
+def curves(draw):
+    """Random small curves: a node or a cusp planted at a torus point,
+    squares, products of two factors, p(y) q(x, y) and its x <-> y swap, and
+    generic ones."""
+    kind = draw(st.sampled_from(["planted", "square", "product", "p_of_y", "generic"]))
+    if kind == "planted":
+        a, b = draw(_coef.filter(bool)), draw(_coef.filter(bool))
+        u, v = X - a, Y - b
+        if draw(st.booleans()):
+            quadratic = (draw(_coef) * u + draw(_coef) * v) ** 2
+        else:
+            quadratic = draw(_coef) * u**2 + draw(_coef) * u * v + draw(_coef) * v**2
+        expr = quadratic + sum(draw(_coef) * u**i * v**(3 - i) for i in range(4))
+    elif kind == "square":
+        expr = draw(_factor()) ** 2
+    elif kind == "product":
+        expr = draw(_factor()) * draw(_factor())
+    elif kind == "p_of_y":
+        # q = c x p(y) + r(y) is constant in x where p vanishes, so p = 0
+        # and q = 0 need not cross, as in (y - 2)(xy - 2x + 1)
+        p = sum(draw(_coef) * Y**j for j in range(3))
+        if draw(st.booleans()):
+            expr = p * draw(_factor())
+        else:
+            expr = p * (draw(_coef) * X * p + draw(_coef) * Y + draw(_coef))
+        if draw(st.booleans()):
+            expr = expr.subs({X: Y, Y: X}, simultaneous=True)
+    else:
+        expr = draw(_factor(2))
+    poly = bivariate(expr)
+    assume(len(poly) >= 2)
+    return poly
+
+
+@given(curves())
+@example(bivariate((Y - 2) * (X * Y - 2 * X + 1)))
+@example(bivariate((X - 2) * (X * Y - 2 * Y + 1)))
+@example(bivariate((X + Y + 1) ** 2))
+@example(bivariate((X - 2) ** 2 + (Y - 2) ** 2 - 1))
+@settings(max_examples=100, deadline=None)
+def test_curve_singular_matches_the_groebner_oracle(poly):
+    assert curve_singular(*curve_on_face(poly)) == groebner_torus_singular(poly)
+
+
+def test_both_pairs_are_tried_before_a_singular_verdict():
+    # (x + y + 1)^2 shares its factor with both derivatives: singular.
+    # (y - 2)(xy - 2x + 1) shares y - 2 with x df/dx only, and the pair of
+    # f with y df/dy shows it nonsingular; likewise with x and y swapped
+    cases = [((X + Y + 1) ** 2, SINGULAR),
+             ((Y - 2) * (X * Y - 2 * X + 1), NONSINGULAR),
+             ((X - 2) * (X * Y - 2 * Y + 1), NONSINGULAR)]
+    for expr, verdict in cases:
+        assert curve_singular(*curve_on_face(bivariate(expr))) == verdict
 
 
 def test_resultant_errors_are_not_swallowed(monkeypatch):
@@ -408,9 +481,49 @@ def test_resultant_errors_are_not_swallowed(monkeypatch):
     def broken(*_args):
         raise ZeroDivisionError("a programming error")
 
-    monkeypatch.setattr(faces_module, "resultant", broken)
+    monkeypatch.setattr(solver_module, "resultant", broken)
     with pytest.raises(ZeroDivisionError):
         curve_singular(p, hull(p.support()).whole_face())
+
+
+_CATALOG_CURVES = """
+import sys
+from collections import Counter
+from einpoly.curvature import scalar_curvature
+from einpoly.faces import curve_singular, marked_census
+from einpoly.homspace import load_catalog, weight_polytope
+from einpoly.infinity import delta_min, flat_complex
+
+counts = Counter()
+for name in sys.argv[1:]:
+    data = load_catalog(name)
+    s = scalar_curvature(data)
+    for entry in marked_census(delta_min(weight_polytope(data), flat_complex(data))).marked_faces():
+        if entry.dim == 2:
+            counts[name, curve_singular(s, entry.face)] += 1
+print(sorted(counts.items()), "sympy" in sys.modules)
+"""
+
+
+def test_catalog_curve_verdicts_import_no_sympy():
+    # every marked 2-face of the catalog (jordan_5 and jordan_7 left out:
+    # their hulls do not finish), decided in a fresh interpreter that never
+    # imports sympy: 23 singular and 18 nonsingular faces
+    names = ["su3_t2", "wang_ziller_killing", "wang_ziller_q", "sphere_s3", "e8_t1_a3_a4",
+             "e8_t1_a4_a2_a1", "jordan_2", "jordan_3", "jordan_product_2_2",
+             "jordan_product_2_3", "jordan_product_3_3"]
+    src = os.path.dirname(os.path.dirname(einpoly.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _CATALOG_CURVES, *names], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    expected = sorted({
+        ("e8_t1_a3_a4", NONSINGULAR): 6, ("e8_t1_a3_a4", SINGULAR): 1,
+        ("e8_t1_a4_a2_a1", NONSINGULAR): 9, ("e8_t1_a4_a2_a1", SINGULAR): 6,
+        ("jordan_3", SINGULAR): 4, ("jordan_product_2_2", NONSINGULAR): 2,
+        ("jordan_product_2_3", NONSINGULAR): 1, ("jordan_product_2_3", SINGULAR): 4,
+        ("jordan_product_3_3", SINGULAR): 8,
+    }.items())
+    assert out == f"{expected} False\n"
 
 
 def test_parallelogram_with_extra_support_defers():

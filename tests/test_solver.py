@@ -43,6 +43,7 @@ from einpoly.solver import (
     _rational_root_in,
     _ScaledPoly,
     bound_report,
+    common_torus_zero,
     count_complex,
     dehomogenize,
     delannoy,
@@ -400,6 +401,22 @@ def test_bound_report_inequalities_on_catalog():
             assert br.epsilon_computed <= br.nu
 
 
+def test_bound_report_of_a_degenerate_system_has_no_solver_count():
+    # wb has a positive-dimensional solution set: like analyze, the bound
+    # report leaves epsilon_computed empty instead of raising
+    data = parse(json.dumps({
+        "schema": "homspace/v1", "name": "wb", "d": 3, "dims": [2, 3, 2],
+        "b": ["0", "0", "0"], "triples": [{"ijk": [1, 2, 3], "value": "1"},
+                                          {"ijk": [1, 1, 2], "value": "1"},
+                                          {"ijk": [2, 3, 3], "value": "1"}],
+    }))
+    with pytest.raises(DegenerateSystemError):
+        count_complex(data)
+    br = bound_report(data)
+    assert br.epsilon_computed is None
+    assert br.to_json_obj() == bound_report(data, solve=False).to_json_obj()
+
+
 # ---------------------------------------------------------------------------
 # certification bytes
 # ---------------------------------------------------------------------------
@@ -714,6 +731,18 @@ def test_constant_in_the_eliminated_variable_without_common_factor():
     assert _eliminant(g1, g2, 1)[1] == _eliminant(g1, g2, 0)[1] == []
     sol = solve_cleared(g1, g2)
     assert sol.distinct_complex == sol.real_count == 0 and sol.genericity
+
+
+def test_common_torus_zero():
+    # y - x and y + x - 2 meet at (1, 1) only; y - x and y + x at (0, 0)
+    f = {(0, 1): F(1), (1, 0): F(-1)}
+    g = {(0, 1): F(1), (1, 0): F(1), (0, 0): F(-2)}
+    assert common_torus_zero(f, g, {(1, 0): F(1), (0, 0): F(-1)})
+    assert not common_torus_zero(f, g, {(1, 0): F(1), (0, 0): F(-2)})
+    assert common_torus_zero(f, g, {})
+    assert not common_torus_zero(f, {(0, 1): F(1), (1, 0): F(1)}, {})
+    with pytest.raises(DegenerateSystemError):
+        common_torus_zero(f, {(0, 2): F(1), (1, 1): F(-1)}, {})
 
 
 def test_constant_in_the_eliminated_variable_with_common_factor():
