@@ -30,8 +30,12 @@ Faces are bitmasks, read off the smaller side of the vertex-facet incidence
 vertex-facet incidences*).  With fewer facets than vertices a face is its
 vertex mask, and its facets are the inclusion-maximal proper cuts F & H over
 the facets H; otherwise a face is its facet mask, and the same cut over the
-facet masks of the vertices gives the faces covering it.  Neither walk, nor
-the pulling triangulation, needs a rank computation.
+facet masks of the vertices gives the faces covering it.  The walk records,
+as each face's children, the facets of it that miss its first vertex: the
+pulling triangulation cones a face from that vertex over their
+triangulations, so its simplices are the flags of children from P down to a
+vertex.  The volume walks those flags from the top, one fraction-free
+elimination row per face.  Nothing here needs a rank computation.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .exact import (
     DimensionError,
     LatticeChart,
     _bareiss,
-    det,
     integer_kernel_basis,
     primitive,
     rank,
@@ -84,15 +87,19 @@ def _bits(mask: int) -> list:
     return out
 
 
-def _maximal_cuts(mask: int, rows) -> list:
-    """The inclusion-maximal proper cuts mask & row, largest first."""
+def _maximal_cuts(mask: int, rows, known) -> list:
+    """The inclusion-maximal proper cuts mask & row, largest first.  A cut in
+    known, a face one dimension from mask's, is maximal by dimension."""
     cuts = {mask & row for row in rows}
     cuts.discard(mask)
     maximal = []
     # a cut inside a non-maximal one is inside a larger maximal one, which
     # comes earlier in this order
     for c in sorted(cuts, key=int.bit_count, reverse=True):
-        if not any(c & o == c for o in maximal):
+        for o in () if c in known else maximal:
+            if c & o == c:
+                break
+        else:
             maximal.append(c)
     return maximal
 
@@ -167,6 +174,20 @@ def _extreme_rays(constraints: list) -> list:
     return rays
 
 
+def _bareiss_row(state: tuple, row: list) -> tuple:
+    """Add an independent row to a fraction-free (Bareiss) elimination with
+    column pivoting; state, from ((), 1), is (reduced rows with their pivot
+    columns, last pivot).  Each pivot is a minor of the rows up to it
+    (Sylvester's identity): for square rows, the determinant up to sign."""
+    prev = 1
+    for prow, c in state[0]:
+        p, f = prow[c], row[c]
+        row = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+        prev = p
+    c = next(j for j, x in enumerate(row) if x)
+    return state[0] + ((row, c),), row[c]
+
+
 # ---------------------------------------------------------------------------
 # faces
 # ---------------------------------------------------------------------------
@@ -174,13 +195,14 @@ def _extreme_rays(constraints: list) -> list:
 class Face:
     """A face of a LatticePolytope, identified by its vertex subset."""
 
-    __slots__ = ("polytope", "vertex_indices", "dim", "facet_indices")
+    __slots__ = ("polytope", "vertex_indices", "dim", "facet_indices", "children")
 
     def __init__(self, polytope, vertex_indices, dim, facet_indices):
         self.polytope = polytope
         self.vertex_indices = tuple(sorted(vertex_indices))
         self.dim = dim
         self.facet_indices = tuple(sorted(facet_indices))
+        self.children = ()  # set by the face lattice: see _face_lattice
 
     def vertices(self) -> list:
         return [self.polytope.vertices[i] for i in self.vertex_indices]
@@ -329,21 +351,35 @@ class LatticePolytope:
         # face is its facet mask, cut to the faces covering it
         top_down = len(by_facet) < len(by_vertex)
         rows, other = (by_facet, by_vertex) if top_down else (by_vertex, by_facet)
-        # levels[j] holds the faces of dimension dim - 1 - j (top-down) or j
-        levels = [dict.fromkeys(rows)]
-        while len(levels) < self.dim:
-            levels.append({c: None for mask in levels[-1] for c in _maximal_cuts(mask, rows)})
+
+        def face(mask, dim_):
+            bits = _bits(mask)
+            omask = other[bits[0]]
+            for i in bits[1:]:
+                omask &= other[i]
+            verts, facets = (bits, _bits(omask)) if top_down else (_bits(omask), bits)
+            return Face(self, verts, dim_, facets)
+
         by_dim = {}
-        for dim_ in range(self.dim):
-            faces = []
-            for mask in levels[self.dim - 1 - dim_ if top_down else dim_]:
-                bits = _bits(mask)
-                omask = other[bits[0]]
-                for i in bits[1:]:
-                    omask &= other[i]
-                verts, facets = (bits, _bits(omask)) if top_down else (_bits(omask), bits)
-                faces.append(Face(self, verts, dim_, facets))
-            by_dim[dim_] = sorted(faces, key=lambda f: f.vertex_indices)
+        dim_ = self.dim - 1 if top_down else 0
+        # one level at a time, keyed by mask (a point has no rows: no levels)
+        level = {mask: face(mask, dim_) for mask in rows}
+        while level:
+            by_dim[dim_] = sorted(level.values(), key=lambda f: f.vertex_indices)
+            if len(by_dim) == self.dim:
+                break
+            dim_ += -1 if top_down else 1
+            nxt = {}
+            for mask, F in level.items():
+                for c in _maximal_cuts(mask, rows, nxt):
+                    if c not in nxt:
+                        nxt[c] = face(c, dim_)
+                    # a face's children are the faces it covers that miss its
+                    # first vertex, which then comes before theirs
+                    upper, lower = (F, nxt[c]) if top_down else (nxt[c], F)
+                    if upper.vertex_indices[0] < lower.vertex_indices[0]:
+                        upper.children += (lower,)
+            level = nxt
         self._faces_by_dim = by_dim
         return by_dim
 
@@ -362,14 +398,11 @@ class LatticePolytope:
         e_i (1-based) that lies in the polytope."""
         if self._basis_masks is None:
             d = self.ambient_dim
-            out = []
-            for i in range(1, d + 1):
-                e = tuple(1 if j == i else 0 for j in range(1, d + 1))
-                if self.contains(e):
-                    tight = _mask(fi for fi, (normal, offset) in enumerate(self.facets)
-                                  if _dot(normal, e) == offset)
-                    out.append((i, e, tight))
-            self._basis_masks = out
+            basis = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+            self._basis_masks = [
+                (i + 1, e, _mask(fi for fi, (normal, offset) in enumerate(self.facets)
+                                 if normal[i] == offset))
+                for i, e in enumerate(basis) if self.contains(e)]
         return self._basis_masks
 
     # -- volume ---------------------------------------------------------------
@@ -383,52 +416,28 @@ class LatticePolytope:
             raise ValueError("normalized volume needs the coordinate-sum-1 hyperplane")
         if self.dim < d - 1:
             return 0
-        chart = [v[:-1] for v in self.vertices]
-        total = 0
-        for simplex in self._pulling_triangulation():
-            base = chart[simplex[0]]
-            mat = [[chart[i][k] - base[k] for k in range(d - 1)] for i in simplex[1:]]
-            total += abs(int(det(mat)))
-        return total
+        chart = [[x - y for x, y in zip(v[:-1], self.vertices[0])] for v in self.vertices]
+        flags = self._flags(lambda state, v: _bareiss_row(state, chart[v]), ((), 1))
+        return sum(abs(pivot) for _, pivot in flags)
 
-    def _pulling_triangulation(self) -> list:
-        """Triangulation into simplices given by vertex-index tuples: each
-        face is the cone from its first vertex over the triangulations of
-        its facets that miss that vertex, which are its maximal cuts by the
-        facets of P that miss it."""
-        if self.dim == 0:
-            return [tuple([0])]
-        by_facet = self._incidences()[0]
-        missing = [[r for r in by_facet if not r >> v & 1] for v in range(len(self.vertices))]
-        memo = {}
-
-        def triangulate(vmask: int, dim_: int) -> list:
-            if vmask in memo:
-                return memo[vmask]
-            if dim_ == 0:
-                memo[vmask] = [tuple(_bits(vmask))]
-                return memo[vmask]
-            pull = (vmask & -vmask).bit_length() - 1
-            children = _maximal_cuts(vmask, missing[pull])
-            simplices = []
-            for child in sorted(children, key=_bits):
-                for s in triangulate(child, dim_ - 1):
-                    simplices.append((pull,) + s)
-            memo[vmask] = simplices
-            return simplices
-
-        return triangulate((1 << len(self.vertices)) - 1, self.dim)
+    def _flags(self, step, root):
+        """Carry step(state, v) from root down each flag of children from P
+        to a vertex, v the first vertex of each face below P; yield the state
+        at each vertex, one per simplex of the pulling triangulation."""
+        # P's children: its facets that miss vertex 0 (a point is one simplex)
+        facets = self._face_lattice().get(self.dim - 1, ())
+        stack = [([F for F in facets if F.vertex_indices[0]], root)]
+        while stack:
+            children, state = stack.pop()
+            stack.extend((G.children, step(state, G.vertex_indices[0])) for G in children)
+            if not children:
+                yield state
 
     # -- lattice points ---------------------------------------------------------
 
     def lattice_points(self) -> list:
-        lo = [min(v[i] for v in self.vertices) for i in range(self.ambient_dim)]
-        hi = [max(v[i] for v in self.vertices) for i in range(self.ambient_dim)]
-        out = []
-        for p in iter_product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-            if self.contains(p):
-                out.append(p)
-        return out
+        box = [range(min(col), max(col) + 1) for col in zip(*self.vertices)]
+        return [p for p in iter_product(*box) if self.contains(p)]
 
     # -- serialization ---------------------------------------------------------
 
@@ -514,17 +523,8 @@ def permutohedron(d: int) -> LatticePolytope:
     """Hull of all coordinate permutations of (2, 0, ..., 0, -1)."""
     if d < 2:
         raise DimensionError("permutohedron needs d >= 2")
-    pts = set()
-    base = [0] * d
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            p = base[:]
-            p[i] = 2
-            p[j] = -1
-            pts.add(tuple(p))
-    return hull(pts)
+    return hull(tuple(2 if k == i else -1 if k == j else 0 for k in range(d))
+                for i in range(d) for j in range(d) if i != j)
 
 
 # ---------------------------------------------------------------------------

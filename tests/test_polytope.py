@@ -5,13 +5,14 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from einpoly import polytope
 from einpoly.exact import (
     DimensionError,
     _column_hnf,
+    det,
     integer_kernel_basis,
     primitive,
     rank,
@@ -32,6 +33,12 @@ from einpoly.polytope import (
 
 def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def pulling_triangulation(P):
+    """The simplices of the flags the volume walks, as vertex-index tuples:
+    the first vertex of each face along each flag."""
+    return list(P._flags(lambda simplex, v: simplex + (v,), (0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +178,61 @@ def test_volume_needs_sum_one_hyperplane():
 def test_volume_zero_when_not_full_dimensional():
     P = hull([(1, 0, 0), (0, 1, 0)])  # a segment inside the sum-1 plane
     assert P.normalized_volume() == 0
+
+
+def test_volume_of_points_and_lower_dimensional_polytopes():
+    # a point is its own simplex: volume 1 when it fills the sum-1
+    # hyperplane (d = 1), else 0
+    point = hull([(1,)])
+    assert point.dim == 0 and point.normalized_volume() == 1
+    assert pulling_triangulation(point) == [(0,)]
+    assert hull([(0, 1, 0)]).normalized_volume() == 0
+    assert hull([(2, -1), (-1, 2)]).normalized_volume() == 3
+    # a triangle in the 3-dimensional sum-1 hyperplane of Z^4 has volume 0,
+    # and is still one simplex of its own triangulation
+    triangle = hull([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+    assert triangle.dim == 2 and triangle.normalized_volume() == 0
+    assert pulling_triangulation(triangle) == [(0, 1, 2)]
+
+
+@st.composite
+def full_dimensional_sum_one_polytopes(draw):
+    """Hulls of integer points that fill the coordinate-sum-1 hyperplane
+    of Z^n, n = 1..5."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    coord = st.integers(min_value=-3, max_value=3)
+    heads = draw(st.lists(st.lists(coord, min_size=n - 1, max_size=n - 1),
+                          min_size=n, max_size=n + 5))
+    P = hull([tuple(h + [1 - sum(h)]) for h in heads])
+    assume(P.dim == n - 1)
+    return P
+
+
+@given(full_dimensional_sum_one_polytopes())
+@settings(max_examples=150, deadline=None)
+def test_incremental_determinants_match_det_of_each_simplex(P):
+    """Along each flag the volume reduces one row per face; at each step the
+    pivot is a nonzero minor of the simplex's rows so far, and at the vertex
+    it is the simplex's determinant up to sign."""
+    chart = [v[:-1] for v in P.vertices]
+
+    def step(state, v):
+        simplex, elimination = state
+        row = [x - y for x, y in zip(chart[v], chart[0])]
+        return simplex + (v,), polytope._bareiss_row(elimination, row)
+
+    leaves = list(P._flags(step, ((0,), ((), 1))))
+    assert sorted(simplex for simplex, _ in leaves) == sorted(pulling_triangulation(P))
+    total = 0
+    for simplex, (rows, pivot) in leaves:
+        mat = [[x - y for x, y in zip(chart[i], chart[0])] for i in simplex[1:]]
+        assert len(rows) == len(mat) == P.dim
+        for k, (row, c) in enumerate(rows, start=1):
+            cols = [c for _, c in rows[:k]]
+            assert abs(row[c]) == abs(det([[mat[i][j] for j in cols] for i in range(k)])) != 0
+        assert abs(pivot) == abs(int(det(mat)))
+        total += abs(pivot)
+    assert P.normalized_volume() == total
 
 
 def test_volume_matches_shoelace_in_the_plane():
@@ -595,13 +657,15 @@ def test_kernels_match_reference_implementations(monkeypatch, key, permute):
         assert sorted(rays) == sorted(reference_extreme_rays(constraints))
     for P in polys:
         assert flat_lattice(P) == reference_face_lattice(P)
-        assert sorted(P._pulling_triangulation()) == sorted(reference_triangulation(P))
+        assert sorted(pulling_triangulation(P)) == sorted(reference_triangulation(P))
 
 
 def test_kaehler_d8_face_lattice_matches_reference():
-    # 40 vertices and 280 facets: the lattice is walked up from the vertices
+    # 40 vertices and 280 facets: the lattice is walked up from the vertices,
+    # and the triangulation read off the children it records
     P = kaehler_b2_polytope(8)
     assert flat_lattice(P) == reference_face_lattice(P)
+    assert sorted(pulling_triangulation(P)) == sorted(reference_triangulation(P))
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +773,7 @@ def test_hull_matches_reference_hull(pts):
 def test_face_lattice_and_triangulation_match_reference(pts):
     P = hull(pts)
     assert flat_lattice(P) == reference_face_lattice(P)
-    assert sorted(P._pulling_triangulation()) == sorted(reference_triangulation(P))
+    assert sorted(pulling_triangulation(P)) == sorted(reference_triangulation(P))
     # the flattened lattice cannot see an empty level outside 0..dim-1
     assert set(P.all_proper_faces()) == set(range(P.dim))
 

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from einpoly import curvature, exact, polytope
-from einpoly.homspace import load_catalog
+from einpoly.homspace import kaehler_b2_polytope, load_catalog
 from einpoly.polytope import LatticePolytope
 from einpoly.report import analyze, render_report
 
@@ -134,3 +134,34 @@ def test_analyze_computes_each_stage_once(monkeypatch, wang_ziller_q):
     assert len(volumes) == 1
     assert len(lattices) == 1
     assert lattices[0].to_json_obj() == report["delta_min"]
+
+
+def test_volume_reads_the_face_lattice(monkeypatch, wang_ziller_q):
+    """The volume finds no facets of its own: once the face lattice of its
+    polytope exists it calls neither `_maximal_cuts` nor `exact.det`, and in
+    `analyze` every cut is made by the one face lattice it builds."""
+    cuts, dets = [], []
+    _count_calls(monkeypatch, polytope._maximal_cuts, cuts)
+    _count_calls(monkeypatch, exact.det, dets)
+    P = kaehler_b2_polytope(5)
+    P.all_proper_faces()
+    assert cuts
+    del cuts[:]
+    assert P.normalized_volume() == 82
+    assert cuts == [] and dets == []
+
+    face_lattice = LatticePolytope._face_lattice
+    builds = []
+
+    def counted_face_lattice(self):
+        if self._faces_by_dim is not None:
+            return face_lattice(self)
+        before = len(cuts)
+        lattice = face_lattice(self)
+        builds.append(len(cuts) - before)
+        return lattice
+
+    monkeypatch.setattr(LatticePolytope, "_face_lattice", counted_face_lattice)
+    assert analyze(wang_ziller_q)[1] == 0
+    assert len(builds) == 1
+    assert builds[0] == len(cuts) > 0
