@@ -24,6 +24,7 @@ input point p is a vertex iff no other input point's tight-facet mask
 contains p's.  Exact, because the smallest face containing p is P cut by
 the facets tight at p, and that face is the hull of the input points on
 it, so it is {p} exactly when no other input point lies on all of them.
+The vertices' masks are the vertex-facet incidence the polytope keeps.
 
 Faces are bitmasks, read off the smaller side of the vertex-facet incidence
 (Kaibel & Pfetsch 2002, *Computing the face lattice of a polytope from its
@@ -258,12 +259,13 @@ class Face:
 class LatticePolytope:
     """Convex hull of integer points with exact V/H-representations."""
 
-    def __init__(self, vertices, facets, affine_hull, ambient_dim, dim):
+    def __init__(self, vertices, facets, affine_hull, ambient_dim, dim, tight):
         self.vertices: tuple = vertices          # sorted tuple of LatticePoint
         self.facets: tuple = facets              # tuple of (normal, offset)
         self.affine_hull: tuple = affine_hull    # tuple of (row, rhs)
         self.ambient_dim: int = ambient_dim
         self.dim: int = dim
+        self.tight: tuple = tight                # facet mask of each vertex
         self._faces_by_dim = None
         self._incidence = None
         self._masks = None
@@ -332,15 +334,11 @@ class LatticePolytope:
     def _incidences(self) -> tuple:
         """(vertex mask of each facet, facet mask of each vertex)."""
         if self._incidence is None:
-            by_facet = [
-                _mask(i for i, v in enumerate(self.vertices) if _dot(normal, v) == offset)
-                for normal, offset in self.facets
-            ]
-            by_vertex = [0] * len(self.vertices)
-            for fi, inc in enumerate(by_facet):
-                for i in _bits(inc):
-                    by_vertex[i] |= 1 << fi
-            self._incidence = (by_facet, by_vertex)
+            by_facet = [0] * len(self.facets)
+            for i, inc in enumerate(self.tight):
+                for fi in _bits(inc):
+                    by_facet[fi] |= 1 << i
+            self._incidence = (by_facet, self.tight)
         return self._incidence
 
     def _face_lattice(self) -> dict:
@@ -478,7 +476,7 @@ def hull(points: Iterable) -> LatticePolytope:
     r = len(chart.basis)
     affine = tuple((tuple(row), _dot(row, p0)) for row in chart.equations)
     if r == 0:
-        return LatticePolytope((p0,), (), affine, n, 0)
+        return LatticePolytope((p0,), (), affine, n, 0, (0,))
     # cone of valid inequalities on (a, c): <a, u> + c >= 0
     constraints = [list(chart.coords(p)) + [1] for p in pts]
     rays = _extreme_rays(constraints)
@@ -504,11 +502,12 @@ def hull(points: Iterable) -> LatticePolytope:
     # every facet tight at p
     tight = [_mask(f for f, (normal, offset) in enumerate(facets) if _dot(normal, p) == offset)
              for p in pts]
-    vertices = tuple(
-        p for i, (p, mk) in enumerate(zip(pts, tight))
+    kept = [
+        i for i, mk in enumerate(tight)
         if not any(o & mk == mk for j, o in enumerate(tight) if j != i)
-    )
-    return LatticePolytope(vertices, facets, affine, n, r)
+    ]
+    return LatticePolytope(tuple(pts[i] for i in kept), facets, affine, n, r,
+                           tuple(tight[i] for i in kept))
 
 
 # ---------------------------------------------------------------------------

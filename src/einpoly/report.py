@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from . import __version__
-from .curvature import newton_polytope, scalar_curvature
+from .curvature import scalar_curvature
 from .exact import format_rat
 from .faces import NEEDS_MORE_DATA, face_verdict, marked_census
 from .homspace import HomSpaceData, weight_polytope
@@ -31,9 +31,12 @@ def analyze(data: HomSpaceData, theta=Fraction(0), solve: bool = True) -> tuple[
     dmin = delta_min(delta, T)
     nu = dmin.normalized_volume()
     s = scalar_curvature(data)
-    nw = newton_polytope(s)
-    nw_equals_min = nw == dmin
-    nw_equals_delta = nw == delta
+    # the Newton polytope of s is P iff the support lies in P and holds
+    # P's vertices
+    support = set(s.terms)
+    in_min = all(map(dmin.contains, support))
+    nw_equals_min = in_min and support.issuperset(dmin.vertices)
+    nw_equals_delta = all(map(delta.contains, support)) and support.issuperset(delta.vertices)
     if data.complement == "killing_orthogonal" and not nw_equals_min:
         warnings.append(
             "curvature support differs from the minimal polytope on a "
@@ -54,7 +57,7 @@ def analyze(data: HomSpaceData, theta=Fraction(0), solve: bool = True) -> tuple[
     bounds = build_bound_report(data, nu, T, epsilon)
     census = marked_census(dmin)
     singularity = []
-    if census.applicable and dmin.contains_polytope(nw):
+    if census.applicable and in_min:
         for entry in census.marked_faces():
             verdict = face_verdict(s, entry.face)
             singularity.append({"signature": list(entry.signature), "dim": entry.dim,

@@ -35,8 +35,8 @@ The certification keeps one integer form from the resultant to the
 solution box: the eliminants themselves, and isolating intervals (a, b, D)
 for (a/D, b/D] that `exact.isolate_real_roots` returns and refinement
 bisects by the sign of the eliminant.  A solution box is the two isolating
-intervals refined to width at most 2^-20; only its report entry, with an
-interval bound on the residuals, is made of Fractions.
+intervals refined to width at most 2^-20; only its report entry is made of
+Fractions.  The exact box decision is its certificate.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .exact import (
     ZPoly,
     bivar_cols,
     clear_left_end,
-    common_denominator,
     format_rat,
     isolate_real_roots,
     refine_root_interval,
@@ -248,67 +247,6 @@ def common_torus_zero(f: dict, g: dict, k: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# interval residual bounds
-# ---------------------------------------------------------------------------
-
-class _ScaledPoly:
-    """A polynomial dict {exponent tuple: Fraction} as integer coefficients
-    over one denominator: poly = sum(c * x^e for e, c in terms) / den.
-    `degs` holds the largest exponent of each variable (none for the zero
-    polynomial {})."""
-
-    __slots__ = ("terms", "den", "degs")
-
-    def __init__(self, poly: dict):
-        nums, self.den = common_denominator(poly.values())
-        self.terms = list(zip(poly, nums))
-        n = len(next(iter(poly), ()))
-        self.degs = [max(e[i] for e in poly) for i in range(n)]
-
-
-def _iv_mul(a, b):
-    vals = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(vals), max(vals))
-
-
-def _interval_numerators(poly: _ScaledPoly, ibox: Sequence[tuple]) -> tuple:
-    """(lo, hi, den): the interval extension of poly on an integer box, one
-    (a, b, D) per coordinate for [a/D, b/D], is [lo/den, hi/den].  It is the
-    extension term by term, x^e by repeated interval multiplication,
-    computed on numerators: a term's interval has denominator prod D_i^e_i
-    and is lifted to prod D_i^degs_i by a positive factor, which keeps every
-    min and max."""
-    powers = []
-    dens = []
-    for (a, b, d), k in zip(ibox, poly.degs):
-        pw = [(1, 1)]
-        dp = [1]
-        for _ in range(k):
-            pw.append(_iv_mul(pw[-1], (a, b)))
-            dp.append(dp[-1] * d)
-        powers.append(pw)
-        dens.append(dp)
-    lo = hi = 0
-    for e, c in poly.terms:
-        t = (1, 1)
-        lift = c
-        for pw, dp, ei, k in zip(powers, dens, e, poly.degs):
-            if ei:
-                t = _iv_mul(t, pw[ei])
-            lift *= dp[k - ei]
-        if lift >= 0:
-            lo += t[0] * lift
-            hi += t[1] * lift
-        else:
-            lo += t[1] * lift
-            hi += t[0] * lift
-    den = poly.den
-    for dp in dens:
-        den *= dp[-1]
-    return lo, hi, den
-
-
-# ---------------------------------------------------------------------------
 # solution sets
 # ---------------------------------------------------------------------------
 
@@ -344,8 +282,9 @@ def count_complex(data: HomSpaceData) -> SolutionSet:
 
 def real_positive(data: HomSpaceData, s: Optional[LaurentPoly] = None) -> SolutionSet:
     """count_complex enriched with certified real and positive counts and
-    refined solution boxes with residual certificates.  `s` is
-    `scalar_curvature(data)` when the caller already holds it."""
+    the solutions: rational points exactly, any other as a refined box
+    decided to hold one.  `s` is `scalar_curvature(data)` when the caller
+    already holds it."""
     return _solve(data, certify=True, s=s)
 
 
@@ -358,7 +297,7 @@ def _solve(data: HomSpaceData, certify: bool, s: Optional[LaurentPoly] = None) -
             f"complex counting is implemented for d in {{2, 3}}, got d = {data.d}"
         )
     system = einstein_system(data, s)
-    polys, removed = dehomogenize(system)
+    polys, _ = dehomogenize(system)
     if data.d == 2:
         # the cleared polynomial has a nonzero constant term: a torus part
         p, _ = zpoly({e[0]: c for e, c in polys[0].items()})
@@ -370,7 +309,7 @@ def _solve(data: HomSpaceData, certify: bool, s: Optional[LaurentPoly] = None) -
         sf = p.squarefree()
         out = SolutionSet(2, sf.degree, multiplicity_excess=p.degree - sf.degree)
         if certify:
-            _certify_d2(out, sf, system, [_ScaledPoly(polys[0])], removed)
+            _certify_d2(out, sf, system)
         return out
     g1, g2 = polys
     q1, branches = _eliminant(g1, g2, 1)
@@ -380,7 +319,7 @@ def _solve(data: HomSpaceData, certify: bool, s: Optional[LaurentPoly] = None) -
     if not out.genericity:
         out.warnings.append("eliminations in the two variable orders disagree")
     if certify:
-        _certify_d3(out, g1, g2, q1, q2, fibers, system, removed)
+        _certify_d3(out, q1, q2, fibers, system)
     return out
 
 
@@ -390,22 +329,11 @@ def _exact_entry(system, x) -> dict:
     return {"x": [format_rat(v) for v in x], "exact": True, "residual": "0"}
 
 
-def _box_entry(scaled: Sequence[_ScaledPoly], removed: Sequence[tuple], ibox) -> dict:
-    """A solution box with a bound on the Laurent residuals over it: f is
-    x^shift times its cleared polynomial (`dehomogenize`), here scaled, and
-    |f| <= |cleared| / min |x^(-shift)| for the negative part of the shift."""
-    bounds = []
-    for poly, shift in zip(scaled, removed):
-        lo, hi, den = _interval_numerators(poly, ibox)
-        monomial = _ScaledPoly({tuple(max(0, -m) for m in shift): 1})
-        mlo, mhi, mden = _interval_numerators(monomial, ibox)
-        scale = min(abs(mlo), abs(mhi))
-        bound = max(abs(lo), abs(hi))
-        bounds.append(Fraction(bound * mden, den * scale) if scale else Fraction(bound, den))
+def _box_entry(ibox) -> dict:
+    """A solution box, one isolating interval (a, b, D) per coordinate."""
     return {
         "box": [[format_rat(Fraction(a, d)), format_rat(Fraction(b, d))] for a, b, d in ibox],
         "exact": False,
-        "residual_bound": format_rat(max(bounds)),
     }
 
 
@@ -426,7 +354,7 @@ def _positive(q: ZPoly, interval: tuple) -> bool:
     return s == 0 or (s > 0) != (q.coeffs[0] > 0)
 
 
-def _certify_d2(base: SolutionSet, sf: ZPoly, system, scaled: list, removed: list) -> None:
+def _certify_d2(base: SolutionSet, sf: ZPoly, system) -> None:
     """Real and positive counts and solutions of the squarefree univariate
     eliminant sf (degree >= 1, sf(0) != 0), from one isolation."""
     intervals = isolate_real_roots(sf)
@@ -438,7 +366,7 @@ def _certify_d2(base: SolutionSet, sf: ZPoly, system, scaled: list, removed: lis
             base.solutions.append(_exact_entry(system, [root]))
         else:
             box = [refine_root_interval(sf, interval, _BOX_WIDTH)]
-            base.solutions.append(_box_entry(scaled, removed, box))
+            base.solutions.append(_box_entry(box))
 
 
 def _rational_root_in(p: ZPoly, interval: tuple):
@@ -504,8 +432,7 @@ def _holds_solution(fibers: list, i1: tuple, i2: tuple) -> bool:
     return sign_at_root(_at_y(S, lo, d) * _at_y(S, hi, d), h, i1) <= 0
 
 
-def _certify_d3(base: SolutionSet, g1: dict, g2: dict, q1: ZPoly, q2: ZPoly,
-                fibers: list, system, removed: list) -> None:
+def _certify_d3(base: SolutionSet, q1: ZPoly, q2: ZPoly, fibers: list, system) -> None:
     """Real and positive counts over the boxes that pair a real root of the
     x-eliminant q1 with one of the y-eliminant q2, with one exact decision
     per box (`_holds_solution` on the x-order `fibers`).  A solution with
@@ -516,7 +443,6 @@ def _certify_d3(base: SolutionSet, g1: dict, g2: dict, q1: ZPoly, q2: ZPoly,
     iso2 = [clear_left_end(q2, i2) for i2 in isolate_real_roots(q2)]
     if not iso1 or not iso2:
         return
-    scaled = [_ScaledPoly(g1), _ScaledPoly(g2)]
     for i1 in iso1:
         for i2 in iso2:
             if not _holds_solution(fibers, i1, i2):
@@ -530,7 +456,7 @@ def _certify_d3(base: SolutionSet, g1: dict, g2: dict, q1: ZPoly, q2: ZPoly,
             else:
                 box = (refine_root_interval(q1, i1, _BOX_WIDTH),
                        refine_root_interval(q2, i2, _BOX_WIDTH))
-                base.solutions.append(_box_entry(scaled, removed, box))
+                base.solutions.append(_box_entry(box))
 
 
 # ---------------------------------------------------------------------------

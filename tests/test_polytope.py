@@ -772,6 +772,12 @@ def test_hull_matches_reference_hull(pts):
 @settings(max_examples=200, deadline=None)
 def test_face_lattice_and_triangulation_match_reference(pts):
     P = hull(pts)
+    # the incidence is the vertices' masks from the hull's vertex test
+    by_facet = [sum(1 << i for i, v in enumerate(P.vertices) if dot(normal, v) == offset)
+                for normal, offset in P.facets]
+    by_vertex = tuple(sum(1 << fi for fi, (normal, offset) in enumerate(P.facets)
+                          if dot(normal, v) == offset) for v in P.vertices)
+    assert P._incidences() == (by_facet, by_vertex)
     assert flat_lattice(P) == reference_face_lattice(P)
     assert sorted(pulling_triangulation(P)) == sorted(reference_triangulation(P))
     # the flattened lattice cannot see an empty level outside 0..dim-1

@@ -99,10 +99,10 @@ def _count_calls(monkeypatch, func, calls):
 
 def test_analyze_computes_each_stage_once(monkeypatch, wang_ziller_q):
     """wang_ziller_q has d = 3 and a non-empty flat complex, so every stage
-    runs: the hulls of delta, delta_min and the Newton polytope, one
-    scalar curvature polynomial, one Einstein system, the two eliminant
-    resultants of the solver, one volume, and the face lattice of
-    delta_min only."""
+    runs: the hulls of delta and delta_min (the Newton polytope facts are
+    read off the support, with no hull), one scalar curvature polynomial,
+    one Einstein system, the two eliminant resultants of the solver, one
+    volume, and the face lattice of delta_min only."""
     assert wang_ziller_q.d == 3
     hulls, scalars, systems, resultants, volumes, lattices = [], [], [], [], [], []
     _count_calls(monkeypatch, polytope.hull, hulls)
@@ -127,7 +127,7 @@ def test_analyze_computes_each_stage_once(monkeypatch, wang_ziller_q):
     report, code = analyze(wang_ziller_q)
 
     assert code == 0 and report["T"]["maximal_flats"]
-    assert len(hulls) == 3
+    assert len(hulls) == 2
     assert len(scalars) == 1
     assert len(systems) == 1
     assert len(resultants) == 2

@@ -19,6 +19,7 @@ from einpoly.exact import (
     common_denominator,
     isolate_real_roots,
     refine_root_interval,
+    zpoly,
 )
 from einpoly.homspace import (
     HomSpaceData,
@@ -38,10 +39,8 @@ from einpoly.solver import (
     _eliminant,
     _fibers,
     _holds_solution,
-    _interval_numerators,
     _positive,
     _rational_root_in,
-    _ScaledPoly,
     bound_report,
     common_torus_zero,
     count_complex,
@@ -214,9 +213,6 @@ def test_wang_ziller_catalog_positive_solutions(wang_ziller_killing):
     assert sol.real_count == 1
     assert sol.positive_count == 1
     assert sol.solutions[0]["x"] == ["3/4", "3/4"]
-    # every certificate carries a residual bound
-    for s in sol.solutions:
-        assert s["residual" if s["exact"] else "residual_bound"] is not None
 
 
 def test_jordan_2_solution_on_an_interval_endpoint_is_exact():
@@ -261,7 +257,7 @@ def solve_cleared(g1, g2) -> SolutionSet:
     q2, branches_y = _eliminant(g1, g2, 0)
     fibers, count = _fibers(branches, q2)
     sol = SolutionSet(3, count, genericity=count == _fibers(branches_y, q1)[1])
-    _certify_d3(sol, g1, g2, q1, q2, fibers, [], [(0, 0), (0, 0)])
+    _certify_d3(sol, q1, q2, fibers, [])
     return sol
 
 
@@ -452,36 +448,36 @@ def pin_documents(seed: int = 0, n: int = 30) -> list:
 # sha256 of json.dumps(real_positive(doc).to_json_obj(), sort_keys=True) for
 # each document of pin_documents(), in order
 CERTIFICATION_DIGESTS = [
-    "ba50a733b63ad520a282dd5e87e5dbe2ef0ca00e111241ccf6f41e9f785abb29",
+    "ca6fb7fbca95047a4db3668e73ce3257243ef5d5567b706bbf720f549831b681",
     "80903bc96ff81933102cdbbf258d5af1299854cd7e12dd65670dda258db39505",
-    "c53ced8e3394ae8f202b6fa7160052d5bd7fbaf051b6439b2082f97aab122654",
-    "80903bc96ff81933102cdbbf258d5af1299854cd7e12dd65670dda258db39505",
-    "80903bc96ff81933102cdbbf258d5af1299854cd7e12dd65670dda258db39505",
+    "6f29e3f85009f7cc5f27719b75349fb2465199e9ce73de7dfddc067b7ba5e806",
     "80903bc96ff81933102cdbbf258d5af1299854cd7e12dd65670dda258db39505",
     "80903bc96ff81933102cdbbf258d5af1299854cd7e12dd65670dda258db39505",
-    "81ea960a61d93608a00e7cbe11fcd754e2963d731a3a952d6040ba01412959c7",
-    "1c996b8079a2868ed7ebe0aebba3da5194693680b77faf5d6de84ddd4546861d",
+    "80903bc96ff81933102cdbbf258d5af1299854cd7e12dd65670dda258db39505",
+    "80903bc96ff81933102cdbbf258d5af1299854cd7e12dd65670dda258db39505",
+    "6686d46ac1a7120d772a30e610c71c94f6b745ee40cbccb858af813827c62a67",
+    "4b489bbdd602fc23d99977af1a46b4f3ee345af13393bc840c83ee30edaeb5e0",
     "c65d455ff4213adf1f4504022259865790ec748726c93735ca7ec577be9476ad",
     "630842603bfad494e52976a33f8e5b9980527f0ccc66bcf1525a68e3a6678575",
-    "0d0afbcc057f2d770fda22619683ecb0917984af7ec1f68d82c26144154e8256",
+    "110a33f1e475b6bc248299de274d57d0a3352df77ec3dbe4b909cfb4536cb355",
     "a7fb45e7978d4e57d67201670010cddb59558de8b76d3e0580b01486c5b3ceae",
-    "5fbd6505da38fbdb51cb7a2b53995ebaab4e5f3697e50e13e640a036877573ca",
-    "b1b588218c67bd05fd70b6002f5d11ede42a561cb41b0be8b67d18a95688ae8f",
+    "e95520ab56bb4594c1fcfd6be605d1814f4331b2eaffce664bffc48f07c01ce8",
+    "79f3fbb1b07b95de96846cba86aec34c0bde4f8661cfe6a5c59dbf63701c9561",
     "1bc75c6281ff8ffd7599ebeecfcf3c2d6566802a0ef8878e57cb138cf8ee0355",
-    "3c41d4f6b9e88555a03e91ad27502b4d9780a066c200e7cbf7989fbd6e48247a",
-    "77120b65710872a52000b8f3929d50d7dd05f1e91440c230c1021047e2130838",
+    "fb78a0b68dbf2c197f666b6fd6d765bd9241101b9102d0d4c7fc6dc8048ca12b",
+    "315a5dc33fd95eacd77abb1a91e6c4b0af9f60d4faaf44c064b693456b9824b6",
     "630842603bfad494e52976a33f8e5b9980527f0ccc66bcf1525a68e3a6678575",
     "630842603bfad494e52976a33f8e5b9980527f0ccc66bcf1525a68e3a6678575",
     "655be18334694129bfb690ba8a631de0596aac206b0bd075c93d2264a8ccd7fa",
-    "d64ee6eae1917fd3b99b964bda146e6e04c142901447d0dc29596fbaee6164b4",
+    "ee1659f4e602cc954d1ec21b38c3dc37e1a2a108dd4635e2c0e58fc0cdb57660",
     "1bc75c6281ff8ffd7599ebeecfcf3c2d6566802a0ef8878e57cb138cf8ee0355",
     "630842603bfad494e52976a33f8e5b9980527f0ccc66bcf1525a68e3a6678575",
-    "b338b81aef84ac1cf31f0574657a594c2ba624ef2d056d484d303e89081c36ae",
+    "f0c93b1dcc910dc57533d351fdd3545675fdde180e9961e60b7fee9c080d28d0",
     "f8e57aa48aa9ad281f685c7a93c7cd90917e61bd009817a2a154db0006fdde70",
-    "733e19a2244c6293e282307e1354ad830884e9fa6aecdeb512d9cb516693ab70",
-    "a8931f2df1eb83e56667b33249597a0480cd982567b3951a5694b310bad5a0b8",
-    "91db57f58d3f25a8fd1c40ec9cdc963f9fd18ceef2dffdc7fe5fda84c8ced518",
-    "980d7f5b441b60dc783990524374b4eba812f984a48e9933bc87e2e1c9067a92",
+    "ac075a3c41a167a5468a631f69bdbe4de7556f9b1c950fd04eb805995cd5d5e3",
+    "9ddb8e0165f9562c4419fbc4d597f658521cc903366bfc23530d17b4ae65eddf",
+    "79e424f3a2bc52537243805188f305596a83ec44fa3811e9966310fa0d3d09e4",
+    "27a6c82f2ec148d22a67a54801fb3d91086e00d63a7aa4bf71ddd9d83387ada0",
 ]
 
 
@@ -508,94 +504,19 @@ def test_d2_positive_count_of_an_unsplit_isolation():
         sf = ZPoly([c0, 0, 0, 1])
         assert isolate_real_roots(sf) == [(-3, 3, 1)]
         sol = SolutionSet(2, 3)
-        _certify_d2(sol, sf, [], [_ScaledPoly({(0,): F(c0), (3,): F(1)})], [(0,)])
+        _certify_d2(sol, sf, [])
         assert (sol.real_count, sol.positive_count) == (1, positive)
         assert not sol.solutions[0]["exact"]
 
 
 # ---------------------------------------------------------------------------
-# integer kernels against Fraction references
+# root search and 80-digit references
 # ---------------------------------------------------------------------------
-
-
-def iv_mul_reference(a, b):
-    vals = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(vals), max(vals))
-
-
-def iv_add_reference(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def interval_reference(poly, box):
-    """The interval extension in Fraction arithmetic: term by term, x^e by
-    repeated interval multiplication."""
-    acc = (F(0), F(0))
-    for e, c in poly.items():
-        term = (F(1), F(1))
-        for xi, ei in zip(box, e):
-            power = (F(1), F(1))
-            for _ in range(ei):
-                power = iv_mul_reference(power, xi)
-            if ei:
-                term = iv_mul_reference(term, power)
-        scaled = (term[0] * c, term[1] * c) if c >= 0 else (term[1] * c, term[0] * c)
-        acc = iv_add_reference(acc, scaled)
-    return acc
-
-
-def integer_box(box):
-    """Fraction intervals [lo, hi] as integer intervals (a, b, D)."""
-    out = []
-    for interval in box:
-        (a, b), den = common_denominator(interval)
-        out.append((a, b, den))
-    return out
 
 
 def fraction_box(ibox):
     """Integer intervals (a, b, D) as Fraction intervals [a/D, b/D]."""
     return tuple((F(a, d), F(b, d)) for a, b, d in ibox)
-
-
-def eval_interval(scaled, box):
-    lo, hi, den = _interval_numerators(scaled, integer_box(box))
-    return F(lo, den), F(hi, den)
-
-
-coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=9)
-endpoints = st.fractions(min_value=-4, max_value=4, max_denominator=16)
-
-
-@st.composite
-def poly_and_box(draw):
-    n = draw(st.integers(min_value=1, max_value=2))
-    exps = st.tuples(*[st.integers(min_value=0, max_value=4)] * n)
-    poly = draw(st.dictionaries(exps, coefficients, min_size=1, max_size=6))
-    box = []
-    for _ in range(n):
-        kind = draw(st.sampled_from(["any", "straddle", "point"]))
-        a = draw(endpoints)
-        if kind == "point":
-            box.append((a, a))
-        elif kind == "straddle":
-            box.append((-abs(a) - F(1, 7), draw(endpoints.map(abs)) + F(1, 5)))
-        else:
-            b = draw(endpoints)
-            box.append((min(a, b), max(a, b)))
-    return poly, tuple(box)
-
-
-@given(poly_and_box())
-@settings(max_examples=100, deadline=None)
-def test_integer_interval_evaluation_matches_fraction_reference(case):
-    poly, box = case
-    scaled = _ScaledPoly(poly)
-    assert eval_interval(scaled, box) == interval_reference(poly, box)
-    point = [lo for lo, _hi in box]
-    direct = sum((c * prod(x**ei for x, ei in zip(point, e)) for e, c in poly.items()), F(0))
-    if all(lo == hi for lo, hi in box):
-        assert eval_interval(scaled, box) == (direct, direct)
 
 
 def rational_root_reference(p, lo, hi):
@@ -667,6 +588,13 @@ def real_roots_in(q, intervals):
     return out
 
 
+def mp_residual(polys, point):
+    """The largest |g(point)| over the cleared polynomials, in 80 digits."""
+    return max(abs(sum(MP80.mpf(c.numerator) / c.denominator
+                       * prod(x**ei for x, ei in zip(point, e)) for e, c in g.items()))
+               for g in polys)
+
+
 def test_krawczyk_image_matches_fraction_reference():
     # The id is kept from the interval test this replaced.  The box rule on
     # each pair of isolating intervals of the d = 3 pinned documents and on
@@ -687,8 +615,7 @@ def test_krawczyk_image_matches_fraction_reference():
         iso2 = [clear_left_end(q2, i2) for i2 in isolate_real_roots(q2)]
         for i1, x in zip(iso1, real_roots_in(q1, iso1)):
             for i2, y in zip(iso2, real_roots_in(q2, iso2)):
-                residual = max(abs(sum(MP80.mpf(c.numerator) / c.denominator * x**i * y**j
-                                       for (i, j), c in g.items())) for g in (g1, g2))
+                residual = mp_residual((g1, g2), (x, y))
                 assert residual < tiny or residual > large
                 b1, b2 = i1, i2
                 for _ in range(4):
@@ -698,6 +625,32 @@ def test_krawczyk_image_matches_fraction_reference():
                     b1 = refine_root_interval(q1, b1, F(b1[1] - b1[0], 4 * b1[2]))
                     b2 = refine_root_interval(q2, b2, F(b2[1] - b2[0], 4 * b2[2]))
     assert 0 < sum(decisions) < len(decisions)
+
+
+def test_every_solution_box_holds_one_solution():
+    # each box of the pinned documents, of width in (2^-21, 2^-20], pairs
+    # the one root of each eliminant in it, and that pair has an 80-digit
+    # residual below 10^-40 on the cleared system
+    tiny = MP80.mpf(10)**-40
+    boxes = {2: 0, 3: 0}
+    for data in pin_documents():
+        polys, _ = dehomogenize(einstein_system(data))
+        if data.d == 2:
+            eliminants = [zpoly({e[0]: c for e, c in polys[0].items()})[0].squarefree()]
+        else:
+            eliminants = [_eliminant(*polys, axis)[0] for axis in (1, 0)]
+        for s in real_positive(data).solutions:
+            if s["exact"]:
+                continue
+            point = []
+            for q, (lo, hi) in zip(eliminants, s["box"], strict=True):
+                lo, hi = F(lo), F(hi)
+                assert F(1, 2**21) < hi - lo <= F(1, 2**20), data.name
+                (a, b), den = common_denominator((lo, hi))
+                point += real_roots_in(q, [(a, b, den)])
+            assert mp_residual(polys, point) < tiny, data.name
+            boxes[data.d] += 1
+    assert boxes[2] and boxes[3]
 
 
 # ---------------------------------------------------------------------------
