@@ -64,9 +64,7 @@ from .faces import (
     test2_octahedron,
 )
 from .solver import (
-    BoundReport,
     SolutionSet,
-    bound_report,
     count_complex,
     dehomogenize,
     delannoy,

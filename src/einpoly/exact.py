@@ -8,9 +8,9 @@ Elimination has one routine per job:
 
 * fraction-free Bareiss row reduction (`_bareiss`) runs on integer matrices
   and, unchanged, on matrices over Z[x] (`ZPoly`).  It returns its pivot
-  columns and gives `rank`, `det`, `solve_unique`, the Sylvester
-  `resultant` (an integer determinant over Z[x]), and the start simplex of
-  the double description in `polytope`;
+  columns and gives `rank`, `det`, the Sylvester `resultant` (an integer
+  determinant over Z[x]), and the start simplex of the double description
+  in `polytope`;
 * over Z, the column Hermite form A U = H (`_column_hnf`) gives the
   saturated kernel, the lattice chart of an affine hull with its lift of
   chart vectors (`LatticeChart`), and `lattice_index`.  The chart factors
@@ -75,7 +75,7 @@ def common_denominator(values: Iterable) -> tuple:
 
 # ---------------------------------------------------------------------------
 # one elimination, fraction-free Bareiss
-# (rank, det, solve_unique; resultant and the double-description start)
+# (rank, det; resultant and the double-description start)
 # ---------------------------------------------------------------------------
 
 def _integer_rows(rows: Sequence[Sequence]) -> tuple:
@@ -152,29 +152,6 @@ def rank(rows: Sequence[Sequence]) -> int:
     if not rows:
         return 0
     return len(_bareiss(_integer_rows(rows)[0])[0])
-
-
-def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list]:
-    """Solve A x = b when A has full column rank; None if inconsistent.
-
-    A may be rectangular (more rows than columns).  The augmented matrix
-    [A | b] is scaled to integers row by row, which keeps the solution set,
-    and reduced by Bareiss.  With full column rank the pivot columns start
-    with 0..n-1, on the diagonal, the system is inconsistent iff the
-    augmented column adds a pivot, and x follows by back-substitution.
-    """
-    a = _integer_rows([list(r) + [b] for r, b in zip(rows, rhs)])[0]
-    n = len(a[0]) - 1
-    pivots = _bareiss(a)[0]
-    if pivots[:n] != list(range(n)):
-        raise DimensionError("matrix does not have full column rank")
-    if len(pivots) > n:
-        return None
-    x = [Fraction(0)] * n
-    for i in reversed(range(n)):
-        row = a[i]
-        x[i] = Fraction(row[n] - sum(row[j] * x[j] for j in range(i + 1, n)), row[i])
-    return x
 
 
 # ---------------------------------------------------------------------------

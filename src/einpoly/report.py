@@ -15,7 +15,7 @@ from .exact import format_rat
 from .faces import NEEDS_MORE_DATA, face_verdict, marked_census
 from .homspace import HomSpaceData, weight_polytope
 from .infinity import B2NotApplicableError, b2_exponent, delta_min, flat_complex, is_admissible
-from .solver import DegenerateSystemError, build_bound_report, real_positive
+from .solver import DegenerateSystemError, delannoy, real_positive
 
 REPORT_SCHEMA = "report/v1"
 
@@ -54,7 +54,6 @@ def analyze(data: HomSpaceData, theta=Fraction(0), solve: bool = True) -> tuple[
         except DegenerateSystemError as exc:
             skipped = f"degenerate system ({exc})"
     epsilon = sol.distinct_complex if sol is not None else None
-    bounds = build_bound_report(data, nu, T, epsilon)
     census = marked_census(dmin)
     singularity = []
     if census.applicable and in_min:
@@ -94,13 +93,43 @@ def analyze(data: HomSpaceData, theta=Fraction(0), solve: bool = True) -> tuple[
             "equals_delta": nw_equals_delta,
             "support_size": len(s.terms),
         },
-        "bounds": bounds.to_json_obj(),
+        "bounds": _bounds_obj(data, nu, T, epsilon),
         "census": _census_obj(census),
         "singularity": singularity,
         "solver": solver_obj,
         "warnings": warnings,
     }
     return report, solver_exit
+
+
+def _bounds_obj(data: HomSpaceData, nu: int, T, eps_c) -> dict:
+    """nu against the Delannoy/Legendre bound and 6^(d-1), for the flat
+    complex T, with the solver's distinct count eps_c (None when it did
+    not run) and the annotated one, and the solutions escaped to infinity,
+    nu - epsilon floored at 0, for epsilon the computed count or else the
+    annotation."""
+    dl = delannoy(data.d - 1)
+    six = 6 ** (data.d - 1)
+    eps_a = data.expected["epsilon"] if data.expected and "epsilon" in data.expected else None
+    eps = eps_c if eps_c is not None else eps_a
+    verdicts = {
+        "epsilon_le_nu": eps <= nu if eps is not None else None,
+        "nu_le_delannoy": nu <= dl,
+        "delannoy_lt_six_power": dl < six,
+    }
+    if verdicts["epsilon_le_nu"] is False:
+        verdicts["violation"] = "epsilon exceeds nu"
+    return {
+        "d": data.d,
+        "nu": nu,
+        "delannoy_bound": dl,
+        "six_power": six,
+        "epsilon_computed": eps_c,
+        "epsilon_annotation": eps_a,
+        "t_size": len(T.maximal_flats),
+        "escaped_to_infinity": max(nu - eps, 0) if eps is not None else None,
+        "verdicts": verdicts,
+    }
 
 
 def _census_obj(census) -> dict:

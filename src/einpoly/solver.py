@@ -1,6 +1,5 @@
 """Exact counting and certified extraction of complex, real, and positive
-solutions of the Einstein system for d <= 3, plus the volume/Delannoy bound
-report.
+solutions of the Einstein system for d <= 3.
 
 Counting is resultant-based.  For d = 3 the fiber over every eliminant root
 is analyzed through gcd computations in the quotient ring Q[x]/(h) with
@@ -60,8 +59,7 @@ from .exact import (
     sign_at_root,
     zpoly,
 )
-from .homspace import HomSpaceData, weight_polytope
-from .infinity import FlatComplex, delta_min, flat_complex
+from .homspace import HomSpaceData
 
 
 class UnsupportedDimensionError(ValueError):
@@ -106,15 +104,14 @@ def legendre_at_3(n: int) -> int:
 # dehomogenization
 # ---------------------------------------------------------------------------
 
-def dehomogenize(system: Sequence[LaurentPoly]) -> Tuple[list, list]:
-    """Set x_d = 1 and clear denominators by the minimal monomial.
+def dehomogenize(system: Sequence[LaurentPoly]) -> list:
+    """Set x_d = 1 and clear denominators by the minimal monomial, a common
+    factor whose torus zeros are excluded anyway.
 
-    Returns (polys, removed) where each poly is a dict of nonnegative true
-    exponent tuples in x_1..x_{d-1}, and removed[i] is the monomial shift
-    (a common factor whose torus zeros are excluded anyway).
+    Each returned poly is a dict of nonnegative true exponent tuples in
+    x_1..x_{d-1}.
     """
     out = []
-    removed = []
     for f in system:
         sums = {sum(e) for e in f.terms}
         if len(sums) > 1:
@@ -125,9 +122,8 @@ def dehomogenize(system: Sequence[LaurentPoly]) -> Tuple[list, list]:
         if not true_terms:
             raise DegenerateSystemError("zero polynomial after clearing")
         mins = tuple(min(e[i] for e in true_terms) for i in range(n))
-        removed.append(mins)
         out.append({tuple(ei - m for ei, m in zip(e, mins)): c for e, c in true_terms.items()})
-    return out, removed
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +293,7 @@ def _solve(data: HomSpaceData, certify: bool, s: Optional[LaurentPoly] = None) -
             f"complex counting is implemented for d in {{2, 3}}, got d = {data.d}"
         )
     system = einstein_system(data, s)
-    polys, _ = dehomogenize(system)
+    polys = dehomogenize(system)
     if data.d == 2:
         # the cleared polynomial has a nonzero constant term: a torus part
         p, _ = zpoly({e[0]: c for e, c in polys[0].items()})
@@ -457,81 +453,3 @@ def _certify_d3(base: SolutionSet, q1: ZPoly, q2: ZPoly, fibers: list, system) -
                 box = (refine_root_interval(q1, i1, _BOX_WIDTH),
                        refine_root_interval(q2, i2, _BOX_WIDTH))
                 base.solutions.append(_box_entry(box))
-
-
-# ---------------------------------------------------------------------------
-# bound report
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BoundReport:
-    d: int
-    nu: int
-    delannoy_bound: int
-    six_power: int
-    epsilon_computed: Optional[int] = None
-    epsilon_annotation: Optional[int] = None
-    t_size: Optional[int] = None
-    escaped_to_infinity: Optional[int] = None
-    verdicts: dict = field(default_factory=dict)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "d": self.d,
-            "nu": self.nu,
-            "delannoy_bound": self.delannoy_bound,
-            "six_power": self.six_power,
-            "epsilon_computed": self.epsilon_computed,
-            "epsilon_annotation": self.epsilon_annotation,
-            "t_size": self.t_size,
-            "escaped_to_infinity": self.escaped_to_infinity,
-            "verdicts": self.verdicts,
-        }
-
-
-def bound_report(data: HomSpaceData, solve: bool = True) -> BoundReport:
-    """nu, the Delannoy/Legendre bound, 6^(d-1), the solver count when
-    available (none for a degenerate system, as in `report.analyze`), and
-    the missing-solution note when nu exceeds epsilon."""
-    P = weight_polytope(data)
-    T = flat_complex(data)
-    nu = delta_min(P, T).normalized_volume()
-    eps_c = None
-    if solve and data.d in (2, 3):
-        try:
-            eps_c = count_complex(data).distinct_complex
-        except DegenerateSystemError:
-            pass
-    return build_bound_report(data, nu, T, eps_c)
-
-
-def build_bound_report(
-    data: HomSpaceData, nu: int, T: FlatComplex, eps_c: Optional[int]
-) -> BoundReport:
-    """The bound report from values an analysis already holds: nu of the
-    minimal polytope, the flat complex T and the solver's distinct count."""
-    dl = delannoy(data.d - 1)
-    six = 6 ** (data.d - 1)
-    eps_a = None
-    if data.expected and "epsilon" in data.expected:
-        eps_a = data.expected["epsilon"]
-    eps = eps_c if eps_c is not None else eps_a
-    report = BoundReport(
-        d=data.d,
-        nu=nu,
-        delannoy_bound=dl,
-        six_power=six,
-        epsilon_computed=eps_c,
-        epsilon_annotation=eps_a,
-        t_size=len(T.maximal_flats),
-        escaped_to_infinity=(nu - eps) if (eps is not None and nu > eps) else
-        (0 if eps is not None else None),
-        verdicts={
-            "epsilon_le_nu": (eps <= nu) if eps is not None else None,
-            "nu_le_delannoy": nu <= dl,
-            "delannoy_lt_six_power": dl < six,
-        },
-    )
-    if report.verdicts["epsilon_le_nu"] is False:
-        report.verdicts["violation"] = "epsilon exceeds nu"
-    return report

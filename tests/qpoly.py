@@ -5,13 +5,14 @@ by Euclid's algorithm over Q, independently of the integer `ZPoly` the
 library computes with.  `clear` and `as_zpoly` turn references into the
 library's input form; `bivar_cols` is the dense reference for
 `einpoly.exact.bivar_cols` before clearing.  `surd_sign` is the exact sign
-of a number in Q(sqrt s).
+of a number in Q(sqrt s).  `gauss_jordan_solve` is the reference linear
+solve over Q.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from einpoly.exact import ZPoly
+from einpoly.exact import DimensionError, ZPoly
 
 
 class QPoly:
@@ -162,3 +163,27 @@ def surd_sign(u, v, s) -> int:
     if su == sv or not su or not sv:
         return su or sv
     return su if u * u > s * v * v else sv
+
+
+def gauss_jordan_solve(rows, rhs):
+    """Reference: reduced row echelon form over Fraction; raises
+    DimensionError without full column rank, None when inconsistent."""
+    a = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
+    m, n = len(a), len(a[0]) - 1
+    pivots = []
+    for col in range(n):
+        piv = next((r for r in range(len(pivots), m) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        k = len(pivots)
+        a[k], a[piv] = a[piv], a[k]
+        a[k] = [x / a[k][col] for x in a[k]]
+        for r in range(m):
+            if r != k and a[r][col] != 0:
+                a[r] = [x - a[r][col] * y for x, y in zip(a[r], a[k])]
+        pivots.append(col)
+    if len(pivots) < n:
+        raise DimensionError("matrix does not have full column rank")
+    if any(a[r][n] != 0 for r in range(n, m)):
+        return None
+    return [a[i][n] for i in range(n)]

@@ -38,6 +38,7 @@ from einpoly.homspace import (
 )
 from einpoly.infinity import FlatComplex, b2_exponent, delta_min, flat_complex
 from einpoly.polytope import hull, permutohedron
+from einpoly.report import analyze
 from einpoly.solver import (
     count_complex,
     delannoy,
@@ -374,12 +375,10 @@ def test_criterion_10_solver():
     assert minimal_polytope(j2).normalized_volume() == 4
 
     # the d = 5 count is carried as an annotation only
-    from einpoly.solver import bound_report
-
-    br = bound_report(load_catalog("e8_t1_a3_a4"))
-    assert br.epsilon_computed is None
-    assert br.epsilon_annotation == 81
-    assert br.nu - br.epsilon_annotation == 1 == br.escaped_to_infinity
+    br = analyze(load_catalog("e8_t1_a3_a4"))[0]["bounds"]
+    assert br["epsilon_computed"] is None
+    assert br["epsilon_annotation"] == 81
+    assert br["nu"] - br["epsilon_annotation"] == 1 == br["escaped_to_infinity"]
     assert time.monotonic() - t0 < 120
 
 

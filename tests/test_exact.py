@@ -31,7 +31,6 @@ from einpoly.exact import (
     refine_root_interval,
     resultant,
     sign_at_root,
-    solve_unique,
     sturm_count,
     zpoly,
 )
@@ -342,82 +341,6 @@ def test_chart_coords_roundtrip():
             back = [o + sum(ci * b[j] for ci, b in zip(c, chart.basis))
                     for j, o in enumerate(chart.origin)]
             assert tuple(back) == p
-
-
-# ---------------------------------------------------------------------------
-# solve_unique against the Gauss-Jordan elimination it replaced
-# ---------------------------------------------------------------------------
-
-
-def gauss_jordan_solve(rows, rhs):
-    """Reference: reduced row echelon form over Fraction; raises
-    DimensionError without full column rank, None when inconsistent."""
-    a = [[F(x) for x in r] + [F(b)] for r, b in zip(rows, rhs)]
-    m, n = len(a), len(a[0]) - 1
-    pivots = []
-    for col in range(n):
-        piv = next((r for r in range(len(pivots), m) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        k = len(pivots)
-        a[k], a[piv] = a[piv], a[k]
-        a[k] = [x / a[k][col] for x in a[k]]
-        for r in range(m):
-            if r != k and a[r][col] != 0:
-                a[r] = [x - a[r][col] * y for x, y in zip(a[r], a[k])]
-        pivots.append(col)
-    if len(pivots) < n:
-        raise DimensionError("matrix does not have full column rank")
-    if any(a[r][n] != 0 for r in range(n, m)):
-        return None
-    return [a[i][n] for i in range(n)]
-
-
-def outcome(solve, rows, rhs):
-    try:
-        return solve(rows, rhs)
-    except DimensionError:
-        return DimensionError
-
-
-@st.composite
-def linear_systems(draw):
-    """Systems A x = b with at least as many rows as columns, some with a
-    column made dependent, some with b in the column span of A."""
-    n = draw(st.integers(min_value=1, max_value=4))
-    m = draw(st.integers(min_value=n, max_value=n + 2))
-    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
-    if n >= 2 and draw(st.booleans()):
-        k = draw(st.integers(min_value=0, max_value=n - 1))
-        c = draw(entries)
-        for row in rows:
-            row[k] = c * row[(k + 1) % n]
-    if draw(st.booleans()):
-        x = draw(st.lists(entries, min_size=n, max_size=n))
-        rhs = [sum((F(a) * b for a, b in zip(row, x)), F(0)) for row in rows]
-    else:
-        rhs = draw(st.lists(entries, min_size=m, max_size=m))
-    return rows, rhs
-
-
-@given(linear_systems())
-@settings(max_examples=150, deadline=None)
-def test_solve_unique_matches_gauss_jordan(system):
-    rows, rhs = system
-    got = outcome(solve_unique, rows, rhs)
-    assert got == outcome(gauss_jordan_solve, rows, rhs)
-    if isinstance(got, list):
-        assert all(isinstance(v, F) for v in got)
-
-
-def test_solve_unique_special_cases():
-    assert solve_unique([[2, 1], [1, 1]], [3, 2]) == [1, 1]
-    assert solve_unique([[F(1, 2)], [F(1, 3)]], [1, F(2, 3)]) == [2]
-    assert solve_unique([[1], [1]], [1, 2]) is None
-    with pytest.raises(DimensionError):
-        solve_unique([[1, 2], [2, 4]], [1, 2])
-    with pytest.raises(DimensionError):
-        solve_unique([[1, 0, 0], [0, 1, 0]], [1, 1])
 
 
 # ---------------------------------------------------------------------------

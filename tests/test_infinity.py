@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from einpoly.exact import DimensionError, rank, solve_unique
+from einpoly.exact import DimensionError, rank
 from einpoly.homspace import (
     DegenerateSpectrumError,
     HomSpaceData,
@@ -34,6 +34,7 @@ from einpoly.infinity import (
     t_dimension_report,
 )
 from einpoly.polytope import hull, standard_simplex
+from qpoly import gauss_jordan_solve
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +346,7 @@ def reference_slice_dim(flat, face):
     verts = set()
     for basis in combinations(range(k), rank(rows)):
         try:
-            sol = solve_unique([[row[c] for c in basis] for row in rows], rhs)
+            sol = gauss_jordan_solve([[row[c] for c in basis] for row in rows], rhs)
         except DimensionError:
             continue  # dependent columns: no basic solution
         if sol is None or any(v < 0 for v in sol):

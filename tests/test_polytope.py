@@ -16,7 +16,6 @@ from einpoly.exact import (
     integer_kernel_basis,
     primitive,
     rank,
-    solve_unique,
     vec_gcd,
 )
 from einpoly.homspace import kaehler_b2_polytope, load_catalog, weight_polytope
@@ -29,6 +28,7 @@ from einpoly.polytope import (
     permutohedron,
     standard_simplex,
 )
+from qpoly import gauss_jordan_solve
 
 
 def dot(a, b):
@@ -708,7 +708,7 @@ def reference_hull(points):
     r = len(basis)
     affine = tuple((tuple(row), dot(row, p0)) for row in ortho)
     cols = [[basis[j][i] for j in range(r)] for i in range(n)]
-    chart_pts = [tuple(int(c) for c in solve_unique(cols, d)) for d in diffs]
+    chart_pts = [tuple(int(c) for c in gauss_jordan_solve(cols, d)) for d in diffs]
     rays = polytope._extreme_rays([list(u) + [1] for u in chart_pts])
     sum_one = all(sum(p) == 1 for p in pts)
     facets = set()

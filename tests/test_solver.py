@@ -1,4 +1,4 @@
-"""Solution counting, certification, and the bound report."""
+"""Solution counting, certification, and the bounds block of the report."""
 
 import hashlib
 import json
@@ -27,9 +27,8 @@ from einpoly.homspace import (
     load_catalog,
     parse,
     product_of_irreducibles,
-    weight_polytope,
 )
-from einpoly.infinity import delta_min, flat_complex
+from einpoly.report import analyze
 from einpoly.solver import (
     DegenerateSystemError,
     SolutionSet,
@@ -41,7 +40,6 @@ from einpoly.solver import (
     _holds_solution,
     _positive,
     _rational_root_in,
-    bound_report,
     common_torus_zero,
     count_complex,
     dehomogenize,
@@ -88,13 +86,13 @@ def test_delannoy_one_by_one_grid():
 
 def test_dehomogenize_product_case_linear():
     data = product_of_irreducibles(2)
-    polys, removed = dehomogenize(einstein_system(data))
+    polys = dehomogenize(einstein_system(data))
     assert len(polys) == 1
     assert set(polys[0]) <= {(0,), (1,)}
 
 
 def test_dehomogenize_bivariate(su3_t2):
-    polys, _ = dehomogenize(einstein_system(su3_t2))
+    polys = dehomogenize(einstein_system(su3_t2))
     assert len(polys) == 2
     assert all(len(next(iter(p))) == 2 for p in polys)
 
@@ -102,7 +100,7 @@ def test_dehomogenize_bivariate(su3_t2):
 def test_clearing_preserves_torus_zeros(su3_t2):
     rng = random.Random(6)
     system = einstein_system(su3_t2)
-    polys, _ = dehomogenize(system)
+    polys = dehomogenize(system)
     for _ in range(20):
         x = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(2)]
         full = [f.eval(list(x) + [F(1)]) for f in system]
@@ -359,26 +357,32 @@ def test_counts_never_exceed_complex(su3_t2):
 
 
 # ---------------------------------------------------------------------------
-# bound report
+# bounds block of the report
 # ---------------------------------------------------------------------------
 
 
+def bounds(data, solve=True):
+    """The bounds block of the analysis report."""
+    return analyze(data, solve=solve)[0]["bounds"]
+
+
 def test_bound_report_e8_d5(e8_d5):
-    br = bound_report(e8_d5)
-    assert br.nu == 82
-    assert br.epsilon_annotation == 81
-    assert br.escaped_to_infinity == 1
-    assert br.verdicts["epsilon_le_nu"] is True
+    br = bounds(e8_d5)
+    assert br["nu"] == 82
+    assert br["epsilon_computed"] is None
+    assert br["epsilon_annotation"] == 81
+    assert br["escaped_to_infinity"] == 1
+    assert br["verdicts"]["epsilon_le_nu"] is True
 
 
 def test_bound_report_jordan_3():
-    br = bound_report(jordan_space(3))
-    assert br.nu == 23
-    assert br.t_size == 4
-    assert br.epsilon_annotation == 19
+    br = bounds(jordan_space(3), solve=False)
+    assert br["nu"] == 23
+    assert br["t_size"] == 4
+    assert br["epsilon_annotation"] == 19
 
 
-def test_bound_report_d4_flag_below_delannoy_third():
+def test_kaehler_d4_nu_below_a_third_of_delannoy():
     # nu = 20 for the d = 4 family polytope; 20 < 63/3 = 21
     from einpoly.homspace import kaehler_b2_polytope
 
@@ -390,16 +394,18 @@ def test_bound_report_d4_flag_below_delannoy_third():
 def test_bound_report_inequalities_on_catalog():
     for name in ("su3_t2", "wang_ziller_killing", "wang_ziller_q", "sphere_s3",
                   "e8_t1_a3_a4", "e8_t1_a4_a2_a1"):
-        data = load_catalog(name)
-        br = bound_report(data)
-        assert br.nu <= br.delannoy_bound < br.six_power
-        if br.epsilon_computed is not None:
-            assert br.epsilon_computed <= br.nu
+        report = analyze(load_catalog(name))[0]
+        br = report["bounds"]
+        assert br["nu"] <= br["delannoy_bound"] < br["six_power"]
+        assert br["verdicts"]["nu_le_delannoy"] and br["verdicts"]["delannoy_lt_six_power"]
+        if br["epsilon_computed"] is not None:
+            assert br["epsilon_computed"] == report["solver"]["distinct_complex"]
+            assert br["epsilon_computed"] <= br["nu"]
 
 
 def test_bound_report_of_a_degenerate_system_has_no_solver_count():
-    # wb has a positive-dimensional solution set: like analyze, the bound
-    # report leaves epsilon_computed empty instead of raising
+    # wb has a positive-dimensional solution set: analyze leaves
+    # epsilon_computed empty instead of raising
     data = parse(json.dumps({
         "schema": "homspace/v1", "name": "wb", "d": 3, "dims": [2, 3, 2],
         "b": ["0", "0", "0"], "triples": [{"ijk": [1, 2, 3], "value": "1"},
@@ -408,9 +414,9 @@ def test_bound_report_of_a_degenerate_system_has_no_solver_count():
     }))
     with pytest.raises(DegenerateSystemError):
         count_complex(data)
-    br = bound_report(data)
-    assert br.epsilon_computed is None
-    assert br.to_json_obj() == bound_report(data, solve=False).to_json_obj()
+    br = bounds(data)
+    assert br["epsilon_computed"] is None
+    assert br == bounds(data, solve=False)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +611,7 @@ def test_krawczyk_image_matches_fraction_reference():
     for data in pin_documents():
         if data.d != 3:
             continue
-        (g1, g2), _ = dehomogenize(einstein_system(data))
+        g1, g2 = dehomogenize(einstein_system(data))
         q1, branches = _eliminant(g1, g2, 1)
         q2, _ = _eliminant(g1, g2, 0)
         if q1.degree <= 0 or q2.degree <= 0:
@@ -634,7 +640,7 @@ def test_every_solution_box_holds_one_solution():
     tiny = MP80.mpf(10)**-40
     boxes = {2: 0, 3: 0}
     for data in pin_documents():
-        polys, _ = dehomogenize(einstein_system(data))
+        polys = dehomogenize(einstein_system(data))
         if data.d == 2:
             eliminants = [zpoly({e[0]: c for e, c in polys[0].items()})[0].squarefree()]
         else:
@@ -669,7 +675,7 @@ CONSTANT_IN_Y_DOCUMENT = json.dumps({
 
 def test_constant_in_one_variable_counts_zero_through_the_library():
     data = parse(CONSTANT_IN_Y_DOCUMENT)
-    (g1, g2), _ = dehomogenize(einstein_system(data))
+    g1, g2 = dehomogenize(einstein_system(data))
     assert all(e[1] == 0 for e in g1) and list(g2) == [(0, 0)]
     assert count_complex(data).distinct_complex == 0
     out = real_positive(data)
