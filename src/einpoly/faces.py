@@ -44,10 +44,9 @@ NEEDS_MORE_DATA = "needs_more_data"
 NOT_ANALYZED = "not_analyzed"
 
 
-def test1_pyramid(polytope: LatticePolytope, face: Face) -> bool:
+def test1_pyramid(face: Face) -> bool:
     """Some apex a of the face sees every basis point e_i on the face either
-    at a itself or on the base face conv(other vertices).  The masks come
-    from face.polytope, which is `polytope` in every census."""
+    at a itself or on the base face conv(other vertices)."""
     on_face = basis_points_on(face)
     for a, base in apexes(face):
         va = face.polytope.vertices[a]
@@ -56,7 +55,7 @@ def test1_pyramid(polytope: LatticePolytope, face: Face) -> bool:
     return False
 
 
-def test2_octahedron(polytope: LatticePolytope, face: Face) -> bool:
+def test2_octahedron(face: Face) -> bool:
     """The face is a cross polytope centered at some basis point e_{i0} and
     carries no other basis point."""
     center = is_cross_polytope(face)
@@ -91,13 +90,10 @@ class CensusEntry:
     test1: Optional[bool]
     test2: Optional[bool]
     marked: Optional[bool]
-    signature: tuple
-    applicable: bool
 
 
 @dataclass
 class MarkedFaceCensus:
-    polytope: LatticePolytope
     entries: List[CensusEntry]
     applicable: bool
 
@@ -127,14 +123,12 @@ def marked_census(polytope: LatticePolytope) -> MarkedFaceCensus:
         if dim_ == 0:
             continue
         for face in faces:
-            sig = face.normal_signature()
             if applicable:
-                t1 = test1_pyramid(polytope, face)
-                t2 = test2_octahedron(polytope, face)
-                entries.append(CensusEntry(face, dim_, t1, t2, not (t1 or t2), sig, True))
+                t1, t2 = test1_pyramid(face), test2_octahedron(face)
+                entries.append(CensusEntry(face, dim_, t1, t2, not (t1 or t2)))
             else:
-                entries.append(CensusEntry(face, dim_, None, None, None, sig, False))
-    return MarkedFaceCensus(polytope, entries, applicable)
+                entries.append(CensusEntry(face, dim_, None, None, None))
+    return MarkedFaceCensus(entries, applicable)
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ def _slice_dim(slice_: list, face: Face) -> int:
     (`_flat_slice`), -1 when empty.  Q lies in P, so F cuts it in the face
     of Q on F's facet equalities, the hull of the vertices of Q tight on
     them: the rank of their homogenized rays is one more than its dim."""
-    mask = _mask(face.facet_indices)
+    mask = face.fmask
     tight = [r for r, m in slice_ if m & mask == mask]
     return rank(tight) - 1 if tight else -1
 

@@ -31,7 +31,9 @@ Faces are bitmasks, read off the smaller side of the vertex-facet incidence
 vertex-facet incidences*).  With fewer facets than vertices a face is its
 vertex mask, and its facets are the inclusion-maximal proper cuts F & H over
 the facets H; otherwise a face is its facet mask, and the same cut over the
-facet masks of the vertices gives the faces covering it.  The walk records,
+facet masks of the vertices gives the faces covering it.  Either way a
+`Face` is the two masks the walk finds, its vertex mask and the AND of its
+vertices' facet masks; every face test reads those bits.  The walk records,
 as each face's children, the facets of it that miss its first vertex: the
 pulling triangulation cones a face from that vertex over their
 triangulations, so its simplices are the flags of children from P down to a
@@ -194,16 +196,22 @@ def _bareiss_row(state: tuple, row: list) -> tuple:
 # ---------------------------------------------------------------------------
 
 class Face:
-    """A face of a LatticePolytope, identified by its vertex subset."""
+    """A face of a LatticePolytope: its vertex mask and its facet mask (bit
+    k is vertex k, resp. facet k), as the face lattice finds them."""
 
-    __slots__ = ("polytope", "vertex_indices", "dim", "facet_indices", "children")
+    __slots__ = ("polytope", "vmask", "fmask", "dim", "vertex_indices", "children")
 
-    def __init__(self, polytope, vertex_indices, dim, facet_indices):
+    def __init__(self, polytope, vmask, fmask, dim):
         self.polytope = polytope
-        self.vertex_indices = tuple(sorted(vertex_indices))
+        self.vmask = vmask
+        self.fmask = fmask
         self.dim = dim
-        self.facet_indices = tuple(sorted(facet_indices))
+        self.vertex_indices = tuple(_bits(vmask))
         self.children = ()  # set by the face lattice: see _face_lattice
+
+    @property
+    def facet_indices(self) -> tuple:
+        return tuple(_bits(self.fmask))
 
     def vertices(self) -> list:
         return [self.polytope.vertices[i] for i in self.vertex_indices]
@@ -212,11 +220,11 @@ class Face:
         return (
             isinstance(other, Face)
             and self.polytope is other.polytope
-            and self.vertex_indices == other.vertex_indices
+            and self.vmask == other.vmask
         )
 
     def __hash__(self):
-        return hash((id(self.polytope), self.vertex_indices))
+        return hash((id(self.polytope), self.vmask))
 
     def __repr__(self):
         return f"Face(dim={self.dim}, vertices={self.vertices()})"
@@ -228,7 +236,7 @@ class Face:
         DimensionError for a point of the wrong dimension."""
         P = self.polytope
         if len(x) == P.ambient_dim:
-            for fi in self.facet_indices:
+            for fi in _bits(self.fmask):
                 normal, offset = P.facets[fi]
                 if _dot(normal, x) != offset:
                     return False
@@ -243,11 +251,11 @@ class Face:
         facets are canonicalized to offset 0 (sum-1 polytopes); otherwise
         returns the empty signature."""
         P = self.polytope
-        if not self.facet_indices:
+        if not self.fmask:
             return ()
         d = P.ambient_dim
         acc = [0] * d
-        for fi in self.facet_indices:
+        for fi in _bits(self.fmask):
             normal, offset = P.facets[fi]
             if offset != 0:
                 return ()
@@ -329,7 +337,7 @@ class LatticePolytope:
         return {d: list(faces) for d, faces in lattice.items()}
 
     def whole_face(self) -> Face:
-        return Face(self, range(len(self.vertices)), self.dim, ())
+        return Face(self, (1 << len(self.vertices)) - 1, 0, self.dim)
 
     def _incidences(self) -> tuple:
         """(vertex mask of each facet, facet mask of each vertex)."""
@@ -355,8 +363,8 @@ class LatticePolytope:
             omask = other[bits[0]]
             for i in bits[1:]:
                 omask &= other[i]
-            verts, facets = (bits, _bits(omask)) if top_down else (_bits(omask), bits)
-            return Face(self, verts, dim_, facets)
+            vmask, fmask = (mask, omask) if top_down else (omask, mask)
+            return Face(self, vmask, fmask, dim_)
 
         by_dim = {}
         dim_ = self.dim - 1 if top_down else 0
@@ -384,11 +392,8 @@ class LatticePolytope:
     def _face_masks(self) -> dict:
         """Vertex mask -> facet mask of every proper face."""
         if self._masks is None:
-            self._masks = {
-                _mask(f.vertex_indices): _mask(f.facet_indices)
-                for faces in self._face_lattice().values()
-                for f in faces
-            }
+            self._masks = {f.vmask: f.fmask
+                           for faces in self._face_lattice().values() for f in faces}
         return self._masks
 
     def _basis_tight_masks(self) -> list:
@@ -537,9 +542,8 @@ def apexes(face: Face):
     facet mask is yielded.  G then has dimension dim F - 1: it is a proper
     face of F, and aff(G) together with a spans aff(F)."""
     table = face.polytope._face_masks()
-    vmask = _mask(face.vertex_indices)
     for a in face.vertex_indices:
-        base = table.get(vmask & ~(1 << a))
+        base = table.get(face.vmask & ~(1 << a))
         if base is not None:
             yield a, base
 
@@ -547,7 +551,7 @@ def apexes(face: Face):
 def basis_points_on(face: Face) -> list:
     """(i, e_i, tight facet mask) for each basis point e_i on the face: e_i
     lies in P and is tight on every facet containing the face."""
-    fmask = _mask(face.facet_indices)
+    fmask = face.fmask
     return [b for b in face.polytope._basis_tight_masks() if b[2] & fmask == fmask]
 
 

@@ -55,16 +55,15 @@ def analyze(data: HomSpaceData, theta=Fraction(0), solve: bool = True) -> tuple[
             skipped = f"degenerate system ({exc})"
     epsilon = sol.distinct_complex if sol is not None else None
     census = marked_census(dmin)
+    # only marked faces are named in the report, each by its signature
+    marked = [(e, list(e.face.normal_signature())) for e in census.marked_faces()]
     singularity = []
     if census.applicable and in_min:
-        for entry in census.marked_faces():
+        for entry, sig in marked:
             verdict = face_verdict(s, entry.face)
-            singularity.append({"signature": list(entry.signature), "dim": entry.dim,
-                                "verdict": verdict})
+            singularity.append({"signature": sig, "dim": entry.dim, "verdict": verdict})
             if verdict == NEEDS_MORE_DATA:
-                warnings.append(
-                    f"face {list(entry.signature)} left undecided (needs more data)"
-                )
+                warnings.append(f"face {sig} left undecided (needs more data)")
     elif census.applicable:
         warnings.append("curvature support not contained in the minimal polytope; "
                         "singularity analysis skipped")
@@ -94,7 +93,7 @@ def analyze(data: HomSpaceData, theta=Fraction(0), solve: bool = True) -> tuple[
             "support_size": len(s.terms),
         },
         "bounds": _bounds_obj(data, nu, T, epsilon),
-        "census": _census_obj(census),
+        "census": _census_obj(census, marked),
         "singularity": singularity,
         "solver": solver_obj,
         "warnings": warnings,
@@ -132,7 +131,7 @@ def _bounds_obj(data: HomSpaceData, nu: int, T, eps_c) -> dict:
     }
 
 
-def _census_obj(census) -> dict:
+def _census_obj(census, marked) -> dict:
     by_dim = {}
     for entry in census.entries:
         rec = by_dim.setdefault(entry.dim, {"faces": 0, "marked": 0, "test2": 0})
@@ -146,9 +145,8 @@ def _census_obj(census) -> dict:
         "by_dim": {str(k): v for k, v in sorted(by_dim.items())},
         "marked_total": census.marked_total(),
         "marked_faces": [
-            {"dim": e.dim, "signature": list(e.signature),
-             "vertices": [list(v) for v in e.face.vertices()]}
-            for e in census.marked_faces()
+            {"dim": e.dim, "signature": sig, "vertices": [list(v) for v in e.face.vertices()]}
+            for e, sig in marked
         ],
     }
 

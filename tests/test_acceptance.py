@@ -156,7 +156,7 @@ def test_criterion_4_marked_census():
                      if len(f.vertex_indices) == 5}
     pyramid_faces = {f.normal_signature() for f in facet_faces
                      if len(f.vertex_indices) > 5 and is_pyramid(f) is not None}
-    marked6 = {e.signature for e in totals[6].marked_faces() if e.dim == 4}
+    marked6 = {e.face.normal_signature() for e in totals[6].marked_faces() if e.dim == 4}
     assert simplex_faces == simplices
     assert pyramid_faces == pyramids
     assert marked6 == marked_facets

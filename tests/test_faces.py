@@ -75,28 +75,28 @@ def test_simplex_facets_pass_the_pyramid_test(e8_d6):
     P = minimal_polytope(e8_d6)
     for face in P.faces(4):
         if len(face.vertex_indices) == 5:
-            assert pyramid_test(P, face)
+            assert pyramid_test(face)
 
 
 def test_pentagon_face_fails_both_tests():
     P = kaehler_b2_polytope(4)
     pentagon = next(f for f in P.faces(2) if len(f.vertex_indices) == 5)
-    assert not pyramid_test(P, pentagon)
-    assert not octahedron_test(P, pentagon)
+    assert not pyramid_test(pentagon)
+    assert not octahedron_test(pentagon)
 
 
 def test_no_marked_edges_on_the_b2_family():
     for d in (3, 4, 5):
         P = kaehler_b2_polytope(d)
         for edge in P.faces(1):
-            assert pyramid_test(P, edge) or octahedron_test(P, edge)
+            assert pyramid_test(edge) or octahedron_test(edge)
 
 
 def test_centered_square_passes_test2():
     P = kaehler_b2_polytope(4)
     squares = [
         f for f in P.faces(2)
-        if len(f.vertex_indices) == 4 and octahedron_test(P, f)
+        if len(f.vertex_indices) == 4 and octahedron_test(f)
     ]
     assert len(squares) == 1
 
@@ -104,7 +104,7 @@ def test_centered_square_passes_test2():
 def test_triangle_fails_test2():
     P = kaehler_b2_polytope(4)
     tri = next(f for f in P.faces(2) if len(f.vertex_indices) == 3)
-    assert not octahedron_test(P, tri)
+    assert not octahedron_test(tri)
 
 
 def test_test2_counts_round_up():
@@ -377,7 +377,7 @@ def test_curve_verdict_matches_the_parallelogram_formula_on_marked_faces(name, s
     for entry in marked_census(minimal_polytope(data)).marked_faces():
         if entry.dim == 2 and _parallelogram_diagonals(entry.face) is not None:
             verdict = parallelogram_singular(s, entry.face)
-            assert curve_singular(s, entry.face) == verdict, entry.signature
+            assert curve_singular(s, entry.face) == verdict, entry.face.normal_signature()
             verdicts.append(verdict)
     assert (verdicts.count(SINGULAR), verdicts.count(NONSINGULAR)) == (singular, nonsingular)
 

@@ -407,6 +407,36 @@ def test_low_dimensional_face_lattices():
     assert [f.vertices() for f in grouped[0]] == [[(0, 1)], [(2, -1)]]
 
 
+def _minimal(name):
+    data = load_catalog(name)
+    return delta_min(weight_polytope(data), flat_complex(data))
+
+
+@pytest.mark.parametrize("key, top_down", [
+    *((f"kaehler_{d}", d == 4) for d in range(3, 8)),
+    ("jordan_product_3_3", True),
+    ("e8_t1_a4_a2_a1", False),
+])
+def test_faces_keep_the_lattice_masks(key, top_down):
+    # the lattice walks down from the facets when there are fewer of them
+    # than vertices, and up from the vertices otherwise; both walks must
+    # hand each face its own vertex mask and the facets tight on all of it
+    P = kaehler_b2_polytope(int(key.split("_")[1])) if key.startswith("kaehler") else _minimal(key)
+    assert (len(P.facets) < len(P.vertices)) == top_down
+    proper = [f for fs in P.all_proper_faces().values() for f in fs]
+    table = {}
+    for f in proper + [P.whole_face()]:
+        vmask = sum(1 << i for i in f.vertex_indices)
+        fmask = (1 << len(P.facets)) - 1
+        for i in f.vertex_indices:
+            fmask &= P.tight[i]
+        assert (f.vmask, f.fmask) == (vmask, fmask)
+        assert f.facet_indices == tuple(i for i in range(len(P.facets)) if fmask >> i & 1)
+        if f.dim < P.dim:
+            table[vmask] = fmask
+    assert P._face_masks() == table
+
+
 # ---------------------------------------------------------------------------
 # pyramids and cross polytopes
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ import pytest
 
 from einpoly import curvature, exact, polytope
 from einpoly.homspace import kaehler_b2_polytope, load_catalog
-from einpoly.polytope import LatticePolytope
+from einpoly.faces import marked_census
+from einpoly.polytope import Face, LatticePolytope
 from einpoly.report import analyze, render_report
 
 GOLDEN = {
@@ -165,3 +166,24 @@ def test_volume_reads_the_face_lattice(monkeypatch, wang_ziller_q):
     assert analyze(wang_ziller_q)[1] == 0
     assert len(builds) == 1
     assert builds[0] == len(cuts) > 0
+
+
+def test_only_marked_faces_get_a_signature(monkeypatch):
+    """The census computes no normal signature; the report computes one per
+    marked face, the only faces it names."""
+    calls = []
+    signature = Face.normal_signature
+
+    def counted_signature(self):
+        calls.append(self)
+        return signature(self)
+
+    monkeypatch.setattr(Face, "normal_signature", counted_signature)
+    census = marked_census(kaehler_b2_polytope(6))
+    assert census.marked_total() == 40
+    assert calls == []
+
+    report, _ = analyze(load_catalog("e8_t1_a3_a4"))
+    marked = report["census"]["marked_faces"]
+    assert len(marked) == len(calls) == 13
+    assert [e["vertices"] for e in marked] == [[list(v) for v in f.vertices()] for f in calls]
