@@ -222,6 +222,14 @@ def parse_obj(obj: dict) -> HomSpaceData:
             raise SchemaError(f"/{name}", "must be a list of integers")
         return frozenset(raw)
 
+    # the report reads these counts; any other key (notes) stays free-form
+    expected = obj.get("expected", {})
+    if not isinstance(expected, dict):
+        raise SchemaError("/expected", "must be an object")
+    for key in ("nu", "epsilon", "positive"):
+        if key in expected and not (is_int(expected[key]) and expected[key] >= 0):
+            raise SchemaError(f"/expected/{key}", "must be a nonnegative integer")
+
     try:
         return HomSpaceData(
             name=str(obj["name"]),

@@ -195,6 +195,16 @@ _MALFORMED = {
         "schema": "homspace/v1", "name": "bool_value", "d": 3, "dims": [1, 2, 2],
         "b": ["1", "1", "1"], "triples": [{"ijk": [1, 2, 3], "value": True}],
     }).encode(),
+    **{
+        f"{name}.json": json.dumps({
+            "schema": "homspace/v1", "name": name, "d": 3, "dims": [1, 2, 2],
+            "b": ["1", "1", "1"], "triples": [{"ijk": [1, 2, 3], "value": "1"}],
+            "expected": expected,
+        }).encode()
+        for name, expected in (("str_epsilon", {"epsilon": "3"}),
+                               ("str_expected", "epsilon"),
+                               ("bool_nu", {"nu": True}))
+    },
 }
 
 
@@ -208,6 +218,9 @@ _MALFORMED = {
     (["analyze", "bool_dims.json"], 2, "invalid data: /dims/0"),
     (["analyze", "bool_value.json"], 2, "invalid data: /triples/0/value"),
     (["analyze", "str_b.json"], 2, "invalid data: /b: must be a list"),
+    (["analyze", "str_epsilon.json"], 2, "invalid data: /expected/epsilon: must be"),
+    (["analyze", "str_expected.json"], 2, "invalid data: /expected: must be an object"),
+    (["analyze", "bool_nu.json"], 2, "invalid data: /expected/nu: must be"),
     (["analyze", "."], 1, "error: "),
     (["polytope", "."], 1, "error: "),
     (["analyze", "su3_t2", "--no-solve", "--json", "missing/x.json"], 1, "error: "),
