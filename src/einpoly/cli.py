@@ -15,8 +15,6 @@ import os
 import sys
 from contextlib import nullcontext
 
-from .curvature import check_theta
-from .exact import parse_rat
 from .homspace import (
     DegenerateSpectrumError,
     SchemaError,
@@ -85,15 +83,11 @@ def _check_vertices(points) -> None:
 
 def cmd_analyze(args) -> int:
     data = _load_input(args.input)
-    try:
-        theta = check_theta(parse_rat(args.theta))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     # the report path is opened first, so a bad path fails before the run;
     # a run that fails removes it again rather than leave an empty report
     with open(args.json, "w", encoding="utf-8") if args.json else nullcontext() as fh:
         try:
-            report, solver_exit = analyze(data, theta=theta, solve=not args.no_solve)
+            report, solver_exit = analyze(data, solve=not args.no_solve)
         except BaseException:
             if fh is not None:
                 fh.close()
@@ -199,7 +193,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="full analysis of a spectral-data file or catalog entry")
     p.add_argument("input")
-    p.add_argument("--theta", default="0", help="moment-map parameter, |theta| < 1")
     p.add_argument("--json", default=None, help="write the full JSON report here")
     p.add_argument("--no-solve", action="store_true")
     p.set_defaults(func=cmd_analyze)

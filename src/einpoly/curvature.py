@@ -252,19 +252,13 @@ class NormalizationError(ArithmeticError):
     """The modified scalar curvature vanished or went nonpositive."""
 
 
-def check_theta(theta) -> Fraction:
-    """The moment-map parameter as a Fraction; ValueError unless
-    |theta| < 1."""
+def moment(data: HomSpaceData, x: Sequence, theta=Fraction(0)) -> list:
+    """Moment-map coordinates c with sum(c) = 1:
+    c_i = m_i w_i / l_theta with w_i = -(1+theta) r_i + b_i/x_i; ValueError
+    unless |theta| < 1."""
     theta = Fraction(theta)
     if not -1 < theta < 1:
         raise ValueError("theta must satisfy |theta| < 1")
-    return theta
-
-
-def moment(data: HomSpaceData, x: Sequence, theta=Fraction(0)) -> list:
-    """Moment-map coordinates c with sum(c) = 1:
-    c_i = m_i w_i / l_theta with w_i = -(1+theta) r_i + b_i/x_i."""
-    theta = check_theta(theta)
     xs = [Fraction(v) for v in x]
     r = ricci_components(data, xs)
     w = [

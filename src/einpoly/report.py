@@ -8,10 +8,8 @@ string.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from . import __version__
 from .curvature import scalar_curvature
-from .exact import format_rat
 from .faces import NEEDS_MORE_DATA, face_verdict, marked_census
 from .homspace import HomSpaceData, weight_polytope
 from .infinity import B2NotApplicableError, b2_exponent, delta_min, flat_complex, is_admissible
@@ -20,7 +18,7 @@ from .solver import DegenerateSystemError, delannoy, real_positive
 REPORT_SCHEMA = "report/v1"
 
 
-def analyze(data: HomSpaceData, theta=Fraction(0), solve: bool = True) -> tuple[dict, int]:
+def analyze(data: HomSpaceData, solve: bool = True) -> tuple[dict, int]:
     """Full pipeline: weight polytope, flats, minimal polytope, volume and
     bounds, marked-face census, 2-face singularity verdicts, and (for
     d <= 3) the certified solver.  The exit code is 3 when the solver is
@@ -79,7 +77,6 @@ def analyze(data: HomSpaceData, theta=Fraction(0), solve: bool = True) -> tuple[
         "schema": REPORT_SCHEMA,
         "version": __version__,
         "input": data.to_json_obj(),
-        "theta": format_rat(Fraction(theta)),
         "delta": delta.to_json_obj(),
         "T": T.to_json_obj(),
         "delta_admissible": is_admissible(delta, T),

@@ -166,14 +166,6 @@ def test_report_is_byte_deterministic(capsys, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_analyze_theta_flag(capsys, tmp_path):
-    out_path = tmp_path / "r.json"
-    code, _, _ = run(capsys, "analyze", "su3_t2", "--theta", "1/2",
-                     "--json", str(out_path))
-    assert code == 0
-    assert json.loads(out_path.read_text())["theta"] == "1/2"
-
-
 # Each failure the command line can meet on bad input: exit code and the
 # start of its one stderr line.  Paths are relative to a directory holding
 # the malformed documents below.
@@ -227,8 +219,6 @@ _MALFORMED = {
     (["analyze", "jordan_4"], 1, "error: no such file or catalog entry: jordan_4"),
     (["polytope", "jordan_4"], 1, "error: no such file or catalog entry: jordan_4"),
     (["catalog", "show", "jordan_4"], 1, "error: unknown catalog entry: jordan_4"),
-    (["analyze", "su3_t2", "--theta", "2"], 1, "error: theta must satisfy |theta| < 1"),
-    (["analyze", "su3_t2", "--theta", "-1"], 1, "error: theta must satisfy |theta| < 1"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_failures_exit_with_one_line(capsys, tmp_path, monkeypatch, argv, code, prefix):
     for name, raw in _MALFORMED.items():
