@@ -36,7 +36,6 @@ from .homspace import (
 from .curvature import (
     LaurentPoly,
     einstein_system,
-    grad_component,
     moment,
     monomial_substitute,
     newton_polytope,

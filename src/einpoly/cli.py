@@ -171,6 +171,8 @@ def cmd_polytope(args) -> int:
     if isinstance(source, LatticePolytope):
         if args.min:
             raise UsageError("--min needs spectral data, not a bare polytope")
+        if args.volume and any(sum(v) != 1 for v in source.vertices):
+            raise SchemaError("/vertices", "--volume needs points whose coordinates sum to 1")
         P = source
     else:
         P = weight_polytope(source)

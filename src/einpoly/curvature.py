@@ -196,11 +196,6 @@ def _unit(d: int, i: int) -> Exponent:
     return tuple(1 if j == i else 0 for j in range(1, d + 1))
 
 
-def grad_component(p: LaurentPoly, i: int) -> LaurentPoly:
-    """x_i * dp/dx_i (0-based variable index)."""
-    return p.euler(i)
-
-
 def einstein_system(data: HomSpaceData, s: Optional[LaurentPoly] = None) -> list:
     """The d-1 homogeneous equations
     f_i = (x_i/m_i) ds/dx_i - (x_{i+1}/m_{i+1}) ds/dx_{i+1}.

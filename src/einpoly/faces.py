@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .curvature import LaurentPoly, restrict_to_face
+from .curvature import LaurentPoly, monomial_substitute, restrict_to_face, scalar_curvature
 from .exact import LatticeChart, det
 from .polytope import Face, LatticePolytope, apexes, basis_points_on, is_cross_polytope
 from .solver import DegenerateSystemError, common_torus_zero
@@ -279,8 +279,6 @@ class ChartSubstitution:
 
 def localize(s: LaurentPoly, chart: ChartSubstitution) -> dict:
     """s and all s_i = x_i ds/dx_i rewritten in the chart variables."""
-    from .curvature import monomial_substitute
-
     subs = list(zip(chart.scalars, chart.exponents))
     out = {"s": monomial_substitute(s, subs, chart.num_vars)}
     for i in range(s.num_vars):
@@ -298,8 +296,6 @@ def boundary_jacobian(data, chart: ChartSubstitution, point: Sequence) -> tuple:
     evaluated at the given chart point.  Returns the cofactor coefficients
     (c_1, ..., c_d) of the expansion sum_i d_i c_i.
     """
-    from .curvature import scalar_curvature
-
     s = scalar_curvature(data)
     local = localize(s, chart)
     n = chart.num_vars

@@ -10,7 +10,7 @@ from itertools import combinations
 
 from .exact import lattice_index, rank
 from .homspace import HomSpaceData
-from .polytope import Face, LatticePolytope, _dot, _extreme_rays, _mask, hull
+from .polytope import Face, LatticePolytope, _extreme_rays, hull
 
 
 class FlatComplex:
@@ -168,7 +168,8 @@ def _flat_slice(flat, P: LatticePolytope) -> list:
     On the coordinates y in flat, Q is {y >= 0 : sum y = 1} cut by P.  Its
     homogenization, the points (y, t) with y >= 0, sum y = t, the affine
     hull as equalities and every facet as an inequality, is a pointed
-    integer cone whose extreme rays are the vertices of Q."""
+    integer cone whose extreme rays are the vertices of Q; the facet rows
+    come last, so a ray's facet mask is its tight mask past the others."""
     idx = [i - 1 for i in flat]
 
     def row(normal, offset):
@@ -179,8 +180,7 @@ def _flat_slice(flat, P: LatticePolytope) -> list:
     rows = [[int(i == j) for j in range(len(idx) + 1)] for i in range(len(idx))]
     rows += eqs + [[-x for x in r] for r in eqs]
     facets = [row(*f) for f in P.facets]
-    rays = _extreme_rays(rows + facets)
-    return [(r, _mask(fi for fi, f in enumerate(facets) if _dot(f, r) == 0)) for r in rays]
+    return [(r, mask >> len(rows)) for r, mask in _extreme_rays(rows + facets)]
 
 
 def _slice_dim(slice_: list, face: Face) -> int:

@@ -19,12 +19,16 @@ constraints, so a pair with fewer common bits is skipped before that scan.
 The hull works in one integer chart of the affine hull of the input
 (`exact.LatticeChart`, factored once per point set): the double description
 runs on chart coordinates, and each facet normal is lifted back to Z^n
-through the same factorization.  Vertices use the same bitmask idiom: an
-input point p is a vertex iff no other input point's tight-facet mask
-contains p's.  Exact, because the smallest face containing p is P cut by
-the facets tight at p, and that face is the hull of the input points on
-it, so it is {p} exactly when no other input point lies on all of them.
-The vertices' masks are the vertex-facet incidence the polytope keeps.
+through the same factorization.  Its constraints are the input points, so
+the mask the double description returns with a facet's ray is the set of
+input points on that facet: the incidence is read once, off those masks,
+and never recomputed with dot products.  Transposed, they give each
+point's tight-facet mask, and an input point p is a vertex iff no other
+input point's mask contains p's.  Exact, because the smallest face
+containing p is P cut by the facets tight at p, and that face is the hull
+of the input points on it, so it is {p} exactly when no other input point
+lies on all of them.  The vertices' masks, and their transpose, are the
+vertex-facet incidence the polytope keeps.
 
 Faces are bitmasks, read off the smaller side of the vertex-facet incidence
 (Kaibel & Pfetsch 2002, *Computing the face lattice of a polytope from its
@@ -80,6 +84,15 @@ def _mask(indices) -> int:
     return mask
 
 
+def _transpose(masks, n: int) -> list:
+    """The n column masks of the 0/1 matrix with the given row masks."""
+    out = [0] * n
+    for i, mask in enumerate(masks):
+        for j in _bits(mask):
+            out[j] |= 1 << i
+    return out
+
+
 def _bits(mask: int) -> list:
     """Indices of the set bits, ascending."""
     out = []
@@ -131,7 +144,11 @@ def _initial_rays(constraints: list, m: int) -> tuple:
 
 
 def _extreme_rays(constraints: list) -> list:
-    """All extreme rays of the pointed cone {y : C y >= 0} (integer rows)."""
+    """All extreme rays of the pointed cone {y : C y >= 0} (integer rows),
+    each as (ray, mask) with bit ci of mask set iff the ray is tight on
+    constraint ci.  The masks are the ones the double description keeps,
+    exact on every constraint once all are processed: callers read the
+    incidence off them instead of recomputing it."""
     m = len(constraints[0])
     rays, init_idx = _initial_rays(constraints, m)
     # bit ci of masks[k] is set iff rays[k] is tight on processed constraint ci
@@ -174,7 +191,7 @@ def _extreme_rays(constraints: list) -> list:
             seen.setdefault(r, mk)
         rays = list(seen)
         masks = list(seen.values())
-    return rays
+    return list(zip(rays, masks))
 
 
 def _bareiss_row(state: tuple, row: list) -> tuple:
@@ -274,8 +291,8 @@ class LatticePolytope:
         self.ambient_dim: int = ambient_dim
         self.dim: int = dim
         self.tight: tuple = tight                # facet mask of each vertex
+        self.on_facet: list = _transpose(tight, len(facets))  # vertex mask of each facet
         self._faces_by_dim = None
-        self._incidence = None
         self._masks = None
         self._basis_masks = None
 
@@ -339,20 +356,10 @@ class LatticePolytope:
     def whole_face(self) -> Face:
         return Face(self, (1 << len(self.vertices)) - 1, 0, self.dim)
 
-    def _incidences(self) -> tuple:
-        """(vertex mask of each facet, facet mask of each vertex)."""
-        if self._incidence is None:
-            by_facet = [0] * len(self.facets)
-            for i, inc in enumerate(self.tight):
-                for fi in _bits(inc):
-                    by_facet[fi] |= 1 << i
-            self._incidence = (by_facet, self.tight)
-        return self._incidence
-
     def _face_lattice(self) -> dict:
         if self._faces_by_dim is not None:
             return self._faces_by_dim
-        by_facet, by_vertex = self._incidences()
+        by_facet, by_vertex = self.on_facet, self.tight
         # top-down a face is its vertex mask, cut to its facets; bottom-up a
         # face is its facet mask, cut to the faces covering it
         top_down = len(by_facet) < len(by_vertex)
@@ -482,12 +489,12 @@ def hull(points: Iterable) -> LatticePolytope:
     affine = tuple((tuple(row), _dot(row, p0)) for row in chart.equations)
     if r == 0:
         return LatticePolytope((p0,), (), affine, n, 0, (0,))
-    # cone of valid inequalities on (a, c): <a, u> + c >= 0
+    # cone of valid inequalities on (a, c): <a, u> + c >= 0; a ray's mask is
+    # the points on its facet
     constraints = [list(chart.coords(p)) + [1] for p in pts]
-    rays = _extreme_rays(constraints)
     sum_one = all(sum(p) == 1 for p in pts)
-    facets = []
-    for ray in rays:
+    on = {}
+    for ray, mask in _extreme_rays(constraints):
         a_chart, c = ray[:-1], ray[-1]
         if not any(a_chart):
             continue
@@ -497,16 +504,13 @@ def hull(points: Iterable) -> LatticePolytope:
             # canonical representative: subtract offset * (1,...,1)
             a_amb = [x - offset for x in a_amb]
             offset = 0
+        # exact: the offset is <a, p> at the lattice points p on the facet
         g = vec_gcd(a_amb)
-        if g > 1:
-            a_amb = [x // g for x in a_amb]
-            offset = min(_dot(a_amb, p) for p in pts)
-        facets.append((tuple(a_amb), offset))
-    facets = tuple(sorted(set(facets)))
+        on[(tuple(x // g for x in a_amb), offset // g)] = mask
+    facets = tuple(sorted(on))
+    tight = _transpose([on[f] for f in facets], len(pts))
     # keep extreme points only: p is a vertex iff no other point lies on
     # every facet tight at p
-    tight = [_mask(f for f, (normal, offset) in enumerate(facets) if _dot(normal, p) == offset)
-             for p in pts]
     kept = [
         i for i, mk in enumerate(tight)
         if not any(o & mk == mk for j, o in enumerate(tight) if j != i)

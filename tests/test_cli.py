@@ -175,6 +175,8 @@ _MALFORMED = {
     "text.json": b'{"vertices": [["a", 1]]}',
     "binary.json": b'\xff\xfe{"vertices": []}',
     "bool_vertex.json": b'{"vertices": [[true, 0], [0, 1], [0, 0]]}',
+    # the normalized volume lives on the coordinate-sum-1 hyperplane
+    "off_sum_one.json": b'{"vertices": [[0], [3]]}',
     "bool_dims.json": json.dumps({
         "schema": "homspace/v1", "name": "bool_dims", "d": 3, "dims": [True, 2, 2],
         "b": ["1", "1", "1"], "triples": [{"ijk": [1, 2, 3], "value": "1"}],
@@ -207,6 +209,7 @@ _MALFORMED = {
     (["polytope", "binary.json"], 2, "invalid data: /: "),
     (["analyze", "binary.json"], 2, "invalid data: /: "),
     (["polytope", "bool_vertex.json"], 2, "invalid data: /vertices/0"),
+    (["polytope", "off_sum_one.json", "--volume"], 2, "invalid data: /vertices: "),
     (["analyze", "bool_dims.json"], 2, "invalid data: /dims/0"),
     (["analyze", "bool_value.json"], 2, "invalid data: /triples/0/value"),
     (["analyze", "str_b.json"], 2, "invalid data: /b: must be a list"),

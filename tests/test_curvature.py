@@ -9,7 +9,6 @@ import pytest
 from einpoly.curvature import (
     LaurentPoly,
     einstein_system,
-    grad_component,
     moment,
     monomial_substitute,
     newton_polytope,
@@ -80,11 +79,11 @@ def test_homogeneity_of_supports():
             assert all(sum(e) == 1 for e in f.terms)
 
 
-def test_grad_component_basics():
+def test_euler_basics():
     p = LaurentPoly(3, {(1, 0, 0): F(1)})  # 1/x_1
-    assert grad_component(p, 0).terms == {(1, 0, 0): F(-1)}
+    assert p.euler(0).terms == {(1, 0, 0): F(-1)}
     q = LaurentPoly(3, {(1, 1, -1): F(1)})  # x_3/(x_1 x_2)
-    assert grad_component(q, 2).terms == {(1, 1, -1): F(1)}
+    assert q.euler(2).terms == {(1, 1, -1): F(1)}
 
 
 def test_euler_identity_degree_minus_one():
@@ -93,7 +92,7 @@ def test_euler_identity_degree_minus_one():
         s = scalar_curvature(data)
         total = LaurentPoly(data.d)
         for i in range(data.d):
-            total = total + grad_component(s, i)
+            total = total + s.euler(i)
         assert total == -s
 
 

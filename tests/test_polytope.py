@@ -684,7 +684,10 @@ def test_kernels_match_reference_implementations(monkeypatch, key, permute):
         polys = [permuted_hull(P, seed=key) for P in polys]
     assert runs
     for constraints, rays in runs:
-        assert sorted(rays) == sorted(reference_extreme_rays(constraints))
+        assert sorted(r for r, _ in rays) == sorted(reference_extreme_rays(constraints))
+        # each ray's mask is the set of constraints it is tight on
+        for r, mask in rays:
+            assert mask == sum(1 << ci for ci, c in enumerate(constraints) if dot(c, r) == 0)
     for P in polys:
         assert flat_lattice(P) == reference_face_lattice(P)
         assert sorted(pulling_triangulation(P)) == sorted(reference_triangulation(P))
@@ -742,7 +745,7 @@ def reference_hull(points):
     rays = polytope._extreme_rays([list(u) + [1] for u in chart_pts])
     sum_one = all(sum(p) == 1 for p in pts)
     facets = set()
-    for ray in rays:
+    for ray, _ in rays:
         a_chart, c = list(ray[:-1]), ray[-1]
         if not any(a_chart):
             continue
@@ -802,12 +805,12 @@ def test_hull_matches_reference_hull(pts):
 @settings(max_examples=200, deadline=None)
 def test_face_lattice_and_triangulation_match_reference(pts):
     P = hull(pts)
-    # the incidence is the vertices' masks from the hull's vertex test
+    # the incidence the double description's masks give, both ways round
     by_facet = [sum(1 << i for i, v in enumerate(P.vertices) if dot(normal, v) == offset)
                 for normal, offset in P.facets]
     by_vertex = tuple(sum(1 << fi for fi, (normal, offset) in enumerate(P.facets)
                           if dot(normal, v) == offset) for v in P.vertices)
-    assert P._incidences() == (by_facet, by_vertex)
+    assert (P.on_facet, P.tight) == (by_facet, by_vertex)
     assert flat_lattice(P) == reference_face_lattice(P)
     assert sorted(pulling_triangulation(P)) == sorted(reference_triangulation(P))
     # the flattened lattice cannot see an empty level outside 0..dim-1

@@ -9,23 +9,32 @@ integer count is checked against the same fiber recursion over Q[x]/(h)
 in Fraction arithmetic that counts each fiber by the derivative gcd, a
 second route to the same number.  On a seeded family of documents with
 rational and singular solutions, every certified real count has the
-parity of the complex count.
+parity of the complex count.  The d = 3 count is held against Bernstein's
+mixed volume of the two Newton polygons, computed with the hull and the
+normalized volume.
 """
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
+from math import gcd
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einpoly import solver
+from einpoly.curvature import einstein_system
 from einpoly.exact import bivar_cols, resultant
 from einpoly.homspace import HomSpaceData
-from einpoly.solver import DegenerateSystemError, _eliminant, _fibers
+from einpoly.polytope import hull
+from einpoly.solver import DegenerateSystemError, _eliminant, _fibers, dehomogenize
 from qpoly import QPoly, as_zpoly
 from qpoly import bivar_cols as fraction_bivar_cols
+from test_solver import pin_documents
 
 X, Y = sympy.symbols("x y")
 
@@ -395,3 +404,107 @@ def test_real_count_has_the_parity_of_the_complex_count():
         sol = solver.real_positive(data)
         assert not any(w.startswith("cluster separation failure") for w in sol.warnings), data
         assert (sol.distinct_complex - sol.real_count) % 2 == 0, data
+
+
+# ---------------------------------------------------------------------------
+# Bernstein's bound on the d = 3 count
+# ---------------------------------------------------------------------------
+
+
+def _mixed_volume(g1, g2):
+    """MV(N(g1), N(g2)) = (nu(A + B) - nu(A) - nu(B)) / 2, each exponent
+    (i, j) placed at (i, j, 1 - i - j), where `normalized_volume` is twice
+    the area."""
+    def nu(points):
+        return hull([(i, j, 1 - i - j) for i, j in points]).normalized_volume()
+
+    twice = nu([(i + k, j + l) for i, j in g1 for k, l in g2]) - nu(g1) - nu(g2)
+    assert twice % 2 == 0
+    return twice // 2
+
+
+def _initial_system_has_torus_root(g1, g2):
+    """Whether some edge-initial system (in_w g1, in_w g2), w != 0, has a
+    zero in the torus.  Only w normal to an edge of both polygons can give
+    one.  On an edge of primitive direction v each initial form is a
+    monomial times a polynomial in t = x^v with a nonzero constant term, and
+    x^v takes every nonzero value: a root is a gcd of positive degree."""
+    normals = set()
+    for g in (g1, g2):
+        for a, b in combinations(g, 2):
+            u, v = b[0] - a[0], b[1] - a[1]
+            k = gcd(u, v)
+            normals |= {(-v // k, u // k), (v // k, -u // k)}
+    for w in normals:
+        faces = []
+        for g in (g1, g2):
+            low = min(w[0] * e[0] + w[1] * e[1] for e in g)
+            faces.append([e for e in g if w[0] * e[0] + w[1] * e[1] == low])
+        if min(map(len, faces)) < 2:
+            continue
+        v = (-w[1], w[0])
+        polys = []
+        for g, face in zip((g1, g2), faces):
+            e0 = min(face, key=lambda e: v[0] * e[0] + v[1] * e[1])
+            steps = {e: (v[0] * (e[0] - e0[0]) + v[1] * (e[1] - e0[1])) // (v[0]**2 + v[1]**2)
+                     for e in face}
+            polys.append(sympy.Poly(sum(sympy.Rational(g[e]) * X**steps[e] for e in face), X))
+        if sympy.gcd(*polys).degree() > 0:
+            return True
+    return False
+
+
+def _squarefree(g):
+    return all(m == 1 for _, m in sympy.sqf_list(_expr(g))[1])
+
+
+def test_d3_count_against_the_mixed_volume():
+    # Bernstein (1975): with finitely many torus solutions their number,
+    # counted with multiplicity, is MV(N(g1), N(g2)) when no edge-initial
+    # system has a torus root and below it otherwise.  In these pinned
+    # documents a repeated root lies on a squared factor of g1 or g2, so the
+    # distinct count is MV wherever neither happens.
+    seen = Counter()
+    for data in [d for d in pin_documents() if d.d == 3] + list(_degenerate_family(300)):
+        g1, g2 = dehomogenize(einstein_system(data))
+        count = solver.count_complex(data).distinct_complex
+        mv = _mixed_volume(g1, g2)
+        if _initial_system_has_torus_root(g1, g2):
+            assert count < mv, data
+            seen["initial root"] += 1
+        elif count == mv:
+            seen["equal"] += 1
+        else:
+            assert count < mv and not (_squarefree(g1) and _squarefree(g2)), data
+            seen["squared factor"] += 1
+    assert seen == {"equal": 303, "initial root": 16, "squared factor": 1}
+
+
+_CONSTANT = st.builds(F, st.integers(1, 9), st.integers(1, 9))
+
+
+@st.composite
+def _generic_d3_documents(draw):
+    """d = 3 documents with dimensions in 1..8 and constants p/q, p and q
+    in 1..9, some Killing coefficients 0."""
+    keys = [k for k in combinations_with_replacement((1, 2, 3), 3) if len(set(k)) > 1]
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
+    return HomSpaceData(
+        name="generic", d=3, dims=tuple(draw(st.lists(st.integers(1, 8), min_size=3, max_size=3))),
+        b=tuple(draw(st.lists(st.one_of(st.just(F(0)), _CONSTANT), min_size=3, max_size=3))),
+        triples={k: draw(_CONSTANT) for k in chosen},
+    )
+
+
+@given(_generic_d3_documents())
+@settings(max_examples=60, deadline=None)
+def test_d3_count_is_at_most_the_mixed_volume(data):
+    g1, g2 = dehomogenize(einstein_system(data))
+    try:
+        count = solver.count_complex(data).distinct_complex
+    except DegenerateSystemError:
+        return
+    mv = _mixed_volume(g1, g2)
+    assert count <= mv
+    if _initial_system_has_torus_root(g1, g2):
+        assert count < mv
