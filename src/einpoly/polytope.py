@@ -104,10 +104,13 @@ def _bits(mask: int) -> list:
 
 
 def _maximal_cuts(mask: int, rows, known) -> list:
-    """The inclusion-maximal proper cuts mask & row, largest first.  A cut in
-    known, a face one dimension from mask's, is maximal by dimension."""
+    """The inclusion-maximal proper nonempty cuts mask & row, largest first.
+    A cut in known, a face one dimension from mask's, is maximal by
+    dimension."""
     cuts = {mask & row for row in rows}
-    cuts.discard(mask)
+    # the empty cut is the whole polytope (top-down: the empty face), next
+    # only to a facet (a vertex), which the walk never expands
+    cuts -= {mask, 0}
     maximal = []
     # a cut inside a non-maximal one is inside a larger maximal one, which
     # comes earlier in this order

@@ -28,7 +28,12 @@ has a lead invertible mod h (`_fibers`).  q2 is squarefree with
 q2(0) != 0, so at every root a of h the roots of S(a, y) are distinct and
 nonzero: they are the y-coordinates of the torus solutions over a.  This
 one fiber gcd gives both the distinct count, the sum of deg(h) * deg_y(S)
-over the branches, and the box decisions of the real count.
+over the branches, and the box decisions of the real count.  A one-point
+fiber, a gcd G1 y + G0 of g1 and g2, needs no gcd with q2: its zero over
+a is a torus point, and then a root of q2, iff G0(a) != 0.  The box scan
+over a real root a stops once deg_y(S) solutions are placed, and when
+deg_y(S) = 1 the last interval of q2 is taken without a decision, since
+the one real zero of S(a, y) lies in exactly one of them.
 
 The certification keeps one integer form from the resultant to the
 solution box: the eliminants themselves, and isolating intervals (a, b, D)
@@ -223,9 +228,21 @@ def _fibers(branches: list, q: ZPoly) -> Tuple[list, int]:
     other eliminant q in (Q[x]/(h))[y], up to a unit, with a lead
     invertible mod h, and the number of torus solutions over them, the sum
     of deg(h) * deg_y(S).  At a root a of h the roots of S(a, y) are the
-    other coordinates of the solutions over a, each a simple root of q."""
+    other coordinates of the solutions over a, each a simple root of q.
+
+    A one-point fiber G = G1 y + G0 needs no gcd: its zero y = -G0(a)/G1(a)
+    is a torus point, and so a root of q, iff G0(a) != 0.  So S = G where
+    G0 is a unit and S = G1 where G0 vanishes, over the split of h by
+    `_trim([G0], h)`.  A constant G has no zero and is its own S."""
     Q = [ZPoly([c]) for c in q.coeffs]
-    fibers = [fiber for h, G in branches for fiber in _fiber_gcd_branches(G, Q, h)]
+    fibers = []
+    for h, G in branches:
+        if len(G) > 2:
+            fibers += _fiber_gcd_branches(G, Q, h)
+        elif len(G) == 2:
+            fibers += [(hb, G if G0 else G[1:]) for hb, G0 in _trim(G[:1], h)]
+        else:
+            fibers.append((h, G))
     return fibers, sum(h.degree * (len(S) - 1) for h, S in fibers)
 
 
@@ -411,38 +428,53 @@ def _at_y(S: list, n: int, d: int) -> ZPoly:
     return ZPoly(out)
 
 
-def _holds_solution(fibers: list, i1: tuple, i2: tuple) -> bool:
-    """Whether the root a of q1 in i1 and b of q2 in i2 form a solution,
-    for isolating intervals (lo, hi, D) with q1(lo/D), q2(lo/D) != 0 and
-    the x-order `fibers` over q1 (`_fibers`).  So a's branch h is the one
-    that changes sign on i1, and b is the one root of q2 in i2: (a, b) is
-    a solution iff S(a, y) vanishes at hi/D or changes sign across i2,
-    S(a, lo/D) S(a, hi/D) <= 0, read at a by `sign_at_root`.  The unit that
-    S is known up to is nonzero at a and scales both values alike."""
+def _fiber_at(fibers: list, i1: tuple) -> tuple:
+    """The fiber (h, S) (`_fibers`) over the one root a of q1 in the
+    isolating interval (lo, hi, D), q1(lo/D) != 0: its branch h is the one
+    that changes sign on the interval."""
     lo, hi, d = i1
-    h, S = next((h, S) for h, S in fibers
+    return next((h, S) for h, S in fibers
                 if sign_at(h.coeffs, lo, d) != sign_at(h.coeffs, hi, d))
-    if len(S) == 1:
-        return False
+
+
+def _holds_solution(h: ZPoly, S: list, i1: tuple, i2: tuple) -> bool:
+    """Whether the root a of q1 in i1 and b of q2 in i2 form a solution,
+    for isolating intervals (lo, hi, D) with q2(lo/D) != 0 and a's fiber
+    (h, S) (`_fiber_at`).  b is the one root of q2 in i2, so (a, b) is a
+    solution iff S(a, y) vanishes at hi/D or changes sign across i2,
+    S(a, lo/D) S(a, hi/D) <= 0, read at a by `sign_at_root`.  The unit that
+    S is known up to is nonzero at a and scales both values alike; a
+    constant S is such a unit, and its square is positive."""
     lo, hi, d = i2
     return sign_at_root(_at_y(S, lo, d) * _at_y(S, hi, d), h, i1) <= 0
 
 
 def _certify_d3(base: SolutionSet, q1: ZPoly, q2: ZPoly, fibers: list, system) -> None:
-    """Real and positive counts over the boxes that pair a real root of the
+    """Real and positive counts over the boxes that pair a real root a of the
     x-eliminant q1 with one of the y-eliminant q2, with one exact decision
-    per box (`_holds_solution` on the x-order `fibers`).  A solution with
-    two rational coordinates is reported exactly, any other as its box
-    refined to _BOX_WIDTH."""
+    per box (`_holds_solution` on a's fiber (h, S)).  A solution with two
+    rational coordinates is reported exactly, any other as its box refined
+    to _BOX_WIDTH.
+
+    The scan over a stops once it has placed deg_y S solutions, the most
+    there are.  When deg_y S = 1, the one zero of S(a, y) is real, a
+    simple root of q2, so it lies in exactly one isolating interval of q2:
+    the last one is taken without a test when no earlier one held it."""
     base.real_count = base.positive_count = 0
     iso1 = [clear_left_end(q1, i1) for i1 in isolate_real_roots(q1)]
     iso2 = [clear_left_end(q2, i2) for i2 in isolate_real_roots(q2)]
     if not iso1 or not iso2:
         return
     for i1 in iso1:
-        for i2 in iso2:
-            if not _holds_solution(fibers, i1, i2):
+        h, S = _fiber_at(fibers, i1)
+        left = len(S) - 1
+        for j, i2 in enumerate(iso2):
+            if not left:
+                break
+            last_of_one = len(S) == 2 and j == len(iso2) - 1
+            if not last_of_one and not _holds_solution(h, S, i1, i2):
                 continue
+            left -= 1
             base.real_count += 1
             base.positive_count += _positive(q1, i1) and _positive(q2, i2)
             r1 = _rational_root_in(q1, i1)

@@ -11,7 +11,9 @@ second route to the same number.  On a seeded family of documents with
 rational and singular solutions, every certified real count has the
 parity of the complex count.  The d = 3 count is held against Bernstein's
 mixed volume of the two Newton polygons, computed with the hull and the
-normalized volume.
+normalized volume.  The one-point fibers that `_fibers` reads without a
+gcd, and the box scan that stops once a root's fiber is placed, are held
+against the gcd route on every branch and a decision on every box.
 """
 
 import hashlib
@@ -28,7 +30,14 @@ from hypothesis import strategies as st
 
 from einpoly import solver
 from einpoly.curvature import einstein_system
-from einpoly.exact import bivar_cols, resultant
+from einpoly.exact import (
+    ZPoly,
+    bivar_cols,
+    clear_left_end,
+    isolate_real_roots,
+    refine_root_interval,
+    resultant,
+)
 from einpoly.homspace import HomSpaceData
 from einpoly.polytope import hull
 from einpoly.solver import DegenerateSystemError, _eliminant, _fibers, dehomogenize
@@ -508,3 +517,108 @@ def test_d3_count_is_at_most_the_mixed_volume(data):
     assert count <= mv
     if _initial_system_has_torus_root(g1, g2):
         assert count < mv
+
+
+# ---------------------------------------------------------------------------
+# one-point fibers and the box scan against the gcd route and all pairs
+# ---------------------------------------------------------------------------
+
+
+def _d3_eliminations():
+    """(data, q1, branches, q2, branches_y) of the d = 3 pinned documents
+    and the degenerate family, those without a common factor."""
+    for data in [d for d in pin_documents() if d.d == 3] + list(_degenerate_family(300)):
+        g1, g2 = dehomogenize(einstein_system(data))
+        try:
+            q1, branches = _eliminant(g1, g2, 1)
+            q2, branches_y = _eliminant(g1, g2, 0)
+        except DegenerateSystemError:
+            continue
+        yield data, q1, branches, q2, branches_y
+
+
+def _gcd_route_fibers(branches, q):
+    """`_fibers` with the gcd of every branch's G and q, as it was before
+    one-point fibers were read directly."""
+    Q = [ZPoly([c]) for c in q.coeffs]
+    fibers = [fiber for h, G in branches for fiber in solver._fiber_gcd_branches(G, Q, h)]
+    return fibers, sum(h.degree * (len(S) - 1) for h, S in fibers)
+
+
+def _all_pairs_certificate(q1, q2, fibers, system):
+    """The real and positive counts and solutions of `_certify_d3` with one
+    `_holds_solution` decision on every pair of isolating intervals."""
+    out = solver.SolutionSet(3, 0, real_count=0, positive_count=0)
+    iso1 = [clear_left_end(q1, i1) for i1 in isolate_real_roots(q1)]
+    iso2 = [clear_left_end(q2, i2) for i2 in isolate_real_roots(q2)]
+    for i1 in iso1:
+        for i2 in iso2:
+            if not solver._holds_solution(*solver._fiber_at(fibers, i1), i1, i2):
+                continue
+            out.real_count += 1
+            out.positive_count += solver._positive(q1, i1) and solver._positive(q2, i2)
+            r1 = solver._rational_root_in(q1, i1)
+            r2 = None if r1 is None else solver._rational_root_in(q2, i2)
+            if r2 is not None:
+                out.solutions.append(solver._exact_entry(system, (r1, r2)))
+            else:
+                box = (refine_root_interval(q1, i1, solver._BOX_WIDTH),
+                       refine_root_interval(q2, i2, solver._BOX_WIDTH))
+                out.solutions.append(solver._box_entry(box))
+    return out
+
+
+def test_one_point_fibers_match_the_gcd_route():
+    seen = Counter()
+    for data, q1, branches, q2, branches_y in _d3_eliminations():
+        fibers, count = _fibers(branches, q2)
+        ref_fibers, ref_count = _gcd_route_fibers(branches, q2)
+        generic = count == _fibers(branches_y, q1)[1]
+        assert (count, generic) == (ref_count, ref_count == _gcd_route_fibers(branches_y, q1)[1])
+        for h, G in branches + branches_y:
+            seen[min(len(G) - 1, 2)] += 1
+            # a one-point fiber whose zero has y = 0 over part of h
+            seen["y = 0"] += len(G) == 2 and any(not G0 for _, G0 in solver._trim(G[:1], h))
+    # deg_y G = 0, 1 and 2 or more all occur
+    assert seen[0] and seen[1] and seen[2] and seen["y = 0"]
+
+
+def test_box_scan_matches_the_all_pairs_reference():
+    compared = 0
+    for data, q1, branches, q2, _ in _d3_eliminations():
+        system = einstein_system(data)
+        fibers, count = _fibers(branches, q2)
+        got = solver.SolutionSet(3, count)
+        solver._certify_d3(got, q1, q2, fibers, system)
+        ref = _all_pairs_certificate(q1, q2, _gcd_route_fibers(branches, q2)[0], system)
+        assert (got.real_count, got.positive_count, got.solutions) == (
+            ref.real_count, ref.positive_count, ref.solutions), data.name
+        compared += got.real_count > 0
+    assert compared > 50
+
+
+def test_box_scan_skips_decisions(monkeypatch):
+    # The scan over a root a stops once deg_y S solutions are placed, and a
+    # one-point fiber's last interval needs no test: with one real root of
+    # q2 and one-point fibers only, no box is tested at all.
+    calls = []
+    holds = solver._holds_solution
+
+    def counted(*args):
+        calls.append(args)
+        return holds(*args)
+
+    monkeypatch.setattr(solver, "_holds_solution", counted)
+    pairs = total = silent = 0
+    for data, q1, branches, q2, _ in _d3_eliminations():
+        before = len(calls)
+        solver.real_positive(data)
+        r1, r2 = len(isolate_real_roots(q1)), len(isolate_real_roots(q2))
+        pairs += r1 * r2
+        total += len(calls) - before
+        fibers, _ = _fibers(branches, q2)
+        if r1 and r2 == 1 and all(len(S) <= 2 for _, S in fibers):
+            assert len(calls) == before, data.name
+            silent += 1
+    assert 0 < total < pairs
+    assert silent
