@@ -258,11 +258,10 @@ class ChartSubstitution:
     with a unimodular exponent matrix; used to localize the curvature
     polynomials near a designated face."""
 
-    def __init__(self, scalars, exponents, scaling_index: int = 0, face: Optional[Face] = None):
+    def __init__(self, scalars, exponents, scaling_index: int = 0):
         self.scalars = tuple(Fraction(s) for s in scalars)
         self.exponents = tuple(tuple(int(e) for e in row) for row in exponents)
         self.scaling_index = scaling_index
-        self.face = face
         n = len(self.exponents)
         if any(len(row) != n for row in self.exponents):
             raise ValueError("exponent matrix must be square")

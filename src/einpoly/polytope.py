@@ -58,7 +58,6 @@ from .exact import (
     _bareiss,
     integer_kernel_basis,
     primitive,
-    rank,
     vec_gcd,
 )
 
@@ -571,12 +570,14 @@ def is_pyramid(face: Face) -> Optional[LatticePoint]:
 
 
 def is_cross_polytope(face: Face) -> Optional[tuple]:
-    """Center of the face when it is a k-dimensional cross polytope
-    (2k vertices pairing to a common midpoint, independent differences).
+    """Center of the face when it is a k-dimensional cross polytope: 2k
+    vertices pairing to a common midpoint.
 
-    With S the sum of the vertices the center is S / 2k and the partner of
-    v is S/k - v, which must be a lattice point: all in integers, with the
-    center built as Fractions only for the result."""
+    With S the sum of the vertices the center is c = S / 2k and the partner
+    of v is S/k - v, which must be a lattice point: all in integers, with
+    the center built as Fractions only for the result.  The pairs are
+    c +- d_i / 2, so the affine hull of the face is c + span(d_i), and
+    face.dim == k already makes the k differences d_i independent."""
     verts = face.vertices()
     k = face.dim
     if k < 1 or len(verts) != 2 * k:
@@ -586,17 +587,8 @@ def is_cross_polytope(face: Face) -> Optional[tuple]:
         return None
     mid = [x // k for x in total]
     vset = set(verts)
-    diffs = []
-    used = set()
     for v in verts:
-        if v in used:
-            continue
         partner = tuple(m - x for m, x in zip(mid, v))
         if partner not in vset or partner == v:
             return None
-        used.add(v)
-        used.add(partner)
-        diffs.append([x - y for x, y in zip(v, partner)])
-    if rank(diffs) != k:
-        return None
     return tuple(Fraction(x, 2 * k) for x in total)

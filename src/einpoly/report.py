@@ -30,11 +30,11 @@ def analyze(data: HomSpaceData, solve: bool = True) -> tuple[dict, int]:
     nu = dmin.normalized_volume()
     s = scalar_curvature(data)
     # the Newton polytope of s is P iff the support lies in P and holds
-    # P's vertices
+    # P's vertices; every exponent of s is a weight, so it lies in delta
     support = set(s.terms)
     in_min = all(map(dmin.contains, support))
     nw_equals_min = in_min and support.issuperset(dmin.vertices)
-    nw_equals_delta = all(map(delta.contains, support)) and support.issuperset(delta.vertices)
+    nw_equals_delta = support.issuperset(delta.vertices)
     if data.complement == "killing_orthogonal" and not nw_equals_min:
         warnings.append(
             "curvature support differs from the minimal polytope on a "

@@ -5,7 +5,7 @@ Counting is resultant-based.  For d = 3 the fiber over every eliminant root
 is analyzed through gcd computations in the quotient ring Q[x]/(h) with
 dynamic splitting of the (squarefree) modulus, so the distinct-solution
 count is exact without any root approximation.  So are the real and
-positive counts (`_certify_d3`): a box pairs an isolated root a of the
+positive counts (`_real_d3`): a box pairs an isolated root a of the
 x-eliminant with one b of the y-eliminant, and holds a solution iff the
 gcd of the system and the y-eliminant over a's branch changes sign across
 b's interval, read at a by one Sturm-Tarski sequence, singular or not.
@@ -38,16 +38,22 @@ the one real zero of S(a, y) lies in exactly one of them.
 The certification keeps one integer form from the resultant to the
 solution box: the eliminants themselves, and isolating intervals (a, b, D)
 for (a/D, b/D] that `exact.isolate_real_roots` returns and refinement
-bisects by the sign of the eliminant.  A solution box is the two isolating
-intervals refined to width at most 2^-20; only its report entry is made of
-Fractions.  The exact box decision is its certificate.
+bisects by the sign of the eliminant.  Only finding the real solutions
+depends on d: for d = 2 each isolating interval of the squarefree
+eliminant is one, for d = 3 each box the scan places.  Both dimensions
+share one record step (`_record_real`): a real solution is one isolating
+interval per coordinate, counted, positive when every coordinate is, and
+reported as its exact point when every coordinate is rational, else as
+its intervals refined to width at most 2^-20; only the report entry is
+made of Fractions.  The exact box decision is its certificate.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import takewhile
 from math import gcd, isqrt
 from typing import List, Optional, Sequence, Tuple
 
@@ -275,16 +281,7 @@ class SolutionSet:
     warnings: List[str] = field(default_factory=list)
 
     def to_json_obj(self) -> dict:
-        return {
-            "d": self.d,
-            "distinct_complex": self.distinct_complex,
-            "real_count": self.real_count,
-            "positive_count": self.positive_count,
-            "solutions": self.solutions,
-            "genericity": self.genericity,
-            "multiplicity_excess": self.multiplicity_excess,
-            "warnings": self.warnings,
-        }
+        return asdict(self)
 
 
 def count_complex(data: HomSpaceData) -> SolutionSet:
@@ -314,15 +311,10 @@ def _solve(data: HomSpaceData, certify: bool, s: Optional[LaurentPoly] = None) -
     if data.d == 2:
         # the cleared polynomial has a nonzero constant term: a torus part
         p, _ = zpoly({e[0]: c for e, c in polys[0].items()})
-        if p.degree <= 0:
-            out = SolutionSet(2, 0)
-            if certify:
-                out.real_count = out.positive_count = 0
-            return out
         sf = p.squarefree()
         out = SolutionSet(2, sf.degree, multiplicity_excess=p.degree - sf.degree)
         if certify:
-            _certify_d2(out, sf, system)
+            _record_real(out, [[(sf, i)] for i in isolate_real_roots(sf)], system)
         return out
     g1, g2 = polys
     q1, branches = _eliminant(g1, g2, 1)
@@ -332,25 +324,30 @@ def _solve(data: HomSpaceData, certify: bool, s: Optional[LaurentPoly] = None) -
     if not out.genericity:
         out.warnings.append("eliminations in the two variable orders disagree")
     if certify:
-        _certify_d3(out, q1, q2, fibers, system)
+        _record_real(out, _real_d3(q1, q2, fibers), system)
     return out
 
 
-def _exact_entry(system, x) -> dict:
-    """A rational solution x, checked on the Laurent system."""
-    assert all(f.eval(list(x) + [Fraction(1)]) == 0 for f in system)
-    return {"x": [format_rat(v) for v in x], "exact": True, "residual": "0"}
-
-
-def _box_entry(ibox) -> dict:
-    """A solution box, one isolating interval (a, b, D) per coordinate."""
-    return {
-        "box": [[format_rat(Fraction(a, d)), format_rat(Fraction(b, d))] for a, b, d in ibox],
-        "exact": False,
-    }
-
-
 _BOX_WIDTH = Fraction(1, 2**20)
+
+
+def _record_real(out: SolutionSet, real: list, system) -> None:
+    """Set the real and positive counts and the solutions of `out` from the
+    real solutions, each [(q, interval)] with one isolating interval of a
+    squarefree eliminant q per coordinate, for d = 2 and d = 3 alike."""
+    out.real_count = len(real)
+    out.positive_count = sum(all(_positive(q, i) for q, i in sol) for sol in real)
+    for sol in real:
+        x = list(takewhile(lambda r: r is not None, (_rational_root_in(q, i) for q, i in sol)))
+        if len(x) == len(sol):
+            assert all(f.eval(x + [Fraction(1)]) == 0 for f in system)
+            out.solutions.append({"x": [format_rat(v) for v in x], "exact": True, "residual": "0"})
+        else:
+            box = [refine_root_interval(q, i, _BOX_WIDTH) for q, i in sol]
+            out.solutions.append({
+                "box": [[format_rat(Fraction(a, d)), format_rat(Fraction(b, d))] for a, b, d in box],
+                "exact": False,
+            })
 
 
 def _positive(q: ZPoly, interval: tuple) -> bool:
@@ -365,21 +362,6 @@ def _positive(q: ZPoly, interval: tuple) -> bool:
         return False
     s = sign_at(q.coeffs, b, d)
     return s == 0 or (s > 0) != (q.coeffs[0] > 0)
-
-
-def _certify_d2(base: SolutionSet, sf: ZPoly, system) -> None:
-    """Real and positive counts and solutions of the squarefree univariate
-    eliminant sf (degree >= 1, sf(0) != 0), from one isolation."""
-    intervals = isolate_real_roots(sf)
-    base.real_count = len(intervals)
-    base.positive_count = sum(_positive(sf, interval) for interval in intervals)
-    for interval in intervals:
-        root = _rational_root_in(sf, interval)
-        if root is not None:
-            base.solutions.append(_exact_entry(system, [root]))
-        else:
-            box = [refine_root_interval(sf, interval, _BOX_WIDTH)]
-            base.solutions.append(_box_entry(box))
 
 
 def _rational_root_in(p: ZPoly, interval: tuple):
@@ -449,22 +431,21 @@ def _holds_solution(h: ZPoly, S: list, i1: tuple, i2: tuple) -> bool:
     return sign_at_root(_at_y(S, lo, d) * _at_y(S, hi, d), h, i1) <= 0
 
 
-def _certify_d3(base: SolutionSet, q1: ZPoly, q2: ZPoly, fibers: list, system) -> None:
-    """Real and positive counts over the boxes that pair a real root a of the
-    x-eliminant q1 with one of the y-eliminant q2, with one exact decision
-    per box (`_holds_solution` on a's fiber (h, S)).  A solution with two
-    rational coordinates is reported exactly, any other as its box refined
-    to _BOX_WIDTH.
+def _real_d3(q1: ZPoly, q2: ZPoly, fibers: list) -> list:
+    """The real solutions [(q1, i1), (q2, i2)], in scan order, over the
+    boxes that pair a real root a of the x-eliminant q1 with one of the
+    y-eliminant q2, with one exact decision per box (`_holds_solution` on
+    a's fiber (h, S)).
 
     The scan over a stops once it has placed deg_y S solutions, the most
     there are.  When deg_y S = 1, the one zero of S(a, y) is real, a
     simple root of q2, so it lies in exactly one isolating interval of q2:
     the last one is taken without a test when no earlier one held it."""
-    base.real_count = base.positive_count = 0
     iso1 = [clear_left_end(q1, i1) for i1 in isolate_real_roots(q1)]
     iso2 = [clear_left_end(q2, i2) for i2 in isolate_real_roots(q2)]
-    if not iso1 or not iso2:
-        return
+    real = []
+    if not iso2:
+        return real
     for i1 in iso1:
         h, S = _fiber_at(fibers, i1)
         left = len(S) - 1
@@ -475,13 +456,5 @@ def _certify_d3(base: SolutionSet, q1: ZPoly, q2: ZPoly, fibers: list, system) -
             if not last_of_one and not _holds_solution(h, S, i1, i2):
                 continue
             left -= 1
-            base.real_count += 1
-            base.positive_count += _positive(q1, i1) and _positive(q2, i2)
-            r1 = _rational_root_in(q1, i1)
-            r2 = None if r1 is None else _rational_root_in(q2, i2)
-            if r2 is not None:
-                base.solutions.append(_exact_entry(system, (r1, r2)))
-            else:
-                box = (refine_root_interval(q1, i1, _BOX_WIDTH),
-                       refine_root_interval(q2, i2, _BOX_WIDTH))
-                base.solutions.append(_box_entry(box))
+            real.append([(q1, i1), (q2, i2)])
+    return real

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from einpoly.curvature import scalar_curvature
 from einpoly.exact import DimensionError, rank
 from einpoly.homspace import (
     DegenerateSpectrumError,
@@ -18,6 +19,7 @@ from einpoly.homspace import (
     kaehler_b2_polytope,
     load_catalog,
     parse,
+    weight_points,
     weight_polytope,
 )
 from einpoly.infinity import (
@@ -384,6 +386,13 @@ def test_slice_dimension_matches_basic_solution_enumeration(data):
             for faces in Q.all_proper_faces().values():
                 for face in faces:
                     assert _slice_dim(slice_, face) == reference_slice_dim(flat, face)
+
+
+@given(spectral_documents())
+def test_curvature_support_lies_in_the_weights(data):
+    # every exponent of s is a weight point, so its support lies in the
+    # weight polytope and `analyze` tests only that it holds the vertices
+    assert set(scalar_curvature(data).terms) <= set(weight_points(data))
 
 
 def test_t_dimension_report_flags_the_bad_vertex(wang_ziller_q):

@@ -33,14 +33,14 @@ from einpoly.solver import (
     DegenerateSystemError,
     SolutionSet,
     UnsupportedDimensionError,
-    _certify_d2,
-    _certify_d3,
     _eliminant,
     _fiber_at,
     _fibers,
     _holds_solution,
     _positive,
     _rational_root_in,
+    _real_d3,
+    _record_real,
     common_torus_zero,
     count_complex,
     dehomogenize,
@@ -256,7 +256,7 @@ def solve_cleared(g1, g2) -> SolutionSet:
     q2, branches_y = _eliminant(g1, g2, 0)
     fibers, count = _fibers(branches, q2)
     sol = SolutionSet(3, count, genericity=count == _fibers(branches_y, q1)[1])
-    _certify_d3(sol, q1, q2, fibers, [])
+    _record_real(sol, _real_d3(q1, q2, fibers), [])
     return sol
 
 
@@ -511,7 +511,7 @@ def test_d2_positive_count_of_an_unsplit_isolation():
         sf = ZPoly([c0, 0, 0, 1])
         assert isolate_real_roots(sf) == [(-3, 3, 1)]
         sol = SolutionSet(2, 3)
-        _certify_d2(sol, sf, [])
+        _record_real(sol, [[(sf, i)] for i in isolate_real_roots(sf)], [])
         assert (sol.real_count, sol.positive_count) == (1, positive)
         assert not sol.solutions[0]["exact"]
 
@@ -682,6 +682,18 @@ def test_constant_in_one_variable_counts_zero_through_the_library():
     out = real_positive(data)
     assert (out.distinct_complex, out.real_count, out.positive_count) == (0, 0, 0)
     assert out.genericity and not out.solutions
+
+
+def test_constant_d2_system_has_no_solution():
+    # no triples: the cleared polynomial is the nonzero constant -1/2, whose
+    # squarefree part 1 has no root to isolate
+    data = HomSpaceData(name="constant_d2", d=2, dims=(1, 1), b=(F(1), F(0)), triples={})
+    assert dehomogenize(einstein_system(data)) == [{(0,): F(-1, 2)}]
+    complex_only = count_complex(data)
+    assert (complex_only.distinct_complex, complex_only.multiplicity_excess) == (0, 0)
+    out = real_positive(data)
+    assert (out.distinct_complex, out.real_count, out.positive_count) == (0, 0, 0)
+    assert out.multiplicity_excess == 0 and not out.solutions
 
 
 def test_constant_in_the_eliminated_variable_without_common_factor():

@@ -34,6 +34,7 @@ from einpoly.exact import (
     ZPoly,
     bivar_cols,
     clear_left_end,
+    format_rat,
     isolate_real_roots,
     refine_root_interval,
     resultant,
@@ -545,9 +546,24 @@ def _gcd_route_fibers(branches, q):
     return fibers, sum(h.degree * (len(S) - 1) for h, S in fibers)
 
 
+def _exact_entry(system, x) -> dict:
+    """A rational solution x, checked on the Laurent system."""
+    assert all(f.eval(list(x) + [F(1)]) == 0 for f in system)
+    return {"x": [format_rat(v) for v in x], "exact": True, "residual": "0"}
+
+
+def _box_entry(ibox) -> dict:
+    """A solution box, one isolating interval (a, b, D) per coordinate."""
+    return {
+        "box": [[format_rat(F(a, d)), format_rat(F(b, d))] for a, b, d in ibox],
+        "exact": False,
+    }
+
+
 def _all_pairs_certificate(q1, q2, fibers, system):
-    """The real and positive counts and solutions of `_certify_d3` with one
-    `_holds_solution` decision on every pair of isolating intervals."""
+    """The real and positive counts and solutions of `_real_d3` and
+    `_record_real` with one `_holds_solution` decision on every pair of
+    isolating intervals, and entries built here."""
     out = solver.SolutionSet(3, 0, real_count=0, positive_count=0)
     iso1 = [clear_left_end(q1, i1) for i1 in isolate_real_roots(q1)]
     iso2 = [clear_left_end(q2, i2) for i2 in isolate_real_roots(q2)]
@@ -560,11 +576,11 @@ def _all_pairs_certificate(q1, q2, fibers, system):
             r1 = solver._rational_root_in(q1, i1)
             r2 = None if r1 is None else solver._rational_root_in(q2, i2)
             if r2 is not None:
-                out.solutions.append(solver._exact_entry(system, (r1, r2)))
+                out.solutions.append(_exact_entry(system, (r1, r2)))
             else:
                 box = (refine_root_interval(q1, i1, solver._BOX_WIDTH),
                        refine_root_interval(q2, i2, solver._BOX_WIDTH))
-                out.solutions.append(solver._box_entry(box))
+                out.solutions.append(_box_entry(box))
     return out
 
 
@@ -589,7 +605,7 @@ def test_box_scan_matches_the_all_pairs_reference():
         system = einstein_system(data)
         fibers, count = _fibers(branches, q2)
         got = solver.SolutionSet(3, count)
-        solver._certify_d3(got, q1, q2, fibers, system)
+        solver._record_real(got, solver._real_d3(q1, q2, fibers), system)
         ref = _all_pairs_certificate(q1, q2, _gcd_route_fibers(branches, q2)[0], system)
         assert (got.real_count, got.positive_count, got.solutions) == (
             ref.real_count, ref.positive_count, ref.solutions), data.name
