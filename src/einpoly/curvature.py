@@ -200,11 +200,14 @@ def einstein_system(data: HomSpaceData, s: Optional[LaurentPoly] = None) -> list
     """The d-1 homogeneous equations
     f_i = (x_i/m_i) ds/dx_i - (x_{i+1}/m_{i+1}) ds/dx_{i+1}.
 
-    `s` is `scalar_curvature(data)` when the caller already holds it."""
+    `s` is `scalar_curvature(data)` when the caller already holds it.  With
+    w_i = 1/m_i, f_i has c (a_{i+1} w_{i+1} - a_i w_i) at each term c x^-a of s."""
     if s is None:
         s = scalar_curvature(data)
-    comps = [s.euler(i).scale(Fraction(1, data.dims[i])) for i in range(data.d)]
-    return [comps[i] - comps[i + 1] for i in range(data.d - 1)]
+    w = [Fraction(1, m) for m in data.dims]
+    return [LaurentPoly(data.d, {a: c * (a[i + 1] * w[i + 1] - a[i] * w[i])
+                                 for a, c in s.terms.items()})
+            for i in range(data.d - 1)]
 
 
 def _pairs_for(key, i):

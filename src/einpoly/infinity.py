@@ -5,7 +5,6 @@ compactification, and admissibility checks.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .exact import lattice_index, rank
@@ -47,14 +46,14 @@ class FlatComplex:
         return any(s <= set(f) for f in self.maximal_flats)
 
     def contains_point(self, x) -> bool:
-        """Membership of a rational point in the geometric realization:
-        nonnegative coordinates summing to 1 with support inside a flat."""
-        xs = [Fraction(v) for v in x]
-        if len(xs) != self.d:
+        """Membership of a point of ints or Fractions in the geometric
+        realization: nonnegative coordinates summing to 1 with support
+        inside a flat."""
+        if len(x) != self.d:
             raise ValueError("point has wrong length")
-        if any(v < 0 for v in xs) or sum(xs) != 1:
+        if any(v < 0 for v in x) or sum(x) != 1:
             return False
-        support = {i + 1 for i, v in enumerate(xs) if v != 0}
+        support = {i + 1 for i, v in enumerate(x) if v != 0}
         return self.is_flat(support)
 
     def flat_face_points(self, flat) -> list:
@@ -141,9 +140,13 @@ def delta_min(polytope: LatticePolytope, T: FlatComplex) -> LatticePolytope:
     """Hull of the polytope vertices outside |T| together with the basis
     points e_j of the weight simplex that lie in the polytope but not in
     |T|.  Applied to the maximal moment polytope this yields the minimal
-    one; the minimal polytope itself is a fixed point."""
+    one.  When every vertex lies outside |T| (the test `is_admissible`
+    makes), the basis points it would add lie in the polytope already, so
+    the polytope itself is returned."""
     d = polytope.ambient_dim
     gens = [v for v in polytope.vertices if not T.contains_point(v)]
+    if len(gens) == len(polytope.vertices):
+        return polytope
     for j in range(1, d + 1):
         ej = tuple(1 if i == j else 0 for i in range(1, d + 1))
         if polytope.contains(ej) and not T.contains_point(ej):

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 from einpoly.curvature import (
     LaurentPoly,
@@ -23,6 +24,7 @@ from einpoly.homspace import (
     weight_polytope,
 )
 from einpoly.infinity import delta_min, flat_complex
+from test_infinity import ADMISSIBILITY_CATALOG, spectral_documents
 
 ALL_FIXTURES = (
     "su3_t2",
@@ -148,6 +150,28 @@ def test_product_case_system():
     (f,) = einstein_system(data)
     b1, b2 = data.b
     assert f.terms == {(1, 0): -b1 / 2, (0, 1): b2 / 2}
+
+
+def reference_einstein_system(data):
+    """The system by its definition: the Euler derivatives of s scaled by
+    1/m_i, consecutive ones subtracted."""
+    s = scalar_curvature(data)
+    comps = [s.euler(i).scale(F(1, data.dims[i])) for i in range(data.d)]
+    return [comps[i] - comps[i + 1] for i in range(data.d - 1)]
+
+
+@pytest.mark.parametrize("name", ADMISSIBILITY_CATALOG)
+def test_einstein_system_matches_definition_on_catalog(name):
+    data = load_catalog(name)
+    assert einstein_system(data) == reference_einstein_system(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spectral_documents())
+def test_einstein_system_matches_definition_on_drawn_data(data):
+    expected = reference_einstein_system(data)
+    assert einstein_system(data) == expected
+    assert einstein_system(data, scalar_curvature(data)) == expected
 
 
 def test_symmetric_fixture_vanishes_at_ones(su3_t2):

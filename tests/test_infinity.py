@@ -154,6 +154,7 @@ def test_sphere_minimal_segment(sphere_s3):
     assert P.vertices == ((-1, 2), (1, 0))
     assert T.maximal_flats == ((1,),)
     dm = delta_min(P, T)
+    assert dm is not P
     assert dm.vertices == ((-1, 2), (0, 1))
 
 
@@ -162,6 +163,7 @@ def test_wang_ziller_truncation(wang_ziller_q):
     T = flat_complex(wang_ziller_q)
     assert P.vertices == ((0, 0, 1), (0, 2, -1), (2, 0, -1))
     dm = delta_min(P, T)
+    assert dm is not P
     assert dm.vertices == ((0, 1, 0), (0, 2, -1), (1, 0, 0), (2, 0, -1))
     assert dm.normalized_volume() == 3
 
@@ -183,6 +185,15 @@ def test_delta_min_is_a_fixed_point_on_killing_fixtures():
         P = weight_polytope(data)
         T = flat_complex(data)
         assert delta_min(P, T) == P
+
+
+def test_all_flat_document_has_no_minimal_polytope():
+    """Every summand flat and no triples: the weights are the basis points,
+    all inside |T|, so no vertex is kept and no basis point is added."""
+    data = parse(json.dumps({"schema": "homspace/v1", "name": "all_flat", "d": 3,
+                             "dims": [1, 1, 1], "b": ["1", "1", "1"], "triples": []}))
+    with pytest.raises(ValueError, match="no generating points left"):
+        delta_min(weight_polytope(data), flat_complex(data))
 
 
 def test_delta_min_contained_in_input():
@@ -318,6 +329,9 @@ def test_admissibility_matches_face_lattice_definition_on_drawn_data(data):
         polytopes.append(delta_min(P, T))
     except ValueError:  # every generator lies in |T|
         pass
+    else:
+        # the input comes back unchanged exactly when it is admissible
+        assert (polytopes[1] is P) == is_admissible(P, T)
     for Q in polytopes:
         assert is_admissible(Q, T) == reference_admissible(Q, T)
 
