@@ -11,7 +11,7 @@ with singularity verdicts, and exact solution counts for d <= 3.
 
 __version__ = "0.1.0"
 
-from .exact import Rat, ZPoly, det, lattice_index, resultant, sturm_count, zpoly
+from .exact import ZPoly, det, lattice_index, resultant, sturm_count, zpoly
 from .polytope import (
     Face,
     LatticePolytope,

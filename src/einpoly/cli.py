@@ -37,8 +37,9 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """A command-line mistake is a usage error: exit 1, one stderr line."""
+
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
@@ -219,7 +220,6 @@ def build_parser() -> _Parser:
     out.add_argument("--vertices", action="store_true")
     out.add_argument("--facets", action="store_true")
     out.add_argument("--volume", action="store_true")
-    out.add_argument("--export", action="store_true")
     p.set_defaults(func=cmd_polytope)
 
     return parser

@@ -156,10 +156,6 @@ class LaurentPoly:
             {tuple(t["exp"]): parse_rat(t["coef"]) for t in obj["terms"]},
         )
 
-    @classmethod
-    def monomial(cls, num_vars: int, exp: Exponent, coef=1) -> "LaurentPoly":
-        return cls(num_vars, {tuple(exp): Fraction(coef)})
-
 
 # ---------------------------------------------------------------------------
 # curvature polynomials

@@ -12,10 +12,10 @@ Elimination has one routine per job:
   determinant over Z[x]), and the start simplex of the double description
   in `polytope`;
 * over Z, the column Hermite form A U = H (`_column_hnf`) gives the
-  saturated kernel, the lattice chart of an affine hull with its lift of
-  chart vectors (`LatticeChart`), and `lattice_index`.  The chart factors
-  its basis once; the basis is saturated, so the Hermite block it solves
-  against is unit lower triangular and back-substitution stays integral.
+  saturated kernel, the lattice chart of an affine hull (`LatticeChart`)
+  and `lattice_index`.  The chart is one Hermite form of its difference
+  rows: its equations, coordinates and lift are all read off the
+  unimodular U, with no back-substitution.
 
 There is one polynomial type, `ZPoly` (Z[x]), and one conversion into it:
 `zpoly` clears a rational {degree: coefficient} dict over its least common
@@ -41,8 +41,6 @@ import re
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
-
-Rat = Fraction
 
 _RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -205,63 +203,48 @@ def integer_kernel_basis(rows: Sequence[Sequence[int]]) -> list:
     matrix, as a list of integer vectors."""
     if not rows:
         raise DimensionError("empty matrix")
-    n = len(rows[0])
     h, u = _column_hnf([list(r) for r in rows])
-    m = len(rows)
-    basis = []
-    for c in range(n):
-        if all(h[r][c] == 0 for r in range(m)):
-            basis.append([u[r][c] for r in range(n)])
-    return basis
+    return [list(col) for col, hcol in zip(zip(*u), zip(*h)) if not any(hcol)]
 
 
 class LatticeChart:
     """Integer coordinates on the lattice points of the affine hull of a
     point set P, with origin p0 = the first point.
 
-    `equations` is a saturated basis of the integer vectors orthogonal to
-    aff(P) - p0, and `basis` a saturated basis B (r rows, r = dim aff(P)) of
-    the lattice (aff(P) - p0) & Z^n.  B is factored once, B U = H.  B has
-    full row rank, so the leading entry of column j of H sits in row j, and
-    because B is saturated (B Z^n = Z^r) the leading r x r block of H is
-    lower triangular with unit diagonal.  Both maps below are therefore
-    integer back-substitutions without division.
+    One column Hermite form of the difference rows D (rows p - p0) gives
+    the whole chart: D U = H with U unimodular, and the r = dim aff(P)
+    nonzero columns of H come first.  `equations`, the last n - r columns
+    of U, are a saturated basis of the integer vectors orthogonal to
+    aff(P) - p0.  With U1 the first r columns of U, the chart is
+    coords(p) = (p - p0) U1, and its lift is lift(a) = U1 a.
+
+    Why: let L = (aff(P) - p0) & Z^n.  An x in L is a rational combination
+    of the rows of D, and the last n - r columns of D U vanish, so
+    x U = (x U1, 0).  Conversely, for any integer c, x = (c, 0) U^-1 is an
+    integer vector orthogonal to every equation, hence to the kernel of D,
+    so x lies in the row space of D and in L.  So x -> x U1 is a bijection
+    from L onto Z^r, and <U1 a, x> = <a, x U1>: the lift of a chart normal
+    is an ambient normal with the same values on L.
     """
 
-    __slots__ = ("origin", "equations", "basis", "_h", "_u")
+    __slots__ = ("origin", "equations", "dim", "_u1")
 
     def __init__(self, points: Iterable[Sequence[int]]):
         pts = list(points)
         self.origin = p0 = pts[0]
-        n = len(p0)
-        self.equations = integer_kernel_basis([[x - y for x, y in zip(p, p0)] for p in pts])
-        if self.equations:
-            self.basis = integer_kernel_basis(self.equations)
-        else:
-            self.basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        self._h, self._u = _column_hnf(self.basis)
+        h, u = _column_hnf([[x - y for x, y in zip(p, p0)] for p in pts])
+        self.dim = r = sum(map(any, zip(*h)))
+        self.equations = [list(col) for col in zip(*u)][r:]
+        self._u1 = [row[:r] for row in u]
 
     def coords(self, p: Sequence[int]) -> tuple:
-        """The integer c with p - p0 = c B, for a lattice point p of aff(P):
-        U^T (p - p0) = H^T c, solved from the last coordinate up."""
-        h, u = self._h, self._u
-        r = len(self.basis)
+        """(p - p0) U1, the chart coordinates of a lattice point p of aff(P)."""
         v = [x - y for x, y in zip(p, self.origin)]
-        w = [sum(row[j] * x for row, x in zip(u, v)) for j in range(r)]
-        c = [0] * r
-        for j in reversed(range(r)):
-            c[j] = w[j] - sum(h[i][j] * c[i] for i in range(j + 1, r))
-        return tuple(c)
+        return tuple(sum(x * w for x, w in zip(v, col)) for col in zip(*self._u1))
 
     def lift(self, a: Sequence[int]) -> list:
-        """An integer x with B x = a: x = U y, where H y = a is solved from
-        the first coordinate down and y is 0 past the leading block."""
-        h, u = self._h, self._u
-        r = len(self.basis)
-        y = []
-        for j in range(r):
-            y.append(a[j] - sum(h[j][k] * y[k] for k in range(j)))
-        return [sum(row[j] * y[j] for j in range(r)) for row in u]
+        """U1 a, the integer x with <x, p - p0> = <a, coords(p)> on aff(P)."""
+        return [sum(w * y for w, y in zip(row, a)) for row in self._u1]
 
 
 def lattice_index(generators: Sequence[Sequence[int]]) -> Optional[int]:

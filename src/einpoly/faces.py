@@ -193,9 +193,9 @@ def _face_chart_poly(s: LaurentPoly, face: Face):
     if restricted.is_zero():
         return None
     chart = LatticeChart(restricted.terms)
-    if len(chart.basis) > 2:
+    if chart.dim > 2:
         raise ValueError("face restriction spans more than two directions")
-    pad = (0,) * (2 - len(chart.basis))
+    pad = (0,) * (2 - chart.dim)
     return _shift_nonneg({chart.coords(p) + pad: coef for p, coef in restricted.terms.items()})
 
 

@@ -17,18 +17,21 @@ revisited*, Prop. 7); adjacent rays share m - 2 independent tight
 constraints, so a pair with fewer common bits is skipped before that scan.
 
 The hull works in one integer chart of the affine hull of the input
-(`exact.LatticeChart`, factored once per point set): the double description
-runs on chart coordinates, and each facet normal is lifted back to Z^n
-through the same factorization.  Its constraints are the input points, so
-the mask the double description returns with a facet's ray is the set of
-input points on that facet: the incidence is read once, off those masks,
-and never recomputed with dot products.  Transposed, they give each
-point's tight-facet mask, and an input point p is a vertex iff no other
-input point's mask contains p's.  Exact, because the smallest face
-containing p is P cut by the facets tight at p, and that face is the hull
-of the input points on it, so it is {p} exactly when no other input point
-lies on all of them.  The vertices' masks, and their transpose, are the
-vertex-facet incidence the polytope keeps.
+(`exact.LatticeChart`, one column Hermite form per point set): the double
+description runs on chart coordinates, and each facet normal is lifted back
+to Z^n by the same unimodular transform.  A normal is fixed only up to the
+equations of the affine hull, so the lift picks one integer representative;
+it is unique when the polytope is full-dimensional or, with offset 0, spans
+a coordinate-sum-1 hyperplane.  The constraints of the double description
+are the input points, so the mask it returns with a facet's ray is the set
+of input points on that facet: the incidence is read once, off those masks,
+and never recomputed with dot products.  Transposed, they give each point's
+tight-facet mask, and an input point p is a vertex iff no other input
+point's mask contains p's.  Exact, because the smallest face containing p
+is P cut by the facets tight at p, and that face is the hull of the input
+points on it, so it is {p} exactly when no other input point lies on all of
+them.  The vertices' masks, and their transpose, are the vertex-facet
+incidence the polytope keeps.
 
 Faces are bitmasks, read off the smaller side of the vertex-facet incidence
 (Kaibel & Pfetsch 2002, *Computing the face lattice of a polytope from its
@@ -487,7 +490,7 @@ def hull(points: Iterable) -> LatticePolytope:
         raise DimensionError("points of mixed length")
     p0 = pts[0]
     chart = LatticeChart(pts)
-    r = len(chart.basis)
+    r = chart.dim
     affine = tuple((tuple(row), _dot(row, p0)) for row in chart.equations)
     if r == 0:
         return LatticePolytope((p0,), (), affine, n, 0, (0,))

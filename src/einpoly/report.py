@@ -12,7 +12,7 @@ from . import __version__
 from .curvature import scalar_curvature
 from .faces import NEEDS_MORE_DATA, face_verdict, marked_census
 from .homspace import HomSpaceData, weight_polytope
-from .infinity import B2NotApplicableError, b2_exponent, delta_min, flat_complex, is_admissible
+from .infinity import B2NotApplicableError, b2_exponent, delta_min, flat_complex
 from .solver import DegenerateSystemError, delannoy, real_positive
 
 REPORT_SCHEMA = "report/v1"
@@ -79,9 +79,11 @@ def analyze(data: HomSpaceData, solve: bool = True) -> tuple[dict, int]:
         "input": data.to_json_obj(),
         "delta": delta.to_json_obj(),
         "T": T.to_json_obj(),
-        "delta_admissible": is_admissible(delta, T),
+        # delta_min returns delta iff no vertex lies in |T| (dim delta >= 1),
+        # and the vertices of delta_min are generators chosen outside |T|
+        "delta_admissible": dmin is delta,
         "delta_min": dmin.to_json_obj(),
-        "delta_min_admissible": is_admissible(dmin, T),
+        "delta_min_admissible": True,
         "nu": nu,
         "b2_exponent": b2,
         "newton": {

@@ -59,7 +59,7 @@ def test_polytope_volume(capsys):
 
 
 def test_polytope_export_roundtrip(capsys, tmp_path):
-    code, out, _ = run(capsys, "polytope", "wang_ziller", "--min", "--export")
+    code, out, _ = run(capsys, "polytope", "wang_ziller", "--min")
     assert code == 0
     path = tmp_path / "p.json"
     path.write_text(out)
@@ -231,6 +231,15 @@ def test_failures_exit_with_one_line(capsys, tmp_path, monkeypatch, argv, code, 
     assert got == code
     assert err.startswith(prefix)
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unknown_option_is_a_one_line_usage_error(capsys):
+    # --export was removed: the default output is the polytope document
+    with pytest.raises(SystemExit) as exc:
+        main(["polytope", "su3_t2", "--export"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert err == "error: unrecognized arguments: --export\n"
 
 
 def test_unwritable_json_path_fails_before_the_analysis(capsys, tmp_path, monkeypatch):

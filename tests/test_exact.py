@@ -314,33 +314,50 @@ def random_affine_points(rng, n):
             for _ in range(rng.randint(1, 6))]
 
 
+def _sub(p, q):
+    return [x - y for x, y in zip(p, q)]
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
 def test_chart_lift_roundtrip():
+    """The lift is the adjoint of the chart: <lift(a), p - p0> equals
+    <a, coords(p)> on the lattice points of the affine hull."""
     rng = random.Random(9)
     for _ in range(40):
-        chart = LatticeChart(random_affine_points(rng, rng.randint(1, 5)))
-        n = len(chart.origin)
-        x = [rng.randint(-5, 5) for _ in range(n)]
-        a = [sum(b[i] * x[i] for i in range(n)) for b in chart.basis]
+        pts = random_affine_points(rng, rng.randint(1, 5))
+        chart = LatticeChart(pts)
+        a = [rng.randint(-5, 5) for _ in range(chart.dim)]
         lifted = chart.lift(a)
+        assert len(lifted) == len(chart.origin)
         assert all(isinstance(v, int) for v in lifted)
-        assert [sum(b[i] * lifted[i] for i in range(n)) for b in chart.basis] == a
+        for p in pts:
+            assert _dot(lifted, _sub(p, chart.origin)) == _dot(a, chart.coords(p))
 
 
 def test_chart_coords_roundtrip():
+    """The chart has the dimension of the affine hull, sends the origin to
+    0, and maps a basis of the hull's lattice onto a basis of Z^r."""
     rng = random.Random(10)
     for _ in range(40):
         pts = random_affine_points(rng, rng.randint(1, 5))
         chart = LatticeChart(pts)
-        r = len(chart.basis)
-        assert r == rank([[x - y for x, y in zip(p, pts[0])] for p in pts])
+        p0, r = chart.origin, chart.dim
+        assert r == rank([_sub(p, p0) for p in pts])
         for e in chart.equations:
-            assert len({sum(x * y for x, y in zip(e, p)) for p in pts}) == 1
+            assert len({_dot(e, p) for p in pts}) == 1
+        assert chart.coords(p0) == (0,) * r
         for p in pts:
             c = chart.coords(p)
             assert len(c) == r and all(isinstance(v, int) for v in c)
-            back = [o + sum(ci * b[j] for ci, b in zip(c, chart.basis))
-                    for j, o in enumerate(chart.origin)]
-            assert tuple(back) == p
+        n = len(p0)
+        lattice = (integer_kernel_basis(chart.equations) if chart.equations
+                   else [[int(i == j) for j in range(n)] for i in range(n)])
+        assert len(lattice) == r
+        images = [chart.coords([x + y for x, y in zip(p0, b)]) for b in lattice]
+        assert abs(det(images)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -266,7 +266,10 @@ def test_admissibility_matches_face_lattice_definition_on_catalog(name):
     data = load_catalog(name)
     P = weight_polytope(data)
     T = flat_complex(data)
-    for Q in (P, delta_min(P, T)):
+    dm = delta_min(P, T)
+    # analyze reports delta_min_admissible as True without testing it
+    assert is_admissible(dm, T)
+    for Q in (P, dm):
         assert is_admissible(Q, T) == reference_admissible(Q, T)
 
 
@@ -330,8 +333,10 @@ def test_admissibility_matches_face_lattice_definition_on_drawn_data(data):
     except ValueError:  # every generator lies in |T|
         pass
     else:
-        # the input comes back unchanged exactly when it is admissible
+        # the input comes back unchanged exactly when it is admissible, and
+        # the minimal polytope always is
         assert (polytopes[1] is P) == is_admissible(P, T)
+        assert is_admissible(polytopes[1], T)
     for Q in polytopes:
         assert is_admissible(Q, T) == reference_admissible(Q, T)
 

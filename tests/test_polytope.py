@@ -798,7 +798,26 @@ def point_sets(draw):
 @settings(max_examples=200, deadline=None)
 def test_hull_matches_reference_hull(pts):
     P = hull(pts)
-    assert (P.vertices, P.facets, P.affine_hull, P.dim) == reference_hull(pts)
+    vertices, facets, affine, r = reference_hull(pts)
+    n = len(pts[0])
+    if r == n or (r == n - 1 and all(sum(p) == 1 for p in pts)):
+        # the normal is unique, or fixed by offset 0 on the sum-1 hyperplane
+        assert (P.vertices, P.facets, P.affine_hull, P.dim) == (vertices, facets, affine, r)
+        return
+    # otherwise a normal is one representative modulo the equations of the
+    # affine hull: the same facets, told apart by their tight points
+    assert (P.vertices, P.affine_hull, P.dim) == (vertices, affine, r)
+
+    def by_tight(fs):
+        return {frozenset(p for p in pts if dot(normal, p) == offset): normal
+                for normal, offset in fs}
+
+    got, want = by_tight(P.facets), by_tight(facets)
+    assert len(got) == len(P.facets) and got.keys() == want.keys()
+    equations = [list(row) for row, _ in affine]
+    for key, normal in got.items():
+        assert vec_gcd(normal) == 1
+        assert rank(equations + [[x - y for x, y in zip(normal, want[key])]]) == len(equations)
 
 
 @given(point_sets())
