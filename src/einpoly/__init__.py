@@ -49,8 +49,6 @@ from .infinity import (
     delta_min,
     flat_complex,
     flat_vertex_criterion,
-    is_admissible,
-    t_dimension_report,
 )
 from .faces import (
     ChartSubstitution,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from contextlib import nullcontext
 
@@ -85,14 +86,17 @@ def _check_vertices(points) -> None:
 def cmd_analyze(args) -> int:
     data = _load_input(args.input)
     # the report path is opened first, so a bad path fails before the run;
-    # a run that fails removes it again rather than leave an empty report
+    # a run that fails removes it again rather than leave an empty report,
+    # but only a regular file: a device such as /dev/null is left alone
     with open(args.json, "w", encoding="utf-8") if args.json else nullcontext() as fh:
         try:
             report, solver_exit = analyze(data, solve=not args.no_solve)
         except BaseException:
             if fh is not None:
+                regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
                 fh.close()
-                os.remove(args.json)
+                if regular:
+                    os.remove(args.json)
             raise
         print(summarize(report))
         if fh is not None:

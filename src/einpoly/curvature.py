@@ -10,11 +10,9 @@ keeps every polytope-side comparison free of sign flips.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .exact import format_rat, parse_rat
 from .homspace import HomSpaceData, active_arrangements
 from .polytope import Face, LatticePolytope, hull
 
@@ -136,25 +134,6 @@ class LaurentPoly:
             if deg <= max_deg:
                 out[e] = c
         return LaurentPoly(self.num_vars, out)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "vars": self.num_vars,
-            "terms": [
-                {"exp": list(e), "coef": format_rat(c)} for e, c in self.terms.items()
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
-
-    @classmethod
-    def from_json(cls, text) -> "LaurentPoly":
-        obj = json.loads(text) if isinstance(text, str) else text
-        return cls(
-            obj["vars"],
-            {tuple(t["exp"]): parse_rat(t["coef"]) for t in obj["terms"]},
-        )
 
 
 # ---------------------------------------------------------------------------

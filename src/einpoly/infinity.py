@@ -1,15 +1,15 @@
 """Flat directions at infinity: the simplicial complex T of index sets whose
 modules assemble to a euclidean algebra, the vertex criterion, the minimal
-compactification, and admissibility checks.
+compactification, and the b2 exponent of the vertex lattice.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .exact import lattice_index, rank
+from .exact import lattice_index
 from .homspace import HomSpaceData
-from .polytope import Face, LatticePolytope, _extreme_rays, hull
+from .polytope import LatticePolytope, hull
 
 
 class FlatComplex:
@@ -55,9 +55,6 @@ class FlatComplex:
             return False
         support = {i + 1 for i, v in enumerate(x) if v != 0}
         return self.is_flat(support)
-
-    def flat_face_points(self, flat) -> list:
-        return [tuple(1 if j == i else 0 for j in range(1, self.d + 1)) for i in flat]
 
     def to_json_obj(self) -> dict:
         return {"maximal_flats": [list(f) for f in self.maximal_flats]}
@@ -140,9 +137,9 @@ def delta_min(polytope: LatticePolytope, T: FlatComplex) -> LatticePolytope:
     """Hull of the polytope vertices outside |T| together with the basis
     points e_j of the weight simplex that lie in the polytope but not in
     |T|.  Applied to the maximal moment polytope this yields the minimal
-    one.  When every vertex lies outside |T| (the test `is_admissible`
-    makes), the basis points it would add lie in the polytope already, so
-    the polytope itself is returned."""
+    one.  When every vertex lies outside |T|, the polytope is admissible
+    (a proper face inside |T| would have its vertices there) and the basis
+    points it would add lie in it already, so it is returned itself."""
     d = polytope.ambient_dim
     gens = [v for v in polytope.vertices if not T.contains_point(v)]
     if len(gens) == len(polytope.vertices):
@@ -154,54 +151,6 @@ def delta_min(polytope: LatticePolytope, T: FlatComplex) -> LatticePolytope:
     if not gens:
         raise ValueError("no generating points left for the minimal polytope")
     return hull(gens)
-
-
-def is_admissible(polytope: LatticePolytope, T: FlatComplex) -> bool:
-    """No proper face of the polytope lies entirely inside |T|.
-
-    Read off the vertices: a face inside |T| has its vertices there, and
-    once dim >= 1 every vertex is itself a proper face.  A 0-dimensional
-    polytope has no proper faces at all."""
-    return polytope.dim == 0 or not any(T.contains_point(v) for v in polytope.vertices)
-
-
-def _flat_slice(flat, P: LatticePolytope) -> list:
-    """The vertices of the slice Q = conv{e_i : i in flat} intersected with
-    P, homogenized, each with the mask of the facets of P it is tight on.
-    On the coordinates y in flat, Q is {y >= 0 : sum y = 1} cut by P.  Its
-    homogenization, the points (y, t) with y >= 0, sum y = t, the affine
-    hull as equalities and every facet as an inequality, is a pointed
-    integer cone whose extreme rays are the vertices of Q; the facet rows
-    come last, so a ray's facet mask is its tight mask past the others."""
-    idx = [i - 1 for i in flat]
-
-    def row(normal, offset):
-        return [normal[i] for i in idx] + [-offset]
-
-    eqs = [row(*eq) for eq in P.affine_hull]
-    eqs.append([1] * len(idx) + [-1])
-    rows = [[int(i == j) for j in range(len(idx) + 1)] for i in range(len(idx))]
-    rows += eqs + [[-x for x in r] for r in eqs]
-    facets = [row(*f) for f in P.facets]
-    return [(r, mask >> len(rows)) for r, mask in _extreme_rays(rows + facets)]
-
-
-def _slice_dim(slice_: list, face: Face) -> int:
-    """Affine dimension of a face F of P cut with a flat's slice Q
-    (`_flat_slice`), -1 when empty.  Q lies in P, so F cuts it in the face
-    of Q on F's facet equalities, the hull of the vertices of Q tight on
-    them: the rank of their homogenized rays is one more than its dim."""
-    mask = face.fmask
-    tight = [r for r, m in slice_ if m & mask == mask]
-    return rank(tight) - 1 if tight else -1
-
-
-def t_dimension_report(polytope: LatticePolytope, T: FlatComplex) -> list:
-    """Per proper face: (face, dim(face), dim(T cap face)); the compactification
-    is admissible in the strong sense when every row has slice < face dim."""
-    slices = [_flat_slice(flat, polytope) for flat in T.maximal_flats]
-    return [(face, dim_, max((_slice_dim(s, face) for s in slices), default=-1))
-            for dim_, faces in sorted(polytope.all_proper_faces().items()) for face in faces]
 
 
 class B2NotApplicableError(ValueError):

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import product as iter_product
 from typing import Iterable, Optional, Tuple
 
 from .exact import (
@@ -264,9 +263,6 @@ class Face:
                     return False
         return P.contains(x)
 
-    def lattice_points(self) -> list:
-        return [p for p in self.polytope.lattice_points() if self.contains_point(p)]
-
     def normal_signature(self) -> tuple:
         """Primitive sum of the defining facet normals; identifies the face
         among faces of the same polytope.  Meaningful only when all defining
@@ -447,12 +443,6 @@ class LatticePolytope:
             stack.extend((G.children, step(state, G.vertex_indices[0])) for G in children)
             if not children:
                 yield state
-
-    # -- lattice points ---------------------------------------------------------
-
-    def lattice_points(self) -> list:
-        box = [range(min(col), max(col) + 1) for col in zip(*self.vertices)]
-        return [p for p in iter_product(*box) if self.contains(p)]
 
     # -- serialization ---------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, JSON reports, determinism."""
 
 import json
+import os
 
 import pytest
 
@@ -264,3 +265,21 @@ def test_failed_analysis_leaves_no_json_report(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", str(doc), "--json", str(out_path))
     assert code == 2 and out == "" and err.startswith("invalid data: ")
     assert not out_path.exists()
+
+
+def test_failed_analysis_leaves_a_device_json_path_alone(capsys, tmp_path, monkeypatch):
+    # the degenerate document above, with its report sent to /dev/null: the
+    # failed run must not remove the device (os.remove only records here)
+    doc = tmp_path / "flat.json"
+    doc.write_text(json.dumps({
+        "schema": "homspace/v1", "name": "flat", "d": 3, "dims": [7, 5, 5],
+        "b": ["1", "0", "0"], "triples": [{"ijk": [1, 3, 3], "value": "7/8"}],
+        "bracket_meets_h": [[1, 1], [1, 3], [3, 3]], "h_nontrivial": [], "central": [],
+        "complement": "other",
+    }))
+    removed = []
+    monkeypatch.setattr(os, "remove", removed.append)
+    code, out, err = run(capsys, "analyze", str(doc), "--json", os.devnull)
+    assert code == 2 and out == ""
+    assert err.startswith("invalid data: ") and err.count("\n") == 1
+    assert os.devnull not in removed

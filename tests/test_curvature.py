@@ -326,11 +326,6 @@ def test_laurent_eval_zero_coordinate_rules():
         q.eval([0, 1])
 
 
-def test_laurent_json_roundtrip(su3_t2):
-    s = scalar_curvature(su3_t2)
-    assert LaurentPoly.from_json(s.to_json()) == s
-
-
 def test_ell_theta_positive_on_sampled_points():
     # the normalization l_theta stays positive for |theta| < 1; the moment
     # map guards against nonpositive values but valid data cannot reach it

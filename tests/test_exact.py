@@ -305,13 +305,22 @@ def test_integer_kernel_is_saturated():
 
 
 def random_affine_points(rng, n):
-    """Integer points spanning a random affine lattice of dimension < n
-    through a random origin (its generators need not be saturated)."""
+    """Integer points of a random affine lattice p0 + Z gens of dimension
+    < n, one coefficient vector per point.  On about half the draws one
+    generator is scaled by 2 or 3, so the lattice is not saturated."""
     k = rng.randint(0, n - 1)
     p0 = [rng.randint(-4, 4) for _ in range(n)]
     gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
-    return [tuple(p0[j] + sum(rng.randint(-2, 2) * g[j] for g in gens) for j in range(n))
-            for _ in range(rng.randint(1, 6))]
+    if gens and rng.random() < 0.5:
+        scale = rng.choice((2, 3))
+        i = rng.randrange(k)
+        gens[i] = [scale * x for x in gens[i]]
+    pts = []
+    for _ in range(rng.randint(1, 6)):
+        coef = [rng.randint(-2, 2) for _ in gens]
+        pts.append(tuple(p0[j] + sum(c * g[j] for c, g in zip(coef, gens)) for j in range(n)))
+    assert rank([_sub(p, p0) for p in pts]) < n
+    return pts
 
 
 def _sub(p, q):

@@ -26,14 +26,10 @@ from einpoly.infinity import (
     B2NotApplicableError,
     FlatComplex,
     NotFlatError,
-    _flat_slice,
-    _slice_dim,
     b2_exponent,
     delta_min,
     flat_complex,
     flat_vertex_criterion,
-    is_admissible,
-    t_dimension_report,
 )
 from einpoly.polytope import hull, standard_simplex
 from qpoly import gauss_jordan_solve
@@ -89,7 +85,7 @@ def test_flat_hulls_lie_on_the_boundary():
         P = weight_polytope(data)
         T = flat_complex(data)
         for flat in T.maximal_flats:
-            for p in T.flat_face_points(flat):
+            for p in (tuple(int(j == i) for j in range(1, data.d + 1)) for i in flat):
                 assert P.contains(p)
                 assert any(
                     sum(n * x for n, x in zip(normal, p)) == off
@@ -211,15 +207,15 @@ def test_delta_min_contained_in_input():
 
 def test_empty_complex_is_admissible():
     S = standard_simplex(3)
-    assert is_admissible(S, FlatComplex(3, []))
+    assert reference_admissible(S, FlatComplex(3, []))
 
 
 def test_sphere_admissibility_flip(sphere_s3):
     P = weight_polytope(sphere_s3)
     T = flat_complex(sphere_s3)
-    assert not is_admissible(P, T)  # the vertex e_1 is a face inside T
+    assert not reference_admissible(P, T)  # the vertex e_1 is a face inside T
     dm = delta_min(P, T)
-    assert is_admissible(dm, T)
+    assert reference_admissible(dm, T)
 
 
 def test_jordan_3_is_admissible_despite_flats():
@@ -227,7 +223,8 @@ def test_jordan_3_is_admissible_despite_flats():
     P = weight_polytope(data)
     T = flat_complex(data)
     assert not T.is_empty()
-    assert is_admissible(P, T)
+    assert reference_admissible(P, T)
+    assert delta_min(P, T) is P
 
 
 def _face_inside_t(face, T):
@@ -267,10 +264,10 @@ def test_admissibility_matches_face_lattice_definition_on_catalog(name):
     P = weight_polytope(data)
     T = flat_complex(data)
     dm = delta_min(P, T)
-    # analyze reports delta_min_admissible as True without testing it
-    assert is_admissible(dm, T)
-    for Q in (P, dm):
-        assert is_admissible(Q, T) == reference_admissible(Q, T)
+    # analyze reports delta_admissible as `dm is P`, and delta_min_admissible
+    # as True without testing it
+    assert (dm is P) == reference_admissible(P, T)
+    assert reference_admissible(dm, T)
 
 
 @pytest.mark.parametrize("d", range(2, 7))
@@ -282,14 +279,16 @@ def test_admissibility_matches_face_lattice_definition_on_kaehler(d):
         FlatComplex(d, [(i,) for i in range(1, d + 1)]),
     ]
     for T in complexes:
-        assert is_admissible(P, T) == reference_admissible(P, T)
+        dm = delta_min(P, T)
+        assert (dm is P) == reference_admissible(P, T)
+        assert reference_admissible(dm, T)
 
 
 def test_point_polytope_inside_t_is_admissible():
     P = hull([(1, 0, 0)])
     T = FlatComplex(3, [(1,)])
     assert P.dim == 0 and T.contains_point(P.vertices[0])
-    assert is_admissible(P, T) and reference_admissible(P, T)
+    assert reference_admissible(P, T)
 
 
 @st.composite
@@ -327,18 +326,14 @@ def test_admissibility_matches_face_lattice_definition_on_drawn_data(data):
     except DegenerateSpectrumError:
         return
     T = flat_complex(data)
-    polytopes = [P]
     try:
-        polytopes.append(delta_min(P, T))
+        dm = delta_min(P, T)
     except ValueError:  # every generator lies in |T|
-        pass
-    else:
-        # the input comes back unchanged exactly when it is admissible, and
-        # the minimal polytope always is
-        assert (polytopes[1] is P) == is_admissible(P, T)
-        assert is_admissible(polytopes[1], T)
-    for Q in polytopes:
-        assert is_admissible(Q, T) == reference_admissible(Q, T)
+        return
+    # the input comes back unchanged exactly when it is admissible, and the
+    # minimal polytope always is
+    assert (dm is P) == reference_admissible(P, T)
+    assert reference_admissible(dm, T)
 
 
 def reference_slice_dim(flat, face):
@@ -386,27 +381,6 @@ def reference_slice_dim(flat, face):
     return rank([[a - b for a, b in zip(v, verts[0])] for v in verts[1:]]) if len(verts) > 1 else 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(spectral_documents())
-def test_slice_dimension_matches_basic_solution_enumeration(data):
-    try:
-        P = weight_polytope(data)
-    except DegenerateSpectrumError:
-        return
-    T = flat_complex(data)
-    polytopes = [P]
-    try:
-        polytopes.append(delta_min(P, T))
-    except ValueError:  # every generator lies in |T|
-        pass
-    for Q in polytopes:
-        for flat in T.maximal_flats:
-            slice_ = _flat_slice(flat, Q)
-            for faces in Q.all_proper_faces().values():
-                for face in faces:
-                    assert _slice_dim(slice_, face) == reference_slice_dim(flat, face)
-
-
 @given(spectral_documents())
 def test_curvature_support_lies_in_the_weights(data):
     # every exponent of s is a weight point, so its support lies in the
@@ -415,16 +389,24 @@ def test_curvature_support_lies_in_the_weights(data):
 
 
 def test_t_dimension_report_flags_the_bad_vertex(wang_ziller_q):
+    # per proper face F, dim(|T| cap F); a compactification is admissible in
+    # the strong sense when every such slice is smaller than F
     P = weight_polytope(wang_ziller_q)
     T = flat_complex(wang_ziller_q)
-    rows = t_dimension_report(P, T)
-    bad = [(f, d, s) for f, d, s in rows if s >= d]
-    assert len(bad) == 1
-    face, dim_, slice_dim = bad[0]
-    assert dim_ == 0 and slice_dim == 0
+
+    def bad_faces(Q):
+        bad = []
+        for faces in Q.all_proper_faces().values():
+            for face in faces:
+                s = max(reference_slice_dim(flat, face) for flat in T.maximal_flats)
+                if s >= face.dim:
+                    bad.append((face, s))
+        return bad
+
+    [(face, slice_dim)] = bad_faces(P)
+    assert face.dim == 0 and slice_dim == 0
     assert face.vertices() == [(0, 0, 1)]
-    dm = delta_min(P, T)
-    assert all(s < d for _, d, s in t_dimension_report(dm, T))
+    assert bad_faces(delta_min(P, T)) == []
 
 
 # ---------------------------------------------------------------------------

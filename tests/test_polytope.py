@@ -512,33 +512,14 @@ def test_triangle_is_not_cross_polytope():
 # ---------------------------------------------------------------------------
 
 
-def test_lattice_points_on_segment():
-    P = hull([(0, 1), (2, -1)])
-    assert P.lattice_points() == [(0, 1), (1, 0), (2, -1)]
-
-
 def test_triangle_contains_basis_points_as_non_vertices():
     T = hull([(1, 1, -1), (1, -1, 1), (-1, 1, 1)])
-    pts = T.lattice_points()
     for i in range(3):
         e = tuple(1 if j == i else 0 for j in range(3))
-        assert e in pts
+        assert T.contains(e)
         assert e not in T.vertices
     # midpoint identity pins the inclusion
     assert tuple((a + b) // 2 for a, b in zip((1, 1, -1), (1, -1, 1))) == (1, 0, 0)
-
-
-def test_simplex_lattice_points_are_its_vertices():
-    for d in (2, 3, 4):
-        S = standard_simplex(d)
-        assert sorted(S.lattice_points()) == sorted(S.vertices)
-
-
-def test_face_lattice_points():
-    S = standard_simplex(3)
-    edges = S.faces(1)
-    for e in edges:
-        assert sorted(e.lattice_points()) == sorted(e.vertices())
 
 
 def test_json_roundtrip():
