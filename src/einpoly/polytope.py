@@ -534,19 +534,6 @@ def permutohedron(d: int) -> LatticePolytope:
 # shape tests used by the face census
 # ---------------------------------------------------------------------------
 
-def apexes(face: Face):
-    """Yield (a, base facet mask) for each apex a of the face in
-    lexicographic order (vertices are stored sorted).  a is an apex iff the
-    other vertices are the vertex set of a face G = conv(others), whose
-    facet mask is yielded.  G then has dimension dim F - 1: it is a proper
-    face of F, and aff(G) together with a spans aff(F)."""
-    table = face.polytope._face_masks()
-    for a in face.vertex_indices:
-        base = table.get(face.vmask & ~(1 << a))
-        if base is not None:
-            yield a, base
-
-
 def basis_points_on(face: Face) -> list:
     """(i, e_i, tight facet mask) for each basis point e_i on the face: e_i
     lies in P and is tight on every facet containing the face."""
@@ -556,9 +543,12 @@ def basis_points_on(face: Face) -> list:
 
 def is_pyramid(face: Face) -> Optional[LatticePoint]:
     """Lexicographically least apex of the face; None when the face is not
-    a pyramid."""
-    for a, _base in apexes(face):
-        return face.polytope.vertices[a]
+    a pyramid.  a is an apex iff the other vertices are the vertex set of a
+    face of P, the base (see the `faces` module)."""
+    table = face.polytope._face_masks()
+    for a in face.vertex_indices:
+        if face.vmask ^ (1 << a) in table:
+            return face.polytope.vertices[a]
     return None
 
 

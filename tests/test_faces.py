@@ -30,7 +30,7 @@ from einpoly.faces import (
 )
 from einpoly.faces import test1_pyramid as pyramid_test
 from einpoly.faces import test2_octahedron as octahedron_test
-from einpoly.homspace import kaehler_b2_polytope, load_catalog, weight_polytope
+from einpoly.homspace import DegenerateSpectrumError, kaehler_b2_polytope, load_catalog, weight_polytope
 from einpoly.infinity import delta_min, flat_complex
 from einpoly.polytope import (
     hull,
@@ -39,6 +39,7 @@ from einpoly.polytope import (
     permutohedron,
     standard_simplex,
 )
+from test_infinity import spectral_documents
 
 
 def face_by_signature(P, sig):
@@ -249,18 +250,56 @@ def permuted(P, seed):
     return hull([tuple(v[p] for p in perm) for v in P.vertices])
 
 
-REFERENCE_KEYS = list(REFERENCE_CATALOG) + [f"kaehler_{d}" for d in range(2, 7)]
+REFERENCE_KEYS = list(REFERENCE_CATALOG) + [f"kaehler_{d}" for d in range(2, 8)]
 
 
-@pytest.mark.parametrize("permute", [False, True], ids=["as_built", "permuted"])
-@pytest.mark.parametrize("key", REFERENCE_KEYS)
+def census_rows(P):
+    return [(e.dim, e.face.vertex_indices, e.test1, e.test2, e.marked)
+            for e in marked_census(P).entries]
+
+
+# Kaehler d = 8 only as built: its reference census takes seconds
+@pytest.mark.parametrize("key, permute", [
+    pytest.param(key, permute, id=f"{key}-{'permuted' if permute else 'as_built'}")
+    for key in REFERENCE_KEYS for permute in (False, True)
+] + [pytest.param("kaehler_8", False, id="kaehler_8-as_built")])
 def test_census_matches_geometric_reference(key, permute):
     P = reference_polytope(key)
     if permute:
         P = permuted(P, seed=key)
-    census = marked_census(P)
-    rows = [(e.dim, e.face.vertex_indices, e.test1, e.test2, e.marked) for e in census.entries]
-    assert rows == reference_census(P)
+    assert census_rows(P) == reference_census(P)
+
+
+@pytest.mark.parametrize("key", REFERENCE_KEYS + ["kaehler_8"])
+def test_faces_without_basis_points_fail_test2(key):
+    """The lemma the census's shortcut rests on: a centered octahedron's
+    center e_i0 lies on the face, so a face with no basis point fails
+    test 2."""
+    P = reference_polytope(key)
+    for faces in P.all_proper_faces().values():
+        for face in faces:
+            if not reference_basis_points_on(P, face):
+                assert not reference_test2(P, face)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectral_documents())
+def test_census_matches_geometric_reference_on_drawn_data(data):
+    try:
+        P = minimal_polytope(data)
+    except DegenerateSpectrumError:
+        return
+    except ValueError as exc:
+        # every generator lies in |T|: the all-flat case still raises
+        if "no generating points" not in str(exc):
+            raise
+        return
+    assert census_rows(P) == reference_census(P)
+    # most drawn polytopes are outside the census's vertex shape: the tests
+    # themselves are defined on any face
+    for face in (f for dim_, faces in P.all_proper_faces().items() if dim_ for f in faces):
+        assert pyramid_test(face) == reference_test1(P, face, reference_apexes(face))
+        assert octahedron_test(face) == reference_test2(P, face)
 
 
 # Self-computed regression values: this implementation's results, not figures
@@ -274,6 +313,7 @@ def test_kaehler_d7_regression_values():
     assert P.normalized_volume() == 1598
     assert census.marked_total() == 145
     assert census.marked_by_dim() == {2: 34, 3: 21, 4: 62, 5: 28}
+    assert census.test2_count() == 4
 
 
 def test_kaehler_d8_regression_values():
@@ -282,7 +322,10 @@ def test_kaehler_d8_regression_values():
     assert len(P.facets) == 280
     assert sum(len(faces) for faces in P.all_proper_faces().values()) == 12446
     assert P.normalized_volume() == 7526
-    assert marked_census(P).marked_total() == 440
+    census = marked_census(P)
+    assert census.marked_total() == 440
+    assert census.marked_by_dim() == {2: 55, 3: 34, 4: 157, 5: 127, 6: 67}
+    assert census.test2_count() == 4
 
 
 # ---------------------------------------------------------------------------
