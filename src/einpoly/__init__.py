@@ -57,8 +57,6 @@ from .faces import (
     localize,
     marked_census,
     parallelogram_singular,
-    test1_pyramid,
-    test2_octahedron,
 )
 from .solver import (
     SolutionSet,

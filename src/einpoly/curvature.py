@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .homspace import HomSpaceData, active_arrangements
+from .homspace import HomSpaceData, weight_terms
 from .polytope import Face, LatticePolytope, hull
 
 Exponent = Tuple[int, ...]
@@ -145,30 +145,11 @@ def scalar_curvature(data: HomSpaceData) -> LaurentPoly:
 
         s = 1/2 sum_i m_i b_i / x_i  -  1/4 sum [a,b,c] x_c / (x_a x_b),
 
-    the bracket sum running over the active ordered views of the stored
-    triples.  Every exponent has coordinate sum 1.
+    the bracket sum running over the ordered views of the stored triples
+    whose slots a, b are not central.  Its terms are `weight_terms(data)`,
+    so its support lies in the weights; every exponent has coordinate sum 1.
     """
-    d = data.d
-    terms: Dict[Exponent, Fraction] = {}
-
-    def add(exp, coef):
-        terms[exp] = terms.get(exp, Fraction(0)) + coef
-
-    for i in range(1, d + 1):
-        coef = Fraction(data.dims[i - 1]) * data.b[i - 1] / 2
-        if coef:
-            add(_unit(d, i), coef)
-    for (a, b, c), val in active_arrangements(data):
-        exp = list((0,) * d)
-        exp[a - 1] += 1
-        exp[b - 1] += 1
-        exp[c - 1] -= 1
-        add(tuple(exp), -val / 4)
-    return LaurentPoly(d, terms)
-
-
-def _unit(d: int, i: int) -> Exponent:
-    return tuple(1 if j == i else 0 for j in range(1, d + 1))
+    return LaurentPoly(data.d, weight_terms(data))
 
 
 def einstein_system(data: HomSpaceData, s: Optional[LaurentPoly] = None) -> list:

@@ -50,11 +50,14 @@ class DimensionError(ValueError):
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse a decimal-free rational string 'p/q' or 'n'."""
+    """Parse a decimal-free rational string 'p/q' (q nonzero) or 'n'."""
     text = text.strip()
     if not _RAT_RE.match(text):
         raise ValueError(f"not a rational string: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def format_rat(q: Fraction) -> str:

@@ -1,9 +1,16 @@
 """Marked-face census and face-restricted singularity analysis.
 
-A proper non-vertex face is *marked* when it fails both shape tests below;
-marked faces are the candidate carriers of solutions at infinity.  The tests
-are the simplified forms valid when every vertex is of the shape
-e_i + e_j - e_k; on other polytopes the census reports them inapplicable.
+The census runs two shape tests on every proper non-vertex face F of P:
+
+* test 1 (`_pyramid`): F has an apex a such that every basis point e_i on
+  F is a itself or lies on the base conv(other vertices);
+* test 2 (`_octahedron`): F is a cross polytope centered at a basis point
+  e_i0 and carries no other basis point.
+
+F is *marked* when it fails both; marked faces are the candidate carriers
+of solutions at infinity.  The tests are the simplified forms valid when
+every vertex is of the shape e_i + e_j - e_k; on other polytopes the census
+reports them inapplicable and runs neither.
 
 Both tests are read off the face lattice of P as integer bitmasks (bit k of
 a vertex mask is vertex k, of a facet mask facet k), with no hull or rank
@@ -42,7 +49,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .curvature import LaurentPoly, monomial_substitute, restrict_to_face, scalar_curvature
 from .exact import LatticeChart, det
-from .polytope import Face, LatticePolytope, basis_points_on, is_cross_polytope
+from .polytope import Face, LatticePolytope, is_cross_polytope
 from .solver import DegenerateSystemError, common_torus_zero
 
 SINGULAR = "singular"
@@ -51,21 +58,11 @@ NEEDS_MORE_DATA = "needs_more_data"
 NOT_ANALYZED = "not_analyzed"
 
 
-def test1_pyramid(face: Face) -> bool:
-    """Some apex a of the face sees every basis point e_i on the face either
-    at a itself or on the base face conv(other vertices)."""
-    return _pyramid(face, basis_points_on(face), face.polytope._face_masks())
-
-
-def test2_octahedron(face: Face) -> bool:
-    """The face is a cross polytope centered at some basis point e_{i0} and
-    carries no other basis point."""
-    return _octahedron(face, basis_points_on(face))
-
-
 def _pyramid(face: Face, on_face: list, table: dict) -> bool:
-    """Test 1 given the face's basis points and the face table (vertex mask
-    -> facet mask): with no basis point on the face, any apex passes."""
+    """Test 1: the face has an apex a, i.e. V(F) minus a is the vertex mask
+    of a face of P in `table` (vertex mask -> facet mask), the base, such
+    that every basis point of `on_face` is a itself or lies on the base;
+    with no basis point on the face, any apex passes."""
     vmask = face.vmask
     for a in face.vertex_indices:
         base = table.get(vmask ^ (1 << a))
@@ -80,8 +77,9 @@ def _pyramid(face: Face, on_face: list, table: dict) -> bool:
 
 
 def _octahedron(face: Face, on_face: list) -> bool:
-    """Test 2 given the face's basis points: the center e_{i0} lies on the
-    face, so it must be the one basis point there."""
+    """Test 2: the face is a cross polytope centered at a basis point
+    e_{i0} and carries no other basis point.  The center lies on the face,
+    so e_{i0} must be the one basis point of `on_face`."""
     if len(on_face) != 1:
         return False
     _i0, e, _tight = on_face[0]
@@ -138,7 +136,7 @@ def marked_census(polytope: LatticePolytope) -> MarkedFaceCensus:
     from its facet mask."""
     applicable = vertices_have_weight_shape(polytope)
     table = polytope._face_masks()
-    basis = polytope._basis_tight_masks()
+    basis = polytope.basis_points()
     # the facets tight at no basis point: a face on one of them carries none
     untight = -1
     for _i, _e, tight in basis:

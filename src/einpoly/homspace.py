@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import permutations
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from .exact import format_rat, parse_rat
@@ -251,27 +252,6 @@ def parse_obj(obj: dict) -> HomSpaceData:
 # weights
 # ---------------------------------------------------------------------------
 
-def _arrangements(key: TripleKey):
-    """Distinct ordered arrangements (a, b, c) of an index multiset."""
-    i, j, k = key
-    seen = set()
-    for arr in ((i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)):
-        if arr not in seen:
-            seen.add(arr)
-            yield arr
-
-
-def active_arrangements(data: HomSpaceData):
-    """Ordered views (a, b, c) of stored triples with value, skipping views
-    whose bracket slots a, b hit a central module (central summands commute
-    with everything, so those oriented brackets vanish)."""
-    for key, val in data.triple_items():
-        for a, b, c in _arrangements(key):
-            if a in data.central or b in data.central:
-                continue
-            yield (a, b, c), val
-
-
 def _basis_point(d: int, plus, minus=()) -> tuple:
     v = [0] * d
     for i in plus:
@@ -281,16 +261,25 @@ def _basis_point(d: int, plus, minus=()) -> tuple:
     return tuple(v)
 
 
-def weight_points(data: HomSpaceData) -> list:
-    """All weights: e_a + e_b - e_c per active triple view, and e_r for
-    every module with nonzero Killing coefficient."""
-    pts = set()
-    for (a, b, c), _val in active_arrangements(data):
-        pts.add(_basis_point(data.d, (a, b), (c,)))
+def weight_terms(data: HomSpaceData):
+    """The terms (weight, coefficient) of the scalar curvature s: e_r with
+    m_r b_r / 2 for every module with b_r != 0, and e_a + e_b - e_c with
+    -[a,b,c] / 4 for every distinct ordered view (a, b, c) of a stored
+    triple whose bracket slots a, b are not central (central summands
+    commute with everything, so those oriented brackets vanish).  A weight
+    may occur more than once."""
     for r, br in enumerate(data.b, start=1):
         if br != 0:
-            pts.add(_basis_point(data.d, (r,)))
-    return sorted(pts)
+            yield _basis_point(data.d, (r,)), Fraction(data.dims[r - 1]) * br / 2
+    for key, val in data.triple_items():
+        for a, b, c in dict.fromkeys(permutations(key)):
+            if a not in data.central and b not in data.central:
+                yield _basis_point(data.d, (a, b), (c,)), -val / 4
+
+
+def weight_points(data: HomSpaceData) -> list:
+    """The distinct weights of `weight_terms`, sorted."""
+    return sorted({w for w, _coef in weight_terms(data)})
 
 
 def weight_polytope(data: HomSpaceData) -> LatticePolytope:

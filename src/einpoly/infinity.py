@@ -140,14 +140,10 @@ def delta_min(polytope: LatticePolytope, T: FlatComplex) -> LatticePolytope:
     one.  When every vertex lies outside |T|, the polytope is admissible
     (a proper face inside |T| would have its vertices there) and the basis
     points it would add lie in it already, so it is returned itself."""
-    d = polytope.ambient_dim
     gens = [v for v in polytope.vertices if not T.contains_point(v)]
     if len(gens) == len(polytope.vertices):
         return polytope
-    for j in range(1, d + 1):
-        ej = tuple(1 if i == j else 0 for i in range(1, d + 1))
-        if polytope.contains(ej) and not T.contains_point(ej):
-            gens.append(ej)
+    gens += [e for _i, e, _tight in polytope.basis_points() if not T.contains_point(e)]
     if not gens:
         raise ValueError("no generating points left for the minimal polytope")
     return hull(gens)

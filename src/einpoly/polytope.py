@@ -404,9 +404,9 @@ class LatticePolytope:
                            for faces in self._face_lattice().values() for f in faces}
         return self._masks
 
-    def _basis_tight_masks(self) -> list:
+    def basis_points(self) -> list:
         """(i, e_i, mask of the facets tight at e_i) for each basis point
-        e_i (1-based) that lies in the polytope."""
+        e_i (1-based) that lies in the polytope, in the order of i."""
         if self._basis_masks is None:
             d = self.ambient_dim
             basis = [tuple(int(j == i) for j in range(d)) for i in range(d)]
@@ -533,13 +533,6 @@ def permutohedron(d: int) -> LatticePolytope:
 # ---------------------------------------------------------------------------
 # shape tests used by the face census
 # ---------------------------------------------------------------------------
-
-def basis_points_on(face: Face) -> list:
-    """(i, e_i, tight facet mask) for each basis point e_i on the face: e_i
-    lies in P and is tight on every facet containing the face."""
-    fmask = face.fmask
-    return [b for b in face.polytope._basis_tight_masks() if b[2] & fmask == fmask]
-
 
 def is_pyramid(face: Face) -> Optional[LatticePoint]:
     """Lexicographically least apex of the face; None when the face is not

@@ -186,6 +186,10 @@ _MALFORMED = {
         "schema": "homspace/v1", "name": "str_b", "d": 3, "dims": [1, 2, 2],
         "b": "111", "triples": [{"ijk": [1, 2, 3], "value": "1"}],
     }).encode(),
+    "zero_den.json": json.dumps({
+        "schema": "homspace/v1", "name": "zero_den", "d": 3, "dims": [1, 2, 2],
+        "b": ["1/0", "1", "1"], "triples": [{"ijk": [1, 2, 3], "value": "1"}],
+    }).encode(),
     "bool_value.json": json.dumps({
         "schema": "homspace/v1", "name": "bool_value", "d": 3, "dims": [1, 2, 2],
         "b": ["1", "1", "1"], "triples": [{"ijk": [1, 2, 3], "value": True}],
@@ -214,6 +218,7 @@ _MALFORMED = {
     (["analyze", "bool_dims.json"], 2, "invalid data: /dims/0"),
     (["analyze", "bool_value.json"], 2, "invalid data: /triples/0/value"),
     (["analyze", "str_b.json"], 2, "invalid data: /b: must be a list"),
+    (["analyze", "zero_den.json"], 2, "invalid data: /b/0: not a decimal-free rational"),
     (["analyze", "str_epsilon.json"], 2, "invalid data: /expected/epsilon: must be"),
     (["analyze", "str_expected.json"], 2, "invalid data: /expected: must be an object"),
     (["analyze", "bool_nu.json"], 2, "invalid data: /expected/nu: must be"),

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einpoly.curvature import (
     LaurentPoly,
@@ -21,6 +22,7 @@ from einpoly.homspace import (
     HomSpaceData,
     load_catalog,
     product_of_irreducibles,
+    weight_points,
     weight_polytope,
 )
 from einpoly.infinity import delta_min, flat_complex
@@ -131,6 +133,21 @@ def test_trace_identity():
             x = [F(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(data.d)]
             r = ricci_components(data, x)
             assert sum(data.dims[i] * r[i] for i in range(data.d)) == s.eval(x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(spectral_documents(), st.data())
+def test_weight_rule_matches_the_ricci_pair_sums_on_drawn_data(data, draw):
+    # two routes to the weight rule on data with central modules: every
+    # exponent of s is a weight point (so `analyze` need only test that the
+    # support holds the vertices), and the gradient of s gives the
+    # central-aware pair sums of `ricci_components`
+    s = scalar_curvature(data)
+    assert set(s.terms) <= set(weight_points(data))
+    x = [F(draw.draw(st.integers(1, 12)), draw.draw(st.integers(1, 7))) for _ in range(data.d)]
+    r = ricci_components(data, x)
+    for i in range(data.d):
+        assert r[i] + s.euler(i).eval(x) / data.dims[i] == 0
 
 
 def test_kaehler_einstein_points_of_flag_fixtures():

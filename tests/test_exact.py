@@ -721,8 +721,9 @@ def test_isolation_separates_roots():
 
 def test_parse_rat_rejects_decimals():
     assert parse_rat("4/3") == F(4, 3)
-    with pytest.raises(ValueError):
-        parse_rat("1.5")
+    for text in ("1.5", "1/0", "0/0"):
+        with pytest.raises(ValueError):
+            parse_rat(text)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,6 @@ from einpoly.faces import (
     parallelogram_singular,
     vertices_have_weight_shape,
 )
-from einpoly.faces import test1_pyramid as pyramid_test
-from einpoly.faces import test2_octahedron as octahedron_test
 from einpoly.homspace import DegenerateSpectrumError, kaehler_b2_polytope, load_catalog, weight_polytope
 from einpoly.infinity import delta_min, flat_complex
 from einpoly.polytope import (
@@ -39,7 +37,7 @@ from einpoly.polytope import (
     permutohedron,
     standard_simplex,
 )
-from test_infinity import spectral_documents
+from test_infinity import weight_shape_documents
 
 
 def face_by_signature(P, sig):
@@ -72,40 +70,36 @@ D5_CHART = ChartSubstitution(
 # ---------------------------------------------------------------------------
 
 
+def census_entries(P, dim_, n_vertices):
+    """Census entries of the dim_-faces of P with n_vertices vertices."""
+    return [e for e in marked_census(P).entries
+            if e.dim == dim_ and len(e.face.vertex_indices) == n_vertices]
+
+
 def test_simplex_facets_pass_the_pyramid_test(e8_d6):
-    P = minimal_polytope(e8_d6)
-    for face in P.faces(4):
-        if len(face.vertex_indices) == 5:
-            assert pyramid_test(face)
+    simplices = census_entries(minimal_polytope(e8_d6), 4, 5)
+    assert simplices and all(e.test1 is True for e in simplices)
 
 
 def test_pentagon_face_fails_both_tests():
-    P = kaehler_b2_polytope(4)
-    pentagon = next(f for f in P.faces(2) if len(f.vertex_indices) == 5)
-    assert not pyramid_test(pentagon)
-    assert not octahedron_test(pentagon)
+    pentagon = census_entries(kaehler_b2_polytope(4), 2, 5)[0]
+    assert (pentagon.test1, pentagon.test2) == (False, False)
 
 
 def test_no_marked_edges_on_the_b2_family():
     for d in (3, 4, 5):
-        P = kaehler_b2_polytope(d)
-        for edge in P.faces(1):
-            assert pyramid_test(edge) or octahedron_test(edge)
+        edges = [e for e in marked_census(kaehler_b2_polytope(d)).entries if e.dim == 1]
+        assert edges and all(e.test1 or e.test2 for e in edges)
 
 
 def test_centered_square_passes_test2():
-    P = kaehler_b2_polytope(4)
-    squares = [
-        f for f in P.faces(2)
-        if len(f.vertex_indices) == 4 and octahedron_test(f)
-    ]
+    squares = [e for e in census_entries(kaehler_b2_polytope(4), 2, 4) if e.test2]
     assert len(squares) == 1
 
 
 def test_triangle_fails_test2():
-    P = kaehler_b2_polytope(4)
-    tri = next(f for f in P.faces(2) if len(f.vertex_indices) == 3)
-    assert not octahedron_test(tri)
+    tri = census_entries(kaehler_b2_polytope(4), 2, 3)[0]
+    assert tri.test2 is False
 
 
 def test_test2_counts_round_up():
@@ -283,23 +277,16 @@ def test_faces_without_basis_points_fail_test2(key):
 
 
 @settings(max_examples=200, deadline=None)
-@given(spectral_documents())
+@given(weight_shape_documents())
 def test_census_matches_geometric_reference_on_drawn_data(data):
     try:
         P = minimal_polytope(data)
     except DegenerateSpectrumError:
         return
-    except ValueError as exc:
-        # every generator lies in |T|: the all-flat case still raises
-        if "no generating points" not in str(exc):
-            raise
-        return
+    # every weight is e_a + e_b - e_c with a, b, c distinct: Delta is
+    # admissible, so it is its own minimal polytope, and the census applies
+    assert marked_census(P).applicable
     assert census_rows(P) == reference_census(P)
-    # most drawn polytopes are outside the census's vertex shape: the tests
-    # themselves are defined on any face
-    for face in (f for dim_, faces in P.all_proper_faces().items() if dim_ for f in faces):
-        assert pyramid_test(face) == reference_test1(P, face, reference_apexes(face))
-        assert octahedron_test(face) == reference_test2(P, face)
 
 
 # Self-computed regression values: this implementation's results, not figures

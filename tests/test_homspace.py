@@ -117,6 +117,22 @@ def test_parse_rejects_decimal_rationals():
         parse(json.dumps(doc))
 
 
+# "1/0" and "0/0" match the rational pattern; the zero denominator must
+# still be a schema error at its pointer, not a ZeroDivisionError
+_ZERO_DENOMINATORS = [
+    (dict(MINIMAL, b=["1/0", "1"]), "/b/0"),
+    (dict(MINIMAL, triples=[{"ijk": [1, 2, 2], "value": "0/0"}]), "/triples/0/value"),
+]
+
+
+@pytest.mark.parametrize("doc, path", _ZERO_DENOMINATORS,
+                         ids=[path for _doc, path in _ZERO_DENOMINATORS])
+def test_parse_rejects_zero_denominators(doc, path):
+    with pytest.raises(SchemaError) as exc:
+        parse(json.dumps(doc))
+    assert exc.value.path == path
+
+
 def test_all_indices_equal_triple_rejected():
     doc = dict(MINIMAL, d=2, triples=[{"ijk": [1, 1, 1], "value": "1"}])
     with pytest.raises(SchemaError):

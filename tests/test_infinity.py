@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from einpoly.curvature import scalar_curvature
 from einpoly.exact import DimensionError, rank
 from einpoly.homspace import (
     DegenerateSpectrumError,
@@ -19,7 +18,6 @@ from einpoly.homspace import (
     kaehler_b2_polytope,
     load_catalog,
     parse,
-    weight_points,
     weight_polytope,
 )
 from einpoly.infinity import (
@@ -318,6 +316,30 @@ def spectral_documents(draw):
     return parse(json.dumps(doc))
 
 
+@st.composite
+def weight_shape_documents(draw):
+    """Documents whose every weight is e_a + e_b - e_c with a, b, c
+    distinct: every b_r is 0, each triple has three distinct indices and no
+    module is central.  Each weight has a negative coordinate, so it lies
+    outside every flat and the weight polytope is admissible, and the
+    vertices have the shape the census tests need."""
+    d = draw(st.integers(3, 5))
+    keys = list(combinations(range(1, d + 1), 3))
+    doc = {
+        "schema": "homspace/v1",
+        "name": "drawn",
+        "d": d,
+        "dims": draw(st.lists(st.integers(1, 4), min_size=d, max_size=d)),
+        "b": ["0"] * d,
+        "triples": [
+            {"ijk": list(k), "value": str(draw(st.integers(1, 5)))}
+            for k in draw(st.lists(st.sampled_from(keys), unique=True, min_size=1, max_size=4))
+        ],
+        "complement": "other",
+    }
+    return parse(json.dumps(doc))
+
+
 @settings(max_examples=60, deadline=None)
 @given(spectral_documents())
 def test_admissibility_matches_face_lattice_definition_on_drawn_data(data):
@@ -379,13 +401,6 @@ def reference_slice_dim(flat, face):
     if not verts:
         return -1
     return rank([[a - b for a, b in zip(v, verts[0])] for v in verts[1:]]) if len(verts) > 1 else 0
-
-
-@given(spectral_documents())
-def test_curvature_support_lies_in_the_weights(data):
-    # every exponent of s is a weight point, so its support lies in the
-    # weight polytope and `analyze` tests only that it holds the vertices
-    assert set(scalar_curvature(data).terms) <= set(weight_points(data))
 
 
 def test_t_dimension_report_flags_the_bad_vertex(wang_ziller_q):
