@@ -63,14 +63,16 @@ def _pyramid(face: Face, on_face: list, table: dict) -> bool:
     of a face of P in `table` (vertex mask -> facet mask), the base, such
     that every basis point of `on_face` is a itself or lies on the base;
     with no basis point on the face, any apex passes."""
-    vmask = face.vmask
-    for a in face.vertex_indices:
-        base = table.get(vmask ^ (1 << a))
+    vmask = rest = face.vmask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        base = table.get(vmask ^ low)
         if base is None:
             continue
         if not on_face:
             return True
-        va = face.polytope.vertices[a]
+        va = face.polytope.vertices[low.bit_length() - 1]
         if all(e == va or tight & base == base for _i, e, tight in on_face):
             return True
     return False

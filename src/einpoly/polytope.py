@@ -39,14 +39,17 @@ Faces are bitmasks, read off the vertex-facet incidence up from the
 vertices (Kaibel & Pfetsch 2002, *Computing the face lattice of a polytope
 from its vertex-facet incidences*): a face is its facet mask F, and the
 inclusion-maximal proper cuts F & T over the facet masks T of the vertices
-are the faces covering it.  A `Face` is the two masks the walk finds, its
-facet mask and the AND of its facets' vertex masks; every face test reads
-those bits.  The walk records, as each face's children, the facets of it
-that miss its first vertex: the pulling triangulation cones a face from that
-vertex over their triangulations, so its simplices are the flags of children
-from P down to a vertex.  The volume walks those flags from the top, one
-fraction-free elimination row per face.  Nothing here needs a rank
-computation.
+are the faces covering it; G above F has G & T = G & (F & T), so G is cut
+only with F's distinct cuts, and a ridge is covered by its two facets.  A
+`Face` is the two masks the walk finds, its facet mask and the AND of its
+facets' vertex masks, and `first`, the lowest vertex bit; every face test
+reads those bits.  A level is an antichain, so its vertex bit strings, read
+from vertex 0 and sorted in reverse, give its vertex-tuple order.  The walk
+records, as each face's children, the facets of it that miss its first
+vertex: the pulling triangulation cones a face from that vertex over their
+triangulations, so its simplices are the flags of children from P down to
+a vertex.  The volume walks those flags from the top, one fraction-free
+elimination row per face.  Nothing here needs a rank computation.
 """
 
 from __future__ import annotations
@@ -105,24 +108,24 @@ def _bits(mask: int) -> list:
     return out
 
 
-def _maximal_cuts(mask: int, rows, known) -> list:
-    """The inclusion-maximal proper nonempty cuts mask & row, largest first.
-    A cut in known, a face one dimension from mask's, is maximal by
-    dimension."""
-    cuts = {mask & row for row in rows}
+def _maximal_cuts(mask: int, rows, known) -> tuple:
+    """The inclusion-maximal proper nonempty cuts mask & row, and all the
+    distinct proper nonempty cuts, each largest first.  A cut in known, a
+    face one dimension from mask's, is maximal by dimension."""
     # the empty cut is the whole polytope, which covers only a facet, and
     # the walk never expands a facet
-    cuts -= {mask, 0}
+    cuts = sorted({mask & row for row in rows} - {mask, 0}, key=int.bit_count,
+                  reverse=True)
     maximal = []
     # a cut inside a non-maximal one is inside a larger maximal one, which
     # comes earlier in this order
-    for c in sorted(cuts, key=int.bit_count, reverse=True):
+    for c in cuts:
         for o in () if c in known else maximal:
             if c & o == c:
                 break
         else:
             maximal.append(c)
-    return maximal
+    return maximal, cuts
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +213,23 @@ def _bareiss_row(state: tuple, row: list) -> tuple:
 # ---------------------------------------------------------------------------
 
 class Face:
-    """A face of a LatticePolytope: its vertex mask and its facet mask (bit
-    k is vertex k, resp. facet k), as the face lattice finds them."""
+    """A face of a LatticePolytope: its vertex mask, its facet mask (bit k
+    is vertex k, resp. facet k) and `first`, its least vertex index, as the
+    face lattice finds them; `vertex_indices` expands the vertex mask."""
 
-    __slots__ = ("polytope", "vmask", "fmask", "dim", "vertex_indices", "children")
+    __slots__ = ("polytope", "vmask", "fmask", "dim", "first", "children")
 
     def __init__(self, polytope, vmask, fmask, dim):
         self.polytope = polytope
         self.vmask = vmask
         self.fmask = fmask
         self.dim = dim
-        self.vertex_indices = tuple(_bits(vmask))
+        self.first = (vmask & -vmask).bit_length() - 1  # least vertex index
         self.children = ()  # set by the face lattice: see _face_lattice
+
+    @property
+    def vertex_indices(self) -> tuple:
+        return tuple(_bits(self.vmask))
 
     @property
     def facet_indices(self) -> tuple:
@@ -335,7 +343,7 @@ class LatticePolytope:
     # -- faces ---------------------------------------------------------------
 
     def faces(self, k: int) -> list:
-        """All k-dimensional faces."""
+        """All k-dimensional faces, ordered by `vertex_indices`."""
         if k < 0 or k > self.dim:
             raise DimensionError(f"no faces of dimension {k}")
         if k == self.dim:
@@ -356,31 +364,41 @@ class LatticePolytope:
         tight, on_facet = self.tight, self.on_facet
 
         def face(fmask, dim_):
-            vmask = -1  # all ones: a proper face lies on some facet
-            for i in _bits(fmask):
-                vmask &= on_facet[i]
+            vmask, rest = -1, fmask  # all ones: a proper face lies on some facet
+            while rest:
+                low = rest & -rest
+                vmask &= on_facet[low.bit_length() - 1]
+                rest ^= low
             return Face(self, vmask, fmask, dim_)
 
-        by_dim = {}
+        fmt = f"{{:0{len(self.vertices)}b}}".format
+        by_dim, rows = {}, {}
         dim_ = 0
-        # one level at a time, keyed by facet mask (a point has no levels)
+        # one level at a time, keyed by facet mask (a point has no levels);
+        # a face is cut with the distinct cuts of the face that found it, a
+        # vertex with the rows of all vertices
         level = {mask: face(mask, dim_) for mask in tight} if self.dim else {}
         while level:
-            by_dim[dim_] = sorted(level.values(), key=lambda f: f.vertex_indices)
+            by_dim[dim_] = sorted(level.values(), key=lambda f: fmt(f.vmask)[::-1],
+                                  reverse=True)
             if len(by_dim) == self.dim:
                 break
             dim_ += 1
-            nxt = {}
+            nxt, nxt_rows = {}, {}
             for mask, F in level.items():
-                for c in _maximal_cuts(mask, tight, nxt):
+                # a ridge lies on exactly two facets, which cover it
+                covers, cuts = (((mask & -mask, mask & (mask - 1)), None)
+                                if dim_ == self.dim - 1
+                                else _maximal_cuts(mask, rows.pop(mask, tight), nxt))
+                for c in covers:
                     if c not in nxt:
-                        nxt[c] = face(c, dim_)
+                        nxt[c], nxt_rows[c] = face(c, dim_), cuts
                     # a face's children are the faces it covers that miss its
                     # first vertex, which then comes before theirs
                     G = nxt[c]
-                    if G.vertex_indices[0] < F.vertex_indices[0]:
+                    if G.first < F.first:
                         G.children += (F,)
-            level = nxt
+            level, rows = nxt, nxt_rows
         self._faces_by_dim = by_dim
         return by_dim
 
@@ -424,10 +442,10 @@ class LatticePolytope:
         at each vertex, one per simplex of the pulling triangulation."""
         # P's children: its facets that miss vertex 0 (a point is one simplex)
         facets = self._face_lattice().get(self.dim - 1, ())
-        stack = [([F for F in facets if F.vertex_indices[0]], root)]
+        stack = [([F for F in facets if F.first], root)]
         while stack:
             children, state = stack.pop()
-            stack.extend((G.children, step(state, G.vertex_indices[0])) for G in children)
+            stack.extend((G.children, step(state, G.first)) for G in children)
             if not children:
                 yield state
 
@@ -524,9 +542,12 @@ def is_pyramid(face: Face) -> Optional[LatticePoint]:
     a pyramid.  a is an apex iff the other vertices are the vertex set of a
     face of P, the base (see the `faces` module)."""
     table = face.polytope._face_masks()
-    for a in face.vertex_indices:
-        if face.vmask ^ (1 << a) in table:
-            return face.polytope.vertices[a]
+    vmask = rest = face.vmask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if vmask ^ low in table:
+            return face.polytope.vertices[low.bit_length() - 1]
     return None
 
 

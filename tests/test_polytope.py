@@ -826,6 +826,41 @@ def test_face_lattice_and_triangulation_match_reference(pts):
     assert set(P.all_proper_faces()) == set(range(P.dim))
 
 
+def assert_levels_in_vertex_order(P):
+    # each level is sorted by vertex tuple without building one, and a
+    # face's first vertex is its lowest vertex bit
+    for k in range(P.dim + 1):
+        faces = P.faces(k)
+        assert faces == sorted(faces, key=lambda f: f.vertex_indices)
+        assert all(f.first == f.vertex_indices[0] for f in faces)
+
+
+def assert_ridges_lie_on_two_facets(P):
+    # the walk reads the facets off the incidence: each ridge's two facet
+    # bits are its covers, and facet k is (on_facet[k], 1 << k)
+    if P.dim >= 2:
+        assert all(f.fmask.bit_count() == 2 for f in P.faces(P.dim - 2))
+    if P.dim >= 1:
+        facets = sorted(P.faces(P.dim - 1), key=lambda f: f.fmask)
+        assert [(f.vmask, f.fmask) for f in facets] == [
+            (vmask, 1 << k) for k, vmask in enumerate(P.on_facet)]
+
+
+@pytest.mark.parametrize("key", list(KERNEL_CATALOG) + [f"kaehler_{d}" for d in range(2, 9)])
+def test_face_levels_and_facets_on_catalog(key):
+    for P in kernel_polytopes(key):
+        assert_levels_in_vertex_order(P)
+        assert_ridges_lie_on_two_facets(P)
+
+
+@given(point_sets())
+@settings(max_examples=200, deadline=None)
+def test_face_levels_and_facets_on_drawn_point_sets(pts):
+    P = hull(pts)
+    assert_levels_in_vertex_order(P)
+    assert_ridges_lie_on_two_facets(P)
+
+
 @given(point_sets())
 @settings(max_examples=200, deadline=None)
 def test_extreme_rays_of_a_hull_are_distinct_facets(pts):

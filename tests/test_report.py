@@ -143,10 +143,13 @@ def test_analyze_computes_each_stage_once(monkeypatch, wang_ziller_q):
     assert lattices[0].to_json_obj() == report["delta_min"]
 
 
-def test_volume_reads_the_face_lattice(monkeypatch, wang_ziller_q):
+def test_volume_reads_the_face_lattice(monkeypatch):
     """The volume finds no facets of its own: once the face lattice of its
     polytope exists it calls neither `_maximal_cuts` nor `exact.det`, and in
-    `analyze` every cut is made by the one face lattice it builds."""
+    `analyze` every cut is made by the one face lattice it builds.  The
+    analysis runs on jordan_product_2_3, a 6-dimensional minimal polytope:
+    a polygon's lattice makes no cuts, since its facets are read off the
+    incidence."""
     cuts, dets = [], []
     _count_calls(monkeypatch, polytope._maximal_cuts, cuts)
     _count_calls(monkeypatch, exact.det, dets)
@@ -169,7 +172,7 @@ def test_volume_reads_the_face_lattice(monkeypatch, wang_ziller_q):
         return lattice
 
     monkeypatch.setattr(LatticePolytope, "_face_lattice", counted_face_lattice)
-    assert analyze(wang_ziller_q)[1] == 0
+    assert analyze(load_catalog("jordan_product_2_3"), solve=False)[1] == 0
     assert len(builds) == 1
     assert builds[0] == len(cuts) > 0
 
