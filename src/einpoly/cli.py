@@ -131,8 +131,10 @@ def cmd_kaehler_b2(args) -> int:
 
 def cmd_delannoy(args) -> int:
     n = args.n
-    if n < 0:
-        raise UsageError("n must be nonnegative")
+    # the time grows about as n^3, and past n = 5800 the value has more
+    # digits than Python converts to a string
+    if not 0 <= n <= 1000:
+        raise UsageError("supported range is 0 <= n <= 1000")
     value = delannoy(n)
     check = legendre_at_3(n)
     if value != check:

@@ -6,25 +6,28 @@ nested sequences, no floating point anywhere.
 
 Elimination has one routine per job:
 
-* fraction-free Bareiss row reduction (`_bareiss`) runs on integer matrices
-  and, unchanged, on matrices over Z[x] (`ZPoly`).  It returns its pivot
-  columns and gives `rank`, `det`, the Sylvester `resultant` (an integer
-  determinant over Z[x]), and the start simplex of the double description
-  in `polytope`;
+* one fraction-free Bareiss row step (`_bareiss_row`) adds an integer row
+  to an elimination and skips a dependent one.  It gives `rank`, `det`,
+  the start simplex of the double description, and the volume's one row
+  per face in `polytope`;
 * over Z, the column Hermite form A U = H (`_column_hnf`) gives the
   saturated kernel, the lattice chart of an affine hull (`LatticeChart`)
   and `lattice_index`.  The chart is one Hermite form of its difference
   rows: its equations, coordinates and lift are all read off the
-  unimodular U, with no back-substitution.
+  unimodular U, with no back-substitution;
+* over Z[x], one subresultant chain in y (`subresultants`) gives the
+  `resultant`, its last member with the sign of the Sylvester determinant,
+  and the d = 3 fiber gcds of `solver`.
 
 There is one polynomial type, `ZPoly` (Z[x]), and one conversion into it:
 `zpoly` clears a rational {degree: coefficient} dict over its least common
 denominator, and `bivar_cols` clears a bivariate dict the same way once
-before it splits it into columns.  Besides the exact division `_bareiss`
-needs, `ZPoly` has the pseudo-remainder, the primitive gcd and the
-primitive squarefree part, which the d = 3 fiber gcds of `solver` and the
-curve verdicts of `faces` run on.  Only gcds, degrees and signs are read
-from them, so the positive scale of a cleared polynomial never matters.
+before it splits it into columns.  `ZPoly` has the exact division, the
+pseudo-remainder (on coefficients in Z or, for the chain, in Z[x]), the
+primitive gcd and the primitive squarefree part, which the fiber gcds and
+the curve verdicts of `faces` run on.  Only gcds, degrees and signs are
+read from them, so the positive scale of a cleared polynomial never
+matters.
 
 Real roots are isolated and refined in integers: the input is a squarefree
 `ZPoly`, its Sturm chain is built by signed pseudo-remainders, and an
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
@@ -76,7 +80,7 @@ def common_denominator(values: Iterable) -> tuple:
 
 # ---------------------------------------------------------------------------
 # one elimination, fraction-free Bareiss
-# (rank, det; resultant and the double-description start)
+# (rank, det, the double-description start and the volume)
 # ---------------------------------------------------------------------------
 
 def _integer_rows(rows: Sequence[Sequence]) -> tuple:
@@ -96,63 +100,41 @@ def _integer_rows(rows: Sequence[Sequence]) -> tuple:
     return out, scale
 
 
-def _bareiss(a: list) -> tuple:
-    """Fraction-free (Bareiss) row echelon reduction, in place, of a matrix
-    over an integral domain: integers, or `ZPoly` over Z[x].  Returns (pivot
-    columns, sign of the row permutation, last pivot); the rank is the
-    number of pivot columns, and column j is one iff it is independent of
-    the columns before it.
-
-    After the step with pivot p, every entry below and right of it is a
-    minor of the input (Sylvester's identity), so the division by the
-    previous pivot is exact.  For a nonsingular square matrix the last
-    pivot is sign * det.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    pivots = []
-    sign = 1
+def _bareiss_row(state: tuple, row: list) -> tuple:
+    """Add a row to a fraction-free (Bareiss) elimination with column
+    pivoting; the state, from ((), 1), is (the kept rows, reduced, with
+    their pivot columns, the last pivot), and a dependent row reduces to
+    zero and is not kept.  Each pivot is a minor of the kept rows in the
+    pivot columns (Sylvester's identity), so each division is exact: for
+    n independent rows of length n, the determinant with the columns in
+    pivot order."""
     prev = 1
-    for col in range(n):
-        rnk = len(pivots)
-        if rnk == m:
-            break
-        piv = next((r for r in range(rnk, m) if a[r][col]), None)
-        if piv is None:
-            continue
-        if piv != rnk:
-            a[rnk], a[piv] = a[piv], a[rnk]
-            sign = -sign
-        top = a[rnk][col + 1:]
-        p = a[rnk][col]
-        for r in range(rnk + 1, m):
-            row = a[r]
-            f = row[col]
-            row[col + 1:] = [(p * x - f * y) // prev for x, y in zip(row[col + 1:], top)]
-            row[col] = 0
+    for prow, c in state[0]:
+        p, f = prow[c], row[c]
+        row = [(p * x - f * y) // prev for x, y in zip(row, prow)]
         prev = p
-        pivots.append(col)
-    return pivots, sign, prev
+    c = next((j for j, x in enumerate(row) if x), None)
+    return state if c is None else (state[0] + ((row, c),), row[c])
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
-    """Exact determinant by fraction-free elimination; 1 for the 0x0
-    matrix."""
+    """Exact determinant by fraction-free elimination, the last pivot with
+    the sign of its column order; 1 for the 0x0 matrix."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionError("determinant requires a square matrix")
     a, scale = _integer_rows(rows)
-    pivots, sign, last = _bareiss(a)
-    if len(pivots) < n:
+    kept, last = reduce(_bareiss_row, a, ((), 1))
+    if len(kept) < n:
         return Fraction(0)
-    return Fraction(sign * last, scale)
+    cols = [c for _, c in kept]
+    inversions = sum(x > y for i, x in enumerate(cols) for y in cols[i + 1:])
+    return Fraction((-1) ** inversions * last, scale)
 
 
 def rank(rows: Sequence[Sequence]) -> int:
     """Rank over the rationals."""
-    if not rows:
-        return 0
-    return len(_bareiss(_integer_rows(rows)[0])[0])
+    return len(reduce(_bareiss_row, _integer_rows(rows)[0], ((), 1))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +276,10 @@ def primitive(vec: Sequence[int]) -> tuple:
 class ZPoly:
     """Dense univariate polynomial with integer coefficients, ascending.
 
-    Z[x] is an integral domain with exact division, which is all `_bareiss`
-    needs.  `prem` and `gcd` are the pseudo-remainder and the primitive gcd
-    of the fiber gcds in `solver` and of the Sturm chains below.
+    `prem` and `gcd` are the pseudo-remainder and the primitive gcd of the
+    fiber gcds in `solver` and of the Sturm chains below.  The arithmetic
+    and `prem` also run on coefficients that are `ZPoly`, polynomials in y
+    over Z[x], as `subresultants` needs.
     """
 
     __slots__ = ("coeffs",)
@@ -339,6 +322,9 @@ class ZPoly:
         return ZPoly(out)
 
     __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "ZPoly":
+        return prod([self] * k, start=ZPoly([1]))
 
     def __floordiv__(self, other) -> "ZPoly":
         """Exact quotient by a nonzero integer or ZPoly; raises
@@ -587,7 +573,7 @@ def sign_at_root(P: ZPoly, h: ZPoly, interval: tuple) -> int:
 
 
 # ---------------------------------------------------------------------------
-# resultants (Sylvester determinant, fraction-free elimination)
+# one subresultant chain (the resultant, and the gcds over the roots of x)
 # ---------------------------------------------------------------------------
 
 class DegenerateEliminationError(ValueError):
@@ -606,31 +592,51 @@ def bivar_cols(poly: dict, axis: int) -> list:
     return [zpoly(col)[0] for col in cols]
 
 
+def subresultants(p: Sequence[ZPoly], q: Sequence[ZPoly]) -> tuple:
+    """The regular subresultants in y of two polynomials given as
+    y-coefficient lists over Z[x], and their resultant: ([S_j, ...] by
+    descending j, Res_y(p, q)).  Each S_j has degree j and is known up to
+    sign; its lead is psc_j, and the psc of every other j vanishes.  The
+    chain stops at S_0, or, when the resultant vanishes, at the gcd.
+
+    It is the subresultant pseudo-remainder sequence (Cohen 1993, Alg.
+    3.3.7, without content removal): each member is prem(A, B) / (g h^d),
+    g the lead of A and h its psc, d = deg A - deg B.  Below a gap d > 1
+    the member B is defective, and the regular S_j is lead^(d-1) B /
+    h^(d-1), whose lead is the next h (Lazard).  With Cohen's sign, S_0 is
+    the Sylvester determinant: n rows of p and m of q, for m = deg p and
+    n = deg q.
+    """
+    A, B = ZPoly(p), ZPoly(q)
+    if not A or not B:
+        return [], ZPoly()
+    if A.degree == B.degree == 0:
+        raise DegenerateEliminationError("both inputs constant in the eliminated variable")
+    sign = 1
+    if A.degree < B.degree:
+        sign = (-1) ** (A.degree * B.degree)
+        A, B = B, A
+    chain, g, h = [], 1, 1
+    while True:
+        delta = A.degree - B.degree
+        if A.degree % 2 and B.degree % 2:
+            sign = -sign
+        S = list(B.coeffs)
+        if delta > 1:
+            # divide the product: lead^(delta-1) / h^(delta-1) alone is not exact
+            lead, den = S[-1] ** (delta - 1), h ** (delta - 1)
+            S = [c * lead // den for c in S]
+        chain.append(S)
+        if B.degree == 0:
+            return chain, S[0] * sign
+        R = A.prem(B)
+        if not R:
+            return chain, ZPoly()
+        A, B = B, ZPoly([c // (g * h ** delta) for c in R.coeffs])
+        g, h = A.coeffs[-1], S[-1] if delta else h
+
+
 def resultant(p: Sequence[ZPoly], q: Sequence[ZPoly]) -> ZPoly:
     """Resultant in y of two polynomials given as y-coefficient lists over
-    Z[x]: the Sylvester determinant, taken by `_bareiss` over Z[x].  When
-    one input is constant in y the matrix is diagonal and the determinant
-    is that constant to the degree of the other.
-    """
-    pc = list(p)
-    qc = list(q)
-    while pc and not pc[-1]:
-        pc.pop()
-    while qc and not qc[-1]:
-        qc.pop()
-    m = len(pc) - 1
-    n = len(qc) - 1
-    if m < 0 or n < 0:
-        return ZPoly()
-    if m == 0 and n == 0:
-        raise DegenerateEliminationError("both inputs constant in the eliminated variable")
-    size = m + n
-    mat = [[ZPoly()] * size for _ in range(size)]
-    for row in range(n):
-        mat[row][row:row + m + 1] = reversed(pc)
-    for row in range(m):
-        mat[n + row][row:row + n + 1] = reversed(qc)
-    pivots, sign, last = _bareiss(mat)
-    if len(pivots) < size:
-        return ZPoly()
-    return last * sign
+    Z[x]: the Sylvester determinant, read off the subresultant chain."""
+    return subresultants(p, q)[1]

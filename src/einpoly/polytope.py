@@ -61,7 +61,7 @@ from typing import Iterable, Optional, Tuple
 from .exact import (
     DimensionError,
     LatticeChart,
-    _bareiss,
+    _bareiss_row,
     integer_kernel_basis,
     primitive,
     vec_gcd,
@@ -133,10 +133,15 @@ def _maximal_cuts(mask: int, rows, known) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _initial_rays(constraints: list, m: int) -> tuple:
-    """The first m independent constraints, the pivot columns of one
-    elimination with the constraints as columns, and their simplicial cone
-    rays."""
-    idx = _bareiss([list(col) for col in zip(*constraints)])[0]
+    """The first m independent constraints, the rows one fraction-free
+    elimination keeps, and their simplicial cone rays."""
+    state, idx = ((), 1), []
+    for i, c in enumerate(constraints):
+        if len(idx) == m:
+            break
+        state = _bareiss_row(state, c)
+        if len(state[0]) > len(idx):
+            idx.append(i)
     if len(idx) < m:
         raise DimensionError("constraint matrix is rank deficient")
     chosen = [constraints[i] for i in idx]
@@ -192,20 +197,6 @@ def _extreme_rays(constraints: list) -> list:
                 new_masks.append(common | bit)
         rays, masks = new_rays, new_masks
     return list(zip(rays, masks))
-
-
-def _bareiss_row(state: tuple, row: list) -> tuple:
-    """Add an independent row to a fraction-free (Bareiss) elimination with
-    column pivoting; state, from ((), 1), is (reduced rows with their pivot
-    columns, last pivot).  Each pivot is a minor of the rows up to it
-    (Sylvester's identity): for square rows, the determinant up to sign."""
-    prev = 1
-    for prow, c in state[0]:
-        p, f = prow[c], row[c]
-        row = [(p * x - f * y) // prev for x, y in zip(row, prow)]
-        prev = p
-    c = next(j for j, x in enumerate(row) if x)
-    return state[0] + ((row, c),), row[c]
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +334,13 @@ class LatticePolytope:
     # -- faces ---------------------------------------------------------------
 
     def faces(self, k: int) -> list:
-        """All k-dimensional faces, ordered by `vertex_indices`."""
+        """All k-dimensional faces, ordered by `vertex_indices`, in a new
+        list: the caller may reorder it."""
         if k < 0 or k > self.dim:
             raise DimensionError(f"no faces of dimension {k}")
         if k == self.dim:
             return [self.whole_face()]
-        return self._face_lattice()[k]
+        return list(self._face_lattice()[k])
 
     def all_proper_faces(self) -> dict:
         """Proper faces grouped by dimension 0..dim-1."""

@@ -10,19 +10,21 @@ x-eliminant with one b of the y-eliminant, and holds a solution iff the
 gcd of the system and the y-eliminant over a's branch changes sign across
 b's interval, read at a by one Sturm-Tarski sequence, singular or not.
 
-The elimination runs in integers.  The resultant is an integer Sylvester
-determinant over Z[x] (`exact.resultant`), and the fiber gcds work in
-(Z[x]/(H))[y], H the primitive integer multiple of h.  A y-coefficient
-list is reduced mod H with one power of lead(H) for all its entries and
-divided by its integer content (`_reduce`); a remainder step is the
-pseudo-remainder step lead(B) rem - lead(rem) y^s B.  Both multiply by a
-unit of Q[x]/(h), which changes no zero test, no gcd degree and no sign
+The elimination runs in integers, on one subresultant chain in y over
+Z[x] (`exact.subresultants`), whose last member is the resultant.  The
+fiber gcds work in (Z[x]/(H))[y], H the primitive integer multiple of h.
+A y-coefficient list is reduced mod H with one power of lead(H) for all
+its entries and divided by its integer content (`_reduce`): a unit of
+Q[x]/(h) times it, which changes no zero test, no gcd degree and no sign
 change at a root of h, so no modular inverse is needed.
 
-The splitting is one recursion (`_trim`): reduce a y-coefficient list mod
-H and drop zero leads; when the lead is a zero divisor, split H into the
-primitive g = gcd(lead, H) and the exact quotient H / g (both in Z[x], by
-Gauss's lemma) and recurse on both.  Over each branch h of the
+The splitting first trims each input (`_trim`): reduce it mod H and drop
+zero leads; when the lead is a zero divisor, split H into the primitive
+g = gcd(lead, H) and the exact quotient H / g (both in Z[x], by Gauss's
+lemma) and recurse on both.  Then both leads are nonzero at each root a
+of a branch, so the subresultants S_j specialize at a, and the gcd over a
+is S_j(a, y) for the least j with psc_j(a) != 0: the branch is split by
+its gcds with the psc_j (`_fiber_gcd_branches`).  Over each branch h of the
 x-eliminant, S = gcd(g1, g2, q2) in (Q[x]/(h))[y], q2 the y-eliminant,
 has a lead invertible mod h (`_fibers`).  q2 is squarefree with
 q2(0) != 0, so at every root a of h the roots of S(a, y) are distinct and
@@ -68,6 +70,7 @@ from .exact import (
     resultant,
     sign_at,
     sign_at_root,
+    subresultants,
     zpoly,
 )
 from .homspace import HomSpaceData
@@ -171,38 +174,33 @@ def _trim(A: list, h: ZPoly) -> list:
     return _trim(A, h // g) + _trim(A, g)
 
 
-def _poly_mod(A: list, B: list, h: ZPoly) -> list:
-    """A multiple of the remainder of A by B in (Q[x]/(h))[y] by a unit,
-    for lead(B) invertible mod h: each step is the pseudo-remainder step
-    lead(B) rem - lead(rem) y^s B, reduced mod h."""
-    lb = B[-1]
-    db = len(B) - 1
-    rem = _reduce(A, h)
-    while len(rem) > db:
-        lr = rem.pop()
-        s = len(rem) - db
-        rem = [lb * c for c in rem]
-        for i, c in enumerate(B[:-1]):
-            rem[s + i] -= lr * c
-        rem = _reduce(rem, h)
-    return rem
-
-
 def _fiber_gcd_branches(A: list, B: list, h: ZPoly) -> list:
     """[(h_branch, G)] with G = gcd of A and B in (Q[x]/(h_branch))[y], up
-    to a unit, trimmed so deg_y G is well-defined on the branch: A is
-    trimmed over h, B over each branch of A, and one remainder step
-    recurses."""
+    to a unit, with a lead invertible mod h_branch: A is trimmed over h, B
+    over each branch of A, and the gcd with a zero is the other input, a
+    unit its own gcd.  Otherwise the branch is split by its gcds with the
+    psc_j of the subresultant chain, from the lowest j up, and the part
+    where psc_j is a unit gets S_j (Basu, Pollack & Roy 2006, ch. 8)."""
     out = []
     for ha, A1 in _trim(A, h):
         for hb, B1 in _trim(B, ha):
-            if A1 and B1:
-                a, b = (B1, A1) if len(A1) < len(B1) else (A1, B1)
-                out += _fiber_gcd_branches(b, _poly_mod(a, b, hb), hb)
-            elif A1 or B1:
-                out.append((hb, A1 or B1))
-            else:
+            if not (A1 or B1):
                 raise DegenerateSystemError("both polynomials vanish on a whole branch")
+            if min(len(A1), len(B1)) <= 1:
+                out.append((hb, A1 if len(A1) == 1 or not B1 else B1))
+                continue
+            chain = subresultants(A1, B1)[0]
+            # the top member is the input of lower degree times a power of
+            # its lead, a unit on hb: the input is smaller
+            chain[0] = A1 if len(A1) < len(B1) else B1
+            for S in reversed(chain):
+                g = S[-1].gcd(hb)
+                if g.degree < hb.degree:
+                    part = hb // g
+                    out.append((part, _reduce(S, part)))
+                    hb = g
+                if hb.degree == 0:
+                    break
     return out
 
 

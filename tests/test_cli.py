@@ -6,7 +6,7 @@ import os
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from einpoly.cli import main
@@ -29,6 +29,20 @@ def test_delannoy_value(capsys):
 def test_delannoy_negative_is_usage_error(capsys):
     code, _, err = run(capsys, "delannoy", "--", "-1")
     assert code == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.one_of(st.integers(max_value=-1), st.integers(min_value=1001), st.integers(0, 30)))
+@example(n=1000)
+@example(n=1001)
+def test_delannoy_range_is_zero_to_one_thousand(n):
+    # in range: the value, one line; out of range: exit 1, one stderr line,
+    # with no value computed (n = 5800 used to end in a traceback)
+    code, out, err = _main(["delannoy", "--", str(n)])
+    if 0 <= n <= 1000:
+        assert code == 0 and err == "" and out.strip().isdigit() and out.count("\n") == 1
+    else:
+        assert code == 1 and out == "" and err == "error: supported range is 0 <= n <= 1000\n"
 
 
 def test_unknown_subcommand_exits_one(capsys):

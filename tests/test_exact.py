@@ -3,11 +3,11 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from einpoly.exact import (
@@ -32,6 +32,7 @@ from einpoly.exact import (
     resultant,
     sign_at_root,
     sturm_count,
+    subresultants,
     zpoly,
 )
 from qpoly import QPoly, as_zpoly, clear, surd_sign
@@ -475,6 +476,78 @@ def test_resultant_matches_reference(p, q):
     r = resultant(pz, qz)
     assert all(isinstance(c, int) for c in r.coeffs)
     assert QPoly(r.coeffs) == expected * F(d1) ** n * F(d2) ** m
+
+
+def reference_subresultant(p, q, j):
+    """The j-th subresultant of y-coefficient lists p, q over Q[x] of
+    y-degrees m, n > j, by its determinant definition: the rows are the
+    coefficients, from y^(m+n-j-1) down, of y^k p for k < n - j and y^k q
+    for k < m - j, and the coefficient of y^i is the determinant of their
+    first m + n - 2j - 1 columns and the column of y^i."""
+    m, n = len(p) - 1, len(q) - 1
+    width, size = m + n - j, m + n - 2 * j
+
+    def shifted(f, k):
+        row = [QPoly()] * width
+        for i, c in enumerate(f):
+            row[width - 1 - i - k] = c
+        return row
+
+    rows = [shifted(p, k) for k in range(n - j)] + [shifted(q, k) for k in range(m - j)]
+    return [reference_bareiss_det_poly([r[:size - 1] + [r[width - 1 - i]] for r in rows])
+            for i in range(j + 1)]
+
+
+def check_chain_against_determinants(pz, qz):
+    """Every j below both degrees with psc_j != 0, and no other, has its
+    member in the chain, equal to the determinant S_j up to sign; the top
+    member is the lower-degree input times lead^(gap - 1)."""
+    p, q = ([QPoly(c.coeffs) for c in f[:y_degree(f) + 1]] for f in (pz, qz))
+    if len(p) < len(q):
+        p, q = q, p
+    m, n = len(p) - 1, len(q) - 1
+    chain = {len(S) - 1: [QPoly(c.coeffs) for c in S] for S in subresultants(pz, qz)[0]}
+    scale = prod([q[-1]] * max(0, m - n - 1), start=QPoly.const(1))
+    assert chain[n] == [c * scale for c in q]
+    for j in range(n):
+        ref = reference_subresultant(p, q, j)
+        assert (j in chain) == (not ref[j].is_zero())
+        if j in chain:
+            assert chain[j] in (ref, [-c for c in ref])
+    return sorted(chain, reverse=True)
+
+
+@given(_bivariate, _bivariate)
+@settings(max_examples=200, deadline=None)
+def test_subresultants_match_their_determinants(p, q):
+    (pz, _), (qz, _) = clear(p), clear(q)
+    assume(y_degree(pz) >= 1 and y_degree(qz) >= 1)
+    check_chain_against_determinants(pz, qz)
+
+
+def test_defective_subresultant_chain():
+    # p = y^4 and q = x y^3 - 1: prem(p, q) = x y skips degree 2, so S_1 is
+    # the Lazard scaling of x y by lead^(2 - 1) / psc_3^(2 - 1) = x / x
+    p = [ZPoly(), ZPoly(), ZPoly(), ZPoly(), ZPoly([1])]
+    q = [ZPoly([-1]), ZPoly(), ZPoly(), ZPoly([0, 1])]
+    assert check_chain_against_determinants(p, q) == [3, 1, 0]
+    # the resultant is the last member, with the Sylvester sign
+    assert resultant(p, q).coeffs == (1,)
+
+
+@given(_bivariate, _bivariate, st.integers(-3, 3))
+@settings(max_examples=300, deadline=None)
+def test_first_nonvanishing_subresultant_is_the_gcd_at_a_point(p, q, x0):
+    # the specialization property: where lead_y(A) does not vanish, the
+    # gcd of A(x0, y) and B(x0, y) is S_j(x0, y) for the least j with
+    # psc_j(x0) != 0
+    (A, _), (B, _) = clear(p), clear(q)
+    a, b = (QPoly([QPoly(c.coeffs)(x0) for c in f]) for f in (A, B))
+    assume(y_degree(A) + y_degree(B) > 0 and not b.is_zero())
+    assume(QPoly(A[y_degree(A)].coeffs)(x0) != 0)
+    chain = subresultants(A, B)[0]
+    S = next(S for S in reversed(chain) if QPoly(S[-1].coeffs)(x0) != 0)
+    assert QPoly([QPoly(c.coeffs)(x0) for c in S]).monic() == a.gcd(b)
 
 
 def _interp(points):

@@ -390,6 +390,14 @@ def test_faces_of_simplex():
         S.faces(5)
 
 
+def test_faces_returns_a_copy_of_its_level():
+    S = standard_simplex(4)
+    order = [f.vmask for f in S.faces(1)]
+    S.faces(1).reverse()
+    assert [f.vmask for f in S.all_proper_faces()[1]] == order
+    assert [f.vmask for f in S.faces(1)] == order
+
+
 def test_all_proper_faces_grouping():
     P = permutohedron(3)
     grouped = P.all_proper_faces()
@@ -595,22 +603,22 @@ def reference_face_lattice(P):
 
 def reference_triangulation(P):
     """Pulling triangulation whose children are found by scanning every
-    face one dimension lower."""
+    face one dimension lower, each a vertex mask inside the face's that
+    misses its least vertex."""
     lattice = P.all_proper_faces()
     memo = {}
 
     def triangulate(f):
-        key = f.vertex_indices
+        key = f.vmask
         if key not in memo:
+            pull = (key & -key).bit_length() - 1
             if f.dim == 0:
-                memo[key] = [key]
+                memo[key] = [(pull,)]
             else:
-                pull = key[0]
                 memo[key] = [
                     (pull,) + s
                     for child in lattice[f.dim - 1]
-                    if pull not in child.vertex_indices
-                    and set(child.vertex_indices) <= set(key)
+                    if not child.vmask >> pull & 1 and child.vmask & key == child.vmask
                     for s in triangulate(child)
                 ]
         return memo[key]

@@ -161,6 +161,21 @@ def test_zero_fiber_root_over_part_of_the_eliminant():
     assert _pair_outcome(g1, g2)[1::2] == (2, 2)
 
 
+def test_fiber_gcd_of_two_units_on_a_branch():
+    # h = (x - 1)(x + 1).  Over x = 1, A = 1 + (x - 1) y and
+    # B = 2 + (x - 1) y^2 are trimmed to the units 1 and 2, a pair the
+    # subresultant chain rejects as constant in y: a unit is its own gcd.
+    # Over x = -1 they are 1 - 2y and 2 - 2y^2, which are coprime.
+    h = ZPoly([-1, 0, 1])
+    A = [ZPoly([1]), ZPoly([-1, 1])]
+    B = [ZPoly([2]), ZPoly(), ZPoly([-1, 1])]
+    branches = solver._fiber_gcd_branches(A, B, h)
+    assert sorted((hb.coeffs, len(G)) for hb, G in branches) == [((-1, 1), 1), ((1, 1), 1)]
+    # one unit against a polynomial of positive degree: the unit again
+    branches = solver._fiber_gcd_branches(A, [ZPoly([-1]), ZPoly([1])], ZPoly([-1, 1]))
+    assert [(hb.coeffs, [c.coeffs for c in G]) for hb, G in branches] == [((-1, 1), [(1,)])]
+
+
 # sha256 over the pair outcomes (q1, count, q2, count_y) or the exception on
 # the systems of `_digest_systems`, generated when each order's count became
 # the gcd with the other order's eliminant;
