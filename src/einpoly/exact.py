@@ -7,9 +7,8 @@ nested sequences, no floating point anywhere.
 Elimination has one routine per job:
 
 * one fraction-free Bareiss row step (`_bareiss_row`) adds an integer row
-  to an elimination and skips a dependent one.  It gives `rank`, `det`,
-  the start simplex of the double description, and the volume's one row
-  per face in `polytope`;
+  to an elimination and skips a dependent one.  It gives `rank`, `det`
+  and the volume's one row per face in `polytope`;
 * over Z, the column Hermite form A U = H (`_column_hnf`) gives the
   saturated kernel, the lattice chart of an affine hull (`LatticeChart`)
   and `lattice_index`.  The chart is one Hermite form of its difference
@@ -64,12 +63,6 @@ def parse_rat(text: str) -> Fraction:
         raise ValueError(f"zero denominator: {text!r}") from None
 
 
-def format_rat(q: Fraction) -> str:
-    """Render a Fraction as 'p/q' (or 'n' when integral)."""
-    q = Fraction(q)
-    return str(q)
-
-
 def common_denominator(values: Iterable) -> tuple:
     """Ints and Fractions over their least common denominator D > 0:
     (the integer numerators, D)."""
@@ -80,7 +73,7 @@ def common_denominator(values: Iterable) -> tuple:
 
 # ---------------------------------------------------------------------------
 # one elimination, fraction-free Bareiss
-# (rank, det, the double-description start and the volume)
+# (rank, det and the volume)
 # ---------------------------------------------------------------------------
 
 def _integer_rows(rows: Sequence[Sequence]) -> tuple:
@@ -254,19 +247,10 @@ def lattice_index(generators: Sequence[Sequence[int]]) -> Optional[int]:
     return None if 0 in pivots else prod(pivots)
 
 
-def vec_gcd(vec: Sequence[int]) -> int:
-    g = 0
-    for x in vec:
-        g = gcd(g, int(x))
-    return g
-
-
 def primitive(vec: Sequence[int]) -> tuple:
     """Divide an integer vector by the gcd of its entries."""
-    g = vec_gcd(vec)
-    if g == 0:
-        return tuple(int(x) for x in vec)
-    return tuple(int(x) // g for x in vec)
+    g = gcd(*vec) or 1
+    return tuple(x // g for x in vec)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from importlib import resources
 from itertools import permutations
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
-from .exact import format_rat, parse_rat
+from .exact import parse_rat
 from .polytope import LatticePolytope, hull
 
 SCHEMA = "homspace/v1"
@@ -83,9 +83,9 @@ class HomSpaceData:
             "name": self.name,
             "d": self.d,
             "dims": list(self.dims),
-            "b": [format_rat(x) for x in self.b],
+            "b": [str(x) for x in self.b],
             "triples": [
-                {"ijk": list(key), "value": format_rat(val)}
+                {"ijk": list(key), "value": str(val)}
                 for key, val in self.triple_items()
             ],
             "bracket_meets_h": [list(p) for p in sorted(self.bracket_meets_h)],

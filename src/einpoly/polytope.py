@@ -5,16 +5,25 @@ irredundant vertex set, the equations of its affine hull, and one primitive
 inward facet normal per facet.  Hulls are computed by the double description
 method on the cone of valid inequalities, entirely in integer arithmetic.
 
-The double description keeps, for every ray, the bitmask of the processed
-constraints it is tight on, and updates it as each constraint is added: a
-ray on the new hyperplane gains its bit, and a new ray, the positive
-combination of a ray on each side, gets the common mask of its parents plus
-the new bit.  That mask is exact, because both parents are >= 0 on every
-processed constraint, so their combination is 0 on one exactly when both
-are.  Two rays of the pointed cone are adjacent iff no third ray is tight
-wherever both are (Fukuda & Prodon 1996, *Double description method
-revisited*, Prop. 7); adjacent rays share m - 2 independent tight
-constraints, so a pair with fewer common bits is skipped before that scan.
+The double description starts from the whole space, kept as the lines
+e_1..e_m, and adds one constraint at a time (as Fukuda's cdd does).  A
+constraint nonzero on some line is independent of the ones before it: the
+first such line, oriented so that the constraint is positive on it, becomes
+a ray tight on every earlier constraint, and the other lines and rays move
+along it onto the new hyperplane, which scales their earlier products by a
+positive number.  The
+lines left span the lineality space, so no lines are left at the end iff the
+cone is pointed.  A constraint zero on every line takes the insertion step,
+which keeps, for every ray, the bitmask of the processed constraints it is
+tight on: a ray on the new hyperplane gains its bit, and a new ray, the
+positive combination of a ray on each side, gets the common mask of its
+parents plus the new bit.  That mask is exact, because both parents are
+>= 0 on every processed constraint, so their combination is 0 on one exactly
+when both are.  Two rays are adjacent iff no third ray is tight wherever
+both are (Fukuda & Prodon 1996, *Double description method revisited*,
+Prop. 7); with the lines present the pointed part has dimension
+m - len(lines), so adjacent rays share m - len(lines) - 2 independent tight
+constraints, and a pair with fewer common bits is skipped before that scan.
 Distinct adjacent pairs span distinct 2-faces of the cone, so each new ray
 is found once and differs from every old one.
 
@@ -56,15 +65,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional, Tuple
 
 from .exact import (
     DimensionError,
     LatticeChart,
     _bareiss_row,
-    integer_kernel_basis,
     primitive,
-    vec_gcd,
 )
 
 LatticePoint = Tuple[int, ...]
@@ -132,30 +140,6 @@ def _maximal_cuts(mask: int, rows, known) -> tuple:
 # double description: extreme rays of {y : C y >= 0}
 # ---------------------------------------------------------------------------
 
-def _initial_rays(constraints: list, m: int) -> tuple:
-    """The first m independent constraints, the rows one fraction-free
-    elimination keeps, and their simplicial cone rays."""
-    state, idx = ((), 1), []
-    for i, c in enumerate(constraints):
-        if len(idx) == m:
-            break
-        state = _bareiss_row(state, c)
-        if len(state[0]) > len(idx):
-            idx.append(i)
-    if len(idx) < m:
-        raise DimensionError("constraint matrix is rank deficient")
-    chosen = [constraints[i] for i in idx]
-    # rays r_j with <c_i, r_j> = 0 for i != j and > 0 for i == j
-    rays = []
-    for j, c in enumerate(chosen):
-        others = chosen[:j] + chosen[j + 1:]
-        r = integer_kernel_basis(others)[0] if others else [1]
-        if _dot(c, r) < 0:
-            r = [-x for x in r]
-        rays.append(primitive(r))
-    return rays, idx
-
-
 def _extreme_rays(constraints: list) -> list:
     """All extreme rays of the pointed cone {y : C y >= 0} (integer rows),
     each as (ray, mask) with bit ci of mask set iff the ray is tight on
@@ -163,15 +147,30 @@ def _extreme_rays(constraints: list) -> list:
     exact on every constraint once all are processed: callers read the
     incidence off them instead of recomputing it."""
     m = len(constraints[0])
-    rays, init_idx = _initial_rays(constraints, m)
-    # bit ci of masks[k] is set iff rays[k] is tight on processed constraint ci
-    init_mask = _mask(init_idx)
-    masks = [init_mask & ~(1 << ci) for ci in init_idx]
-    init = set(init_idx)
+    # the whole space, as lines: every line is tight on every processed constraint
+    lines = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    rays, masks = [], []
     for ci, c in enumerate(constraints):
-        if ci in init:
-            continue
         bit = 1 << ci
+        line = next((x for x in lines if _dot(c, x)), None)
+        if line is not None:
+            # c is independent of the processed constraints.  The first line
+            # it is nonzero on, oriented to v = <c, line> > 0, becomes a ray
+            # tight on all of them; every other line and ray x moves to
+            # v x - <c, x> line, on c = 0, its earlier products scaled by v
+            lines.remove(line)
+            v = _dot(c, line)
+            if v < 0:
+                line, v = tuple(-x for x in line), -v
+
+            def cut(x):
+                w = _dot(c, x)
+                return primitive([v * a - w * b for a, b in zip(x, line)])
+
+            lines = [cut(x) for x in lines]
+            rays = [cut(x) for x in rays] + [line]
+            masks = [mk | bit for mk in masks] + [bit - 1]
+            continue
         vals = [_dot(c, r) for r in rays]
         neg = [i for i, v in enumerate(vals) if v < 0]
         pos = [i for i, v in enumerate(vals) if v > 0]
@@ -184,8 +183,9 @@ def _extreme_rays(constraints: list) -> list:
         for ip in pos:
             for ineg in neg:
                 common = masks[ip] & masks[ineg]
-                # adjacent rays share m - 2 independent tight constraints
-                if common.bit_count() < m - 2:
+                # adjacent rays share m - len(lines) - 2 independent tight
+                # constraints: the pointed part has dimension m - len(lines)
+                if common.bit_count() < m - len(lines) - 2:
                     continue
                 # adjacent iff no third ray is tight wherever both are
                 if any(mk & common == common
@@ -196,6 +196,8 @@ def _extreme_rays(constraints: list) -> list:
                 new_rays.append(primitive(combo))
                 new_masks.append(common | bit)
         rays, masks = new_rays, new_masks
+    if lines:
+        raise DimensionError("constraint matrix is rank deficient")
     return list(zip(rays, masks))
 
 
@@ -495,7 +497,7 @@ def hull(points: Iterable) -> LatticePolytope:
             a_amb = [x - offset for x in a_amb]
             offset = 0
         # exact: the offset is <a, p> at the lattice points p on the facet
-        g = vec_gcd(a_amb)
+        g = gcd(*a_amb)
         on[(tuple(x // g for x in a_amb), offset // g)] = mask
     facets = tuple(sorted(on))
     tight = _transpose([on[f] for f in facets], len(pts))

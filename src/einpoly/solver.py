@@ -52,11 +52,10 @@ made of Fractions.  The exact box decision is its certificate.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import takewhile
-from math import gcd, isqrt
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .curvature import LaurentPoly, einstein_system
@@ -64,7 +63,6 @@ from .exact import (
     ZPoly,
     bivar_cols,
     clear_left_end,
-    format_rat,
     isolate_real_roots,
     refine_root_interval,
     resultant,
@@ -339,11 +337,11 @@ def _record_real(out: SolutionSet, real: list, system) -> None:
         x = list(takewhile(lambda r: r is not None, (_rational_root_in(q, i) for q, i in sol)))
         if len(x) == len(sol):
             assert all(f.eval(x + [Fraction(1)]) == 0 for f in system)
-            out.solutions.append({"x": [format_rat(v) for v in x], "exact": True, "residual": "0"})
+            out.solutions.append({"x": [str(v) for v in x], "exact": True, "residual": "0"})
         else:
             box = [refine_root_interval(q, i, _BOX_WIDTH) for q, i in sol]
             out.solutions.append({
-                "box": [[format_rat(Fraction(a, d)), format_rat(Fraction(b, d))] for a, b, d in box],
+                "box": [[str(Fraction(a, d)), str(Fraction(b, d))] for a, b, d in box],
                 "exact": False,
             })
 
@@ -364,37 +362,25 @@ def _positive(q: ZPoly, interval: tuple) -> bool:
 
 def _rational_root_in(p: ZPoly, interval: tuple):
     """The root of the squarefree p in its isolating interval (lo/D, hi/D],
-    given as (lo, hi, D), when it is rational and cheap to find; else None.
+    given as (lo, hi, D), when it is rational, nonzero and cheap to find;
+    else None.
 
-    By the rational root theorem a root num/den in lowest terms has den
-    dividing the leading and num the lowest nonzero coefficient; when both
-    are at most 10**7, the interval is refined to half of 1 / lead^2, less
-    than the gap between two such candidates, and the one candidate left
-    in it is found, for some den, among the sorted signed divisors of the
-    latter between lo * den / D (exclusive) and hi * den / D.
+    By the rational root theorem the denominator of a rational root divides
+    the leading coefficient L, so the root is k / |L| for an integer k.  The
+    interval is refined to width at most 1 / (2 |L|), which holds one such
+    candidate at most: k = floor(hi |L| / D), when k / |L| > lo / D.  Only
+    when both L and the lowest nonzero coefficient are at most 10**7 is the
+    root searched for; past that it is reported by its box.
     """
     ints = p.coeffs
-    a0 = next(c for c in ints if c)
-    an = ints[-1]
-    if abs(a0) > 10**7 or abs(an) > 10**7:
+    den = abs(ints[-1])
+    if abs(next(c for c in ints if c)) > 10**7 or den > 10**7:
         return None
-    lo, hi, d = refine_root_interval(p, interval, Fraction(1, 2 * an * an))
-    nums = _divisors(a0)
-    nums = [-n for n in reversed(nums)] + nums
-    for den in _divisors(an):
-        start = bisect_right(nums, lo * den // d)
-        stop = bisect_right(nums, hi * den // d)
-        for num in nums[start:stop]:
-            if sign_at(ints, num, den) == 0:
-                return Fraction(num, den)
+    lo, hi, d = refine_root_interval(p, interval, Fraction(1, 2 * den))
+    k = hi * den // d
+    if k and k * d > lo * den and sign_at(ints, k, den) == 0:
+        return Fraction(k, den)
     return None
-
-
-def _divisors(n: int) -> list:
-    """The positive divisors of n != 0, ascending."""
-    n = abs(n)
-    small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
-    return small + [n // i for i in reversed(small) if i * i != n]
 
 
 def _at_y(S: list, n: int, d: int) -> ZPoly:

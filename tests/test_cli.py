@@ -45,6 +45,21 @@ def test_delannoy_range_is_zero_to_one_thousand(n):
         assert code == 1 and out == "" and err == "error: supported range is 0 <= n <= 1000\n"
 
 
+@settings(max_examples=6, deadline=None)
+@given(d=st.integers(-2, 10))
+@example(d=1)
+@example(d=2)
+@example(d=9)
+def test_kaehler_b2_range_is_two_to_eight(d):
+    # few draws: d = 8 takes about half a second
+    code, out, err = _main(["kaehler-b2", "--", str(d)])
+    if 2 <= d <= 8:
+        obj = json.loads(out)
+        assert code == 0 and err == "" and isinstance(obj, dict) and obj["d"] == d
+    else:
+        assert code == 1 and out == "" and err == "error: supported range is 2 <= d <= 8\n"
+
+
 def test_unknown_subcommand_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "frobnicate")

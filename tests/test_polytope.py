@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +18,6 @@ from einpoly.exact import (
     integer_kernel_basis,
     primitive,
     rank,
-    vec_gcd,
 )
 from einpoly.homspace import kaehler_b2_polytope, load_catalog, weight_polytope
 from einpoly.infinity import delta_min, flat_complex
@@ -545,11 +545,11 @@ def test_json_roundtrip():
 
 
 def reference_extreme_rays(constraints):
-    """Double description with every tight mask recomputed from scratch
-    and no popcount pre-filter."""
+    """Double description from the start simplex of the greedy rank scan,
+    with every tight mask recomputed from scratch and no popcount
+    pre-filter."""
     m = len(constraints[0])
-    rays, processed = polytope._initial_rays(constraints, m)
-    processed = list(processed)
+    rays, processed = reference_initial_rays(constraints, m)
 
     def tight_mask(ray):
         return sum(1 << pos for pos, ci in enumerate(processed)
@@ -577,6 +577,15 @@ def reference_extreme_rays(constraints):
         processed.append(ci)
         rays = list(dict.fromkeys(new_rays))
     return rays
+
+
+def check_extreme_rays(constraints, rays):
+    """The (ray, mask) list of `_extreme_rays` against the reference double
+    description, and each mask against the constraints the ray is tight on."""
+    assert sorted(r for r, _ in rays) == sorted(reference_extreme_rays(constraints))
+    for r, mask in rays:
+        assert all(dot(c, r) >= 0 for c in constraints)
+        assert mask == sum(1 << ci for ci, c in enumerate(constraints) if dot(c, r) == 0)
 
 
 def reference_face_lattice(P):
@@ -674,10 +683,7 @@ def test_kernels_match_reference_implementations(monkeypatch, key, permute):
         polys = [permuted_hull(P, seed=key) for P in polys]
     assert runs
     for constraints, rays in runs:
-        assert sorted(r for r, _ in rays) == sorted(reference_extreme_rays(constraints))
-        # each ray's mask is the set of constraints it is tight on
-        for r, mask in rays:
-            assert mask == sum(1 << ci for ci, c in enumerate(constraints) if dot(c, r) == 0)
+        check_extreme_rays(constraints, rays)
     for P in polys:
         assert flat_lattice(P) == reference_face_lattice(P)
         assert sorted(pulling_triangulation(P)) == sorted(reference_triangulation(P))
@@ -752,7 +758,7 @@ def reference_hull(points):
         if sum_one:
             a_amb = [x - offset for x in a_amb]
             offset = 0
-        g = vec_gcd(a_amb)
+        g = gcd(*a_amb)
         if g > 1:
             a_amb = [x // g for x in a_amb]
             offset = min(dot(a_amb, p) for p in pts)
@@ -814,7 +820,7 @@ def test_hull_matches_reference_hull(pts):
     assert len(got) == len(P.facets) and got.keys() == want.keys()
     equations = [list(row) for row, _ in affine]
     for key, normal in got.items():
-        assert vec_gcd(normal) == 1
+        assert gcd(*normal) == 1
         assert rank(equations + [[x - y for x, y in zip(normal, want[key])]]) == len(equations)
 
 
@@ -891,7 +897,8 @@ def test_hull_matches_reference_hull_on_catalog(key):
 
 
 # ---------------------------------------------------------------------------
-# the double-description start simplex against the greedy rank scan
+# the double description from the whole space against the greedy rank
+# scan's start simplex
 # ---------------------------------------------------------------------------
 
 
@@ -920,17 +927,18 @@ def reference_initial_rays(constraints, m):
 @pytest.mark.parametrize("key", list(KERNEL_CATALOG) + [f"kaehler_{d}" for d in range(2, 7)])
 def test_initial_rays_match_greedy_rank_scan(monkeypatch, key):
     seen = []
-    initial_rays = polytope._initial_rays
+    extreme_rays = polytope._extreme_rays
 
-    def recorded(constraints, m):
-        seen.append((constraints, m))
-        return initial_rays(constraints, m)
+    def recorded(constraints):
+        rays = extreme_rays(constraints)
+        seen.append((constraints, rays))
+        return rays
 
-    monkeypatch.setattr(polytope, "_initial_rays", recorded)
+    monkeypatch.setattr(polytope, "_extreme_rays", recorded)
     kernel_polytopes(key)
     assert seen
-    for constraints, m in seen:
-        assert initial_rays(constraints, m) == reference_initial_rays(constraints, m)
+    for constraints, rays in seen:
+        check_extreme_rays(constraints, rays)
 
 
 def test_initial_rays_skip_dependent_constraints():
@@ -954,11 +962,11 @@ def test_initial_rays_skip_dependent_constraints():
             else:
                 constraints.append([rng.randint(-3, 3) for _ in range(m)])
         try:
-            expected = reference_initial_rays(constraints, m)
+            reference_initial_rays(constraints, m)
         except DimensionError:
             deficient += 1
             with pytest.raises(DimensionError):
-                polytope._initial_rays(constraints, m)
+                polytope._extreme_rays(constraints)
             continue
-        assert polytope._initial_rays(constraints, m) == expected
+        check_extreme_rays(constraints, polytope._extreme_rays(constraints))
     assert 0 < deficient < 300

@@ -34,7 +34,6 @@ from einpoly.exact import (
     ZPoly,
     bivar_cols,
     clear_left_end,
-    format_rat,
     isolate_real_roots,
     refine_root_interval,
     resultant,
@@ -564,13 +563,13 @@ def _gcd_route_fibers(branches, q):
 def _exact_entry(system, x) -> dict:
     """A rational solution x, checked on the Laurent system."""
     assert all(f.eval(list(x) + [F(1)]) == 0 for f in system)
-    return {"x": [format_rat(v) for v in x], "exact": True, "residual": "0"}
+    return {"x": [str(v) for v in x], "exact": True, "residual": "0"}
 
 
 def _box_entry(ibox) -> dict:
     """A solution box, one isolating interval (a, b, D) per coordinate."""
     return {
-        "box": [[format_rat(F(a, d)), format_rat(F(b, d))] for a, b, d in ibox],
+        "box": [[str(F(a, d)), str(F(b, d))] for a, b, d in ibox],
         "exact": False,
     }
 
