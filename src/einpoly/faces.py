@@ -2,8 +2,9 @@
 
 The census runs two shape tests on every proper non-vertex face F of P:
 
-* test 1 (`_pyramid`): F has an apex a such that every basis point e_i on
-  F is a itself or lies on the base conv(other vertices);
+* test 1 (`polytope._apex`, the walk behind `is_pyramid`): F has an apex
+  a such that every basis point e_i on F is a itself or lies on the base
+  conv(other vertices);
 * test 2 (`_octahedron`): F is a cross polytope centered at a basis point
   e_i0 and carries no other basis point.
 
@@ -36,8 +37,9 @@ computation per face:
   has an apex".
 
 A marked 2-face is singular when the curve of the face restriction is
-singular at a torus point.  On a parallelogram that is one product of
-vertex coefficients (`parallelogram_singular`); on any 2-face
+singular at a torus point.  On a parallelogram, the 2-dimensional cross
+polytope (`is_cross_polytope`: its diagonals bisect each other), that is
+one product of vertex coefficients (`face_verdict`); on any 2-face
 `curve_singular` decides it exactly with the d = 3 solver's fiber gcds.
 """
 
@@ -49,33 +51,13 @@ from typing import Dict, List, Optional, Sequence
 
 from .curvature import LaurentPoly, monomial_substitute, restrict_to_face, scalar_curvature
 from .exact import LatticeChart, det
-from .polytope import Face, LatticePolytope, is_cross_polytope
+from .polytope import Face, LatticePolytope, _apex, is_cross_polytope
 from .solver import DegenerateSystemError, common_torus_zero
 
 SINGULAR = "singular"
 NONSINGULAR = "nonsingular"
 NEEDS_MORE_DATA = "needs_more_data"
 NOT_ANALYZED = "not_analyzed"
-
-
-def _pyramid(face: Face, on_face: list, table: dict) -> bool:
-    """Test 1: the face has an apex a, i.e. V(F) minus a is the vertex mask
-    of a face of P in `table` (vertex mask -> facet mask), the base, such
-    that every basis point of `on_face` is a itself or lies on the base;
-    with no basis point on the face, any apex passes."""
-    vmask = rest = face.vmask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        base = table.get(vmask ^ low)
-        if base is None:
-            continue
-        if not on_face:
-            return True
-        va = face.polytope.vertices[low.bit_length() - 1]
-        if all(e == va or tight & base == base for _i, e, tight in on_face):
-            return True
-    return False
 
 
 def _octahedron(face: Face, on_face: list) -> bool:
@@ -152,7 +134,7 @@ def marked_census(polytope: LatticePolytope) -> MarkedFaceCensus:
                 fmask = face.fmask
                 on_face = [] if fmask & untight else [
                     b for b in basis if b[2] & fmask == fmask]
-                t1 = _pyramid(face, on_face, table)
+                t1 = _apex(face, on_face, table) != 0
                 t2 = _octahedron(face, on_face)
                 entries.append(CensusEntry(face, dim_, t1, t2, not (t1 or t2)))
             else:
@@ -164,53 +146,33 @@ def marked_census(polytope: LatticePolytope) -> MarkedFaceCensus:
 # singularity of face-restricted hypersurfaces
 # ---------------------------------------------------------------------------
 
-def _parallelogram_diagonals(face: Face):
-    """The two diagonal pairs (equal sums) of a parallelogram 2-face; None
-    for any other face."""
-    verts = face.vertices()
-    if face.dim != 2 or len(verts) != 4:
-        return None
-    v0 = verts[0]
-    for a, b in ((1, 2), (1, 3), (2, 3)):
-        c = ({1, 2, 3} - {a, b}).pop()
-        if tuple(x + y for x, y in zip(v0, verts[c])) == tuple(
-            x + y for x, y in zip(verts[a], verts[b])
-        ):
-            return (v0, verts[c]), (verts[a], verts[b])
-    return None
-
-
-def _diagonal_verdict(s: LaurentPoly, face: Face, diag: tuple) -> str:
-    """With vertex coefficients a0, a1, a12, a2 (a0/a12 and a1/a2 on the
-    diagonals) the restriction factors through a torus translate iff
-    a0*a12 = a1*a2, and then it is singular."""
-    restricted = restrict_to_face(s, face)
-    (p0, p12), (p1, p2) = diag
-    if set(restricted.terms) != {p0, p12, p1, p2}:
-        return NEEDS_MORE_DATA
-    a0, a12 = restricted.terms[p0], restricted.terms[p12]
-    a1, a2 = restricted.terms[p1], restricted.terms[p2]
-    return SINGULAR if a0 * a12 == a1 * a2 else NONSINGULAR
-
-
 def parallelogram_singular(s: LaurentPoly, face: Face) -> str:
-    """Verdict for the hypersurface cut out by the face restriction of s on
-    a parallelogram face (`_diagonal_verdict`); raises ValueError on any
-    other face."""
-    diag = _parallelogram_diagonals(face)
-    if diag is None:
+    """`face_verdict` on a parallelogram face, the 2-dimensional cross
+    polytope; raises ValueError on any other face."""
+    if face.dim != 2 or is_cross_polytope(face) is None:
         raise ValueError("face is not a parallelogram")
-    return _diagonal_verdict(s, face, diag)
+    return face_verdict(s, face)
 
 
 def face_verdict(s: LaurentPoly, face: Face) -> str:
-    """The report's singularity verdict on a marked face: the parallelogram
-    verdict on a parallelogram 2-face, needs_more_data on any other 2-face,
-    not_analyzed in any other dimension."""
+    """The report's singularity verdict on a marked face: not_analyzed
+    unless it is a 2-face, needs_more_data unless it is a parallelogram
+    (a 2-dimensional cross polytope) carrying the restriction's terms
+    exactly at its four vertices.  With t the restriction's coefficients
+    and 2c the sum of the two vertices of a diagonal, the restriction
+    factors through a torus translate iff t[v] * t[2c - v] takes one value
+    on all four vertices v, and then it is singular."""
     if face.dim != 2:
         return NOT_ANALYZED
-    diag = _parallelogram_diagonals(face)
-    return NEEDS_MORE_DATA if diag is None else _diagonal_verdict(s, face, diag)
+    if is_cross_polytope(face) is None:
+        return NEEDS_MORE_DATA
+    verts = face.vertices()
+    terms = restrict_to_face(s, face).terms
+    if set(terms) != set(verts):
+        return NEEDS_MORE_DATA
+    mid = [sum(col) // 2 for col in zip(*verts)]
+    products = {terms[v] * terms[tuple(m - x for m, x in zip(mid, v))] for v in verts}
+    return SINGULAR if len(products) == 1 else NONSINGULAR
 
 
 def _face_chart_poly(s: LaurentPoly, face: Face):

@@ -531,18 +531,31 @@ def permutohedron(d: int) -> LatticePolytope:
 # shape tests used by the face census
 # ---------------------------------------------------------------------------
 
-def is_pyramid(face: Face) -> Optional[LatticePoint]:
-    """Lexicographically least apex of the face; None when the face is not
-    a pyramid.  a is an apex iff the other vertices are the vertex set of a
-    face of P, the base (see the `faces` module)."""
-    table = face.polytope._face_masks()
+def _apex(face: Face, on_face, table: dict) -> int:
+    """Lowest vertex bit a of the face whose base, V(F) minus a, is the
+    vertex mask of a face of P in `table` (vertex mask -> facet mask) that
+    holds every basis point (i, e_i, tight mask) of `on_face` other than a
+    itself; 0 when no vertex is such an apex (see the `faces` module)."""
     vmask = rest = face.vmask
     while rest:
         low = rest & -rest
         rest ^= low
-        if vmask ^ low in table:
-            return face.polytope.vertices[low.bit_length() - 1]
-    return None
+        base = table.get(vmask ^ low)
+        if base is None:
+            continue
+        if not on_face:
+            return low
+        va = face.polytope.vertices[low.bit_length() - 1]
+        if all(e == va or tight & base == base for _i, e, tight in on_face):
+            return low
+    return 0
+
+
+def is_pyramid(face: Face) -> Optional[LatticePoint]:
+    """Lexicographically least apex of the face; None when the face is not
+    a pyramid."""
+    a = _apex(face, (), face.polytope._face_masks())
+    return face.polytope.vertices[a.bit_length() - 1] if a else None
 
 
 def is_cross_polytope(face: Face) -> Optional[tuple]:

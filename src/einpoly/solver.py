@@ -52,7 +52,7 @@ made of Fractions.  The exact box decision is its certificate.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import takewhile
 from math import gcd
@@ -277,7 +277,7 @@ class SolutionSet:
     warnings: List[str] = field(default_factory=list)
 
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def count_complex(data: HomSpaceData) -> SolutionSet:

@@ -13,16 +13,17 @@ from hypothesis import strategies as st
 
 import einpoly
 from einpoly import solver as solver_module
-from einpoly.curvature import LaurentPoly, scalar_curvature
+from einpoly.curvature import LaurentPoly, restrict_to_face, scalar_curvature
 from einpoly.exact import rank
 from einpoly.faces import (
     NEEDS_MORE_DATA,
     NONSINGULAR,
+    NOT_ANALYZED,
     SINGULAR,
     ChartSubstitution,
-    _parallelogram_diagonals,
     boundary_jacobian,
     curve_singular,
+    face_verdict,
     localize,
     marked_census,
     parallelogram_singular,
@@ -320,6 +321,85 @@ def test_kaehler_d8_regression_values():
 # ---------------------------------------------------------------------------
 
 
+def reference_diagonals(face):
+    """The two diagonal pairs (equal sums) of a parallelogram 2-face; None
+    for any other face."""
+    verts = face.vertices()
+    if face.dim != 2 or len(verts) != 4:
+        return None
+    v0 = verts[0]
+    for a, b in ((1, 2), (1, 3), (2, 3)):
+        c = ({1, 2, 3} - {a, b}).pop()
+        if tuple(x + y for x, y in zip(v0, verts[c])) == tuple(
+            x + y for x, y in zip(verts[a], verts[b])
+        ):
+            return (v0, verts[c]), (verts[a], verts[b])
+    return None
+
+
+def reference_verdict(s, face):
+    """The diagonal rule: with vertex coefficients a0, a12 on one diagonal
+    and a1, a2 on the other of a parallelogram carrying the restriction's
+    terms exactly at its vertices, singular iff a0 * a12 = a1 * a2."""
+    if face.dim != 2:
+        return NOT_ANALYZED
+    diag = reference_diagonals(face)
+    if diag is None:
+        return NEEDS_MORE_DATA
+    terms = restrict_to_face(s, face).terms
+    (p0, p12), (p1, p2) = diag
+    if set(terms) != {p0, p12, p1, p2}:
+        return NEEDS_MORE_DATA
+    return SINGULAR if terms[p0] * terms[p12] == terms[p1] * terms[p2] else NONSINGULAR
+
+
+def two_faces(P):
+    return P.faces(2) if P.dim >= 2 else []
+
+
+def test_parallelograms_are_the_two_dimensional_cross_polytopes():
+    catalog = [load_catalog(name) for name in REFERENCE_CATALOG]
+    polytopes = ([kaehler_b2_polytope(d) for d in range(2, 9)]
+                 + [permutohedron(d) for d in range(3, 6)]
+                 + [weight_polytope(data) for data in catalog]
+                 + [minimal_polytope(data) for data in catalog])
+    parallelograms = 0
+    for P in polytopes:
+        for face in two_faces(P):
+            is_parallelogram = reference_diagonals(face) is not None
+            assert (is_cross_polytope(face) is not None) == is_parallelogram
+            parallelograms += is_parallelogram
+    assert parallelograms > 0
+
+
+@pytest.mark.parametrize("name", REFERENCE_CATALOG)
+def test_face_verdict_is_the_diagonal_rule_on_every_minimal_two_face(name):
+    # every 2-face, marked or not: triangles, pentagons and parallelograms
+    data = load_catalog(name)
+    s = scalar_curvature(data)
+    for face in two_faces(minimal_polytope(data)):
+        assert face_verdict(s, face) == reference_verdict(s, face), face.normal_signature()
+
+
+def test_trapezoid_is_no_parallelogram():
+    # a prism over a trapezoid: its two trapezoid facets are quadrilaterals
+    # whose diagonals do not bisect each other, its four other facets are
+    # parallelograms
+    base = [(0, 0), (2, 0), (0, 1), (1, 1)]
+    P = hull([(x, y, z) for x, y in base for z in (0, 1)])
+    s = LaurentPoly(3, {v: F(1) for v in P.vertices})
+    quads = [f for f in P.faces(2) if len(f.vertex_indices) == 4]
+    trapezoids = [f for f in quads if reference_diagonals(f) is None]
+    assert (len(quads), len(trapezoids)) == (6, 2)
+    for face in quads:
+        assert (is_cross_polytope(face) is None) == (face in trapezoids)
+        assert face_verdict(s, face) == reference_verdict(s, face)
+    for face in trapezoids:
+        assert face_verdict(s, face) == NEEDS_MORE_DATA
+        with pytest.raises(ValueError):
+            parallelogram_singular(s, face)
+
+
 def test_d5_parallelogram_is_singular(e8_d5):
     s = scalar_curvature(e8_d5)
     P = minimal_polytope(e8_d5)
@@ -404,7 +484,7 @@ def test_curve_verdict_matches_the_parallelogram_formula_on_marked_faces(name, s
     s = scalar_curvature(data)
     verdicts = []
     for entry in marked_census(minimal_polytope(data)).marked_faces():
-        if entry.dim == 2 and _parallelogram_diagonals(entry.face) is not None:
+        if entry.dim == 2 and reference_diagonals(entry.face) is not None:
             verdict = parallelogram_singular(s, entry.face)
             assert curve_singular(s, entry.face) == verdict, entry.face.normal_signature()
             verdicts.append(verdict)

@@ -924,23 +924,6 @@ def reference_initial_rays(constraints, m):
     return rays, idx
 
 
-@pytest.mark.parametrize("key", list(KERNEL_CATALOG) + [f"kaehler_{d}" for d in range(2, 7)])
-def test_initial_rays_match_greedy_rank_scan(monkeypatch, key):
-    seen = []
-    extreme_rays = polytope._extreme_rays
-
-    def recorded(constraints):
-        rays = extreme_rays(constraints)
-        seen.append((constraints, rays))
-        return rays
-
-    monkeypatch.setattr(polytope, "_extreme_rays", recorded)
-    kernel_polytopes(key)
-    assert seen
-    for constraints, rays in seen:
-        check_extreme_rays(constraints, rays)
-
-
 def test_initial_rays_skip_dependent_constraints():
     # zero rows, multiples and sums of earlier rows ahead of and between the
     # independent ones; some sets stay rank deficient
