@@ -924,6 +924,29 @@ def reference_initial_rays(constraints, m):
     return rays, idx
 
 
+@pytest.mark.parametrize("key", list(KERNEL_CATALOG) + [f"kaehler_{d}" for d in range(2, 7)])
+def test_initial_rays_match_greedy_rank_scan(monkeypatch, key):
+    # every constraint set met while building the key, reordered so that the
+    # greedy rank scan's m independent rows come first: the lines are then
+    # used up by exactly the rows of the old start simplex
+    seen = []
+    extreme_rays = polytope._extreme_rays
+
+    def recorded(constraints):
+        rays = extreme_rays(constraints)
+        seen.append(constraints)
+        return rays
+
+    monkeypatch.setattr(polytope, "_extreme_rays", recorded)
+    kernel_polytopes(key)
+    assert seen
+    for constraints in seen:
+        _, idx = reference_initial_rays(constraints, len(constraints[0]))
+        order = idx + [i for i in range(len(constraints)) if i not in idx]
+        ordered = [constraints[i] for i in order]
+        check_extreme_rays(ordered, extreme_rays(ordered))
+
+
 def test_initial_rays_skip_dependent_constraints():
     # zero rows, multiples and sums of earlier rows ahead of and between the
     # independent ones; some sets stay rank deficient
