@@ -61,7 +61,7 @@ def _load_input(source: str, polytope: bool = False):
         raise SchemaError("/", str(exc)) from None
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise SchemaError("/", f"invalid JSON: {exc}") from None
     if not polytope or isinstance(obj, dict) and obj.get("schema") == "homspace/v1":
         return parse_obj(obj)

@@ -10,10 +10,11 @@ Elimination has one routine per job:
   to an elimination and skips a dependent one.  It gives `rank`, `det`
   and the volume's one row per face in `polytope`;
 * over Z, the column Hermite form A U = H (`_column_hnf`) gives the
-  saturated kernel, the lattice chart of an affine hull (`LatticeChart`)
-  and `lattice_index`.  The chart is one Hermite form of its difference
-  rows: its equations, coordinates and lift are all read off the
-  unimodular U, with no back-substitution;
+  lattice chart of an affine hull (`LatticeChart`) and `lattice_index`,
+  and no stand-alone kernel: the chart is one Hermite form of its
+  difference rows, and its equations (the saturated kernel of those rows),
+  coordinates and lift are all read off the unimodular U, with no
+  back-substitution;
 * over Z[x], one subresultant chain in y (`subresultants`) gives the
   `resultant`, its last member with the sign of the Sylvester determinant,
   and the d = 3 fiber gcds of `solver`.
@@ -174,15 +175,6 @@ def _column_hnf(a: list) -> tuple:
         if lead[r]:
             r += 1
     return hu[:m], hu[m:]
-
-
-def integer_kernel_basis(rows: Sequence[Sequence[int]]) -> list:
-    """Basis of the saturated integer kernel {z : A z = 0} of an integer
-    matrix, as a list of integer vectors."""
-    if not rows:
-        raise DimensionError("empty matrix")
-    h, u = _column_hnf([list(r) for r in rows])
-    return [list(col) for col, hcol in zip(zip(*u), zip(*h)) if not any(hcol)]
 
 
 class LatticeChart:
@@ -479,30 +471,30 @@ def isolate_real_roots(p: ZPoly) -> list:
     """Disjoint isolating intervals (a/D, b/D], given as (a, b, D), with
     exactly one real root each of the squarefree p, in increasing order:
     bisection of (-B, B], B = 1 + max |c_i| / |lead| the Cauchy bound,
-    counted by one Sturm chain."""
+    counted by one Sturm chain.  The bisection runs on a stack of
+    (a, b, D, root count, variations at a/D), with the right half pushed
+    first, so the left half is taken first and the intervals come out in
+    order."""
     if p.degree < 1:
         return []
     chain = _sturm_chain(p, p.derivative())
     total = _variations(chain, None, -1) - _variations(chain, None, 1)
     if total == 0:
         return []
-    out = []
-
-    def split(lo, hi, den, count, vlo):
-        if count == 0:
-            return
-        if count == 1:
-            out.append((lo, hi, den))
-            return
-        mid = lo + hi
-        vmid = _variations(chain, (mid, 2 * den))
-        left = vlo - vmid
-        split(2 * lo, mid, 2 * den, left, vlo)
-        split(mid, 2 * hi, 2 * den, count - left, vmid)
-
     den = abs(p.coeffs[-1])
     b = den + max(abs(c) for c in p.coeffs[:-1])
-    split(-b, b, den, total, _variations(chain, (-b, den)))
+    out = []
+    stack = [(-b, b, den, total, _variations(chain, (-b, den)))]
+    while stack:
+        lo, hi, den, count, vlo = stack.pop()
+        if count == 1:
+            out.append((lo, hi, den))
+        elif count:
+            mid = lo + hi
+            vmid = _variations(chain, (mid, 2 * den))
+            left = vlo - vmid
+            stack.append((mid, 2 * hi, 2 * den, count - left, vmid))
+            stack.append((2 * lo, mid, 2 * den, left, vlo))
     return out
 
 

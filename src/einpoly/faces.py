@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence
 from .curvature import LaurentPoly, monomial_substitute, restrict_to_face, scalar_curvature
 from .exact import LatticeChart, det
 from .polytope import Face, LatticePolytope, _apex, is_cross_polytope
-from .solver import DegenerateSystemError, common_torus_zero
+from .solver import DegenerateSystemError, _shift_nonneg, common_torus_zero
 
 SINGULAR = "singular"
 NONSINGULAR = "nonsingular"
@@ -188,12 +188,6 @@ def _face_chart_poly(s: LaurentPoly, face: Face):
         raise ValueError("face restriction spans more than two directions")
     pad = (0,) * (2 - chart.dim)
     return _shift_nonneg({chart.coords(p) + pad: coef for p, coef in restricted.terms.items()})
-
-
-def _shift_nonneg(poly: dict) -> dict:
-    mi = min((e[0] for e in poly), default=0)
-    mj = min((e[1] for e in poly), default=0)
-    return {(i - mi, j - mj): c for (i, j), c in poly.items()}
 
 
 def _euler_bivar(poly: dict, axis: int) -> dict:

@@ -157,7 +157,7 @@ def parse(document: str) -> HomSpaceData:
     """Parse and validate a homspace/v1 JSON document."""
     try:
         obj = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise SchemaError("/", f"invalid JSON: {exc}") from exc
     return parse_obj(obj)
 

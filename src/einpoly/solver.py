@@ -116,6 +116,13 @@ def legendre_at_3(n: int) -> int:
 # dehomogenization
 # ---------------------------------------------------------------------------
 
+def _shift_nonneg(poly: dict) -> dict:
+    """A polynomial {exponent tuple: c} over its least monomial: each
+    exponent minus the coordinatewise minimum, so no variable divides it."""
+    mins = [min(col) for col in zip(*poly)]
+    return {tuple(x - m for x, m in zip(e, mins)): c for e, c in poly.items()}
+
+
 def dehomogenize(system: Sequence[LaurentPoly]) -> list:
     """Set x_d = 1 and clear denominators by the minimal monomial, a common
     factor whose torus zeros are excluded anyway.
@@ -125,16 +132,12 @@ def dehomogenize(system: Sequence[LaurentPoly]) -> list:
     """
     out = []
     for f in system:
-        sums = {sum(e) for e in f.terms}
-        if len(sums) > 1:
+        if len({sum(e) for e in f.terms}) > 1:
             raise ValueError("system is not homogeneous")
-        n = f.num_vars - 1
-        # homogeneity makes the true exponents distinct
-        true_terms = {tuple(-ai for ai in a[:-1]): c for a, c in f.terms.items()}
-        if not true_terms:
+        if not f.terms:
             raise DegenerateSystemError("zero polynomial after clearing")
-        mins = tuple(min(e[i] for e in true_terms) for i in range(n))
-        out.append({tuple(ei - m for ei, m in zip(e, mins)): c for e, c in true_terms.items()})
+        # homogeneity makes the true exponents distinct
+        out.append(_shift_nonneg({tuple(-ai for ai in a[:-1]): c for a, c in f.terms.items()}))
     return out
 
 

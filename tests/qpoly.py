@@ -6,13 +6,14 @@ library computes with.  `clear` and `as_zpoly` turn references into the
 library's input form; `bivar_cols` is the dense reference for
 `einpoly.exact.bivar_cols` before clearing.  `surd_sign` is the exact sign
 of a number in Q(sqrt s).  `gauss_jordan_solve` is the reference linear
-solve over Q.
+solve over Q.  `kernel` is the saturated integer kernel of a matrix, read
+off the library's lattice chart of its rows and the origin.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from einpoly.exact import DimensionError, ZPoly
+from einpoly.exact import DimensionError, LatticeChart, ZPoly
 
 
 class QPoly:
@@ -187,3 +188,8 @@ def gauss_jordan_solve(rows, rhs):
     if any(a[r][n] != 0 for r in range(n, m)):
         return None
     return [a[i][n] for i in range(n)]
+
+
+def kernel(rows):
+    """A basis of the integer vectors z with A z = 0, saturated in Z^n."""
+    return LatticeChart([[0] * len(rows[0])] + rows).equations

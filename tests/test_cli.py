@@ -212,6 +212,10 @@ _MALFORMED = {
     "text.json": b'{"vertices": [["a", 1]]}',
     "binary.json": b'\xff\xfe{"vertices": []}',
     "bool_vertex.json": b'{"vertices": [[true, 0], [0, 1], [0, 0]]}',
+    # json.loads converts integer literals of at most 4300 digits
+    "long_vertex.json": b'{"vertices": [[' + b"9" * 4301 + b', 0], [0, 1], [1, 0]]}',
+    "long_d.json": b'{"schema": "homspace/v1", "name": "long_d", "d": ' + b"9" * 4301
+                   + b', "dims": [1, 1], "b": ["1", "1"], "triples": []}',
     # the normalized volume lives on the coordinate-sum-1 hyperplane
     "off_sum_one.json": b'{"vertices": [[0], [3]]}',
     "bool_dims.json": json.dumps({
@@ -250,6 +254,10 @@ _MALFORMED = {
     (["polytope", "binary.json"], 2, "invalid data: /: "),
     (["analyze", "binary.json"], 2, "invalid data: /: "),
     (["polytope", "bool_vertex.json"], 2, "invalid data: /vertices/0"),
+    (["polytope", "long_vertex.json"], 2, "invalid data: /: "),
+    (["analyze", "long_vertex.json"], 2, "invalid data: /: "),
+    (["polytope", "long_d.json"], 2, "invalid data: /: "),
+    (["analyze", "long_d.json"], 2, "invalid data: /: "),
     (["polytope", "off_sum_one.json", "--volume"], 2, "invalid data: /vertices: "),
     (["analyze", "bool_dims.json"], 2, "invalid data: /dims/0"),
     (["analyze", "bool_value.json"], 2, "invalid data: /triples/0/value"),

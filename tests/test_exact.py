@@ -22,7 +22,6 @@ from einpoly.exact import (
     clear_left_end,
     common_denominator,
     det,
-    integer_kernel_basis,
     isolate_real_roots,
     lattice_index,
     parse_rat,
@@ -35,7 +34,7 @@ from einpoly.exact import (
     subresultants,
     zpoly,
 )
-from qpoly import QPoly, as_zpoly, clear, surd_sign
+from qpoly import QPoly, as_zpoly, clear, kernel, surd_sign
 from qpoly import bivar_cols as reference_bivar_cols
 
 # ---------------------------------------------------------------------------
@@ -298,7 +297,7 @@ def test_lattice_index_matches_maximal_minor_gcd(gens):
 
 
 def test_integer_kernel_is_saturated():
-    basis = integer_kernel_basis([[1, 1, 1]])
+    basis = LatticeChart([[0, 0, 0], [1, 1, 1]]).equations
     assert len(basis) == 2
     for v in basis:
         assert sum(v) == 0
@@ -363,7 +362,7 @@ def test_chart_coords_roundtrip():
             c = chart.coords(p)
             assert len(c) == r and all(isinstance(v, int) for v in c)
         n = len(p0)
-        lattice = (integer_kernel_basis(chart.equations) if chart.equations
+        lattice = (kernel(chart.equations) if chart.equations
                    else [[int(i == j) for j in range(n)] for i in range(n)])
         assert len(lattice) == r
         images = [chart.coords([x + y for x, y in zip(p0, b)]) for b in lattice]
@@ -919,6 +918,17 @@ def test_isolation_matches_sturm_counts_per_interval():
         assert len(intervals) == len(roots) + 2
         assert all(a[1] <= b[0] for a, b in zip(intervals, intervals[1:]))
         assert all(sturm_count(p, lo, hi) == 1 for lo, hi in intervals)
+
+
+def test_isolation_of_far_apart_roots_runs_without_recursion():
+    # separating 1 from 2 inside the Cauchy bound of 10^400 takes about 1330
+    # halvings, more levels than Python's recursion limit
+    big = 10**400
+    p = ZPoly([-1, 1]) * ZPoly([-2, 1]) * ZPoly([-big, 1])
+    intervals = [fraction_interval(iv) for iv in isolate_real_roots(p)]
+    assert len(intervals) == 3
+    assert all(a[1] <= b[0] for a, b in zip(intervals, intervals[1:]))
+    assert all(lo < r <= hi for (lo, hi), r in zip(intervals, (1, 2, big)))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,15 @@ def test_parse_rejects_unknown_field():
     assert "/smoothness" in str(exc.value)
 
 
+def test_parse_rejects_an_integer_past_the_digit_limit():
+    # json.loads raises a plain ValueError, not JSONDecodeError, on an
+    # integer literal of more than 4300 digits
+    doc = json.dumps(MINIMAL).replace('"d": 2', '"d": ' + "9" * 4301)
+    with pytest.raises(SchemaError) as exc:
+        parse(doc)
+    assert str(exc.value).startswith("/: ")
+
+
 def test_parse_rejects_nonpositive_dims():
     doc = dict(MINIMAL, dims=[0, 1])
     with pytest.raises(SchemaError) as exc:

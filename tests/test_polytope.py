@@ -15,7 +15,6 @@ from einpoly.exact import (
     LatticeChart,
     _column_hnf,
     det,
-    integer_kernel_basis,
     primitive,
     rank,
 )
@@ -29,7 +28,7 @@ from einpoly.polytope import (
     permutohedron,
     standard_simplex,
 )
-from qpoly import gauss_jordan_solve
+from qpoly import gauss_jordan_solve, kernel
 
 
 def dot(a, b):
@@ -739,8 +738,8 @@ def reference_hull(points):
     diffs = [[p[i] - p0[i] for i in range(n)] for p in pts]
     if not any(any(d) for d in diffs):
         return (p0,), (), tuple((tuple(int(j == i) for j in range(n)), p0[i]) for i in range(n)), 0
-    ortho = integer_kernel_basis(diffs)
-    basis = integer_kernel_basis(ortho) if ortho else [
+    ortho = kernel(diffs)
+    basis = kernel(ortho) if ortho else [
         [int(i == j) for j in range(n)] for i in range(n)]
     r = len(basis)
     affine = tuple((tuple(row), dot(row, p0)) for row in ortho)
@@ -917,7 +916,7 @@ def reference_initial_rays(constraints, m):
     rays = []
     for j in range(m):
         cols = [[F(chosen[i][k]) for k in range(m)] for i in range(m) if i != j]
-        r = integer_kernel_basis([[int(x) for x in row] for row in cols])[0] if cols else [1] * m
+        r = kernel([[int(x) for x in row] for row in cols])[0] if cols else [1] * m
         if dot(chosen[j], r) < 0:
             r = [-x for x in r]
         rays.append(primitive(r))
