@@ -24,6 +24,7 @@ from .homspace import (
     kaehler_b2_polytope,
     load_catalog,
     parse_obj,
+    read_json,
     weight_polytope,
 )
 from .infinity import B2NotApplicableError, b2_exponent, delta_min, flat_complex
@@ -59,10 +60,7 @@ def _load_input(source: str, polytope: bool = False):
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise SchemaError("/", str(exc)) from None
-    try:
-        obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-        raise SchemaError("/", f"invalid JSON: {exc}") from None
+    obj = read_json(text)
     if not polytope or isinstance(obj, dict) and obj.get("schema") == "homspace/v1":
         return parse_obj(obj)
     if not (isinstance(obj, dict) and "vertices" in obj):

@@ -72,10 +72,6 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.num_vars, {e: -c for e, c in self.terms.items()})
 
-    def scale(self, factor) -> "LaurentPoly":
-        factor = Fraction(factor)
-        return LaurentPoly(self.num_vars, {e: c * factor for e, c in self.terms.items()})
-
     # -- calculus --------------------------------------------------------------
 
     def euler(self, i: int) -> "LaurentPoly":

@@ -31,11 +31,12 @@ matters.
 
 Real roots are isolated and refined in integers: the input is a squarefree
 `ZPoly`, its Sturm chain is built by signed pseudo-remainders, and an
-isolating interval is an integer triple (a, b, D) for (a/D, b/D].  Sturm
-variations (isolation) and the sign of the polynomial (refinement) are both
-read by `sign_at`, a homogeneous Horner sum at a point n/d.  The sign of a
-second polynomial P at an isolated root of h is exact too (`sign_at_root`):
-it is the variation drop of one Sturm-Tarski sequence of h and h'P.
+isolating interval is an integer triple (a, b, D) for (a/D, b/D], on one
+side of 0 and with no root at its left end.  Sturm variations (isolation)
+and the sign of the polynomial (refinement) are both read by `sign_at`, a
+homogeneous Horner sum at a point n/d.  The sign of a second polynomial P
+at an isolated root of h is exact too (`sign_at_root`): it is the
+variation drop of one Sturm-Tarski sequence of h and h'P.
 """
 
 from __future__ import annotations
@@ -426,7 +427,9 @@ def _sturm_chain(p: ZPoly, q: ZPoly) -> list:
             break
         g = gcd(*r.coeffs)
         # -sign(lead(b))^k is +1 iff lead(b) < 0 and k is odd
-        chain.append(r // (g if b.coeffs[-1] < 0 and (a.degree - b.degree) % 2 == 0 else -g))
+        if b.coeffs[-1] > 0 or (a.degree - b.degree) % 2:
+            g = -g
+        chain.append(ZPoly([x // g for x in r.coeffs]))
     return [q.coeffs for q in chain]
 
 
@@ -469,25 +472,26 @@ def sturm_count(p: ZPoly, a=None, b=None) -> int:
 
 def isolate_real_roots(p: ZPoly) -> list:
     """Disjoint isolating intervals (a/D, b/D], given as (a, b, D), with
-    exactly one real root each of the squarefree p, in increasing order:
-    bisection of (-B, B], B = 1 + max |c_i| / |lead| the Cauchy bound,
-    counted by one Sturm chain.  The bisection runs on a stack of
-    (a, b, D, root count, variations at a/D), with the right half pushed
-    first, so the left half is taken first and the intervals come out in
-    order."""
+    exactly one real root each of the squarefree p, in increasing order,
+    each on one side of 0 (a b >= 0) and with no root at its left end
+    (p(a/D) != 0): bisection of (-B, B], B = 1 + max |c_i| / |lead| the
+    Cauchy bound, counted by one Sturm chain, which goes on past one root
+    while an interval holds 0 inside or a root at its left end.  The
+    bisection runs on a stack of (a, b, D, root count, variations at a/D),
+    with the right half pushed first, so the left half is taken first and
+    the intervals come out in order."""
     if p.degree < 1:
         return []
+    c = p.coeffs
     chain = _sturm_chain(p, p.derivative())
     total = _variations(chain, None, -1) - _variations(chain, None, 1)
-    if total == 0:
-        return []
-    den = abs(p.coeffs[-1])
-    b = den + max(abs(c) for c in p.coeffs[:-1])
+    den = abs(c[-1])
+    b = den + max(abs(x) for x in c[:-1])
     out = []
     stack = [(-b, b, den, total, _variations(chain, (-b, den)))]
     while stack:
         lo, hi, den, count, vlo = stack.pop()
-        if count == 1:
+        if count == 1 and lo * hi >= 0 and sign_at(c, lo, den):
             out.append((lo, hi, den))
         elif count:
             mid = lo + hi
@@ -507,6 +511,8 @@ def refine_root_interval(p: ZPoly, interval: tuple, width: Fraction) -> tuple:
     else in it.  Hence r <= m, the midpoint, iff p(m) = 0 or p(m) has the
     sign of p(b/D).  That covers r = b/D too: then p(b/D) = 0 and p(m) is
     not, so the step goes right.  The denominator doubles with each step.
+    The left end moves only where p is nonzero, so p(a/D) != 0 and
+    a b >= 0 are kept.
     """
     c = p.coeffs
     a, b, den = interval
@@ -523,25 +529,16 @@ def refine_root_interval(p: ZPoly, interval: tuple, width: Fraction) -> tuple:
     return a, b, den
 
 
-def clear_left_end(p: ZPoly, interval: tuple) -> tuple:
-    """An isolating interval (a, b, D) of the squarefree p bisected until
-    p(a/D) != 0: the left end of (a/D, b/D] can be the neighbouring root."""
-    a, b, d = interval
-    while sign_at(p.coeffs, a, d) == 0:
-        a, b, d = refine_root_interval(p, (a, b, d), Fraction(b - a, 2 * d))
-    return a, b, d
-
-
 def sign_at_root(P: ZPoly, h: ZPoly, interval: tuple) -> int:
     """The sign of P at the one root r of the squarefree h (positive lead)
-    in (a/D, b/D], given as (a, b, D).  The left end may be the neighbouring
-    root, so it is cleared first (`clear_left_end`), which can move r onto
-    the right end, tested next.  Then by the Sturm-Tarski theorem the
-    variation drop V(a/D) - V(b/D) of the signed remainder sequence of h and
-    h'P is the sign of P(r).  h'P may be replaced by its pseudo-remainder
-    mod h, a positive multiple of the remainder: that adds a polynomial to
-    h'P / h, which has no pole, so the variation drop is kept."""
-    a, b, d = clear_left_end(h, interval)
+    in (a/D, b/D], given as (a, b, D), with h(a/D) != 0, as isolation
+    guarantees.  A root on the right end is read directly; else by the
+    Sturm-Tarski theorem the variation drop V(a/D) - V(b/D) of the signed
+    remainder sequence of h and h'P is the sign of P(r).  h'P may be
+    replaced by its pseudo-remainder mod h, a positive multiple of the
+    remainder: that adds a polynomial to h'P / h, which has no pole, so the
+    variation drop is kept."""
+    a, b, d = interval
     if sign_at(h.coeffs, b, d) == 0:
         return sign_at(P.coeffs, b, d)
     chain = _sturm_chain(h, (h.derivative() * P).prem(h))

@@ -153,13 +153,19 @@ _FIELDS = {
 }
 
 
+def read_json(document: str):
+    """The JSON value of a document; `SchemaError` for invalid JSON, an
+    integer past Python's digit limit (a plain `ValueError`) or nesting
+    past the recursion limit (`RecursionError`)."""
+    try:
+        return json.loads(document)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError("/", f"invalid JSON: {exc}") from None
+
+
 def parse(document: str) -> HomSpaceData:
     """Parse and validate a homspace/v1 JSON document."""
-    try:
-        obj = json.loads(document)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-        raise SchemaError("/", f"invalid JSON: {exc}") from exc
-    return parse_obj(obj)
+    return parse_obj(read_json(document))
 
 
 def parse_obj(obj: dict) -> HomSpaceData:

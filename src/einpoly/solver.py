@@ -40,11 +40,12 @@ the one real zero of S(a, y) lies in exactly one of them.
 The certification keeps one integer form from the resultant to the
 solution box: the eliminants themselves, and isolating intervals (a, b, D)
 for (a/D, b/D] that `exact.isolate_real_roots` returns and refinement
-bisects by the sign of the eliminant.  Only finding the real solutions
-depends on d: for d = 2 each isolating interval of the squarefree
-eliminant is one, for d = 3 each box the scan places.  Both dimensions
-share one record step (`_record_real`): a real solution is one isolating
-interval per coordinate, counted, positive when every coordinate is, and
+bisects by the sign of the eliminant, each on one side of 0 with no root
+at its left end.  Only finding the real solutions depends on d: for d = 2
+each isolating interval of the squarefree eliminant is one, for d = 3 each
+box the scan places.  Both dimensions share one record step
+(`_record_real`): a real solution is one isolating interval per
+coordinate, counted, positive when every interval lies right of 0, and
 reported as its exact point when every coordinate is rational, else as
 its intervals refined to width at most 2^-20; only the report entry is
 made of Fractions.  The exact box decision is its certificate.
@@ -62,7 +63,6 @@ from .curvature import LaurentPoly, einstein_system
 from .exact import (
     ZPoly,
     bivar_cols,
-    clear_left_end,
     isolate_real_roots,
     refine_root_interval,
     resultant,
@@ -158,7 +158,7 @@ def _reduce(A: list, h: ZPoly) -> list:
     while out and not out[-1]:
         out.pop()
     g = gcd(*(x for c in out for x in c.coeffs))
-    return [c // g for c in out] if g > 1 else out
+    return [ZPoly([x // g for x in c.coeffs]) for c in out] if g > 1 else out
 
 
 def _trim(A: list, h: ZPoly) -> list:
@@ -333,9 +333,10 @@ _BOX_WIDTH = Fraction(1, 2**20)
 def _record_real(out: SolutionSet, real: list, system) -> None:
     """Set the real and positive counts and the solutions of `out` from the
     real solutions, each [(q, interval)] with one isolating interval of a
-    squarefree eliminant q per coordinate, for d = 2 and d = 3 alike."""
+    squarefree eliminant q per coordinate, for d = 2 and d = 3 alike; as
+    the interval lies on one side of 0, the root is positive iff a >= 0."""
     out.real_count = len(real)
-    out.positive_count = sum(all(_positive(q, i) for q, i in sol) for sol in real)
+    out.positive_count = sum(all(i[0] >= 0 for _, i in sol) for sol in real)
     for sol in real:
         x = list(takewhile(lambda r: r is not None, (_rational_root_in(q, i) for q, i in sol)))
         if len(x) == len(sol):
@@ -347,20 +348,6 @@ def _record_real(out: SolutionSet, real: list, system) -> None:
                 "box": [[str(Fraction(a, d)), str(Fraction(b, d))] for a, b, d in box],
                 "exact": False,
             })
-
-
-def _positive(q: ZPoly, interval: tuple) -> bool:
-    """Whether the one root of q (q(0) != 0) in the isolating interval
-    (a/D, b/D], given as (a, b, D), is positive.  q changes sign there at
-    the root only, so an interval around 0 holds it in (0, b/D] iff
-    q(b/D) = 0 or q(b/D) and q(0) have opposite signs."""
-    a, b, d = interval
-    if a >= 0:
-        return True
-    if b <= 0:
-        return False
-    s = sign_at(q.coeffs, b, d)
-    return s == 0 or (s > 0) != (q.coeffs[0] > 0)
 
 
 def _rational_root_in(p: ZPoly, interval: tuple):
@@ -399,8 +386,8 @@ def _at_y(S: list, n: int, d: int) -> ZPoly:
 
 def _fiber_at(fibers: list, i1: tuple) -> tuple:
     """The fiber (h, S) (`_fibers`) over the one root a of q1 in the
-    isolating interval (lo, hi, D), q1(lo/D) != 0: its branch h is the one
-    that changes sign on the interval."""
+    isolating interval (lo, hi, D), q1(lo/D) != 0 by isolation: its branch
+    h is the one that changes sign on the interval."""
     lo, hi, d = i1
     return next((h, S) for h, S in fibers
                 if sign_at(h.coeffs, lo, d) != sign_at(h.coeffs, hi, d))
@@ -408,11 +395,11 @@ def _fiber_at(fibers: list, i1: tuple) -> tuple:
 
 def _holds_solution(h: ZPoly, S: list, i1: tuple, i2: tuple) -> bool:
     """Whether the root a of q1 in i1 and b of q2 in i2 form a solution,
-    for isolating intervals (lo, hi, D) with q2(lo/D) != 0 and a's fiber
-    (h, S) (`_fiber_at`).  b is the one root of q2 in i2, so (a, b) is a
-    solution iff S(a, y) vanishes at hi/D or changes sign across i2,
-    S(a, lo/D) S(a, hi/D) <= 0, read at a by `sign_at_root`.  The unit that
-    S is known up to is nonzero at a and scales both values alike; a
+    for isolating intervals (lo, hi, D), no root at a left end by isolation,
+    and a's fiber (h, S) (`_fiber_at`).  b is the one root of q2 in i2, so
+    (a, b) is a solution iff S(a, y) vanishes at hi/D or changes sign across
+    i2, S(a, lo/D) S(a, hi/D) <= 0, read at a by `sign_at_root`.  The unit
+    that S is known up to is nonzero at a and scales both values alike; a
     constant S is such a unit, and its square is positive."""
     lo, hi, d = i2
     return sign_at_root(_at_y(S, lo, d) * _at_y(S, hi, d), h, i1) <= 0
@@ -428,12 +415,11 @@ def _real_d3(q1: ZPoly, q2: ZPoly, fibers: list) -> list:
     there are.  When deg_y S = 1, the one zero of S(a, y) is real, a
     simple root of q2, so it lies in exactly one isolating interval of q2:
     the last one is taken without a test when no earlier one held it."""
-    iso1 = [clear_left_end(q1, i1) for i1 in isolate_real_roots(q1)]
-    iso2 = [clear_left_end(q2, i2) for i2 in isolate_real_roots(q2)]
+    iso2 = isolate_real_roots(q2)
     real = []
     if not iso2:
         return real
-    for i1 in iso1:
+    for i1 in isolate_real_roots(q1):
         h, S = _fiber_at(fibers, i1)
         left = len(S) - 1
         for j, i2 in enumerate(iso2):

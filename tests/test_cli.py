@@ -216,6 +216,8 @@ _MALFORMED = {
     "long_vertex.json": b'{"vertices": [[' + b"9" * 4301 + b', 0], [0, 1], [1, 0]]}',
     "long_d.json": b'{"schema": "homspace/v1", "name": "long_d", "d": ' + b"9" * 4301
                    + b', "dims": [1, 1], "b": ["1", "1"], "triples": []}',
+    # json.loads nests no deeper than the recursion limit
+    "deep.json": b"[" * 100000 + b"]" * 100000,
     # the normalized volume lives on the coordinate-sum-1 hyperplane
     "off_sum_one.json": b'{"vertices": [[0], [3]]}',
     "bool_dims.json": json.dumps({
@@ -258,6 +260,8 @@ _MALFORMED = {
     (["analyze", "long_vertex.json"], 2, "invalid data: /: "),
     (["polytope", "long_d.json"], 2, "invalid data: /: "),
     (["analyze", "long_d.json"], 2, "invalid data: /: "),
+    (["polytope", "deep.json"], 2, "invalid data: /: invalid JSON: "),
+    (["analyze", "deep.json"], 2, "invalid data: /: invalid JSON: "),
     (["polytope", "off_sum_one.json", "--volume"], 2, "invalid data: /vertices: "),
     (["analyze", "bool_dims.json"], 2, "invalid data: /dims/0"),
     (["analyze", "bool_value.json"], 2, "invalid data: /triples/0/value"),

@@ -19,7 +19,6 @@ from einpoly.exact import (
     _sturm_chain,
     _variations,
     bivar_cols,
-    clear_left_end,
     common_denominator,
     det,
     isolate_real_roots,
@@ -931,6 +930,38 @@ def test_isolation_of_far_apart_roots_runs_without_recursion():
     assert all(lo < r <= hi for (lo, hi), r in zip(intervals, (1, 2, big)))
 
 
+dyadic_rats = st.builds(lambda k, j: F(k, 2**j), st.integers(min_value=-12, max_value=12),
+                        st.integers(min_value=0, max_value=3))
+
+
+@given(st.lists(dyadic_rats, min_size=1, max_size=5, unique=True),
+       st.sampled_from([None, 2, 3]),
+       st.integers(min_value=0, max_value=12))
+# x^3 - x: the cut at 0 leaves the root 1 alone in (0, 2], and the next
+# cut the root 0 alone in (-1, 0], with a root on each left end
+@example([F(-1), F(0), F(1)], None, 0)
+@settings(max_examples=80, deadline=None)
+def test_isolating_intervals_have_a_clean_left_end_and_one_sign(roots, surd, bits):
+    # dyadic roots k / 2^j, where the bisection points land, so left ends
+    # often meet a root: every interval holds one root, has no root on its
+    # left end and lies on one side of 0, and the refinement keeps both
+    p = QPoly.from_roots(roots)
+    if surd is not None:
+        p = p * QPoly([-surd, 0, 1])
+    z = as_zpoly(p)
+    intervals = isolate_real_roots(z)
+    assert len(intervals) == sturm_count(z)
+    ends = [fraction_interval(iv) for iv in intervals]
+    assert all(a[1] <= b[0] for a, b in zip(ends, ends[1:]))
+    for r in roots:
+        assert sum(lo < r <= hi for lo, hi in ends) == 1
+    for iv in intervals:
+        for a, b, d in (iv, refine_root_interval(z, iv, F(1, 2**bits))):
+            assert sturm_count(z, F(a, d), F(b, d)) == 1
+            assert p(F(a, d)) != 0
+            assert a * b >= 0
+
+
 # ---------------------------------------------------------------------------
 # the integer Sturm chain against the Fraction chain
 # ---------------------------------------------------------------------------
@@ -1017,9 +1048,9 @@ def sign_cases(draw):
 @settings(max_examples=120, deadline=None)
 def test_sign_at_root_matches_the_exact_sign(case, bits):
     # intervals between any two of the rational roots, points just past
-    # them and the refined isolation's endpoints: with two rational roots
-    # there is always one with a root of h on the right end, and one whose
-    # left end is the neighbouring root
+    # them and the refined isolation's endpoints, except those whose left
+    # end is a root of h (the isolation never returns one): with a rational
+    # root there is always one with a root of h on the right end
     h, roots, surds, P = case
     z = as_zpoly(h)
     zP = as_zpoly(P) if P else ZPoly()
@@ -1027,31 +1058,28 @@ def test_sign_at_root_matches_the_exact_sign(case, bits):
     for iv in isolate_real_roots(z):
         points.update(fraction_interval(refine_root_interval(z, iv, F(1, 2**bits))))
     points = sorted(points)
-    reached = set()
+    right_end = False
     for i, lo in enumerate(points):
         for hi in points[i + 1:]:
-            if sturm_count(z, lo, hi) != 1:
+            if lo in roots or sturm_count(z, lo, hi) != 1:
                 continue
             inside = [r for r in roots if lo < r <= hi]
             if inside:
                 expected = (P(inside[0]) > 0) - (P(inside[0]) < 0)
-                if inside[0] == hi:
-                    reached.add("right end")
+                right_end |= inside[0] == hi
             else:
                 expected = next(sign_at_surd(P, n, side) for n in surds for side in (1, -1)
                                 if surd_in(n, side, lo, hi))
-            if lo in roots:
-                reached.add("left end")
             assert sign_at_root(zP, z, triple(lo, hi)) == expected, (h, P, lo, hi)
-    if len(roots) >= 2:
-        assert reached == {"right end", "left end"}
+    assert right_end or not roots
 
 
 def test_sign_at_root_after_the_bisection_moves_the_root_onto_the_right_end():
     # h = (3x + 2)(2x + 1)(x - 4): the left end -2/3 of (-2/3, 0] is a root,
-    # and the bisection off it leaves the root -1/2 on the right end
+    # so the isolation cuts that interval again, which leaves the root -1/2
+    # on the right end
     h = ZPoly([-8, -26, -17, 6])
-    assert fraction_interval(clear_left_end(h, (-2, 0, 3))) == (F(-7, 12), F(-1, 2))
-    assert sign_at_root(ZPoly([-1, -4]), h, (-2, 0, 3)) == 1
-    assert sign_at_root(ZPoly([1, 4]), h, (-2, 0, 3)) == -1
-    assert sign_at_root(ZPoly([1, 2]), h, (-2, 0, 3)) == 0
+    assert fraction_interval(isolate_real_roots(h)[1]) == (F(-7, 12), F(-1, 2))
+    assert sign_at_root(ZPoly([-1, -4]), h, (-7, -6, 12)) == 1
+    assert sign_at_root(ZPoly([1, 4]), h, (-7, -6, 12)) == -1
+    assert sign_at_root(ZPoly([1, 2]), h, (-7, -6, 12)) == 0

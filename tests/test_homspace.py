@@ -21,7 +21,7 @@ from einpoly.homspace import (
     weight_points,
     weight_polytope,
 )
-from einpoly.polytope import hull, standard_simplex
+from einpoly.polytope import standard_simplex
 
 MINIMAL = {
     "schema": "homspace/v1",
@@ -59,6 +59,13 @@ def test_parse_rejects_an_integer_past_the_digit_limit():
     with pytest.raises(SchemaError) as exc:
         parse(doc)
     assert str(exc.value).startswith("/: ")
+
+
+def test_parse_rejects_nesting_past_the_recursion_limit():
+    # json.loads raises RecursionError, no ValueError, on deep nesting
+    with pytest.raises(SchemaError) as exc:
+        parse("[" * 100000 + "]" * 100000)
+    assert str(exc.value).startswith("/: invalid JSON: ")
 
 
 def test_parse_rejects_nonpositive_dims():

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from einpoly.curvature import einstein_system
 from einpoly.exact import (
     ZPoly,
-    clear_left_end,
     common_denominator,
     isolate_real_roots,
     refine_root_interval,
@@ -37,7 +36,6 @@ from einpoly.solver import (
     _fiber_at,
     _fibers,
     _holds_solution,
-    _positive,
     _rational_root_in,
     _real_d3,
     _record_real,
@@ -337,18 +335,12 @@ def test_positive_matches_the_sign_of_the_root(roots, surd, flip, bits):
     z = as_zpoly(p)
     if z.degree < 1:
         return
-    # the i-th interval holds the i-th smallest real root
+    # the i-th interval holds the i-th smallest real root, and lies on one
+    # side of 0, so its root is positive iff its left end is >= 0
     for i, interval in enumerate(isolate_real_roots(z)):
         for iv in (interval, refine_root_interval(z, interval, F(1, 2**bits))):
-            assert _positive(z, iv) == (i >= negative)
-
-
-def test_positive_root_on_the_right_end_of_a_straddling_interval():
-    # isolation splits at 0 first, so it never returns such an interval,
-    # but the rule holds on any isolating interval: q(b/D) = 0 there
-    for q in (ZPoly([-1, 1]), ZPoly([1, -1])):
-        assert _positive(q, (-1, 1, 1))
-    assert not _positive(ZPoly([2, 1]), (-3, 1, 1))
+            assert (iv[0] >= 0) == (i >= negative)
+            assert iv[0] * iv[1] >= 0
 
 
 def test_counts_never_exceed_complex(su3_t2):
@@ -505,11 +497,11 @@ def test_certification_bytes_pinned():
 
 
 def test_d2_positive_count_of_an_unsplit_isolation():
-    # y^3 -+ 2 has one real root, so the isolation returns the Cauchy
-    # interval (-3, 3] unsplit; sf(0) against the lead decides its sign
-    for c0, positive in ((2, 0), (-2, 1)):
+    # y^3 -+ 2 has one real root in the Cauchy interval (-3, 3], which the
+    # isolation still cuts at 0, so the half that holds it decides its sign
+    for c0, positive, interval in ((2, 0, (-6, 0, 2)), (-2, 1, (0, 6, 2))):
         sf = ZPoly([c0, 0, 0, 1])
-        assert isolate_real_roots(sf) == [(-3, 3, 1)]
+        assert isolate_real_roots(sf) == [interval]
         sol = SolutionSet(2, 3)
         _record_real(sol, [[(sf, i)] for i in isolate_real_roots(sf)], [])
         assert (sol.real_count, sol.positive_count) == (1, positive)
@@ -618,8 +610,8 @@ def test_krawczyk_image_matches_fraction_reference():
         if q1.degree <= 0 or q2.degree <= 0:
             continue
         fibers, _ = _fibers(branches, q2)
-        iso1 = [clear_left_end(q1, i1) for i1 in isolate_real_roots(q1)]
-        iso2 = [clear_left_end(q2, i2) for i2 in isolate_real_roots(q2)]
+        iso1 = isolate_real_roots(q1)
+        iso2 = isolate_real_roots(q2)
         for i1, x in zip(iso1, real_roots_in(q1, iso1)):
             for i2, y in zip(iso2, real_roots_in(q2, iso2)):
                 residual = mp_residual((g1, g2), (x, y))

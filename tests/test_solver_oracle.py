@@ -33,7 +33,6 @@ from einpoly.curvature import einstein_system
 from einpoly.exact import (
     ZPoly,
     bivar_cols,
-    clear_left_end,
     isolate_real_roots,
     refine_root_interval,
     resultant,
@@ -579,14 +578,14 @@ def _all_pairs_certificate(q1, q2, fibers, system):
     `_record_real` with one `_holds_solution` decision on every pair of
     isolating intervals, and entries built here."""
     out = solver.SolutionSet(3, 0, real_count=0, positive_count=0)
-    iso1 = [clear_left_end(q1, i1) for i1 in isolate_real_roots(q1)]
-    iso2 = [clear_left_end(q2, i2) for i2 in isolate_real_roots(q2)]
+    iso1 = isolate_real_roots(q1)
+    iso2 = isolate_real_roots(q2)
     for i1 in iso1:
         for i2 in iso2:
             if not solver._holds_solution(*solver._fiber_at(fibers, i1), i1, i2):
                 continue
             out.real_count += 1
-            out.positive_count += solver._positive(q1, i1) and solver._positive(q2, i2)
+            out.positive_count += i1[0] >= 0 and i2[0] >= 0
             r1 = solver._rational_root_in(q1, i1)
             r2 = None if r1 is None else solver._rational_root_in(q2, i2)
             if r2 is not None:
