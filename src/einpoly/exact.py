@@ -32,11 +32,16 @@ matters.
 Real roots are isolated and refined in integers: the input is a squarefree
 `ZPoly`, its Sturm chain is built by signed pseudo-remainders, and an
 isolating interval is an integer triple (a, b, D) for (a/D, b/D], on one
-side of 0 and with no root at its left end.  Sturm variations (isolation)
-and the sign of the polynomial (refinement) are both read by `sign_at`, a
-homogeneous Horner sum at a point n/d.  The sign of a second polynomial P
-at an isolated root of h is exact too (`sign_at_root`): it is the
-variation drop of one Sturm-Tarski sequence of h and h'P.
+side of 0 and with no root at its left end.  D is a power of two:
+isolation starts from (-2^k, 2^k], 2^k the least power of two above the
+Cauchy bound, and every bisection halves, so no endpoint carries the
+lead.  Sturm variations (isolation) and the sign of the polynomial
+(refinement) are both read by `sign_at`, a homogeneous Horner sum at a
+point n/d.  The sign of a second polynomial P at an isolated root of h is
+exact too: it is the variation drop of one Sturm-Tarski sequence of h and
+h'P, which does not depend on the root, so a `tarski_query` builds it
+once and reads it at every isolating interval of h it is asked about
+(`sign_at_root` asks about one).
 """
 
 from __future__ import annotations
@@ -474,21 +479,23 @@ def isolate_real_roots(p: ZPoly) -> list:
     """Disjoint isolating intervals (a/D, b/D], given as (a, b, D), with
     exactly one real root each of the squarefree p, in increasing order,
     each on one side of 0 (a b >= 0) and with no root at its left end
-    (p(a/D) != 0): bisection of (-B, B], B = 1 + max |c_i| / |lead| the
-    Cauchy bound, counted by one Sturm chain, which goes on past one root
-    while an interval holds 0 inside or a root at its left end.  The
-    bisection runs on a stack of (a, b, D, root count, variations at a/D),
-    with the right half pushed first, so the left half is taken first and
-    the intervals come out in order."""
+    (p(a/D) != 0), and D a power of two: bisection of (-2^k, 2^k], D = 1,
+    for the least 2^k above B = 1 + max |c_i| / |lead|, the Cauchy bound,
+    counted by one Sturm chain, which goes on past one root while an
+    interval holds 0 inside or a root at its left end.  Every endpoint is
+    dyadic, so no evaluation carries the lead.  The bisection runs on a
+    stack of (a, b, D, root count, variations at a/D), with the right half
+    pushed first, so the left half is taken first and the intervals come
+    out in order."""
     if p.degree < 1:
         return []
     c = p.coeffs
     chain = _sturm_chain(p, p.derivative())
     total = _variations(chain, None, -1) - _variations(chain, None, 1)
-    den = abs(c[-1])
-    b = den + max(abs(x) for x in c[:-1])
+    # 2^k > B iff 2^k >= floor(max / |lead|) + 2
+    b = 1 << (max(abs(x) for x in c[:-1]) // abs(c[-1]) + 1).bit_length()
     out = []
-    stack = [(-b, b, den, total, _variations(chain, (-b, den)))]
+    stack = [(-b, b, 1, total, _variations(chain, (-b, 1)))]
     while stack:
         lo, hi, den, count, vlo = stack.pop()
         if count == 1 and lo * hi >= 0 and sign_at(c, lo, den):
@@ -529,20 +536,33 @@ def refine_root_interval(p: ZPoly, interval: tuple, width: Fraction) -> tuple:
     return a, b, den
 
 
-def sign_at_root(P: ZPoly, h: ZPoly, interval: tuple) -> int:
-    """The sign of P at the one root r of the squarefree h (positive lead)
-    in (a/D, b/D], given as (a, b, D), with h(a/D) != 0, as isolation
-    guarantees.  A root on the right end is read directly; else by the
-    Sturm-Tarski theorem the variation drop V(a/D) - V(b/D) of the signed
-    remainder sequence of h and h'P is the sign of P(r).  h'P may be
-    replaced by its pseudo-remainder mod h, a positive multiple of the
-    remainder: that adds a polynomial to h'P / h, which has no pole, so the
-    variation drop is kept."""
-    a, b, d = interval
-    if sign_at(h.coeffs, b, d) == 0:
-        return sign_at(P.coeffs, b, d)
+def tarski_query(P: ZPoly, h: ZPoly):
+    """The sign of P at the isolated roots of the squarefree h (positive
+    lead), as a function of an isolating interval (a, b, D) of h, for
+    (a/D, b/D] with h(a/D) != 0, as isolation guarantees.  A root on the
+    right end is read directly; else by the Sturm-Tarski theorem the
+    variation drop V(a/D) - V(b/D) of the signed remainder sequence of h
+    and h'P is the sign of P at the root.  h'P may be replaced by its
+    pseudo-remainder mod h, a positive multiple of the remainder: that adds
+    a polynomial to h'P / h, which has no pole, so the variation drop is
+    kept.  The sequence does not depend on the interval: it is built once,
+    here, and read at the ends of every interval the query is asked."""
     chain = _sturm_chain(h, (h.derivative() * P).prem(h))
-    return _variations(chain, (a, d)) - _variations(chain, (b, d))
+
+    def sign(interval: tuple) -> int:
+        a, b, d = interval
+        if sign_at(h.coeffs, b, d) == 0:
+            return sign_at(P.coeffs, b, d)
+        return _variations(chain, (a, d)) - _variations(chain, (b, d))
+
+    return sign
+
+
+def sign_at_root(P: ZPoly, h: ZPoly, interval: tuple) -> int:
+    """The sign of P at the one root of the squarefree h (positive lead) in
+    the isolating interval (a, b, D), by a `tarski_query` of its own; a
+    caller that asks about several roots of h holds one query instead."""
+    return tarski_query(P, h)(interval)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,16 @@ positive counts (`_real_d3`): a box pairs an isolated root a of the
 x-eliminant with one b of the y-eliminant, and holds a solution iff the
 gcd of the system and the y-eliminant over a's branch changes sign across
 b's interval, read at a by one Sturm-Tarski sequence, singular or not.
+That sequence depends on the branch and b's interval only, so each is
+built once per solve and read at every root a of the branch.
 
-The elimination runs in integers, on one subresultant chain in y over
-Z[x] (`exact.subresultants`), whose last member is the resultant.  The
-fiber gcds work in (Z[x]/(H))[y], H the primitive integer multiple of h.
+The system is built in integers (`_integer_system`), straight from the
+scalar curvature: `dehomogenize(einstein_system(data))` times lcm(dims)
+and the common denominator of the curvature's coefficients, with no
+Fraction polynomial in between.  The elimination runs in integers, on one
+subresultant chain in y over Z[x] (`exact.subresultants`), whose last
+member is the resultant.  The fiber gcds work in (Z[x]/(H))[y], H the
+primitive integer multiple of h.
 A y-coefficient list is reduced mod H with one power of lead(H) for all
 its entries and divided by its integer content (`_reduce`): a unit of
 Q[x]/(h) times it, which changes no zero test, no gcd degree and no sign
@@ -41,14 +47,15 @@ The certification keeps one integer form from the resultant to the
 solution box: the eliminants themselves, and isolating intervals (a, b, D)
 for (a/D, b/D] that `exact.isolate_real_roots` returns and refinement
 bisects by the sign of the eliminant, each on one side of 0 with no root
-at its left end.  Only finding the real solutions depends on d: for d = 2
-each isolating interval of the squarefree eliminant is one, for d = 3 each
-box the scan places.  Both dimensions share one record step
-(`_record_real`): a real solution is one isolating interval per
-coordinate, counted, positive when every interval lies right of 0, and
-reported as its exact point when every coordinate is rational, else as
-its intervals refined to width at most 2^-20; only the report entry is
-made of Fractions.  The exact box decision is its certificate.
+at its left end, and D a power of two.  Only finding the real solutions
+depends on d: for d = 2 each isolating interval of the squarefree
+eliminant is one, for d = 3 each box the scan places.  Both dimensions
+share one record step (`_record_real`): a real solution is one isolating
+interval per coordinate, counted, positive when every interval lies right
+of 0, and reported as its exact point when every coordinate is rational,
+else as its intervals refined to width at most 2^-20; only the report
+entry is made of Fractions, and an exact point is checked on the integer
+system.  The exact box decision is its certificate.
 """
 
 from __future__ import annotations
@@ -56,19 +63,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import takewhile
-from math import gcd
+from math import gcd, lcm, prod
 from typing import List, Optional, Sequence, Tuple
 
-from .curvature import LaurentPoly, einstein_system
+from .curvature import LaurentPoly, scalar_curvature
 from .exact import (
     ZPoly,
     bivar_cols,
+    common_denominator,
     isolate_real_roots,
     refine_root_interval,
     resultant,
     sign_at,
-    sign_at_root,
     subresultants,
+    tarski_query,
     zpoly,
 )
 from .homspace import HomSpaceData
@@ -138,6 +146,28 @@ def dehomogenize(system: Sequence[LaurentPoly]) -> list:
             raise DegenerateSystemError("zero polynomial after clearing")
         # homogeneity makes the true exponents distinct
         out.append(_shift_nonneg({tuple(-ai for ai in a[:-1]): c for a, c in f.terms.items()}))
+    return out
+
+
+def _integer_system(data: HomSpaceData, s: LaurentPoly) -> list:
+    """`dehomogenize(einstein_system(data, s))` times one positive integer,
+    built in integers straight from s: with L = lcm(dims) and D the common
+    denominator of the coefficients of s, the term c x^-a of s gives f_i
+    the integer L D c (a_{i+1} / m_{i+1} - a_i / m_i).  Every exponent of
+    s has coordinate sum 1, so the system is homogeneous."""
+    nums, den = common_denominator(s.terms.values())
+    big = lcm(*data.dims)
+    w = [big // m for m in data.dims]
+    out = []
+    for i in range(data.d - 1):
+        f = {}
+        for a, c in zip(s.terms, nums):
+            v = c * (a[i + 1] * w[i + 1] - a[i] * w[i])
+            if v:
+                f[tuple(-ai for ai in a[:-1])] = v
+        if not f:
+            raise DegenerateSystemError("zero polynomial after clearing")
+        out.append(_shift_nonneg(f))
     return out
 
 
@@ -305,17 +335,16 @@ def _solve(data: HomSpaceData, certify: bool, s: Optional[LaurentPoly] = None) -
         raise UnsupportedDimensionError(
             f"complex counting is implemented for d in {{2, 3}}, got d = {data.d}"
         )
-    system = einstein_system(data, s)
-    polys = dehomogenize(system)
+    system = _integer_system(data, scalar_curvature(data) if s is None else s)
     if data.d == 2:
         # the cleared polynomial has a nonzero constant term: a torus part
-        p, _ = zpoly({e[0]: c for e, c in polys[0].items()})
+        p, _ = zpoly({e[0]: c for e, c in system[0].items()})
         sf = p.squarefree()
         out = SolutionSet(2, sf.degree, multiplicity_excess=p.degree - sf.degree)
         if certify:
             _record_real(out, [[(sf, i)] for i in isolate_real_roots(sf)], system)
         return out
-    g1, g2 = polys
+    g1, g2 = system
     q1, branches = _eliminant(g1, g2, 1)
     q2, branches_y = _eliminant(g1, g2, 0)
     fibers, count = _fibers(branches, q2)
@@ -334,13 +363,14 @@ def _record_real(out: SolutionSet, real: list, system) -> None:
     """Set the real and positive counts and the solutions of `out` from the
     real solutions, each [(q, interval)] with one isolating interval of a
     squarefree eliminant q per coordinate, for d = 2 and d = 3 alike; as
-    the interval lies on one side of 0, the root is positive iff a >= 0."""
+    the interval lies on one side of 0, the root is positive iff a >= 0.
+    An exact point is checked on `system`, the `_integer_system`."""
     out.real_count = len(real)
     out.positive_count = sum(all(i[0] >= 0 for _, i in sol) for sol in real)
     for sol in real:
         x = list(takewhile(lambda r: r is not None, (_rational_root_in(q, i) for q, i in sol)))
         if len(x) == len(sol):
-            assert all(f.eval(x + [Fraction(1)]) == 0 for f in system)
+            assert all(sum(c * prod(map(pow, x, e)) for e, c in f.items()) == 0 for f in system)
             out.solutions.append({"x": [str(v) for v in x], "exact": True, "residual": "0"})
         else:
             box = [refine_root_interval(q, i, _BOX_WIDTH) for q, i in sol]
@@ -393,23 +423,32 @@ def _fiber_at(fibers: list, i1: tuple) -> tuple:
                 if sign_at(h.coeffs, lo, d) != sign_at(h.coeffs, hi, d))
 
 
-def _holds_solution(h: ZPoly, S: list, i1: tuple, i2: tuple) -> bool:
+def _holds_solution(h: ZPoly, S: list, i1: tuple, i2: tuple,
+                    queries: Optional[dict] = None) -> bool:
     """Whether the root a of q1 in i1 and b of q2 in i2 form a solution,
     for isolating intervals (lo, hi, D), no root at a left end by isolation,
     and a's fiber (h, S) (`_fiber_at`).  b is the one root of q2 in i2, so
     (a, b) is a solution iff S(a, y) vanishes at hi/D or changes sign across
-    i2, S(a, lo/D) S(a, hi/D) <= 0, read at a by `sign_at_root`.  The unit
-    that S is known up to is nonzero at a and scales both values alike; a
-    constant S is such a unit, and its square is positive."""
-    lo, hi, d = i2
-    return sign_at_root(_at_y(S, lo, d) * _at_y(S, hi, d), h, i1) <= 0
+    i2, S(a, lo/D) S(a, hi/D) <= 0, read at a by a `tarski_query` of that
+    product and h.  The unit that S is known up to is nonzero at a and
+    scales both values alike; a constant S is such a unit, and its square
+    is positive.  The query depends on the fiber and i2 only: `queries`
+    holds those built so far for this fiber, by i2, and is filled here."""
+    if queries is None:
+        queries = {}
+    query = queries.get(i2)
+    if query is None:
+        lo, hi, d = i2
+        query = queries[i2] = tarski_query(_at_y(S, lo, d) * _at_y(S, hi, d), h)
+    return query(i1) <= 0
 
 
 def _real_d3(q1: ZPoly, q2: ZPoly, fibers: list) -> list:
     """The real solutions [(q1, i1), (q2, i2)], in scan order, over the
     boxes that pair a real root a of the x-eliminant q1 with one of the
     y-eliminant q2, with one exact decision per box (`_holds_solution` on
-    a's fiber (h, S)).
+    a's fiber (h, S)), and one Tarski query per fiber and interval of q2,
+    shared by the boxes of every root of h.
 
     The scan over a stops once it has placed deg_y S solutions, the most
     there are.  When deg_y S = 1, the one zero of S(a, y) is real, a
@@ -419,14 +458,17 @@ def _real_d3(q1: ZPoly, q2: ZPoly, fibers: list) -> list:
     real = []
     if not iso2:
         return real
+    # the queries of each fiber, by its branch h, which no other fiber has
+    queries = {}
     for i1 in isolate_real_roots(q1):
         h, S = _fiber_at(fibers, i1)
+        fiber_queries = queries.setdefault(h.coeffs, {})
         left = len(S) - 1
         for j, i2 in enumerate(iso2):
             if not left:
                 break
             last_of_one = len(S) == 2 and j == len(iso2) - 1
-            if not last_of_one and not _holds_solution(h, S, i1, i2):
+            if not last_of_one and not _holds_solution(h, S, i1, i2, fiber_queries):
                 continue
             left -= 1
             real.append([(q1, i1), (q2, i2)])

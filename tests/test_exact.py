@@ -456,6 +456,14 @@ _x_poly = st.one_of(
 )
 _bivariate = st.integers(min_value=0, max_value=3).flatmap(
     lambda k: st.lists(_x_poly, min_size=k + 1, max_size=k + 1))
+# y-degree k >= 1 by construction: a nonzero last column over k drawn ones
+_nonzero_x_poly = st.builds(
+    lambda low, top: QPoly(low + [top]),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=2),
+    st.sampled_from([F(-3), F(-2), F(-1), F(1), F(2), F(3), F(-3, 4), F(1, 2)]))
+_bivariate_in_y = st.integers(min_value=1, max_value=3).flatmap(
+    lambda k: st.builds(lambda low, top: low + [top],
+                        st.lists(_x_poly, min_size=k, max_size=k), _nonzero_x_poly))
 
 
 @given(_bivariate, _bivariate)
@@ -515,11 +523,10 @@ def check_chain_against_determinants(pz, qz):
     return sorted(chain, reverse=True)
 
 
-@given(_bivariate, _bivariate)
+@given(_bivariate_in_y, _bivariate_in_y)
 @settings(max_examples=200, deadline=None)
 def test_subresultants_match_their_determinants(p, q):
     (pz, _), (qz, _) = clear(p), clear(q)
-    assume(y_degree(pz) >= 1 and y_degree(qz) >= 1)
     check_chain_against_determinants(pz, qz)
 
 
@@ -533,15 +540,18 @@ def test_defective_subresultant_chain():
     assert resultant(p, q).coeffs == (1,)
 
 
-@given(_bivariate, _bivariate, st.integers(-3, 3))
+@given(st.tuples(st.one_of(_bivariate_in_y, _nonzero_x_poly.map(lambda c: [c])), _bivariate_in_y)
+       .flatmap(lambda pq: st.permutations(list(pq))),
+       st.integers(-3, 3))
 @settings(max_examples=300, deadline=None)
-def test_first_nonvanishing_subresultant_is_the_gcd_at_a_point(p, q, x0):
+def test_first_nonvanishing_subresultant_is_the_gcd_at_a_point(pq, x0):
     # the specialization property: where lead_y(A) does not vanish, the
     # gcd of A(x0, y) and B(x0, y) is S_j(x0, y) for the least j with
-    # psc_j(x0) != 0
-    (A, _), (B, _) = clear(p), clear(q)
+    # psc_j(x0) != 0; A and B, in either order, have nonzero leads, and
+    # one of them y-degree >= 1
+    (A, _), (B, _) = (clear(f) for f in pq)
     a, b = (QPoly([QPoly(c.coeffs)(x0) for c in f]) for f in (A, B))
-    assume(y_degree(A) + y_degree(B) > 0 and not b.is_zero())
+    assume(not b.is_zero())
     assume(QPoly(A[y_degree(A)].coeffs)(x0) != 0)
     chain = subresultants(A, B)[0]
     S = next(S for S in reversed(chain) if QPoly(S[-1].coeffs)(x0) != 0)
@@ -937,7 +947,7 @@ dyadic_rats = st.builds(lambda k, j: F(k, 2**j), st.integers(min_value=-12, max_
 @given(st.lists(dyadic_rats, min_size=1, max_size=5, unique=True),
        st.sampled_from([None, 2, 3]),
        st.integers(min_value=0, max_value=12))
-# x^3 - x: the cut at 0 leaves the root 1 alone in (0, 2], and the next
+# x^3 - x: the cut at 0 leaves the root 1 alone in (0, 4], and a later
 # cut the root 0 alone in (-1, 0], with a root on each left end
 @example([F(-1), F(0), F(1)], None, 0)
 @settings(max_examples=80, deadline=None)
@@ -960,6 +970,40 @@ def test_isolating_intervals_have_a_clean_left_end_and_one_sign(roots, surd, bit
             assert sturm_count(z, F(a, d), F(b, d)) == 1
             assert p(F(a, d)) != 0
             assert a * b >= 0
+
+
+@st.composite
+def big_lead_polynomials(draw):
+    """Squarefree integer polynomials, often with a lead above 2^300: a
+    factor with coefficients up to 2^400 and a lead of 1 to 9 or 2^300 to
+    2^310, times planted rational roots n / m with m up to 2^310."""
+    coeffs = draw(st.lists(st.one_of(st.integers(-3, 3), st.integers(-2**400, 2**400)),
+                           min_size=1, max_size=4))
+    lead = draw(st.one_of(st.integers(1, 9), st.integers(2**300, 2**310)))
+    roots = draw(st.lists(st.builds(F, st.integers(-2**40, 2**40), st.integers(1, 2**310)),
+                          max_size=3, unique=True))
+    return (ZPoly(coeffs + [lead]) * as_zpoly(QPoly.from_roots(roots))).squarefree()
+
+
+# roots +-sqrt(3 / (2^301 + 1)), far inside the first interval (-4, 4]
+@example(ZPoly([-3, 0, 2**301 + 1]))
+# roots 1 / 2^305 and -2^200, a dyadic root on a cut point
+@example(ZPoly([-1, 2**305]) * ZPoly([2**200, 1]))
+@given(big_lead_polynomials())
+@settings(max_examples=60, deadline=None)
+def test_isolating_intervals_sit_on_a_power_of_two_grid(p):
+    # each interval (a/D, b/D] has D a power of two, lies on one side of 0,
+    # has no root at its left end and holds exactly one root; the intervals
+    # are in order and disjoint, and one is found for every real root
+    intervals = isolate_real_roots(p)
+    assert len(intervals) == sturm_count(p)
+    ends = [fraction_interval(iv) for iv in intervals]
+    assert all(a[1] <= b[0] for a, b in zip(ends, ends[1:]))
+    for (a, b, d), (lo, hi) in zip(intervals, ends):
+        assert d > 0 and d & (d - 1) == 0
+        assert a * b >= 0 and lo < hi
+        assert QPoly(list(p.coeffs))(lo) != 0
+        assert sturm_count(p, lo, hi) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1075,11 +1119,11 @@ def test_sign_at_root_matches_the_exact_sign(case, bits):
 
 
 def test_sign_at_root_after_the_bisection_moves_the_root_onto_the_right_end():
-    # h = (3x + 2)(2x + 1)(x - 4): the left end -2/3 of (-2/3, 0] is a root,
-    # so the isolation cuts that interval again, which leaves the root -1/2
-    # on the right end
-    h = ZPoly([-8, -26, -17, 6])
-    assert fraction_interval(isolate_real_roots(h)[1]) == (F(-7, 12), F(-1, 2))
-    assert sign_at_root(ZPoly([-1, -4]), h, (-7, -6, 12)) == 1
-    assert sign_at_root(ZPoly([1, 4]), h, (-7, -6, 12)) == -1
-    assert sign_at_root(ZPoly([1, 2]), h, (-7, -6, 12)) == 0
+    # h = x^3 - x: the cut at 0 leaves the root 1 alone in (0, 4], whose
+    # left end 0 is a root, so the isolation cuts that interval again, down
+    # to (1/2, 1], which has the root 1 on its right end
+    h = ZPoly([0, -1, 0, 1])
+    assert isolate_real_roots(h)[2] == (8, 16, 16)
+    assert sign_at_root(ZPoly([1, 1]), h, (8, 16, 16)) == 1
+    assert sign_at_root(ZPoly([-3, 1]), h, (8, 16, 16)) == -1
+    assert sign_at_root(ZPoly([-1, 1]), h, (8, 16, 16)) == 0

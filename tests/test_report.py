@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from einpoly import curvature, exact, polytope
+from einpoly import curvature, exact, polytope, solver
 from einpoly.homspace import kaehler_b2_polytope, load_catalog
 from einpoly.faces import marked_census
 from einpoly.polytope import Face, LatticePolytope
@@ -108,13 +108,14 @@ def test_analyze_computes_each_stage_once(monkeypatch, wang_ziller_q):
     """wang_ziller_q has d = 3 and a non-empty flat complex, so every stage
     runs: the hulls of delta and delta_min (the Newton polytope facts are
     read off the support, with no hull), one scalar curvature polynomial,
-    one Einstein system, the two eliminant resultants of the solver, one
-    volume, and the face lattice of delta_min only."""
+    one Einstein system, built in integers from it, the two eliminant
+    resultants of the solver, one volume, and the face lattice of
+    delta_min only."""
     assert wang_ziller_q.d == 3
     hulls, scalars, systems, resultants, volumes, lattices = [], [], [], [], [], []
     _count_calls(monkeypatch, polytope.hull, hulls)
     _count_calls(monkeypatch, curvature.scalar_curvature, scalars)
-    _count_calls(monkeypatch, curvature.einstein_system, systems)
+    _count_calls(monkeypatch, solver._integer_system, systems)
     _count_calls(monkeypatch, exact.resultant, resultants)
     volume = LatticePolytope.normalized_volume
     face_lattice = LatticePolytope._face_lattice

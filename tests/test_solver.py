@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from einpoly.curvature import einstein_system
+from einpoly.curvature import einstein_system, scalar_curvature
 from einpoly.exact import (
     ZPoly,
     common_denominator,
@@ -36,6 +36,7 @@ from einpoly.solver import (
     _fiber_at,
     _fibers,
     _holds_solution,
+    _integer_system,
     _rational_root_in,
     _real_d3,
     _record_real,
@@ -47,6 +48,7 @@ from einpoly.solver import (
     real_positive,
 )
 from qpoly import QPoly, as_zpoly, surd_sign
+from test_infinity import spectral_documents
 
 
 def wang_ziller_shape(b1, b2, t1, t2, name="wz_shape"):
@@ -111,6 +113,46 @@ def test_clearing_preserves_torus_zeros(su3_t2):
             cleared.append(acc)
         for a, b in zip(full, cleared):
             assert (a == 0) == (b == 0)
+
+
+def check_integer_system(data):
+    """The solver's integer system is dehomogenize(einstein_system(data))
+    times one positive factor per equation, or both raise the same
+    degenerate-system error."""
+    try:
+        expected = dehomogenize(einstein_system(data))
+    except DegenerateSystemError as exc:
+        with pytest.raises(DegenerateSystemError, match=str(exc)):
+            _integer_system(data, scalar_curvature(data))
+        return
+    got = _integer_system(data, scalar_curvature(data))
+    assert len(got) == len(expected) == data.d - 1
+    for f, g in zip(got, expected):
+        assert set(f) == set(g) and all(isinstance(c, int) for c in f.values())
+        ratios = {F(c, 1) / g[e] for e, c in f.items()}
+        assert len(ratios) == 1 and ratios.pop() > 0
+
+
+# the catalog entries with d <= 3
+@pytest.mark.parametrize("name", ["su3_t2", "sphere_s3", "wang_ziller_killing", "wang_ziller_q",
+                                  "jordan_2", "product_of_irreducibles_2",
+                                  "product_of_irreducibles_3"])
+def test_integer_system_matches_the_fraction_route_on_catalog(name):
+    check_integer_system(load_catalog(name))
+
+
+@given(spectral_documents())
+@settings(max_examples=150, deadline=None)
+def test_integer_system_matches_the_fraction_route_on_drawn_data(data):
+    check_integer_system(data)
+
+
+def test_integer_system_of_a_zero_curvature_raises_like_the_fraction_route():
+    # no triples and every b_i = 0: s is zero, and so is every equation
+    data = HomSpaceData(name="zero_s", d=3, dims=(1, 2, 3), b=(F(0),) * 3, triples={})
+    with pytest.raises(DegenerateSystemError, match="^zero polynomial after clearing$"):
+        _integer_system(data, scalar_curvature(data))
+    check_integer_system(data)
 
 
 # ---------------------------------------------------------------------------
@@ -447,36 +489,36 @@ def pin_documents(seed: int = 0, n: int = 30) -> list:
 # sha256 of json.dumps(real_positive(doc).to_json_obj(), sort_keys=True) for
 # each document of pin_documents(), in order
 CERTIFICATION_DIGESTS = [
-    "ca6fb7fbca95047a4db3668e73ce3257243ef5d5567b706bbf720f549831b681",
+    "3dfa15ed8a36622397e1a6ae59ebf0d3b38bf35d61cd9f302a3261314121ad25",
     "80903bc96ff81933102cdbbf258d5af1299854cd7e12dd65670dda258db39505",
-    "6f29e3f85009f7cc5f27719b75349fb2465199e9ce73de7dfddc067b7ba5e806",
-    "80903bc96ff81933102cdbbf258d5af1299854cd7e12dd65670dda258db39505",
-    "80903bc96ff81933102cdbbf258d5af1299854cd7e12dd65670dda258db39505",
+    "89488c9999ab1ca8853842196f7ef4a49cb858d028545b5f1b4166f0bf32bfb8",
     "80903bc96ff81933102cdbbf258d5af1299854cd7e12dd65670dda258db39505",
     "80903bc96ff81933102cdbbf258d5af1299854cd7e12dd65670dda258db39505",
-    "6686d46ac1a7120d772a30e610c71c94f6b745ee40cbccb858af813827c62a67",
-    "4b489bbdd602fc23d99977af1a46b4f3ee345af13393bc840c83ee30edaeb5e0",
+    "80903bc96ff81933102cdbbf258d5af1299854cd7e12dd65670dda258db39505",
+    "80903bc96ff81933102cdbbf258d5af1299854cd7e12dd65670dda258db39505",
+    "f6bf4856f91c420196200885e68cf184c05e56f1aa88d86cae30bc7707154dc2",
+    "f64a51cd952fa6c125e7cf30c58ee6298118e75c00f1436654975688ebb92a1e",
     "c65d455ff4213adf1f4504022259865790ec748726c93735ca7ec577be9476ad",
     "630842603bfad494e52976a33f8e5b9980527f0ccc66bcf1525a68e3a6678575",
-    "110a33f1e475b6bc248299de274d57d0a3352df77ec3dbe4b909cfb4536cb355",
+    "f643014ad928fa85ab51d83d20472a7eb14222478aa758bbbec0539a73febcb9",
     "a7fb45e7978d4e57d67201670010cddb59558de8b76d3e0580b01486c5b3ceae",
-    "e95520ab56bb4594c1fcfd6be605d1814f4331b2eaffce664bffc48f07c01ce8",
-    "79f3fbb1b07b95de96846cba86aec34c0bde4f8661cfe6a5c59dbf63701c9561",
+    "09a2c4a64d2656e3bdcc944eb702bb4ac0532dcf0af92fcaad46cd6337c61df8",
+    "98d663c0710ceba53427aa70c024cd1fec79795097a5ab0bdfcc6972e3a65dca",
     "1bc75c6281ff8ffd7599ebeecfcf3c2d6566802a0ef8878e57cb138cf8ee0355",
-    "fb78a0b68dbf2c197f666b6fd6d765bd9241101b9102d0d4c7fc6dc8048ca12b",
-    "315a5dc33fd95eacd77abb1a91e6c4b0af9f60d4faaf44c064b693456b9824b6",
+    "015e726403c2b9c49fe2bd3ed76962581266662853f98ab4fd4f63121068a0bb",
+    "05c4d3c8d1be3c0619be1120eba4d06ae6831ae15949d134ada0f15c33ff2a17",
     "630842603bfad494e52976a33f8e5b9980527f0ccc66bcf1525a68e3a6678575",
     "630842603bfad494e52976a33f8e5b9980527f0ccc66bcf1525a68e3a6678575",
     "655be18334694129bfb690ba8a631de0596aac206b0bd075c93d2264a8ccd7fa",
-    "ee1659f4e602cc954d1ec21b38c3dc37e1a2a108dd4635e2c0e58fc0cdb57660",
+    "ab9b816af42cec2805b0bf4171146e2aade9d43fa91ea85a8f352fd76b66fca3",
     "1bc75c6281ff8ffd7599ebeecfcf3c2d6566802a0ef8878e57cb138cf8ee0355",
     "630842603bfad494e52976a33f8e5b9980527f0ccc66bcf1525a68e3a6678575",
-    "f0c93b1dcc910dc57533d351fdd3545675fdde180e9961e60b7fee9c080d28d0",
+    "86bfcbd7cc582082dac7ff9c301d490ee9c12743adab526f4dde254b05afca59",
     "f8e57aa48aa9ad281f685c7a93c7cd90917e61bd009817a2a154db0006fdde70",
-    "ac075a3c41a167a5468a631f69bdbe4de7556f9b1c950fd04eb805995cd5d5e3",
-    "9ddb8e0165f9562c4419fbc4d597f658521cc903366bfc23530d17b4ae65eddf",
-    "79e424f3a2bc52537243805188f305596a83ec44fa3811e9966310fa0d3d09e4",
-    "27a6c82f2ec148d22a67a54801fb3d91086e00d63a7aa4bf71ddd9d83387ada0",
+    "b1b18a99e9e217d8435c28357b77a4a2d3f092943ba265954420620e8704b00b",
+    "5346d8b9ad8752764a678099a661279b65c8bdd479102107e87f19131207be42",
+    "fed5e8cd77772e8dc4628206162f0e26f0b2c3a330ccaa9b664f698f744b2a46",
+    "dbd9604c91ce0e316620e0c019d269384610424792028ac12278694ded1b752b",
 ]
 
 
@@ -497,9 +539,10 @@ def test_certification_bytes_pinned():
 
 
 def test_d2_positive_count_of_an_unsplit_isolation():
-    # y^3 -+ 2 has one real root in the Cauchy interval (-3, 3], which the
-    # isolation still cuts at 0, so the half that holds it decides its sign
-    for c0, positive, interval in ((2, 0, (-6, 0, 2)), (-2, 1, (0, 6, 2))):
+    # y^3 -+ 2 has one real root in (-4, 4], 4 the least power of two above
+    # the Cauchy bound 3, which the isolation still cuts at 0, so the half
+    # that holds it decides its sign
+    for c0, positive, interval in ((2, 0, (-8, 0, 2)), (-2, 1, (0, 8, 2))):
         sf = ZPoly([c0, 0, 0, 1])
         assert isolate_real_roots(sf) == [interval]
         sol = SolutionSet(2, 3)

@@ -13,15 +13,18 @@ parity of the complex count.  The d = 3 count is held against Bernstein's
 mixed volume of the two Newton polygons, computed with the hull and the
 normalized volume.  The one-point fibers that `_fibers` reads without a
 gcd, and the box scan that stops once a root's fiber is placed, are held
-against the gcd route on every branch and a decision on every box.
+against the gcd route on every branch and a decision on every box, and
+the box scan builds one Tarski query per fiber and y-interval it decides.
 """
 
 import hashlib
+import importlib.util
 import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement
 from math import gcd
+from pathlib import Path
 
 import pytest
 import sympy
@@ -29,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from einpoly import solver
-from einpoly.curvature import einstein_system
+from einpoly.curvature import einstein_system, scalar_curvature
 from einpoly.exact import (
     ZPoly,
     bivar_cols,
@@ -37,7 +40,7 @@ from einpoly.exact import (
     refine_root_interval,
     resultant,
 )
-from einpoly.homspace import HomSpaceData
+from einpoly.homspace import HomSpaceData, parse
 from einpoly.polytope import hull
 from einpoly.solver import DegenerateSystemError, _eliminant, _fibers, dehomogenize
 from qpoly import QPoly, as_zpoly
@@ -615,11 +618,14 @@ def test_one_point_fibers_match_the_gcd_route():
 def test_box_scan_matches_the_all_pairs_reference():
     compared = 0
     for data, q1, branches, q2, _ in _d3_eliminations():
-        system = einstein_system(data)
         fibers, count = _fibers(branches, q2)
         got = solver.SolutionSet(3, count)
-        solver._record_real(got, solver._real_d3(q1, q2, fibers), system)
-        ref = _all_pairs_certificate(q1, q2, _gcd_route_fibers(branches, q2)[0], system)
+        # the solver checks an exact point on its integer system, the
+        # reference on the Laurent system
+        solver._record_real(got, solver._real_d3(q1, q2, fibers), solver._integer_system(
+            data, scalar_curvature(data)))
+        ref = _all_pairs_certificate(q1, q2, _gcd_route_fibers(branches, q2)[0],
+                                     einstein_system(data))
         assert (got.real_count, got.positive_count, got.solutions) == (
             ref.real_count, ref.positive_count, ref.solutions), data.name
         compared += got.real_count > 0
@@ -651,3 +657,49 @@ def test_box_scan_skips_decisions(monkeypatch):
             silent += 1
     assert 0 < total < pairs
     assert silent
+
+
+def solver_d3_documents(seed):
+    """The d <= 3 documents of the benchmark's solver_d3 workload for a
+    seed, from perfbench/generator.py, those that parse."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "generator.py"
+    spec = importlib.util.spec_from_file_location("solver_d3_generator", path)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    out = []
+    for doc in generator.documents(seed):
+        try:
+            out.append(parse(doc))
+        except ValueError:
+            continue
+    return out
+
+
+def test_one_tarski_query_per_fiber_and_y_interval(monkeypatch):
+    # Over one real_positive, one Tarski query (one Sturm-Tarski chain) is
+    # built per distinct pair of a fiber, named by its branch h, and an
+    # isolating interval of q2 that a box decision reads; over the seed-1
+    # documents of the solver_d3 benchmark that is fewer than the decisions
+    calls, queries = [], []
+    holds, query = solver._holds_solution, solver.tarski_query
+
+    def counted_holds(*args):
+        calls.append((args[0].coeffs, args[3]))
+        return holds(*args)
+
+    def counted_query(*args):
+        queries.append(args)
+        return query(*args)
+
+    monkeypatch.setattr(solver, "_holds_solution", counted_holds)
+    monkeypatch.setattr(solver, "tarski_query", counted_query)
+    for data in solver_d3_documents(1):
+        if data.d != 3:
+            continue
+        before = len(calls), len(queries)
+        try:
+            solver.real_positive(data)
+        except DegenerateSystemError:
+            continue
+        assert len(queries) - before[1] == len(set(calls[before[0]:])), data.name
+    assert 0 < len(queries) < len(calls)
