@@ -5,6 +5,11 @@ capability (the analysis is still emitted).  Warnings never change the exit
 code.  Commands raise; `main` turns a usage error (`UsageError`, or an
 OSError on a path) and invalid data (`SchemaError`,
 `DegenerateSpectrumError`) into one line on stderr and the exit code.
+
+An exact answer may have more digits than Python converts to a string by
+default, so a command runs with no such limit; only reading an input
+document keeps Python's default limit, and `main` restores the caller's
+limit on every way out.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import json
 import os
 import stat
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 from .homspace import (
     DegenerateSpectrumError,
@@ -46,6 +51,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@contextmanager
+def _int_digits(limit: int):
+    """Python's limit on the digits of an int converted from or to a
+    string set to `limit` (0: none) inside the block, restored after."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _load_input(source: str, polytope: bool = False):
     """The HomSpaceData in a homspace/v1 file, or of a catalog entry when no
     such file exists.  With `polytope`, a file may instead hold a polytope
@@ -60,9 +77,11 @@ def _load_input(source: str, polytope: bool = False):
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise SchemaError("/", str(exc)) from None
-    obj = read_json(text)
-    if not polytope or isinstance(obj, dict) and obj.get("schema") == "homspace/v1":
-        return parse_obj(obj)
+    # an input integer or rational has at most Python's default 4300 digits
+    with _int_digits(sys.int_info.default_max_str_digits):
+        obj = read_json(text)
+        if not polytope or isinstance(obj, dict) and obj.get("schema") == "homspace/v1":
+            return parse_obj(obj)
     if not (isinstance(obj, dict) and "vertices" in obj):
         raise SchemaError("/", "neither a homspace/v1 nor a polytope document")
     _check_vertices(obj["vertices"])
@@ -129,8 +148,7 @@ def cmd_kaehler_b2(args) -> int:
 
 def cmd_delannoy(args) -> int:
     n = args.n
-    # the time grows about as n^3, and past n = 5800 the value has more
-    # digits than Python converts to a string
+    # the time grows about as n^3
     if not 0 <= n <= 1000:
         raise UsageError("supported range is 0 <= n <= 1000")
     value = delannoy(n)
@@ -233,7 +251,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _int_digits(0):
+            return args.func(args)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

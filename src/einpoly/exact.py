@@ -17,15 +17,19 @@ Elimination has one routine per job:
   back-substitution;
 * over Z[x], one subresultant chain in y (`subresultants`) gives the
   `resultant`, its last member with the sign of the Sylvester determinant,
-  and the d = 3 fiber gcds of `solver`.
+  and the d = 3 fiber gcds of `solver`.  For inputs p and q it runs on
+  plain integers: each coefficient in Z[x] is packed as its value at
+  x = 2^k (Kronecker substitution), for 2^(k-1) above the bound
+  (sum |p_i|_1)^(deg q) (sum |q_i|_1)^(deg p) on every x-coefficient of
+  every member, and read back as balanced base-2^k digits; `resultant`
+  unpacks only the last member.
 
 There is one polynomial type, `ZPoly` (Z[x]), and one conversion into it:
 `zpoly` clears a rational {degree: coefficient} dict over its least common
 denominator, and `bivar_cols` clears a bivariate dict the same way once
-before it splits it into columns.  `ZPoly` has the exact division, the
-pseudo-remainder (on coefficients in Z or, for the chain, in Z[x]), the
-primitive gcd and the primitive squarefree part, which the fiber gcds and
-the curve verdicts of `faces` run on.  Only gcds, degrees and signs are
+and writes it into dense columns.  `ZPoly` has the exact division, the
+pseudo-remainder, the primitive gcd and the primitive squarefree part,
+which the fiber gcds and the curve verdicts of `faces` run on.  Only gcds, degrees and signs are
 read from them, so the positive scale of a cleared polynomial never
 matters.
 
@@ -259,9 +263,7 @@ class ZPoly:
     """Dense univariate polynomial with integer coefficients, ascending.
 
     `prem` and `gcd` are the pseudo-remainder and the primitive gcd of the
-    fiber gcds in `solver` and of the Sturm chains below.  The arithmetic
-    and `prem` also run on coefficients that are `ZPoly`, polynomials in y
-    over Z[x], as `subresultants` needs.
+    fiber gcds in `solver` and of the Sturm chains below.
     """
 
     __slots__ = ("coeffs",)
@@ -283,13 +285,6 @@ class ZPoly:
     def __repr__(self):
         return f"ZPoly({list(self.coeffs)})"
 
-    def __sub__(self, other):
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] -= c
-        return ZPoly(out)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return ZPoly([c * other for c in self.coeffs])
@@ -303,18 +298,9 @@ class ZPoly:
                     out[i + j] += x * y
         return ZPoly(out)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "ZPoly":
-        return prod([self] * k, start=ZPoly([1]))
-
-    def __floordiv__(self, other) -> "ZPoly":
-        """Exact quotient by a nonzero integer or ZPoly; raises
-        ArithmeticError on a nonzero remainder."""
-        if isinstance(other, int):
-            if any(c % other for c in self.coeffs):
-                raise ArithmeticError("division was not exact")
-            return ZPoly([c // other for c in self.coeffs])
+    def __floordiv__(self, other: "ZPoly") -> "ZPoly":
+        """Exact quotient by a nonzero ZPoly; raises ArithmeticError on a
+        nonzero remainder."""
         b = other.coeffs
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
@@ -577,12 +563,75 @@ def bivar_cols(poly: dict, axis: int) -> list:
     """Coefficient list of D * poly, for a bivariate polynomial {(i, j): c}
     and D the least common denominator of its coefficients, in the variable
     `axis`, entries `ZPoly` in the other one: the input form of
-    `resultant`."""
+    `resultant`.  The columns are built dense, over one denominator."""
     nums, _ = common_denominator(poly.values())
-    cols = [{} for _ in range(max(e[axis] for e in poly) + 1)]
+    width = max(e[1 - axis] for e in poly) + 1
+    cols = [[0] * width for _ in range(max(e[axis] for e in poly) + 1)]
     for e, c in zip(poly, nums):
         cols[e[axis]][e[1 - axis]] = c
-    return [zpoly(col)[0] for col in cols]
+    return [ZPoly(col) for col in cols]
+
+
+def _pack(p: ZPoly, k: int) -> int:
+    """p(2^k), the Kronecker substitution of x = 2^k."""
+    v = 0
+    for c in reversed(p.coeffs):
+        v = (v << k) + c
+    return v
+
+
+def _unpack(v: int, k: int) -> ZPoly:
+    """The p with p(2^k) = v and every |coefficient| < 2^(k-1): the
+    balanced base-2^k digits of v, lowest first."""
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    while v:
+        c = v & mask
+        if c >= half:
+            c -= 1 << k
+        out.append(c)
+        v = (v - c) >> k
+    return ZPoly(out)
+
+
+def _packed_chain(p: Sequence[ZPoly], q: Sequence[ZPoly]) -> tuple:
+    """(k, chain, resultant) of `subresultants`, with every coefficient in
+    Z[x] packed as its value at x = 2^k (`_pack`)."""
+    P, Q = ZPoly(p), ZPoly(q)
+    # a member has at most deg q rows of p and deg p rows of q; a power of
+    # at least 1 also bounds the inputs themselves
+    a, b = (sum(abs(c) for col in f.coeffs for c in col.coeffs) for f in (P, Q))
+    k = (a ** max(Q.degree, 1) * b ** max(P.degree, 1)).bit_length() + 1
+    if not P or not Q:
+        return k, [], 0
+    if P.degree == Q.degree == 0:
+        raise DegenerateEliminationError("both inputs constant in the eliminated variable")
+    A, B = (ZPoly([_pack(c, k) for c in f.coeffs]) for f in (P, Q))
+    m, n = A.degree, B.degree
+    sign = 1
+    if m < n:
+        sign = (-1) ** (m * n)
+        A, B, m, n = B, A, n, m
+    chain, g, h = [], 1, 1
+    while True:
+        delta = m - n
+        if m & n & 1:
+            sign = -sign
+        S = B.coeffs
+        if delta > 1:
+            # divide the product: lead^(delta-1) / h^(delta-1) alone is not exact
+            lead, den = S[-1] ** (delta - 1), h ** (delta - 1)
+            S = [c * lead // den for c in S]
+        chain.append(S)
+        if n == 0:
+            return k, chain, S[0] * sign
+        R = A.prem(B).coeffs
+        if not R:
+            return k, chain, 0
+        div = g * h ** delta
+        A, B = B, ZPoly([c // div for c in R])
+        m, n = n, len(R) - 1
+        g, h = A.coeffs[-1], S[-1] if delta else h
 
 
 def subresultants(p: Sequence[ZPoly], q: Sequence[ZPoly]) -> tuple:
@@ -599,37 +648,31 @@ def subresultants(p: Sequence[ZPoly], q: Sequence[ZPoly]) -> tuple:
     h^(d-1), whose lead is the next h (Lazard).  With Cohen's sign, S_0 is
     the Sylvester determinant: n rows of p and m of q, for m = deg p and
     n = deg q.
+
+    The loop runs on plain integers, each coefficient in Z[x] packed as
+    its value at x = 2^k (Kronecker substitution; von zur Gathen &
+    Gerhard, Modern Computer Algebra, 8.4), and it is exact:
+
+    * every member, regular or defective, is up to sign a determinant of
+      a Sylvester submatrix with at most n rows of p and m of q, so each
+      x-coefficient of it is at most B = (sum |p_i|_1)^n (sum |q_i|_1)^m
+      in absolute value, and with 2^(k-1) > B it is the balanced base-2^k
+      digits of its packed value (`_unpack`), which is 0 only for 0;
+    * evaluation at 2^k is a ring map, so the divisions of Lazard's
+      scaling and of prem(A, B) by g h^d, exact in Z[x], stay exact on the
+      packed values, whose divisors are bounded nonzero members, nonzero
+      at 2^k;
+    * every coefficient of prem(A, B) is g h^d times a coefficient of a
+      bounded member, so it packs to 0 exactly when it is 0: the degrees,
+      the gaps and the stop at the gcd read as they do in Z[x].
     """
-    A, B = ZPoly(p), ZPoly(q)
-    if not A or not B:
-        return [], ZPoly()
-    if A.degree == B.degree == 0:
-        raise DegenerateEliminationError("both inputs constant in the eliminated variable")
-    sign = 1
-    if A.degree < B.degree:
-        sign = (-1) ** (A.degree * B.degree)
-        A, B = B, A
-    chain, g, h = [], 1, 1
-    while True:
-        delta = A.degree - B.degree
-        if A.degree % 2 and B.degree % 2:
-            sign = -sign
-        S = list(B.coeffs)
-        if delta > 1:
-            # divide the product: lead^(delta-1) / h^(delta-1) alone is not exact
-            lead, den = S[-1] ** (delta - 1), h ** (delta - 1)
-            S = [c * lead // den for c in S]
-        chain.append(S)
-        if B.degree == 0:
-            return chain, S[0] * sign
-        R = A.prem(B)
-        if not R:
-            return chain, ZPoly()
-        A, B = B, ZPoly([c // (g * h ** delta) for c in R.coeffs])
-        g, h = A.coeffs[-1], S[-1] if delta else h
+    k, chain, r = _packed_chain(p, q)
+    return [[_unpack(c, k) for c in S] for S in chain], _unpack(r, k)
 
 
 def resultant(p: Sequence[ZPoly], q: Sequence[ZPoly]) -> ZPoly:
     """Resultant in y of two polynomials given as y-coefficient lists over
-    Z[x]: the Sylvester determinant, read off the subresultant chain."""
-    return subresultants(p, q)[1]
+    Z[x]: the Sylvester determinant, the last member of the subresultant
+    chain, the only one unpacked."""
+    k, _, r = _packed_chain(p, q)
+    return _unpack(r, k)

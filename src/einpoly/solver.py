@@ -17,7 +17,9 @@ scalar curvature: `dehomogenize(einstein_system(data))` times lcm(dims)
 and the common denominator of the curvature's coefficients, with no
 Fraction polynomial in between.  The elimination runs in integers, on one
 subresultant chain in y over Z[x] (`exact.subresultants`), whose last
-member is the resultant.  The fiber gcds work in (Z[x]/(H))[y], H the
+member is the resultant; the chain itself runs on one integer per
+coefficient in Z[x], its value at x = 2^k for a k past a bound on the
+chain's coefficients.  The fiber gcds work in (Z[x]/(H))[y], H the
 primitive integer multiple of h.
 A y-coefficient list is reduced mod H with one power of lead(H) for all
 its entries and divided by its integer content (`_reduce`): a unit of

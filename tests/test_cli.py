@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -104,6 +105,38 @@ def test_polytope_export_roundtrip(capsys, tmp_path):
     assert code == 0
     code, out3, _ = run(capsys, "polytope", "wang_ziller", "--min", "--facets")
     assert out2 == out3
+
+
+def test_output_integers_have_no_digit_limit(capsys, tmp_path):
+    # facet normals of products of 2500-digit coordinates pass the 4300
+    # digits Python converts to a string by default; main lifts that limit
+    # for the command and gives the caller's limit back
+    sevens, threes = int("7" * 2500), int("3" * 2400)
+    verts = [[sevens, 1, 0], [0, threes, 1], [1, 0, sevens], [0, 0, 0]]
+    doc = tmp_path / "big.json"
+    doc.write_text('{"vertices": [[%s, 1, 0], [0, %s, 1], [1, 0, %s], [0, 0, 0]]}'
+                   % ("7" * 2500, "3" * 2400, "7" * 2500))
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "polytope", str(doc))
+    assert code == 0 and err == "" and "7" * 2500 in out
+    assert sys.get_int_max_str_digits() == limit
+    code, out, err = run(capsys, "polytope", str(doc), "--facets")
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        facets = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(facets) == 4 and max(abs(x) for f in facets for x in f["normal"]) >= 10**4300
+    for f in facets:
+        values = [sum(a * x for a, x in zip(f["normal"], v)) for v in verts]
+        assert min(values) == f["offset"] and values.count(f["offset"]) == 3
+    # input stays capped at 4300 digits, and an exit 2 restores the limit too
+    doc.write_text('{"vertices": [[%s, 0], [0, 1], [1, 0]]}' % ("9" * 4301))
+    code, out, err = run(capsys, "polytope", str(doc))
+    assert code == 2 and err.startswith("invalid data: /: ")
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_kaehler_b2_summary(capsys):

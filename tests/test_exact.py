@@ -16,6 +16,8 @@ from einpoly.exact import (
     LatticeChart,
     ZPoly,
     _column_hnf,
+    _pack,
+    _unpack,
     _sturm_chain,
     _variations,
     bivar_cols,
@@ -540,6 +542,62 @@ def test_defective_subresultant_chain():
     assert resultant(p, q).coeffs == (1,)
 
 
+@given(st.integers(2, 80).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.integers(-(2 ** (k - 1) - 1), 2 ** (k - 1) - 1), max_size=6))))
+@example((2, [1, 0, -1]))
+@example((64, [2**63 - 1, 0, 0, -(2**63 - 1)]))
+@example((65, [-(2**64 - 1), 0, 2**64 - 1, 0, -1]))
+def test_unpack_inverts_pack(kc):
+    # balanced base-2^k digits: every coefficient below 2^(k-1) in
+    # absolute value comes back, with zeros in the middle and a negative top
+    k, coeffs = kc
+    p = ZPoly(coeffs)
+    assert _unpack(_pack(p, k), k).coeffs == p.coeffs
+
+
+# the packed chain on big coefficients: 100 to 120 digits next to small
+# ones, zero columns (defective gaps) and, when a common y-factor is
+# multiplied in, a vanishing resultant; y-degree >= 1 by construction
+_big_int = st.one_of(st.integers(-3, 3), st.integers(10**99, 10**120),
+                     st.integers(-10**120, -10**99))
+_big_x = st.integers(0, 3).flatmap(
+    lambda i: st.lists(_big_int, min_size=1, max_size=3) if i else st.just([]))
+_big_top = st.builds(lambda low, top: low + [top], st.lists(_big_int, max_size=2),
+                     st.one_of(st.sampled_from([-2, -1, 1, 3]), st.integers(10**99, 10**120)))
+_big_in_y = st.integers(1, 3).flatmap(
+    lambda k: st.builds(lambda low, top: low + [top],
+                        st.lists(_big_x, min_size=k, max_size=k), _big_top))
+
+
+def _times_y_factor(cols, factor):
+    """The y-coefficient lists (int lists) of cols times factor."""
+    out = [QPoly()] * (len(cols) + len(factor) - 1)
+    for i, a in enumerate(cols):
+        for j, b in enumerate(factor):
+            out[i + j] = out[i + j] + QPoly(a) * QPoly(b)
+    return [[int(c) for c in f.coeffs] for f in out]
+
+
+@given(_big_in_y, _big_in_y, st.one_of(st.none(), st.tuples(_big_x, _big_top)))
+@settings(max_examples=100, deadline=None)
+@example([[], [], [], [1]], [[-1], [], [0, 10**100]], None)
+@example([[2], [1]], [[-(10**110)], [10**100 + 1]], ([10**105, 7], [1]))
+def test_packed_chain_on_big_coefficients(p, q, factor):
+    if factor is not None:
+        p, q = (_times_y_factor(f, list(factor)) for f in (p, q))
+    pz, qz = ([ZPoly(c) for c in f] for f in (p, q))
+    check_chain_against_determinants(pz, qz)
+    r = resultant(pz, qz)
+    assert QPoly(r.coeffs) == reference_resultant(*([QPoly(c.coeffs) for c in f] for f in (pz, qz)))
+    assert factor is None or not r
+    # every member inside the bound (sum |p_i|_1)^n (sum |q_i|_1)^m
+    norm = [sum(abs(c) for col in f for c in col.coeffs) for f in (pz, qz)]
+    bound = norm[0] ** y_degree(qz) * norm[1] ** y_degree(pz)
+    chain, res = subresultants(pz, qz)
+    assert res.coeffs == r.coeffs
+    assert all(abs(c) <= bound for S in chain for col in S for c in col.coeffs)
+
+
 @given(st.tuples(st.one_of(_bivariate_in_y, _nonzero_x_poly.map(lambda c: [c])), _bivariate_in_y)
        .flatmap(lambda pq: st.permutations(list(pq))),
        st.integers(-3, 3))
@@ -702,10 +760,13 @@ def test_primitive_gcd_matches_the_rational_gcd(a, b):
 @settings(max_examples=200, deadline=None)
 def test_exact_quotient_in_z_x(a, b):
     assert ((a * b) // b).coeffs == a.coeffs
-    assert ((a * 6) // 6).coeffs == a.coeffs == ((a * 6) // -6 * -1).coeffs
+    assert ((a * 6) // ZPoly([6])).coeffs == a.coeffs == ((a * 6) // ZPoly([-6]) * -1).coeffs
     if b.degree > 0:
+        # a b - 1
+        off = list((a * b).coeffs) or [0]
+        off[0] -= 1
         with pytest.raises(ArithmeticError):
-            (a * b - ZPoly([1])) // b
+            ZPoly(off) // b
 
 
 @given(st.lists(_q_poly, max_size=4))
