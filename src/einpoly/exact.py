@@ -22,16 +22,17 @@ Elimination has one routine per job:
   x = 2^k (Kronecker substitution), for 2^(k-1) above the bound
   (sum |p_i|_1)^(deg q) (sum |q_i|_1)^(deg p) on every x-coefficient of
   every member, and read back as balanced base-2^k digits; `resultant`
-  unpacks only the last member.
+  unpacks only the last member, and the fiber gcds only the members they
+  read.
 
 There is one polynomial type, `ZPoly` (Z[x]), and one conversion into it:
 `zpoly` clears a rational {degree: coefficient} dict over its least common
 denominator, and `bivar_cols` clears a bivariate dict the same way once
 and writes it into dense columns.  `ZPoly` has the exact division, the
 pseudo-remainder, the primitive gcd and the primitive squarefree part,
-which the fiber gcds and the curve verdicts of `faces` run on.  Only gcds, degrees and signs are
-read from them, so the positive scale of a cleared polynomial never
-matters.
+which the fiber gcds and the curve verdicts of `faces` run on.  Only
+gcds, degrees and signs are read from them, so the positive scale of a
+cleared polynomial never matters.
 
 Real roots are isolated and refined in integers: the input is a squarefree
 `ZPoly`, its Sturm chain is built by signed pseudo-remainders, and an
@@ -259,6 +260,22 @@ def primitive(vec: Sequence[int]) -> tuple:
 # univariate polynomials over Z
 # ---------------------------------------------------------------------------
 
+def _prem(a: Sequence[int], b: Sequence[int]) -> list:
+    """The coefficients of `ZPoly.prem`, top zeros dropped, for nonzero b."""
+    db = len(b) - 1
+    lead = b[-1]
+    rem = list(a)
+    for s in reversed(range(len(rem) - db)):
+        t = rem[-1]
+        rem = [lead * c for c in rem[:-1]]
+        if t:
+            for i in range(db):
+                rem[s + i] -= t * b[i]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
 class ZPoly:
     """Dense univariate polynomial with integer coefficients, ascending.
 
@@ -325,19 +342,9 @@ class ZPoly:
         k = max(0, deg self - deg other + 1): the remainder over Q times a
         nonzero integer, found without division.  Each of the k steps
         multiplies by lead(other) and cancels the top coefficient."""
-        b = other.coeffs
-        if not b:
+        if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
-        db = len(b) - 1
-        lead = b[-1]
-        rem = list(self.coeffs)
-        for s in reversed(range(len(rem) - db)):
-            t = rem[-1]
-            rem = [lead * c for c in rem[:-1]]
-            if t:
-                for i in range(db):
-                    rem[s + i] -= t * b[i]
-        return ZPoly(rem)
+        return ZPoly(_prem(self.coeffs, other.coeffs))
 
     def derivative(self) -> "ZPoly":
         return ZPoly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -596,18 +603,22 @@ def _unpack(v: int, k: int) -> ZPoly:
 
 def _packed_chain(p: Sequence[ZPoly], q: Sequence[ZPoly]) -> tuple:
     """(k, chain, resultant) of `subresultants`, with every coefficient in
-    Z[x] packed as its value at x = 2^k (`_pack`)."""
-    P, Q = ZPoly(p), ZPoly(q)
-    # a member has at most deg q rows of p and deg p rows of q; a power of
-    # at least 1 also bounds the inputs themselves
-    a, b = (sum(abs(c) for col in f.coeffs for c in col.coeffs) for f in (P, Q))
-    k = (a ** max(Q.degree, 1) * b ** max(P.degree, 1)).bit_length() + 1
+    Z[x] packed as its value at x = 2^k (`_pack`): a member is a list of
+    ints."""
+    P, Q = list(p), list(q)
+    for f in (P, Q):
+        while f and not f[-1]:
+            f.pop()
+    m, n = len(P) - 1, len(Q) - 1
+    # a member has at most n rows of p and m rows of q; a power of at
+    # least 1 also bounds the inputs themselves
+    a, b = (sum(abs(c) for col in f for c in col.coeffs) for f in (P, Q))
+    k = (a ** max(n, 1) * b ** max(m, 1)).bit_length() + 1
     if not P or not Q:
         return k, [], 0
-    if P.degree == Q.degree == 0:
+    if m == n == 0:
         raise DegenerateEliminationError("both inputs constant in the eliminated variable")
-    A, B = (ZPoly([_pack(c, k) for c in f.coeffs]) for f in (P, Q))
-    m, n = A.degree, B.degree
+    A, B = [_pack(c, k) for c in P], [_pack(c, k) for c in Q]
     sign = 1
     if m < n:
         sign = (-1) ** (m * n)
@@ -617,7 +628,7 @@ def _packed_chain(p: Sequence[ZPoly], q: Sequence[ZPoly]) -> tuple:
         delta = m - n
         if m & n & 1:
             sign = -sign
-        S = B.coeffs
+        S = B
         if delta > 1:
             # divide the product: lead^(delta-1) / h^(delta-1) alone is not exact
             lead, den = S[-1] ** (delta - 1), h ** (delta - 1)
@@ -625,13 +636,13 @@ def _packed_chain(p: Sequence[ZPoly], q: Sequence[ZPoly]) -> tuple:
         chain.append(S)
         if n == 0:
             return k, chain, S[0] * sign
-        R = A.prem(B).coeffs
+        R = _prem(A, B)
         if not R:
             return k, chain, 0
         div = g * h ** delta
-        A, B = B, ZPoly([c // div for c in R])
+        A, B = B, [c // div for c in R]
         m, n = n, len(R) - 1
-        g, h = A.coeffs[-1], S[-1] if delta else h
+        g, h = A[-1], S[-1] if delta else h
 
 
 def subresultants(p: Sequence[ZPoly], q: Sequence[ZPoly]) -> tuple:

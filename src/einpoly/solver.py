@@ -19,8 +19,9 @@ Fraction polynomial in between.  The elimination runs in integers, on one
 subresultant chain in y over Z[x] (`exact.subresultants`), whose last
 member is the resultant; the chain itself runs on one integer per
 coefficient in Z[x], its value at x = 2^k for a k past a bound on the
-chain's coefficients.  The fiber gcds work in (Z[x]/(H))[y], H the
-primitive integer multiple of h.
+chain's coefficients, and a fiber gcd unpacks only the members it reads.
+The fiber gcds work in (Z[x]/(H))[y], H the primitive integer multiple
+of h.
 A y-coefficient list is reduced mod H with one power of lead(H) for all
 its entries and divided by its integer content (`_reduce`): a unit of
 Q[x]/(h) times it, which changes no zero test, no gcd degree and no sign
@@ -71,13 +72,14 @@ from typing import List, Optional, Sequence, Tuple
 from .curvature import LaurentPoly, scalar_curvature
 from .exact import (
     ZPoly,
+    _packed_chain,
+    _unpack,
     bivar_cols,
     common_denominator,
     isolate_real_roots,
     refine_root_interval,
     resultant,
     sign_at,
-    subresultants,
     tarski_query,
     zpoly,
 )
@@ -222,14 +224,18 @@ def _fiber_gcd_branches(A: list, B: list, h: ZPoly) -> list:
             if min(len(A1), len(B1)) <= 1:
                 out.append((hb, A1 if len(A1) == 1 or not B1 else B1))
                 continue
-            chain = subresultants(A1, B1)[0]
+            # the chain of `subresultants`, packed: a member is unpacked
+            # only where it is read, its lead at each step and all of it
+            # when a part of the branch gets it
+            k, chain, _ = _packed_chain(A1, B1)
             # the top member is the input of lower degree times a power of
             # its lead, a unit on hb: the input is smaller
-            chain[0] = A1 if len(A1) < len(B1) else B1
-            for S in reversed(chain):
-                g = S[-1].gcd(hb)
+            top = A1 if len(A1) < len(B1) else B1
+            for j in reversed(range(len(chain))):
+                g = (_unpack(chain[j][-1], k) if j else top[-1]).gcd(hb)
                 if g.degree < hb.degree:
                     part = hb // g
+                    S = [_unpack(c, k) for c in chain[j]] if j else top
                     out.append((part, _reduce(S, part)))
                     hb = g
                 if hb.degree == 0:
