@@ -15,15 +15,16 @@ Elimination has one routine per job:
   difference rows, and its equations (the saturated kernel of those rows),
   coordinates and lift are all read off the unimodular U, with no
   back-substitution;
-* over Z[x], one subresultant chain in y (`subresultants`) gives the
-  `resultant`, its last member with the sign of the Sylvester determinant,
-  and the d = 3 fiber gcds of `solver`.  For inputs p and q it runs on
-  plain integers: each coefficient in Z[x] is packed as its value at
-  x = 2^k (Kronecker substitution), for 2^(k-1) above the bound
+* over Z[x], one subresultant chain in y gives the `resultant`, its last
+  member with the sign of the Sylvester determinant, and, through
+  `subresultants`, its members from the lowest up for the d = 3 fiber
+  gcds of `solver`.  For inputs p and q it runs on plain integers: each
+  coefficient in Z[x] is packed as its value at x = 2^k (Kronecker
+  substitution), for 2^(k-1) above the bound
   (sum |p_i|_1)^(deg q) (sum |q_i|_1)^(deg p) on every x-coefficient of
   every member, and read back as balanced base-2^k digits; `resultant`
-  unpacks only the last member, and the fiber gcds only the members they
-  read.
+  unpacks only the last member, and `subresultants` each member when it
+  is taken, so a fiber gcd that stops early unpacks no more.
 
 There is one polynomial type, `ZPoly` (Z[x]), and one conversion into it:
 `zpoly` clears a rational {degree: coefficient} dict over its least common
@@ -35,18 +36,19 @@ gcds, degrees and signs are read from them, so the positive scale of a
 cleared polynomial never matters.
 
 Real roots are isolated and refined in integers: the input is a squarefree
-`ZPoly`, its Sturm chain is built by signed pseudo-remainders, and an
-isolating interval is an integer triple (a, b, D) for (a/D, b/D], on one
-side of 0 and with no root at its left end.  D is a power of two:
-isolation starts from (-2^k, 2^k], 2^k the least power of two above the
-Cauchy bound, and every bisection halves, so no endpoint carries the
-lead.  Sturm variations (isolation) and the sign of the polynomial
+`ZPoly`, its Sturm chain is built by signed pseudo-remainders
+(`_sturm_chain`, the one remainder sequence over Z, whose last member is
+`ZPoly.gcd`), and an isolating interval is an integer triple (a, b, D)
+for (a/D, b/D], on one side of 0 and with no root at its left end.  D is
+a power of two: isolation starts from (-2^k, 2^k], 2^k the least power of
+two above the Cauchy bound, and every bisection halves, so no endpoint
+carries the lead.  Sturm variations (isolation) and the sign of the polynomial
 (refinement) are both read by `sign_at`, a homogeneous Horner sum at a
 point n/d.  The sign of a second polynomial P at an isolated root of h is
 exact too: it is the variation drop of one Sturm-Tarski sequence of h and
-h'P, which does not depend on the root, so a `tarski_query` builds it
-once and reads it at every isolating interval of h it is asked about
-(`sign_at_root` asks about one).
+h'P, which does not depend on the root, so a `tarski_query`, the one
+entry point for such signs, builds it once and reads it at every
+isolating interval of h it is asked about.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import re
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm, prod
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 _RAT_RE = re.compile(r"^-?\d+(/\d+)?$")
 
@@ -279,8 +281,9 @@ def _prem(a: Sequence[int], b: Sequence[int]) -> list:
 class ZPoly:
     """Dense univariate polynomial with integer coefficients, ascending.
 
-    `prem` and `gcd` are the pseudo-remainder and the primitive gcd of the
-    fiber gcds in `solver` and of the Sturm chains below.
+    `prem` is the pseudo-remainder of the Sturm chains below, and `gcd`, the
+    primitive gcd of the fiber gcds in `solver`, reads the last member of
+    one of them.
     """
 
     __slots__ = ("coeffs",)
@@ -368,14 +371,13 @@ class ZPoly:
 
     def gcd(self, other: "ZPoly") -> "ZPoly":
         """The primitive gcd: by Gauss's lemma the gcd over Q, scaled to a
-        primitive integer polynomial with a positive lead, found by the
-        primitive remainder sequence; zero for two zeros."""
+        primitive integer polynomial with a positive lead: the last member
+        of the signed remainder sequence (`_sturm_chain`) of the primitive
+        inputs, higher degree first; the other input when one is zero."""
         a, b = self.primitive(), other.primitive()
         if a.degree < b.degree:
             a, b = b, a
-        while b:
-            a, b = b, a.prem(b).primitive()
-        return a
+        return ZPoly(_sturm_chain(a, b)[-1]).primitive() if b else a
 
     def squarefree(self) -> "ZPoly":
         """The primitive squarefree part self / gcd(self, self'), an exact
@@ -455,14 +457,14 @@ def _point(x) -> Optional[tuple]:
 
 
 def sturm_count(p: ZPoly, a=None, b=None) -> int:
-    """Number of distinct real roots of p in (a, b].
+    """Number of distinct real roots of p in (a, b], 0 when a >= b.
 
     None stands for -oo (as a) or +oo (as b).
     """
     if not p:
         raise ValueError("zero polynomial")
     sf = p.squarefree()
-    if sf.degree < 1:
+    if sf.degree < 1 or None not in (a, b) and Fraction(a) >= Fraction(b):
         return 0
     chain = _sturm_chain(sf, sf.derivative())
     return _variations(chain, _point(a), -1) - _variations(chain, _point(b), 1)
@@ -551,13 +553,6 @@ def tarski_query(P: ZPoly, h: ZPoly):
     return sign
 
 
-def sign_at_root(P: ZPoly, h: ZPoly, interval: tuple) -> int:
-    """The sign of P at the one root of the squarefree h (positive lead) in
-    the isolating interval (a, b, D), by a `tarski_query` of its own; a
-    caller that asks about several roots of h holds one query instead."""
-    return tarski_query(P, h)(interval)
-
-
 # ---------------------------------------------------------------------------
 # one subresultant chain (the resultant, and the gcds over the roots of x)
 # ---------------------------------------------------------------------------
@@ -602,9 +597,9 @@ def _unpack(v: int, k: int) -> ZPoly:
 
 
 def _packed_chain(p: Sequence[ZPoly], q: Sequence[ZPoly]) -> tuple:
-    """(k, chain, resultant) of `subresultants`, with every coefficient in
-    Z[x] packed as its value at x = 2^k (`_pack`): a member is a list of
-    ints."""
+    """(k, the chain by descending j, the resultant) of `subresultants`,
+    with every coefficient in Z[x] packed as its value at x = 2^k (`_pack`):
+    a member is a list of ints."""
     P, Q = list(p), list(q)
     for f in (P, Q):
         while f and not f[-1]:
@@ -645,12 +640,15 @@ def _packed_chain(p: Sequence[ZPoly], q: Sequence[ZPoly]) -> tuple:
         g, h = A[-1], S[-1] if delta else h
 
 
-def subresultants(p: Sequence[ZPoly], q: Sequence[ZPoly]) -> tuple:
+def subresultants(p: Sequence[ZPoly], q: Sequence[ZPoly]) -> Iterator[list]:
     """The regular subresultants in y of two polynomials given as
-    y-coefficient lists over Z[x], and their resultant: ([S_j, ...] by
-    descending j, Res_y(p, q)).  Each S_j has degree j and is known up to
-    sign; its lead is psc_j, and the psc of every other j vanishes.  The
-    chain stops at S_0, or, when the resultant vanishes, at the gcd.
+    y-coefficient lists over Z[x]: S_j by ascending j, each a y-coefficient
+    list over Z[x] unpacked only when the iterator reaches it.  Each S_j
+    has degree j and is known up to sign; its lead is psc_j, and the psc of
+    every other j vanishes.  The chain runs down to S_0, or, when the
+    resultant vanishes, to the gcd, which is then the first member taken.
+    The packed chain is computed at the call; the resultant is
+    `resultant`.
 
     It is the subresultant pseudo-remainder sequence (Cohen 1993, Alg.
     3.3.7, without content removal): each member is prem(A, B) / (g h^d),
@@ -677,8 +675,8 @@ def subresultants(p: Sequence[ZPoly], q: Sequence[ZPoly]) -> tuple:
       bounded member, so it packs to 0 exactly when it is 0: the degrees,
       the gaps and the stop at the gcd read as they do in Z[x].
     """
-    k, chain, r = _packed_chain(p, q)
-    return [[_unpack(c, k) for c in S] for S in chain], _unpack(r, k)
+    k, chain, _ = _packed_chain(p, q)
+    return ([_unpack(c, k) for c in S] for S in reversed(chain))
 
 
 def resultant(p: Sequence[ZPoly], q: Sequence[ZPoly]) -> ZPoly:

@@ -458,9 +458,8 @@ class LatticePolytope:
         return json.dumps(self.to_json_obj(), indent=2)
 
 
-def polytope_from_json(obj) -> "LatticePolytope":
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+def polytope_from_json(obj: dict) -> "LatticePolytope":
+    """The hull of a decoded polytope document's "vertices"."""
     return hull([tuple(v) for v in obj["vertices"]])
 
 

@@ -16,10 +16,9 @@ The system is built in integers (`_integer_system`), straight from the
 scalar curvature: `dehomogenize(einstein_system(data))` times lcm(dims)
 and the common denominator of the curvature's coefficients, with no
 Fraction polynomial in between.  The elimination runs in integers, on one
-subresultant chain in y over Z[x] (`exact.subresultants`), whose last
-member is the resultant; the chain itself runs on one integer per
-coefficient in Z[x], its value at x = 2^k for a k past a bound on the
-chain's coefficients, and a fiber gcd unpacks only the members it reads.
+subresultant chain in y over Z[x]: `exact.resultant` is its last member,
+and a fiber gcd reads its members from the lowest up through
+`exact.subresultants`, which hands each over only when it is taken.
 The fiber gcds work in (Z[x]/(H))[y], H the primitive integer multiple
 of h.
 A y-coefficient list is reduced mod H with one power of lead(H) for all
@@ -72,14 +71,13 @@ from typing import List, Optional, Sequence, Tuple
 from .curvature import LaurentPoly, scalar_curvature
 from .exact import (
     ZPoly,
-    _packed_chain,
-    _unpack,
     bivar_cols,
     common_denominator,
     isolate_real_roots,
     refine_root_interval,
     resultant,
     sign_at,
+    subresultants,
     tarski_query,
     zpoly,
 )
@@ -224,18 +222,15 @@ def _fiber_gcd_branches(A: list, B: list, h: ZPoly) -> list:
             if min(len(A1), len(B1)) <= 1:
                 out.append((hb, A1 if len(A1) == 1 or not B1 else B1))
                 continue
-            # the chain of `subresultants`, packed: a member is unpacked
-            # only where it is read, its lead at each step and all of it
-            # when a part of the branch gets it
-            k, chain, _ = _packed_chain(A1, B1)
             # the top member is the input of lower degree times a power of
             # its lead, a unit on hb: the input is smaller
             top = A1 if len(A1) < len(B1) else B1
-            for j in reversed(range(len(chain))):
-                g = (_unpack(chain[j][-1], k) if j else top[-1]).gcd(hb)
+            for S in subresultants(A1, B1):
+                if len(S) == len(top):
+                    S = top
+                g = S[-1].gcd(hb)
                 if g.degree < hb.degree:
                     part = hb // g
-                    S = [_unpack(c, k) for c in chain[j]] if j else top
                     out.append((part, _reduce(S, part)))
                     hb = g
                 if hb.degree == 0:
@@ -431,8 +426,7 @@ def _fiber_at(fibers: list, i1: tuple) -> tuple:
                 if sign_at(h.coeffs, lo, d) != sign_at(h.coeffs, hi, d))
 
 
-def _holds_solution(h: ZPoly, S: list, i1: tuple, i2: tuple,
-                    queries: Optional[dict] = None) -> bool:
+def _holds_solution(h: ZPoly, S: list, i1: tuple, i2: tuple, queries: dict) -> bool:
     """Whether the root a of q1 in i1 and b of q2 in i2 form a solution,
     for isolating intervals (lo, hi, D), no root at a left end by isolation,
     and a's fiber (h, S) (`_fiber_at`).  b is the one root of q2 in i2, so
@@ -440,14 +434,14 @@ def _holds_solution(h: ZPoly, S: list, i1: tuple, i2: tuple,
     i2, S(a, lo/D) S(a, hi/D) <= 0, read at a by a `tarski_query` of that
     product and h.  The unit that S is known up to is nonzero at a and
     scales both values alike; a constant S is such a unit, and its square
-    is positive.  The query depends on the fiber and i2 only: `queries`
-    holds those built so far for this fiber, by i2, and is filled here."""
-    if queries is None:
-        queries = {}
-    query = queries.get(i2)
+    is positive.  The query depends on the fiber, named by its branch h,
+    and i2 only: `queries` holds those built so far, by (h's coefficients,
+    i2), and is filled here."""
+    key = h.coeffs, i2
+    query = queries.get(key)
     if query is None:
         lo, hi, d = i2
-        query = queries[i2] = tarski_query(_at_y(S, lo, d) * _at_y(S, hi, d), h)
+        query = queries[key] = tarski_query(_at_y(S, lo, d) * _at_y(S, hi, d), h)
     return query(i1) <= 0
 
 
@@ -466,17 +460,16 @@ def _real_d3(q1: ZPoly, q2: ZPoly, fibers: list) -> list:
     real = []
     if not iso2:
         return real
-    # the queries of each fiber, by its branch h, which no other fiber has
+    # a fiber is named by its branch h, which no other fiber has
     queries = {}
     for i1 in isolate_real_roots(q1):
         h, S = _fiber_at(fibers, i1)
-        fiber_queries = queries.setdefault(h.coeffs, {})
         left = len(S) - 1
         for j, i2 in enumerate(iso2):
             if not left:
                 break
             last_of_one = len(S) == 2 and j == len(iso2) - 1
-            if not last_of_one and not _holds_solution(h, S, i1, i2, fiber_queries):
+            if not last_of_one and not _holds_solution(h, S, i1, i2, queries):
                 continue
             left -= 1
             real.append([(q1, i1), (q2, i2)])

@@ -10,6 +10,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from einpoly import exact
 from einpoly.exact import (
     DegenerateEliminationError,
     DimensionError,
@@ -30,9 +31,9 @@ from einpoly.exact import (
     rank,
     refine_root_interval,
     resultant,
-    sign_at_root,
     sturm_count,
     subresultants,
+    tarski_query,
     zpoly,
 )
 from qpoly import QPoly, as_zpoly, clear, kernel, surd_sign
@@ -514,7 +515,7 @@ def check_chain_against_determinants(pz, qz):
     if len(p) < len(q):
         p, q = q, p
     m, n = len(p) - 1, len(q) - 1
-    chain = {len(S) - 1: [QPoly(c.coeffs) for c in S] for S in subresultants(pz, qz)[0]}
+    chain = {len(S) - 1: [QPoly(c.coeffs) for c in S] for S in subresultants(pz, qz)}
     scale = prod([q[-1]] * max(0, m - n - 1), start=QPoly.const(1))
     assert chain[n] == [c * scale for c in q]
     for j in range(n):
@@ -593,9 +594,31 @@ def test_packed_chain_on_big_coefficients(p, q, factor):
     # every member inside the bound (sum |p_i|_1)^n (sum |q_i|_1)^m
     norm = [sum(abs(c) for col in f for c in col.coeffs) for f in (pz, qz)]
     bound = norm[0] ** y_degree(qz) * norm[1] ** y_degree(pz)
-    chain, res = subresultants(pz, qz)
-    assert res.coeffs == r.coeffs
+    chain = list(subresultants(pz, qz))
     assert all(abs(c) <= bound for S in chain for col in S for c in col.coeffs)
+
+
+def test_taking_a_member_of_subresultants_unpacks_only_that_member(monkeypatch):
+    # a fiber gcd stops at the first member whose psc is a unit on its
+    # branch, so the members come from the lowest up and each is unpacked
+    # only when it is taken
+    calls = []
+    unpack = exact._unpack
+
+    def counted(v, k):
+        calls.append(v)
+        return unpack(v, k)
+
+    monkeypatch.setattr(exact, "_unpack", counted)
+    # y^3 + 2 y^2 + x y + 1 and x^2 y^2 + 3 y + x - 1: members S_0, S_1, S_2
+    p = [ZPoly([1]), ZPoly([0, 1]), ZPoly([2]), ZPoly([1])]
+    q = [ZPoly([-1, 1]), ZPoly([3]), ZPoly([0, 0, 1])]
+    chain = subresultants(p, q)
+    assert not calls
+    first = next(chain)
+    assert len(first) == len(calls) == 1
+    rest = list(chain)
+    assert [len(S) for S in rest] == [2, 3] and len(calls) == 6
 
 
 @given(st.tuples(st.one_of(_bivariate_in_y, _nonzero_x_poly.map(lambda c: [c])), _bivariate_in_y)
@@ -611,8 +634,7 @@ def test_first_nonvanishing_subresultant_is_the_gcd_at_a_point(pq, x0):
     a, b = (QPoly([QPoly(c.coeffs)(x0) for c in f]) for f in (A, B))
     assume(not b.is_zero())
     assume(QPoly(A[y_degree(A)].coeffs)(x0) != 0)
-    chain = subresultants(A, B)[0]
-    S = next(S for S in reversed(chain) if QPoly(S[-1].coeffs)(x0) != 0)
+    S = next(S for S in subresultants(A, B) if QPoly(S[-1].coeffs)(x0) != 0)
     assert QPoly([QPoly(c.coeffs)(x0) for c in S]).monic() == a.gcd(b)
 
 
@@ -836,6 +858,14 @@ def test_sturm_counts_match_constructed_factorization():
         # (lo, hi] excludes the left endpoint, includes the right one
         assert sturm_count(p, lo, hi) == len(roots) - 1
         assert sturm_count(p, lo - 1, hi) == len(roots)
+
+
+def test_sturm_count_of_an_empty_interval_is_zero():
+    # (a, b] with a >= b holds no root, wherever the roots of x^2 - 2 lie
+    p = ZPoly([-2, 0, 1])
+    assert sturm_count(p, 2, 0) == sturm_count(p, 2, -2) == 0
+    assert sturm_count(p, 0, 0) == sturm_count(p, F(3, 2), F(3, 2)) == 0
+    assert sturm_count(p, 0, 2) == sturm_count(p, -2, 0) == 1
 
 
 def test_sturm_degree_eight_known_split():
@@ -1151,7 +1181,7 @@ def sign_cases(draw):
 
 @given(sign_cases(), st.integers(min_value=0, max_value=12))
 @settings(max_examples=120, deadline=None)
-def test_sign_at_root_matches_the_exact_sign(case, bits):
+def test_tarski_query_matches_the_exact_sign(case, bits):
     # intervals between any two of the rational roots, points just past
     # them and the refined isolation's endpoints, except those whose left
     # end is a root of h (the isolation never returns one): with a rational
@@ -1175,16 +1205,16 @@ def test_sign_at_root_matches_the_exact_sign(case, bits):
             else:
                 expected = next(sign_at_surd(P, n, side) for n in surds for side in (1, -1)
                                 if surd_in(n, side, lo, hi))
-            assert sign_at_root(zP, z, triple(lo, hi)) == expected, (h, P, lo, hi)
+            assert tarski_query(zP, z)(triple(lo, hi)) == expected, (h, P, lo, hi)
     assert right_end or not roots
 
 
-def test_sign_at_root_after_the_bisection_moves_the_root_onto_the_right_end():
+def test_tarski_query_after_the_bisection_moves_the_root_onto_the_right_end():
     # h = x^3 - x: the cut at 0 leaves the root 1 alone in (0, 4], whose
     # left end 0 is a root, so the isolation cuts that interval again, down
     # to (1/2, 1], which has the root 1 on its right end
     h = ZPoly([0, -1, 0, 1])
     assert isolate_real_roots(h)[2] == (8, 16, 16)
-    assert sign_at_root(ZPoly([1, 1]), h, (8, 16, 16)) == 1
-    assert sign_at_root(ZPoly([-3, 1]), h, (8, 16, 16)) == -1
-    assert sign_at_root(ZPoly([-1, 1]), h, (8, 16, 16)) == 0
+    assert tarski_query(ZPoly([1, 1]), h)((8, 16, 16)) == 1
+    assert tarski_query(ZPoly([-3, 1]), h)((8, 16, 16)) == -1
+    assert tarski_query(ZPoly([-1, 1]), h)((8, 16, 16)) == 0

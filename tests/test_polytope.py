@@ -1,5 +1,6 @@
 """Polytope engine: hulls, facets, faces, volumes, dual cones, shapes."""
 
+import json
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -534,7 +535,7 @@ def test_json_roundtrip():
     from einpoly.polytope import polytope_from_json
 
     P = permutohedron(3)
-    Q = polytope_from_json(P.to_json())
+    Q = polytope_from_json(json.loads(P.to_json()))
     assert Q == P and Q.facets == P.facets
 
 

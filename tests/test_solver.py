@@ -661,7 +661,7 @@ def test_krawczyk_image_matches_fraction_reference():
                 assert residual < tiny or residual > large
                 b1, b2 = i1, i2
                 for _ in range(4):
-                    solution = _holds_solution(*_fiber_at(fibers, b1), b1, b2)
+                    solution = _holds_solution(*_fiber_at(fibers, b1), b1, b2, {})
                     assert solution == (residual < tiny), (data.name, b1, b2)
                     decisions.append(solution)
                     b1 = refine_root_interval(q1, b1, F(b1[1] - b1[0], 4 * b1[2]))

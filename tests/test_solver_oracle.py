@@ -585,7 +585,7 @@ def _all_pairs_certificate(q1, q2, fibers, system):
     iso2 = isolate_real_roots(q2)
     for i1 in iso1:
         for i2 in iso2:
-            if not solver._holds_solution(*solver._fiber_at(fibers, i1), i1, i2):
+            if not solver._holds_solution(*solver._fiber_at(fibers, i1), i1, i2, {}):
                 continue
             out.real_count += 1
             out.positive_count += i1[0] >= 0 and i2[0] >= 0
