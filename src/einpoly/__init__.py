@@ -35,7 +35,6 @@ from .homspace import (
 )
 from .curvature import (
     LaurentPoly,
-    einstein_system,
     moment,
     monomial_substitute,
     newton_polytope,
@@ -61,7 +60,6 @@ from .faces import (
 from .solver import (
     SolutionSet,
     count_complex,
-    dehomogenize,
     delannoy,
     legendre_at_3,
     real_positive,

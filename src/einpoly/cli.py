@@ -34,7 +34,7 @@ from .homspace import (
 )
 from .infinity import B2NotApplicableError, b2_exponent, delta_min, flat_complex
 from .faces import marked_census
-from .polytope import LatticePolytope, polytope_from_json
+from .polytope import LatticePolytope, hull
 from .report import analyze, render_report, summarize
 from .solver import delannoy, legendre_at_3
 
@@ -85,7 +85,7 @@ def _load_input(source: str, polytope: bool = False):
     if not (isinstance(obj, dict) and "vertices" in obj):
         raise SchemaError("/", "neither a homspace/v1 nor a polytope document")
     _check_vertices(obj["vertices"])
-    return polytope_from_json(obj)
+    return hull(obj["vertices"])
 
 
 def _check_vertices(points) -> None:

@@ -1,6 +1,6 @@
 """Sparse Laurent polynomials and the curvature machinery built on them:
-scalar curvature, Ricci components, the homogeneous Einstein system, the
-moment map, Newton polytopes, face restrictions and monomial substitutions.
+scalar curvature, Ricci components, the moment map, Newton polytopes, face
+restrictions and monomial substitutions.
 
 Weight convention: a stored exponent vector a represents the monomial
 prod_i x_i^(-a_i).  With this sign choice the support of the scalar
@@ -11,7 +11,7 @@ keeps every polytope-side comparison free of sign flips.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .homspace import HomSpaceData, weight_terms
 from .polytope import Face, LatticePolytope, hull
@@ -146,20 +146,6 @@ def scalar_curvature(data: HomSpaceData) -> LaurentPoly:
     so its support lies in the weights; every exponent has coordinate sum 1.
     """
     return LaurentPoly(data.d, weight_terms(data))
-
-
-def einstein_system(data: HomSpaceData, s: Optional[LaurentPoly] = None) -> list:
-    """The d-1 homogeneous equations
-    f_i = (x_i/m_i) ds/dx_i - (x_{i+1}/m_{i+1}) ds/dx_{i+1}.
-
-    `s` is `scalar_curvature(data)` when the caller already holds it.  With
-    w_i = 1/m_i, f_i has c (a_{i+1} w_{i+1} - a_i w_i) at each term c x^-a of s."""
-    if s is None:
-        s = scalar_curvature(data)
-    w = [Fraction(1, m) for m in data.dims]
-    return [LaurentPoly(data.d, {a: c * (a[i + 1] * w[i + 1] - a[i] * w[i])
-                                 for a, c in s.terms.items()})
-            for i in range(data.d - 1)]
 
 
 def _pairs_for(key, i):

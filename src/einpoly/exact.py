@@ -7,8 +7,8 @@ nested sequences, no floating point anywhere.
 Elimination has one routine per job:
 
 * one fraction-free Bareiss row step (`_bareiss_row`) adds an integer row
-  to an elimination and skips a dependent one.  It gives `rank`, `det`
-  and the volume's one row per face in `polytope`;
+  to an elimination and skips a dependent one.  It gives `det` and the
+  volume's one row per face in `polytope`;
 * over Z, the column Hermite form A U = H (`_column_hnf`) gives the
   lattice chart of an affine hull (`LatticeChart`) and `lattice_index`,
   and no stand-alone kernel: the chart is one Hermite form of its
@@ -87,25 +87,8 @@ def common_denominator(values: Iterable) -> tuple:
 
 # ---------------------------------------------------------------------------
 # one elimination, fraction-free Bareiss
-# (rank, det and the volume)
+# (det and the volume)
 # ---------------------------------------------------------------------------
-
-def _integer_rows(rows: Sequence[Sequence]) -> tuple:
-    """Integer copy of a rational matrix, and the product of the row
-    scalings: each row with a non-integer entry is multiplied by the lcm of
-    its denominators, so the rank is unchanged and the determinant is
-    multiplied by the returned scale."""
-    out = []
-    scale = 1
-    for r in rows:
-        if all(isinstance(x, int) for x in r):
-            out.append(list(r))
-            continue
-        nums, den = common_denominator(r)
-        out.append(nums)
-        scale *= den
-    return out, scale
-
 
 def _bareiss_row(state: tuple, row: list) -> tuple:
     """Add a row to a fraction-free (Bareiss) elimination with column
@@ -126,22 +109,19 @@ def _bareiss_row(state: tuple, row: list) -> tuple:
 
 def det(rows: Sequence[Sequence]) -> Fraction:
     """Exact determinant by fraction-free elimination, the last pivot with
-    the sign of its column order; 1 for the 0x0 matrix."""
+    the sign of its column order; 1 for the 0x0 matrix.  Each row is
+    cleared over its common denominator first, which divides the
+    determinant by their product."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionError("determinant requires a square matrix")
-    a, scale = _integer_rows(rows)
-    kept, last = reduce(_bareiss_row, a, ((), 1))
+    cleared = [common_denominator(r) for r in rows]
+    kept, last = reduce(_bareiss_row, (nums for nums, _ in cleared), ((), 1))
     if len(kept) < n:
         return Fraction(0)
     cols = [c for _, c in kept]
     inversions = sum(x > y for i, x in enumerate(cols) for y in cols[i + 1:])
-    return Fraction((-1) ** inversions * last, scale)
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals."""
-    return len(reduce(_bareiss_row, _integer_rows(rows)[0], ((), 1))[0])
+    return Fraction((-1) ** inversions * last, prod(den for _, den in cleared))
 
 
 # ---------------------------------------------------------------------------

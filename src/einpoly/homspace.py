@@ -114,7 +114,7 @@ def _validate(data: HomSpaceData):
     for i, bi in enumerate(data.b):
         if bi < 0:
             raise SchemaError(f"/b/{i}", "Killing coefficients must be nonnegative")
-    for pos, (key, val) in enumerate(sorted(data.triples.items())):
+    for pos, (key, val) in enumerate(data.triples.items()):
         if tuple(sorted(key)) != tuple(key):
             raise SchemaError(f"/triples/{pos}/ijk", "triple keys must be sorted")
         if len(set(key)) == 1:
@@ -220,6 +220,9 @@ def parse_obj(obj: dict) -> HomSpaceData:
         for pos, pair in enumerate(raw):
             if not (isinstance(pair, list) and len(pair) == 2 and all(is_int(i) for i in pair)):
                 raise SchemaError(f"/{name}/{pos}", "must be a pair of integers")
+            for idx in pair:
+                if not 1 <= idx <= d:
+                    raise SchemaError(f"/{name}/{pos}", f"index {idx} out of range")
             out.add(tuple(sorted(pair)))
         return frozenset(out)
 
@@ -427,9 +430,10 @@ def jordan_product(p: int, q: int) -> HomSpaceData:
 
 def product_of_irreducibles(d: int) -> HomSpaceData:
     """Direct product of d isotropy irreducible spaces (no bracket triples;
-    the weight polytope is the standard simplex)."""
-    if d < 2:
-        raise ValueError("need d >= 2")
+    the weight polytope is the standard simplex), for 2 <= d <= 24, the
+    largest d of any catalog space (jordan_7)."""
+    if not 2 <= d <= 24:
+        raise ValueError("supported d: 2 <= d <= 24")
     return HomSpaceData(
         name=f"product_of_irreducibles_{d}",
         d=d,

@@ -458,11 +458,6 @@ class LatticePolytope:
         return json.dumps(self.to_json_obj(), indent=2)
 
 
-def polytope_from_json(obj: dict) -> "LatticePolytope":
-    """The hull of a decoded polytope document's "vertices"."""
-    return hull([tuple(v) for v in obj["vertices"]])
-
-
 # ---------------------------------------------------------------------------
 # hull construction
 # ---------------------------------------------------------------------------

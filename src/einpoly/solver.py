@@ -12,10 +12,12 @@ b's interval, read at a by one Sturm-Tarski sequence, singular or not.
 That sequence depends on the branch and b's interval only, so each is
 built once per solve and read at every root a of the branch.
 
-The system is built in integers (`_integer_system`), straight from the
-scalar curvature: `dehomogenize(einstein_system(data))` times lcm(dims)
-and the common denominator of the curvature's coefficients, with no
-Fraction polynomial in between.  The elimination runs in integers, on one
+The system is the Einstein equations
+f_i = (x_i/m_i) ds/dx_i - (x_{i+1}/m_{i+1}) ds/dx_{i+1} of the scalar
+curvature s, set to x_d = 1 and divided by their least monomials.  It is
+built in integers (`_integer_system`), straight from s: times lcm(dims)
+and the common denominator of the coefficients of s, with no Fraction
+polynomial in between.  The elimination runs in integers, on one
 subresultant chain in y over Z[x]: `exact.resultant` is its last member,
 and a fiber gcd reads its members from the lowest up through
 `exact.subresultants`, which hands each over only when it is taken.
@@ -66,7 +68,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import takewhile
 from math import gcd, lcm, prod
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .curvature import LaurentPoly, scalar_curvature
 from .exact import (
@@ -123,7 +125,7 @@ def legendre_at_3(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# dehomogenization
+# the Einstein system
 # ---------------------------------------------------------------------------
 
 def _shift_nonneg(poly: dict) -> dict:
@@ -133,30 +135,17 @@ def _shift_nonneg(poly: dict) -> dict:
     return {tuple(x - m for x, m in zip(e, mins)): c for e, c in poly.items()}
 
 
-def dehomogenize(system: Sequence[LaurentPoly]) -> list:
-    """Set x_d = 1 and clear denominators by the minimal monomial, a common
-    factor whose torus zeros are excluded anyway.
-
-    Each returned poly is a dict of nonnegative true exponent tuples in
-    x_1..x_{d-1}.
-    """
-    out = []
-    for f in system:
-        if len({sum(e) for e in f.terms}) > 1:
-            raise ValueError("system is not homogeneous")
-        if not f.terms:
-            raise DegenerateSystemError("zero polynomial after clearing")
-        # homogeneity makes the true exponents distinct
-        out.append(_shift_nonneg({tuple(-ai for ai in a[:-1]): c for a, c in f.terms.items()}))
-    return out
-
-
 def _integer_system(data: HomSpaceData, s: LaurentPoly) -> list:
-    """`dehomogenize(einstein_system(data, s))` times one positive integer,
-    built in integers straight from s: with L = lcm(dims) and D the common
-    denominator of the coefficients of s, the term c x^-a of s gives f_i
-    the integer L D c (a_{i+1} / m_{i+1} - a_i / m_i).  Every exponent of
-    s has coordinate sum 1, so the system is homogeneous."""
+    """The d-1 Einstein equations
+    f_i = (x_i/m_i) ds/dx_i - (x_{i+1}/m_{i+1}) ds/dx_{i+1}
+    of s = `scalar_curvature(data)`, dehomogenized and times one positive
+    integer, built in integers straight from s: with L = lcm(dims) and D
+    the common denominator of the coefficients of s, the term c x^-a of s
+    gives L D f_i the integer L D c (a_{i+1} / m_{i+1} - a_i / m_i).  Every
+    exponent of s has coordinate sum 1, so f_i is homogeneous: it is set to
+    x_d = 1 and divided by its least monomial, a factor whose torus zeros
+    are excluded anyway.  Each returned poly is a dict of nonnegative true
+    exponent tuples in x_1..x_{d-1}."""
     nums, den = common_denominator(s.terms.values())
     big = lcm(*data.dims)
     w = [big // m for m in data.dims]

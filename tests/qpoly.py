@@ -5,14 +5,18 @@ by Euclid's algorithm over Q, independently of the integer `ZPoly` the
 library computes with.  `clear` and `as_zpoly` turn references into the
 library's input form; `bivar_cols` is the dense reference for
 `einpoly.exact.bivar_cols` before clearing.  `surd_sign` is the exact sign
-of a number in Q(sqrt s).  `gauss_jordan_solve` is the reference linear
-solve over Q.  `kernel` is the saturated integer kernel of a matrix, read
-off the library's lattice chart of its rows and the origin.
+of a number in Q(sqrt s).  `gauss_jordan_solve` and `gauss_rank` are the
+reference linear solve and rank over Q.  `kernel` is the saturated integer
+kernel of a matrix, read off the library's lattice chart of its rows and
+the origin.  `reference_einstein_system` is the Einstein system by its
+definition, in Laurent polynomials over Q, and `dehomogenize` turns it
+into the solver's input form.
 """
 
 from fractions import Fraction
 from math import lcm
 
+from einpoly.curvature import LaurentPoly, scalar_curvature
 from einpoly.exact import DimensionError, LatticeChart, ZPoly
 
 
@@ -190,6 +194,51 @@ def gauss_jordan_solve(rows, rhs):
     return [a[i][n] for i in range(n)]
 
 
+def gauss_rank(rows):
+    """Reference: rank by Gaussian elimination over Q, each row cleared of
+    denominators first and a pivot row taken off another by
+    cross-multiplication, so every step stays in Z."""
+    a = []
+    for r in rows:
+        den = lcm(*(Fraction(x).denominator for x in r))
+        a.append([int(x * den) for x in r])
+    rnk = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((r for r in range(rnk, len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[rnk], a[piv] = a[piv], a[rnk]
+        p = a[rnk]
+        for r in range(rnk + 1, len(a)):
+            if a[r][col]:
+                a[r] = [p[col] * x - a[r][col] * y for x, y in zip(a[r], p)]
+        rnk += 1
+    return rnk
+
+
 def kernel(rows):
     """A basis of the integer vectors z with A z = 0, saturated in Z^n."""
     return LatticeChart([[0] * len(rows[0])] + rows).equations
+
+
+def reference_einstein_system(data):
+    """The d-1 Einstein equations
+    f_i = (x_i/m_i) ds/dx_i - (x_{i+1}/m_{i+1}) ds/dx_{i+1} by their
+    definition: the Euler derivatives of s = scalar_curvature(data) scaled
+    by 1/m_i, consecutive ones subtracted."""
+    s = scalar_curvature(data)
+    comps = [LaurentPoly(data.d, {e: c / data.dims[i] for e, c in s.euler(i).terms.items()})
+             for i in range(data.d)]
+    return [comps[i] - comps[i + 1] for i in range(data.d - 1)]
+
+
+def dehomogenize(system):
+    """Homogeneous Laurent polynomials with x_d = 1, each divided by its
+    least monomial: dicts of nonnegative true exponent tuples in
+    x_1..x_{d-1}, a zero polynomial an empty dict."""
+    out = []
+    for f in system:
+        true = {tuple(-ai for ai in a[:-1]): c for a, c in f.terms.items()}
+        mins = [min(col) for col in zip(*true)]
+        out.append({tuple(x - m for x, m in zip(e, mins)): c for e, c in true.items()})
+    return out

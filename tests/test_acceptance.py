@@ -11,7 +11,6 @@ import pytest
 
 from conftest import record_criterion
 from einpoly.curvature import (
-    einstein_system,
     moment,
     newton_polytope,
     ricci_components,

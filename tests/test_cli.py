@@ -309,6 +309,8 @@ _MALFORMED = {
     (["analyze", "jordan_4"], 1, "error: no such file or catalog entry: jordan_4"),
     (["polytope", "jordan_4"], 1, "error: no such file or catalog entry: jordan_4"),
     (["catalog", "show", "jordan_4"], 1, "error: unknown catalog entry: jordan_4"),
+    (["catalog", "show", "product_of_irreducibles_1000000000000"], 1,
+     "error: unknown catalog entry: product_of_irreducibles_1000000000000"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_failures_exit_with_one_line(capsys, tmp_path, monkeypatch, argv, code, prefix):
     for name, raw in _MALFORMED.items():

@@ -28,7 +28,6 @@ from einpoly.exact import (
     lattice_index,
     parse_rat,
     primitive,
-    rank,
     refine_root_interval,
     resultant,
     sturm_count,
@@ -36,7 +35,7 @@ from einpoly.exact import (
     tarski_query,
     zpoly,
 )
-from qpoly import QPoly, as_zpoly, clear, kernel, surd_sign
+from qpoly import QPoly, as_zpoly, clear, gauss_rank, kernel, surd_sign
 from qpoly import bivar_cols as reference_bivar_cols
 
 # ---------------------------------------------------------------------------
@@ -118,30 +117,6 @@ def gauss_det(rows):
     return sign * result
 
 
-def gauss_rank(rows):
-    """Reference: rank by Gaussian elimination over Fraction."""
-    if not rows:
-        return 0
-    a = [[F(x) for x in r] for r in rows]
-    m, n = len(a), len(a[0])
-    rnk = 0
-    col = 0
-    while rnk < m and col < n:
-        piv = next((r for r in range(rnk, m) if a[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        a[rnk], a[piv] = a[piv], a[rnk]
-        pivot = a[rnk][col]
-        for r in range(rnk + 1, m):
-            if a[r][col] != 0:
-                factor = a[r][col] / pivot
-                a[r] = [x - factor * y for x, y in zip(a[r], a[rnk])]
-        rnk += 1
-        col += 1
-    return rnk
-
-
 entries = st.one_of(
     small_ints,
     st.fractions(min_value=-6, max_value=6, max_denominator=7),
@@ -149,11 +124,10 @@ entries = st.one_of(
 
 
 @st.composite
-def matrices(draw, square):
+def square_matrices(draw):
     """Integer and Fraction entries, with rows that may be zero or a
     combination of the other rows."""
-    m = draw(st.integers(min_value=0, max_value=5))
-    n = m if square else draw(st.integers(min_value=0, max_value=5))
+    n = m = draw(st.integers(min_value=0, max_value=5))
     rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
     if m >= 2 and draw(st.booleans()):
         k = draw(st.integers(min_value=0, max_value=m - 1))
@@ -165,13 +139,7 @@ def matrices(draw, square):
     return rows
 
 
-@given(matrices(square=False))
-@settings(max_examples=150, deadline=None)
-def test_rank_matches_fraction_elimination(rows):
-    assert rank(rows) == gauss_rank(rows)
-
-
-@given(matrices(square=True))
+@given(square_matrices())
 @settings(max_examples=150, deadline=None)
 def test_det_matches_fraction_elimination(rows):
     got = det(rows)
@@ -181,8 +149,6 @@ def test_det_matches_fraction_elimination(rows):
 
 def test_empty_matrices():
     assert det([]) == 1 and isinstance(det([]), F)
-    assert rank([]) == 0
-    assert rank([[], []]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +287,7 @@ def random_affine_points(rng, n):
     for _ in range(rng.randint(1, 6)):
         coef = [rng.randint(-2, 2) for _ in gens]
         pts.append(tuple(p0[j] + sum(c * g[j] for c, g in zip(coef, gens)) for j in range(n)))
-    assert rank([_sub(p, p0) for p in pts]) < n
+    assert gauss_rank([_sub(p, p0) for p in pts]) < n
     return pts
 
 
@@ -356,7 +322,7 @@ def test_chart_coords_roundtrip():
         pts = random_affine_points(rng, rng.randint(1, 5))
         chart = LatticeChart(pts)
         p0, r = chart.origin, chart.dim
-        assert r == rank([_sub(p, p0) for p in pts])
+        assert r == gauss_rank([_sub(p, p0) for p in pts])
         for e in chart.equations:
             assert len({_dot(e, p) for p in pts}) == 1
         assert chart.coords(p0) == (0,) * r

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import einpoly
 from einpoly import solver as solver_module
 from einpoly.curvature import LaurentPoly, restrict_to_face, scalar_curvature
-from einpoly.exact import rank
 from einpoly.faces import (
     NEEDS_MORE_DATA,
     NONSINGULAR,
@@ -38,6 +37,7 @@ from einpoly.polytope import (
     permutohedron,
     standard_simplex,
 )
+from qpoly import gauss_rank
 from test_infinity import weight_shape_documents
 
 
@@ -170,7 +170,7 @@ def reference_basis_points_on(P, face):
 
 def affine_rank(points):
     base = points[0]
-    return rank([[x - y for x, y in zip(p, base)] for p in points[1:]]) if len(points) > 1 else 0
+    return gauss_rank([[x - y for x, y in zip(p, base)] for p in points[1:]]) if len(points) > 1 else 0
 
 
 def reference_apexes(face):

@@ -149,6 +149,28 @@ def test_parse_rejects_zero_denominators(doc, path):
     assert exc.value.path == path
 
 
+# each invalid entry at document position 1, after a valid entry that
+# sorts after it: the pointer names the entry's place in the document
+_LATER_TRIPLE = {"ijk": [2, 2, 1], "value": "1"}
+_SECOND_ENTRIES = [
+    (dict(MINIMAL, triples=[_LATER_TRIPLE, {"ijk": [1, 1, 1], "value": "1"}]),
+     "/triples/1/ijk", "all three indices equal"),
+    (dict(MINIMAL, triples=[_LATER_TRIPLE, {"ijk": [1, 1, 2], "value": "0"}]),
+     "/triples/1/value", "must be positive"),
+    (dict(MINIMAL, triples=[_LATER_TRIPLE, {"ijk": [0, 1, 2], "value": "1"}]),
+     "/triples/1/ijk", "index 0 out of range"),
+    (dict(MINIMAL, bracket_meets_h=[[2, 2], [1, 7]]), "/bracket_meets_h/1", "index 7 out of range"),
+]
+
+
+@pytest.mark.parametrize("doc, path, message", _SECOND_ENTRIES,
+                         ids=[message for _doc, _path, message in _SECOND_ENTRIES])
+def test_parse_points_at_the_entry_in_document_order(doc, path, message):
+    with pytest.raises(SchemaError) as exc:
+        parse(json.dumps(doc))
+    assert exc.value.path == path and message in str(exc.value)
+
+
 def test_all_indices_equal_triple_rejected():
     doc = dict(MINIMAL, d=2, triples=[{"ijk": [1, 1, 1], "value": "1"}])
     with pytest.raises(SchemaError):
@@ -182,6 +204,13 @@ def test_catalog_alias():
 def test_malformed_generator_name_is_unknown(name):
     with pytest.raises(KeyError, match=f"unknown catalog entry: {name}"):
         load_catalog(name)
+
+
+def test_product_of_irreducibles_takes_d_up_to_24():
+    assert product_of_irreducibles(24).d == 24
+    for d in (1, 25, 10**12):
+        with pytest.raises(ValueError, match="supported d: 2 <= d <= 24"):
+            product_of_irreducibles(d)
 
 
 def test_b_zero_warning():

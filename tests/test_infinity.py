@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from einpoly.exact import DimensionError, rank
+from einpoly.exact import DimensionError
 from einpoly.homspace import (
     DegenerateSpectrumError,
     HomSpaceData,
@@ -30,7 +30,7 @@ from einpoly.infinity import (
     flat_vertex_criterion,
 )
 from einpoly.polytope import hull, standard_simplex
-from qpoly import gauss_jordan_solve
+from qpoly import gauss_jordan_solve, gauss_rank
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +382,7 @@ def reference_slice_dim(flat, face):
     rhs.append(F(1))
     k = len(idx)
     verts = set()
-    for basis in combinations(range(k), rank(rows)):
+    for basis in combinations(range(k), gauss_rank(rows)):
         try:
             sol = gauss_jordan_solve([[row[c] for c in basis] for row in rows], rhs)
         except DimensionError:
@@ -400,7 +400,7 @@ def reference_slice_dim(flat, face):
     verts = sorted(verts)
     if not verts:
         return -1
-    return rank([[a - b for a, b in zip(v, verts[0])] for v in verts[1:]]) if len(verts) > 1 else 0
+    return gauss_rank([[a - b for a, b in zip(v, verts[0])] for v in verts[1:]]) if len(verts) > 1 else 0
 
 
 def test_t_dimension_report_flags_the_bad_vertex(wang_ziller_q):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from einpoly.curvature import einstein_system, scalar_curvature
+from einpoly.curvature import scalar_curvature
 from einpoly.exact import (
     ZPoly,
     common_denominator,
@@ -42,12 +42,11 @@ from einpoly.solver import (
     _record_real,
     common_torus_zero,
     count_complex,
-    dehomogenize,
     delannoy,
     legendre_at_3,
     real_positive,
 )
-from qpoly import QPoly, as_zpoly, surd_sign
+from qpoly import QPoly, as_zpoly, dehomogenize, reference_einstein_system, surd_sign
 from test_infinity import spectral_documents
 
 
@@ -81,27 +80,31 @@ def test_delannoy_one_by_one_grid():
 
 
 # ---------------------------------------------------------------------------
-# dehomogenization
+# the integer system
 # ---------------------------------------------------------------------------
+
+
+def integer_system(data):
+    return _integer_system(data, scalar_curvature(data))
 
 
 def test_dehomogenize_product_case_linear():
     data = product_of_irreducibles(2)
-    polys = dehomogenize(einstein_system(data))
+    polys = integer_system(data)
     assert len(polys) == 1
     assert set(polys[0]) <= {(0,), (1,)}
 
 
 def test_dehomogenize_bivariate(su3_t2):
-    polys = dehomogenize(einstein_system(su3_t2))
+    polys = integer_system(su3_t2)
     assert len(polys) == 2
     assert all(len(next(iter(p))) == 2 for p in polys)
 
 
 def test_clearing_preserves_torus_zeros(su3_t2):
     rng = random.Random(6)
-    system = einstein_system(su3_t2)
-    polys = dehomogenize(system)
+    system = reference_einstein_system(su3_t2)
+    polys = integer_system(su3_t2)
     for _ in range(20):
         x = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(2)]
         full = [f.eval(list(x) + [F(1)]) for f in system]
@@ -116,16 +119,15 @@ def test_clearing_preserves_torus_zeros(su3_t2):
 
 
 def check_integer_system(data):
-    """The solver's integer system is dehomogenize(einstein_system(data))
-    times one positive factor per equation, or both raise the same
-    degenerate-system error."""
-    try:
-        expected = dehomogenize(einstein_system(data))
-    except DegenerateSystemError as exc:
-        with pytest.raises(DegenerateSystemError, match=str(exc)):
-            _integer_system(data, scalar_curvature(data))
+    """The solver's integer system is the Einstein system by its
+    definition, dehomogenized, times one positive factor per equation, or
+    it raises on a zero equation."""
+    expected = dehomogenize(reference_einstein_system(data))
+    if not all(expected):
+        with pytest.raises(DegenerateSystemError, match="^zero polynomial after clearing$"):
+            integer_system(data)
         return
-    got = _integer_system(data, scalar_curvature(data))
+    got = integer_system(data)
     assert len(got) == len(expected) == data.d - 1
     for f, g in zip(got, expected):
         assert set(f) == set(g) and all(isinstance(c, int) for c in f.values())
@@ -151,7 +153,7 @@ def test_integer_system_of_a_zero_curvature_raises_like_the_fraction_route():
     # no triples and every b_i = 0: s is zero, and so is every equation
     data = HomSpaceData(name="zero_s", d=3, dims=(1, 2, 3), b=(F(0),) * 3, triples={})
     with pytest.raises(DegenerateSystemError, match="^zero polynomial after clearing$"):
-        _integer_system(data, scalar_curvature(data))
+        integer_system(data)
     check_integer_system(data)
 
 
@@ -647,7 +649,7 @@ def test_krawczyk_image_matches_fraction_reference():
     for data in pin_documents():
         if data.d != 3:
             continue
-        g1, g2 = dehomogenize(einstein_system(data))
+        g1, g2 = integer_system(data)
         q1, branches = _eliminant(g1, g2, 1)
         q2, _ = _eliminant(g1, g2, 0)
         if q1.degree <= 0 or q2.degree <= 0:
@@ -676,7 +678,7 @@ def test_every_solution_box_holds_one_solution():
     tiny = MP80.mpf(10)**-40
     boxes = {2: 0, 3: 0}
     for data in pin_documents():
-        polys = dehomogenize(einstein_system(data))
+        polys = integer_system(data)
         if data.d == 2:
             eliminants = [zpoly({e[0]: c for e, c in polys[0].items()})[0].squarefree()]
         else:
@@ -711,7 +713,7 @@ CONSTANT_IN_Y_DOCUMENT = json.dumps({
 
 def test_constant_in_one_variable_counts_zero_through_the_library():
     data = parse(CONSTANT_IN_Y_DOCUMENT)
-    g1, g2 = dehomogenize(einstein_system(data))
+    g1, g2 = integer_system(data)
     assert all(e[1] == 0 for e in g1) and list(g2) == [(0, 0)]
     assert count_complex(data).distinct_complex == 0
     out = real_positive(data)
@@ -720,10 +722,11 @@ def test_constant_in_one_variable_counts_zero_through_the_library():
 
 
 def test_constant_d2_system_has_no_solution():
-    # no triples: the cleared polynomial is the nonzero constant -1/2, whose
-    # squarefree part 1 has no root to isolate
+    # no triples: the cleared polynomial is a negative constant (-1/2 before
+    # clearing), whose squarefree part 1 has no root to isolate
     data = HomSpaceData(name="constant_d2", d=2, dims=(1, 1), b=(F(1), F(0)), triples={})
-    assert dehomogenize(einstein_system(data)) == [{(0,): F(-1, 2)}]
+    ((exponent, c),) = integer_system(data)[0].items()
+    assert exponent == (0,) and c < 0
     complex_only = count_complex(data)
     assert (complex_only.distinct_complex, complex_only.multiplicity_excess) == (0, 0)
     out = real_positive(data)

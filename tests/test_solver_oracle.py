@@ -32,7 +32,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from einpoly import solver
-from einpoly.curvature import einstein_system, scalar_curvature
 from einpoly.exact import (
     ZPoly,
     bivar_cols,
@@ -42,10 +41,10 @@ from einpoly.exact import (
 )
 from einpoly.homspace import HomSpaceData, parse
 from einpoly.polytope import hull
-from einpoly.solver import DegenerateSystemError, _eliminant, _fibers, dehomogenize
-from qpoly import QPoly, as_zpoly
+from einpoly.solver import DegenerateSystemError, _eliminant, _fibers
+from qpoly import QPoly, as_zpoly, reference_einstein_system
 from qpoly import bivar_cols as fraction_bivar_cols
-from test_solver import pin_documents
+from test_solver import integer_system, pin_documents
 
 X, Y = sympy.symbols("x y")
 
@@ -492,7 +491,7 @@ def test_d3_count_against_the_mixed_volume():
     # distinct count is MV wherever neither happens.
     seen = Counter()
     for data in [d for d in pin_documents() if d.d == 3] + list(_degenerate_family(300)):
-        g1, g2 = dehomogenize(einstein_system(data))
+        g1, g2 = integer_system(data)
         count = solver.count_complex(data).distinct_complex
         mv = _mixed_volume(g1, g2)
         if _initial_system_has_torus_root(g1, g2):
@@ -525,7 +524,7 @@ def _generic_d3_documents(draw):
 @given(_generic_d3_documents())
 @settings(max_examples=60, deadline=None)
 def test_d3_count_is_at_most_the_mixed_volume(data):
-    g1, g2 = dehomogenize(einstein_system(data))
+    g1, g2 = integer_system(data)
     try:
         count = solver.count_complex(data).distinct_complex
     except DegenerateSystemError:
@@ -545,7 +544,7 @@ def _d3_eliminations():
     """(data, q1, branches, q2, branches_y) of the d = 3 pinned documents
     and the degenerate family, those without a common factor."""
     for data in [d for d in pin_documents() if d.d == 3] + list(_degenerate_family(300)):
-        g1, g2 = dehomogenize(einstein_system(data))
+        g1, g2 = integer_system(data)
         try:
             q1, branches = _eliminant(g1, g2, 1)
             q2, branches_y = _eliminant(g1, g2, 0)
@@ -622,10 +621,9 @@ def test_box_scan_matches_the_all_pairs_reference():
         got = solver.SolutionSet(3, count)
         # the solver checks an exact point on its integer system, the
         # reference on the Laurent system
-        solver._record_real(got, solver._real_d3(q1, q2, fibers), solver._integer_system(
-            data, scalar_curvature(data)))
+        solver._record_real(got, solver._real_d3(q1, q2, fibers), integer_system(data))
         ref = _all_pairs_certificate(q1, q2, _gcd_route_fibers(branches, q2)[0],
-                                     einstein_system(data))
+                                     reference_einstein_system(data))
         assert (got.real_count, got.positive_count, got.solutions) == (
             ref.real_count, ref.positive_count, ref.solutions), data.name
         compared += got.real_count > 0
