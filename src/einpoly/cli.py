@@ -20,6 +20,7 @@ import os
 import stat
 import sys
 from contextlib import contextmanager, nullcontext
+from functools import cache
 
 from .homspace import (
     DegenerateSpectrumError,
@@ -63,15 +64,24 @@ def _int_digits(limit: int):
         sys.set_int_max_str_digits(old)
 
 
+def _catalog(name: str, missing: str):
+    """The catalog entry `name`; a usage error `missing: name` if there is
+    none, followed by the family's supported range if its generator
+    rejects the parameters."""
+    try:
+        return load_catalog(name)
+    except KeyError:
+        raise UsageError(f"{missing}: {name}") from None
+    except ValueError as exc:
+        raise UsageError(f"{missing}: {name} ({exc})") from None
+
+
 def _load_input(source: str, polytope: bool = False):
     """The HomSpaceData in a homspace/v1 file, or of a catalog entry when no
     such file exists.  With `polytope`, a file may instead hold a polytope
     document {"vertices": [[int, ...], ...]}; its hull is returned."""
     if not os.path.exists(source):
-        try:
-            return load_catalog(source)
-        except (KeyError, ValueError):
-            raise UsageError(f"no such file or catalog entry: {source}") from None
+        return _catalog(source, "no such file or catalog entry")
     try:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -142,7 +152,7 @@ def cmd_kaehler_b2(args) -> int:
     obj["marked_by_dim"] = {str(k): v for k, v in sorted(census.marked_by_dim().items())}
     obj["marked_total"] = census.marked_total()
     obj["test2_count"] = census.test2_count()
-    print(json.dumps(obj, indent=2))
+    print(render_report(obj))
     return 0
 
 
@@ -167,10 +177,7 @@ def cmd_catalog(args) -> int:
         return 0
     if not args.name:
         raise UsageError("catalog show/export needs a name")
-    try:
-        data = load_catalog(args.name)
-    except (KeyError, ValueError):
-        raise UsageError(f"unknown catalog entry: {args.name}") from None
+    data = _catalog(args.name, "unknown catalog entry")
     if args.action == "show":
         print(f"name: {data.name}")
         print(f"d: {data.d}")
@@ -212,7 +219,10 @@ def cmd_polytope(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call (not at import) and
+    reused by every later `main` in the process."""
     parser = _Parser(prog="einpoly", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -7,7 +7,8 @@ string.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
+
 from . import __version__
 from .curvature import scalar_curvature
 from .faces import NEEDS_MORE_DATA, face_verdict, marked_census
@@ -150,8 +151,31 @@ def _census_obj(census, marked) -> dict:
     }
 
 
-def render_report(report: dict) -> str:
-    return json.dumps(report, indent=2)
+def render_report(obj, pad: str = "") -> str:
+    """The bytes of json.dumps(obj, indent=2) for dicts with str keys,
+    lists, tuples, str, int, bool and None; TypeError on any other type.
+    `pad` is the indent of the line that `obj` starts on."""
+    t = type(obj)
+    if t is str:
+        return _quote(obj)
+    if t is int:
+        return str(obj)
+    if t is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if t is dict:
+        body = sep.join([_quote(k) + ": " + render_report(v, inner) for k, v in obj.items()])
+        return "{\n" + inner + body + "\n" + pad + "}" if obj else "{}"
+    if t is not list and t is not tuple:
+        raise TypeError(f"{t.__name__} is not JSON serializable")
+    if {*map(type, obj)} == {int}:
+        body = str(list(obj))[1:-1].replace(", ", sep)
+    else:
+        body = sep.join([render_report(x, inner) for x in obj])
+    return "[\n" + inner + body + "\n" + pad + "]" if obj else "[]"
 
 
 def summarize(report: dict) -> str:

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from einpoly.cli import main
+import einpoly
+from einpoly.cli import build_parser, main
 from einpoly.homspace import weight_points
 from einpoly.infinity import flat_complex
 from test_infinity import spectral_documents, weight_shape_documents
@@ -322,6 +324,23 @@ def test_failures_exit_with_one_line(capsys, tmp_path, monkeypatch, argv, code, 
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["catalog", "show", "jordan_4"],
+     "error: unknown catalog entry: jordan_4 (supported primes: 2, 3, 5, 7)"),
+    (["analyze", "jordan_4"],
+     "error: no such file or catalog entry: jordan_4 (supported primes: 2, 3, 5, 7)"),
+    (["polytope", "jordan_4"],
+     "error: no such file or catalog entry: jordan_4 (supported primes: 2, 3, 5, 7)"),
+    (["catalog", "show", "product_of_irreducibles_25"],
+     "error: unknown catalog entry: product_of_irreducibles_25 (supported d: 2 <= d <= 24)"),
+    # a name no family matches keeps the bare line
+    (["catalog", "show", "no_such_entry"], "error: unknown catalog entry: no_such_entry"),
+    (["analyze", "no_such_entry"], "error: no such file or catalog entry: no_such_entry"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_generator_errors_name_the_supported_range(capsys, argv, line):
+    assert run(capsys, *argv) == (1, "", line + "\n")
+
+
 def test_unknown_option_is_a_one_line_usage_error(capsys):
     # --export was removed: the default output is the polytope document
     with pytest.raises(SystemExit) as exc:
@@ -387,13 +406,16 @@ def doc_path(tmp_path_factory):
 
 def _main(argv):
     """(exit code, stdout, stderr) of one run; an escaping ValueError, the
-    all-flat defect, stands in for the code as its type and message."""
+    all-flat defect, stands in for the code as its type and message, and
+    --help or a parser error leaves by SystemExit with the code."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
         except ValueError as exc:
             code = f"{type(exc).__name__}: {exc}"
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -418,3 +440,40 @@ def test_drawn_documents_keep_the_exit_contract(doc_path, command, data):
     if code == 2:
         assert err.count("\n") == 1 and err.endswith("\n")
     assert _main(argv) == first
+
+
+def _fresh(argv, cwd, env):
+    """(exit code, stdout, stderr) of `python -m einpoly.cli` in a new process."""
+    done = subprocess.run([sys.executable, "-m", "einpoly.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_main_builds_the_parser_once_and_reuses_it(tmp_path, monkeypatch):
+    # a usage error, a valid run and --help in one process give what each
+    # gives in a fresh process, from one parser built on the first call
+    src = os.path.dirname(os.path.dirname(einpoly.__file__))
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    imported = subprocess.run(
+        [sys.executable, "-c", "import einpoly.cli as c; print(c.build_parser.cache_info().misses)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert imported == "0\n"
+    runs = [["polytope", "su3_t2", "--export"],
+            ["analyze", "su3_t2", "--json", "report.json"],
+            ["--help"]]
+    fresh = []
+    for argv in runs:
+        fresh.append(_fresh(argv, tmp_path, env))
+        fresh.append((tmp_path / "report.json").read_bytes() if "--json" in argv else None)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    (tmp_path / "report.json").unlink()
+    build_parser.cache_clear()
+    got = []
+    for argv in runs:
+        got.append(_main(argv))
+        got.append((tmp_path / "report.json").read_bytes() if "--json" in argv else None)
+    assert build_parser.cache_info().misses == 1
+    assert [r[0] for r in got[::2]] == [1, 0, 0]
+    assert got == fresh

@@ -10,8 +10,10 @@ must say so and regenerate them.
 """
 
 import hashlib
+import json
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -257,3 +259,37 @@ def test_relabeling_permutes_the_report_on_the_catalog(name):
         perm = list(range(1, data.d + 1))
         rng.shuffle(perm)
         _check_relabeling(data, perm)
+
+
+# ---------------------------------------------------------------------------
+# the writer against json.dumps(obj, indent=2)
+# ---------------------------------------------------------------------------
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\u00e9\u2028\U0001f600'),
+                          st.characters()))
+# ints past Python's default 4300-digit limit, of either sign
+_INTS = st.one_of(st.integers(), st.builds(lambda n, sign: sign * (10 ** n - 1),
+                                           st.integers(4301, 4400), st.sampled_from([1, -1])))
+_TREES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _INTS, _TEXT, st.lists(st.one_of(_INTS, st.booleans()))),
+    lambda kids: st.one_of(st.lists(kids), st.lists(kids).map(tuple), st.dictionaries(_TEXT, kids)),
+    max_leaves=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TREES)
+def test_writer_matches_json_dumps(obj):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert render_report(obj) == json.dumps(obj, indent=2)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("obj", [
+    Fraction(1, 2), {1, 2}, 1.5, {1: "a"}, [1, 1.5], {"a": [Fraction(1, 2)]},
+], ids=repr)
+def test_writer_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        render_report(obj)
