@@ -118,6 +118,7 @@ def cmd_analyze(args) -> int:
     with open(args.json, "w", encoding="utf-8") if args.json else nullcontext() as fh:
         try:
             report, solver_exit = analyze(data, solve=not args.no_solve)
+            text = render_report(report) + "\n" if fh is not None else None
         except BaseException:
             if fh is not None:
                 regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
@@ -127,7 +128,7 @@ def cmd_analyze(args) -> int:
             raise
         print(summarize(report))
         if fh is not None:
-            fh.write(render_report(report) + "\n")
+            fh.write(text)
     return solver_exit
 
 

@@ -7,6 +7,7 @@ string.
 
 from __future__ import annotations
 
+import json
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
@@ -151,10 +152,15 @@ def _census_obj(census, marked) -> dict:
     }
 
 
-def render_report(obj, pad: str = "") -> str:
-    """The bytes of json.dumps(obj, indent=2) for dicts with str keys,
-    lists, tuples, str, int, bool and None; TypeError on any other type.
-    `pad` is the indent of the line that `obj` starts on."""
+def render_report(report: dict) -> str:
+    """The bytes of json.dumps(report, indent=2)."""
+    return _render(report, "")
+
+
+def _render(obj, pad: str) -> str:
+    """json.dumps(obj, indent=2) for dicts with str keys, lists, tuples,
+    str, int, bool, None and float; TypeError on any other type.  `pad`
+    is the indent of the line that `obj` starts on."""
     t = type(obj)
     if t is str:
         return _quote(obj)
@@ -167,14 +173,16 @@ def render_report(obj, pad: str = "") -> str:
     inner = pad + "  "
     sep = ",\n" + inner
     if t is dict:
-        body = sep.join([_quote(k) + ": " + render_report(v, inner) for k, v in obj.items()])
+        body = sep.join([_quote(k) + ": " + _render(v, inner) for k, v in obj.items()])
         return "{\n" + inner + body + "\n" + pad + "}" if obj else "{}"
     if t is not list and t is not tuple:
+        if t is float:
+            return json.dumps(obj)
         raise TypeError(f"{t.__name__} is not JSON serializable")
     if {*map(type, obj)} == {int}:
         body = str(list(obj))[1:-1].replace(", ", sep)
     else:
-        body = sep.join([render_report(x, inner) for x in obj])
+        body = sep.join([_render(x, inner) for x in obj])
     return "[\n" + inner + body + "\n" + pad + "]" if obj else "[]"
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import einpoly
 from einpoly.cli import build_parser, main
-from einpoly.homspace import weight_points
+from einpoly.homspace import load_catalog, weight_points
 from einpoly.infinity import flat_complex
 from test_infinity import spectral_documents, weight_shape_documents
 
@@ -236,6 +236,21 @@ def test_report_is_byte_deterministic(capsys, tmp_path):
     run(capsys, "analyze", "wang_ziller_q", "--json", str(p1))
     run(capsys, "analyze", "wang_ziller_q", "--json", str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_float_notes_are_written_as_json_dumps_writes_them(capsys, tmp_path):
+    # past nu and epsilon the expected notes are free-form, so a report can
+    # carry floats, NaN and Infinity among them
+    doc = load_catalog("su3_t2").to_json_obj()
+    doc["expected"] = {"nu": 4, "ratio": 2.5, "tiny": -1e-300, "nan": float("nan"),
+                       "inf": float("inf"), "mixed": [1, 0.5, True, None]}
+    path, out_path = tmp_path / "doc.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze", str(path), "--json", str(out_path))
+    text = out_path.read_text()
+    assert code == 0 and err == "" and "su3_t2: d = " in out
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert json.dumps(json.loads(text)["input"]["expected"]) == json.dumps(doc["expected"])
 
 
 # Each failure the command line can meet on bad input: exit code and the

@@ -271,7 +271,8 @@ _TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\u00e9\
 _INTS = st.one_of(st.integers(), st.builds(lambda n, sign: sign * (10 ** n - 1),
                                            st.integers(4301, 4400), st.sampled_from([1, -1])))
 _TREES = st.recursive(
-    st.one_of(st.none(), st.booleans(), _INTS, _TEXT, st.lists(st.one_of(_INTS, st.booleans()))),
+    st.one_of(st.none(), st.booleans(), _INTS, st.floats(), _TEXT,
+              st.lists(st.one_of(_INTS, st.booleans(), st.floats()))),
     lambda kids: st.one_of(st.lists(kids), st.lists(kids).map(tuple), st.dictionaries(_TEXT, kids)),
     max_leaves=20)
 
@@ -288,7 +289,7 @@ def test_writer_matches_json_dumps(obj):
 
 
 @pytest.mark.parametrize("obj", [
-    Fraction(1, 2), {1, 2}, 1.5, {1: "a"}, [1, 1.5], {"a": [Fraction(1, 2)]},
+    Fraction(1, 2), {1, 2}, {1: "a"}, [1, Fraction(1, 2)], {"a": [Fraction(1, 2)]},
 ], ids=repr)
 def test_writer_rejects_other_types(obj):
     with pytest.raises(TypeError):
